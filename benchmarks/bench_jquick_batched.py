@@ -20,6 +20,7 @@ finish times, the sorted output arrays (byte for byte) and the sorting stats
 (modulo the ``batched_levels`` counter).  The gate measures wall-clock only.
 """
 
+import gc
 import time
 
 import numpy as np
@@ -38,9 +39,14 @@ SCALES = {
 }
 
 #: Required wall-clock speedup of the batched tier over the scalar frontier.
-#: Measured ~2.9x at p=1024 and growing with p (the scalar side suspends
-#: every rank several times per level); 2.0 absorbs CI hardware variance.
-MIN_SPEEDUP = 2.0
+#: Measured ~3.75x at p=1024 and growing with p (the scalar side suspends
+#: every rank several times per level); 2.6 keeps the margin the gate had
+#: before the level-at-once pricing (2.0 of a measured ~2.9x) for CI
+#: hardware variance.
+MIN_SPEEDUP = 2.6
+
+#: Group sizes of the reported (not gated) host cost per member-level.
+MEMBER_LEVEL_RANKS = (256, 1024, 4096)
 
 
 def _sort_program(env, *, local_data, config):
@@ -99,3 +105,26 @@ def test_jquick_batched_speedup(request, scale):
     assert speedup >= MIN_SPEEDUP, (
         f"batched tier only {speedup:.2f}x faster than the scalar frontier "
         f"at p={p} (required {MIN_SPEEDUP}x)")
+
+
+def test_jquick_member_level_cost(request):
+    """Host microseconds per (member, level) of the batched tier, by p.
+
+    Reported, not gated: pricing one member's share of one distributed
+    level should cost the same at every machine size, so a rise with p
+    points at per-level fixed costs, cache behaviour or collector pressure
+    rather than at the algorithm.  (The p = 2^15 point is the paper-scale
+    gate's wall over its ~475 000 member-levels.)
+    """
+    extra = {}
+    for p in MEMBER_LEVEL_RANKS:
+        result, wall = _best(p, True, 2)
+        member_levels = sum(stats["batched_levels"]
+                            for _, _, stats in result.results)
+        extra[f"member_levels_p{p}"] = member_levels
+        extra[f"host_us_per_member_level_p{p}"] = round(
+            wall * 1e6 / member_levels, 1)
+    request.node.bench_extra = extra
+    # The p = 4096 cluster dies as cyclic garbage; collect it here rather
+    # than inside whichever millisecond-scale bench happens to run next.
+    gc.collect()

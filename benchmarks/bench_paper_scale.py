@@ -150,10 +150,11 @@ def test_paper_scale_hierarchical(request, operation):
 
 
 #: JQuick gate ceilings (Fig. 8 point n/p = 1 at the paper's full machine
-#: size).  Measured ~54 s / ~520 MiB with the cross-rank batched sorting
-#: tier; the pre-batched frontier needs several minutes, so losing the tier
-#: fails the wall ceiling outright.
-JQUICK_WALL_CEILING_S = 120.0
+#: size).  Measured ~40 s / ~530 MiB with the level-at-once batched sorting
+#: tier (the ceiling is twice that); the member-by-member replay of the
+#: same tier took ~60 s and the pre-batched frontier needs several minutes,
+#: so losing either fails the wall ceiling.
+JQUICK_WALL_CEILING_S = 80.0
 JQUICK_RSS_CEILING_MIB = 4096
 
 

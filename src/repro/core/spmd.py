@@ -81,6 +81,9 @@ visible at once and vectorise; the flush costs one engine event per phase
 and resolves at the same virtual time the scalar frontier would have.
 ``env.lockstep_fastforward = False`` disables the tier (differential tests
 compare both pricers); :data:`FASTFORWARD_MIN_SIZE` bounds when it engages.
+A scan *fed* whole by a driver (``_feed_all``: the jquick level phase) needs
+no flush — every join is already known — and picks the vector or the scalar
+resolver by group size (:data:`SCAN_VECTOR_CUTOFF`).
 """
 
 from __future__ import annotations
@@ -120,6 +123,13 @@ _EDGE_POST = itemgetter(0)
 #: overhead knob: below it, building the NumPy round expressions costs more
 #: than the scalar loops they replace.
 FASTFORWARD_MIN_SIZE = 2
+
+#: Smallest group a *fed* scan (``_ScanPhase._resolve_fed``) prices with the
+#: vector resolver; smaller groups take the scalar prefix loop.  The two are
+#: pinned bit-identical, so this is the measured crossover, not a knob —
+#: two-word SUM scan, scalar vs vector: 73 vs 120 us at 8 members, 126 vs
+#: 140 at 12, 185 vs 151 at 16, 428 vs 222 at 32.
+SCAN_VECTOR_CUTOFF = 16
 
 _ARRAY_UFUNCS: Optional[dict] = None
 _FLOAT_UFUNCS: Optional[dict] = None
@@ -297,7 +307,7 @@ class SpmdCoordinator:
         # change any already-applied later write — so benign overtakes
         # stay bit-identical and genuinely diverging ones raise instead of
         # silently mispricing.  Entries are [post, leave, transfer,
-        # free_before, arrival, cap, owner phase, run-has-replay flag];
+        # free_before, arrival, cap, owner token, run-has-replay flag];
         # see ``_PhaseBase._recv_side``, ``_PhaseBase._tie_commutes`` and
         # ``_PhaseBase._commit_caps``.
         self._recv_logs: dict = {}
@@ -414,6 +424,38 @@ class _PhaseBase:
     _hier_sub = False
 
     def __init__(self, ep, op, root, coordinator):
+        if isinstance(ep, _PhaseBase):
+            # A sub-phase on its driver's own group (see _sub_phase) shares
+            # the driver's derived group context — world list, port and
+            # stats handles, link parameters — instead of re-deriving it.
+            self.__dict__.update(ep._group)
+            self._group = ep._group
+        else:
+            self._derive_group(ep, coordinator)
+        self.root = root
+        self.op = op
+        self.obs_label = self.kind
+        self._owner = object()
+        self._retired = False
+        size = self.size
+        self.joined: list = [None] * size
+        # _span_starts aliases `joined` — drivers that charge per-member
+        # entry work (the jquick level phase) rebind it to the
+        # post-charge start times for a granular decomposition.
+        self._span_starts = self.joined
+        self.values: list = [None] * size
+        self.requests: list = [None] * size
+        self.procs: list = [None] * size
+        self.joined_count = 0
+        self.resolved_count = 0
+        self._wakes: list = []
+        # Log entries appended by _recv_side that still need their cap (the
+        # committed value their arrival folded into) via _commit_caps.
+        self._cap_pending: list = []
+
+    def _derive_group(self, ep, coordinator) -> None:
+        """Bind what depends only on the group and its machine; the
+        attributes are snapshotted into ``_group`` for sub-phases to adopt."""
         env = ep.env
         transport = ep.transport
         self.env = env
@@ -423,8 +465,6 @@ class _PhaseBase:
         self.tag = ep.tag
         self.stats = transport.tracer.stats
         self.size = ep.size
-        self.root = root
-        self.op = op
         link = transport._uniform_link
         if link is not None:
             self.alpha, self.beta = link
@@ -454,26 +494,10 @@ class _PhaseBase:
         else:
             self.world = [ep.to_world(i) for i in range(ep.size)]
         self.fastforward = getattr(env, "lockstep_fastforward", True)
-        self._retired = False
         # Observability: spans are emitted from _finish when a recorder is
         # installed (Cluster(trace=...)); driver-owned sub-phases get
         # _obs nulled by _sub_phase so only the outer phase's span counts.
-        # _span_starts aliases `joined` — drivers that charge per-member
-        # entry work (the jquick level phase) rebind it to the
-        # post-charge start times for a granular decomposition.
         self._obs = transport._obs
-        self.obs_label = self.kind
-        self.joined: list = [None] * ep.size
-        self._span_starts = self.joined
-        self.values: list = [None] * ep.size
-        self.requests: list = [None] * ep.size
-        self.procs: list = [None] * ep.size
-        self.joined_count = 0
-        self.resolved_count = 0
-        self._wakes: list = []
-        # Log entries appended by _recv_side that still need their cap (the
-        # committed value their arrival folded into) via _commit_caps.
-        self._cap_pending: list = []
         # Coordinator-shared receive-port write logs (see SpmdCoordinator).
         # Posts tied at the same instant are serialised in application
         # order; _tie_commutes documents when that is provably (or
@@ -485,6 +509,7 @@ class _PhaseBase:
         self._recv_free = transport._recv_port_free
         self._recvd_by_rank = self.stats.per_rank_messages_received
         self._recvd_words_by_rank = self.stats.per_rank_words_received
+        self._group = dict(self.__dict__)
 
     # ------------------------------------------------------------------ joins
 
@@ -520,8 +545,8 @@ class _PhaseBase:
         """Record a member's join at virtual time ``now``; run the phase hook.
 
         ``join`` delegates here with the live engine clock and the member's
-        process.  A fused driver (the jquick level phase) instead feeds a
-        sub-phase directly with the member's *synthetic* join time and
+        process.  A streaming driver (the schedule-IR replay) instead feeds
+        a sub-phase directly with the member's *synthetic* join time and
         ``proc=None``: such members get no wake-up event — the driver reads
         their finish times and results synchronously from the requests.
         """
@@ -539,14 +564,16 @@ class _PhaseBase:
 
         Batch counterpart of per-member ``_join_at(..., proc=None)`` calls
         for drivers that know the whole phase up front (the allreduce
-        composition): one array assignment replaces per-join bookkeeping,
+        composition, the jquick level phase): one array assignment replaces
+        per-join bookkeeping,
         and the phase resolves in a single fused pass over a known member
         order instead of re-testing readiness on every join.  No wake
         events or request objects are involved — the driver reads the
-        returned ``(finish_times, results)`` lists directly.
+        returned ``(finish_times, results)`` lists directly.  The input
+        lists are adopted as they are; no fed pass writes to them.
         """
-        self.joined = list(times)
-        self.values = list(values)
+        self.joined = times
+        self.values = values
         self.joined_count = self.size
         self._fed_finish = [0.0] * self.size
         self._fed_values: list = [None] * self.size
@@ -555,6 +582,15 @@ class _PhaseBase:
 
     def _resolve_fed(self) -> None:  # pragma: no cover - interface
         raise NotImplementedError
+
+    def _finish_fed(self, rank: int, finish: float, value) -> None:
+        """``_finish`` of a fed phase: plain list stores, no request/wake.
+
+        A ``_resolve_fed`` that reuses its class's join-path resolvers
+        binds this over ``_finish`` on the instance.
+        """
+        self._fed_finish[rank] = finish
+        self._fed_values[rank] = value
 
     def on_join(self, rank: int) -> None:  # pragma: no cover - interface
         raise NotImplementedError
@@ -696,8 +732,10 @@ class _PhaseBase:
         phase's writes reproduce (they are emitted in native post order)
         but two different phases' writes may not — the interleaving
         depends on scheduling history the pricer cannot see.  Each entry
-        records its owning phase; ``_tie_commutes`` decides which foreign
-        ties are safe and which must refuse.
+        records its owning phase's identity token (a bare object, so a
+        logged write never keeps a resolved phase's state alive);
+        ``_tie_commutes`` decides which foreign ties are safe and which
+        must refuse.
         """
         world = self.world[dst]
         logs = self._recv_logs
@@ -720,7 +758,7 @@ class _PhaseBase:
                 arrival = leave
             recv_free[world] = arrival
             entry = [post_time, leave, transfer, free_before, arrival, None,
-                     self, hier or (tied and tail[7])]
+                     self._owner, hier or (tied and tail[7])]
             if len(log) >= 24:
                 self._prune(log)
             log.append(entry)
@@ -742,7 +780,7 @@ class _PhaseBase:
             if leave > arrival:
                 arrival = leave
             entry = [post_time, leave, transfer, free_before, arrival, None,
-                     self,
+                     self._owner,
                      hier or (index > 0 and log[index - 1][0] == post_time
                               and log[index - 1][7])]
             if hier:
@@ -816,7 +854,7 @@ class _PhaseBase:
             return True
         if not self._hier_sub and not log[end - 1][7]:
             return True
-        if all(log[k][6] is self for k in range(run_start, end)):
+        if all(log[k][6] is self._owner for k in range(run_start, end)):
             return True
         front_free = log[run_start][3]
         front_arrival = front_free + transfer
@@ -1018,6 +1056,7 @@ class _PhaseBase:
         world = self.world
         prune = self._prune
         hier = self._hier_sub
+        owner = self._owner
         for member in range(first_member, self.size):
             dst = world[member]
             log = logs.get(dst)
@@ -1035,7 +1074,7 @@ class _PhaseBase:
                             transfer[index] if transfer.__class__ is list
                             else transfer,
                             frees[index], arrivals[index], caps[index],
-                            self,
+                            owner,
                             hier or (bool(log) and log[-1][0] == post
                                      and log[-1][7])])
 
@@ -1117,9 +1156,6 @@ class _ScanPhase(_PhaseBase):
         restores the honest-refusal contract (``RankFailedError`` with
         the :class:`LockstepError` as ``__cause__``) that every
         join-path refusal already satisfies via ``Engine._step``.
-        Drivers that resolve an armed flush synchronously (the jquick
-        level phase) keep calling :meth:`_flush`: their raise is wrapped
-        by ``_step`` like any other in-generator failure.
         """
         try:
             self._flush(None)
@@ -1149,6 +1185,27 @@ class _ScanPhase(_PhaseBase):
         self._flush_wakes()
         if self.resolved_count == self.size:
             self.coordinator.retire(self)
+
+    def _resolve_fed(self) -> None:
+        """Every member is joined: vector rounds, or the scalar prefix loop.
+
+        Same two resolvers as the join path, selected by group size instead
+        of by a deferred flush: no engine event is armed, and a vector
+        attempt that declines is counted like an armed fast-forward's.
+        """
+        self._finish = self._finish_fed
+        try:
+            if self.fastforward and self.size >= SCAN_VECTOR_CUTOFF:
+                if self._vector_resolve():
+                    return
+                self.coordinator.fastforward_fallbacks += 1
+            resolve = self._resolve
+            for rank in range(self.size):
+                resolve(rank)
+        finally:
+            # The bound method makes the phase reference itself; drop it so
+            # the phase dies by refcount, not in a collector pass.
+            del self._finish
 
     def _advance(self) -> None:
         # Rank i depends on ranks 0..i-1 only (messages always flow from
@@ -1379,13 +1436,17 @@ class _BcastPhase(_PhaseBase):
             self._cascade(rank)
 
     def _resolve_fed(self) -> None:
-        """Every member is joined: one fused top-down walk from the root.
+        """Every member is joined: one fused top-down pass from the root.
 
-        Parents price before children — the only ordering the per-port
-        write sequences depend on — with the sender half of ``post_send``
-        inlined (same float operand order as ``_send_side``) and the
-        in-order untied receive fold applied without the ``_recv_side``
-        call; tied or out-of-order folds take the full logged path.
+        A binomial parent carries a smaller vrank than its children, so
+        ascending vrank order prices parents before children — the only
+        ordering the per-port write sequences depend on.  Children are
+        enumerated inline, largest subtree first as ``_children`` orders
+        them (its cache thrashes once a run's (vrank, size) pairs outgrow
+        it), the sender half of ``post_send`` is inlined (same float operand
+        order as ``_send_side``) and the in-order untied receive fold skips
+        the ``_recv_side`` call; tied or out-of-order folds take the full
+        logged path.
         """
         size = self.size
         root = self.root
@@ -1408,8 +1469,6 @@ class _BcastPhase(_PhaseBase):
         stats = self.stats
         sent_by_rank = stats.per_rank_messages_sent
         sent_words_by_rank = stats.per_rank_words_sent
-        children_of = self._children
-        arrivals = self.arrivals
         root_value = self.values[root]
         if isinstance(root_value, np.ndarray) and \
                 not is_frozen_payload(root_value):
@@ -1421,17 +1480,30 @@ class _BcastPhase(_PhaseBase):
             payload_words(wire_value))
         nsent = 0
         wsent = 0
-        stack = [root]
-        while stack:
-            rank = stack.pop()
+        # Arrival of each member's message from its parent, by vrank.
+        arrivals = [0.0] * size
+        for vrank in range(size):
+            rank = vrank + root
+            if rank >= size:
+                rank -= size
             entry = joined[rank]
-            if rank != root:
-                arrival = arrivals[rank][0]
+            if vrank:
+                arrival = arrivals[vrank]
                 if arrival > entry:
                     entry = arrival
+                mask = (vrank & -vrank) >> 1
+            else:
+                mask = (1 << (size - 1).bit_length()) >> 1
             finish = entry
             src = world[rank]
-            for child in children_of(rank):
+            while mask:
+                child_vrank = vrank | mask
+                mask >>= 1
+                if child_vrank >= size:
+                    continue
+                child = child_vrank + root
+                if child >= size:
+                    child -= size
                 start = entry + pmd
                 port_free = send_free[src]
                 if port_free > start:
@@ -1464,7 +1536,7 @@ class _BcastPhase(_PhaseBase):
                         arrival = leave
                     recv_free[dst] = arrival
                     row = [entry, leave, transfer, free_before, arrival,
-                           arrival, self, hier]
+                           arrival, self._owner, hier]
                     if len(log) >= 24:
                         self._prune(log)
                     log.append(row)
@@ -1473,12 +1545,12 @@ class _BcastPhase(_PhaseBase):
                 else:
                     arrival = recv_side(child, leave, wire, entry, ebeta)
                     commit_caps(arrival)
-                arrivals[child] = (arrival, entry)
+                arrivals[child_vrank] = arrival
                 if leave > finish:
                     finish = leave
-                stack.append(child)
             fed_finish[rank] = finish
-            fed_values[rank] = root_value if rank == root else wire_value
+            fed_values[rank] = wire_value
+        fed_values[root] = root_value
         stats.messages_sent += nsent
         stats.words_sent += wsent
 
@@ -1588,13 +1660,25 @@ class _TreeUpPhase(_PhaseBase):
         stats = self.stats
         sent_by_rank = stats.per_rank_messages_sent
         sent_words_by_rank = stats.per_rank_words_sent
-        children_of = self._children
         up_payload = self._up_payload
         nsent = 0
         wsent = 0
         for vrank in range(size - 1, -1, -1):
-            rank = vrank if root == 0 else (vrank + root) % size
-            children = children_of(rank)
+            rank = vrank + root
+            if rank >= size:
+                rank -= size
+            # The rank's children, largest subtree first — what
+            # ``_children`` returns, enumerated inline (see the bcast pass).
+            children = []
+            if not vrank & 1:
+                mask = ((vrank & -vrank) if vrank
+                        else 1 << (size - 1).bit_length()) >> 1
+                while mask:
+                    child = (vrank | mask) + root
+                    mask >>= 1
+                    if child - root < size:
+                        children.append(child if child < size
+                                        else child - size)
             entry = joined[rank]
             if children:
                 edges = [up_send[child] for child in children]
@@ -1617,7 +1701,7 @@ class _TreeUpPhase(_PhaseBase):
                             arrival = leave
                         recv_free[dst] = arrival
                         row = [post_time, leave, transfer, free_before,
-                               arrival, None, self, hier]
+                               arrival, None, self._owner, hier]
                         if len(log) >= 24:
                             self._prune(log)
                         log.append(row)
@@ -1986,6 +2070,9 @@ class ExchangeEndpoint:
     parameters; ``context`` must be unique per phase instance — the caller
     (the jquick batched tier) keys it by the task interval and level, which
     every member derives identically, so one generation ever exists per key.
+    That tier builds one endpoint per level and stamps each joining member's
+    ``env`` and ``rank`` onto it: the coordinator reads both only during the
+    join call.
     """
 
     __slots__ = ("env", "transport", "context", "tag", "rank", "size",
@@ -2093,6 +2180,127 @@ class _ExchangePhase(_PhaseBase):
         self._try_resolve(rank)
         for dest in touched:
             self._try_resolve(dest)
+
+    def _resolve_fed(self) -> None:
+        """Every member is joined: fold all sends in native post order.
+
+        The join path leaves each receive port folding the phase's writes
+        sorted by post time, ties in application (member) order — a send
+        posting before an already applied one is re-inserted by the log.
+        Visiting the members in that order (stable sort by join time) puts
+        every write on the in-order branch of ``_recv_side``, applied
+        inline like the sender half of ``post_send`` (same float operand
+        order as ``_send_side``); only a port another phase already wrote
+        at a later or order-ambiguous post takes the full logged path.
+        Inbound counts are checked once, after all sends are folded, and
+        arrivals are read then (a logged re-insertion may have re-folded
+        them upward).
+        """
+        size = self.size
+        joined = self.joined
+        values = self.values
+        world = self.world
+        alpha = self.alpha
+        beta = self.beta
+        factor = self.factor
+        tiered = self._tiered
+        hier = self._hier_sub
+        logs = self._recv_logs
+        recv_free = self._recv_free
+        recv_side = self._recv_side
+        cap_pending = self._cap_pending
+        recvd = self._recvd_by_rank
+        recvd_words = self._recvd_words_by_rank
+        send_free = self.transport._send_port_free
+        stats = self.stats
+        sent_by_rank = stats.per_rank_messages_sent
+        sent_words_by_rank = stats.per_rank_words_sent
+        inbound = self.inbound
+        max_leave = self.max_leave
+        nsent = 0
+        wsent = 0
+        for rank in sorted(range(size), key=joined.__getitem__):
+            pieces = values[rank][0]
+            if not pieces:
+                continue
+            post = joined[rank]
+            src = world[rank]
+            best_leave = 0.0
+            for dest, words in pieces:
+                wire = words if factor == 1.0 else int(round(words * factor))
+                start = post + 0.0
+                port_free = send_free[src]
+                if port_free > start:
+                    start = port_free
+                if tiered:
+                    link = self._edge_link(rank, dest)
+                    leave = start + link[0] + wire * link[1]
+                    ebeta = link[1]
+                else:
+                    leave = start + alpha + wire * beta
+                    ebeta = beta
+                send_free[src] = leave
+                nsent += 1
+                wsent += wire
+                sent_by_rank[src] += 1
+                sent_words_by_rank[src] += wire
+                if leave > best_leave:
+                    best_leave = leave
+                dst = world[dest]
+                log = logs.get(dst)
+                if log is None:
+                    log = logs[dst] = []
+                tail = log[-1] if log else None
+                if tail is None or post > tail[0] \
+                        or (post == tail[0] and not hier and not tail[7]):
+                    # The in-order branch of ``_recv_side``, verbatim (a
+                    # flat tie folds in application order, like there).
+                    transfer = wire * ebeta
+                    free_before = recv_free[dst]
+                    arrival = free_before + transfer
+                    if leave > arrival:
+                        arrival = leave
+                    recv_free[dst] = arrival
+                    entry = [post, leave, transfer, free_before, arrival,
+                             _INF, self._owner, hier]
+                    if len(log) >= 24:
+                        self._prune(log)
+                    log.append(entry)
+                    recvd[dst] += 1
+                    recvd_words[dst] += wire
+                else:
+                    recv_side(dest, leave, wire, post, ebeta)
+                    entry = cap_pending.pop()
+                    entry[5] = _INF
+                inbound[dest].append(entry)
+            max_leave[rank] = best_leave
+        stats.messages_sent += nsent
+        stats.words_sent += wsent
+        compute_cost = self.compute_cost
+        fed_finish = self._fed_finish
+        fed_values = self._fed_values
+        for member in range(size):
+            _pieces, expected, cap_words, charge = values[member]
+            entries = inbound[member]
+            arrived = len(entries)
+            if arrived != expected:
+                raise LockstepError(
+                    f"lockstep exchange: member {member} expected {expected} "
+                    f"inbound message(s) but {arrived} were posted — the "
+                    f"participants disagree on the assignment")
+            drain = joined[member]
+            for entry in entries:
+                arrival = entry[4]
+                if arrival > drain:
+                    drain = arrival
+            for entry in entries:
+                entry[5] = drain
+            finish = drain + compute_cost(cap_words) if charge else drain
+            leave = max_leave[member]
+            if leave > finish:
+                finish = leave
+            fed_finish[member] = finish
+            fed_values[member] = arrived
 
     def _try_resolve(self, member: int) -> None:
         expected = self.expected[member]

@@ -4,28 +4,32 @@ At paper scale (p = 2^15) the per-rank Python work of one distributed level —
 a counter-key hash, a handful of sample draws, a partition of a few elements,
 a two-piece greedy assignment — is pure dispatch overhead: every rank of a
 group performs the *same* sequence on different rows.  This module stacks
-those rows: one :class:`LevelBatcher` record per (group, task-interval,
-level) computes the whole group's sampling grid, partition and assignment in
-a few ragged NumPy sweeps (the ``*_rows`` kernels of :mod:`repro.core.rand`,
-:mod:`repro.sorting.kernels` and :mod:`repro.sorting.assignment`), and each
-member fetches its row from the shared result.
+those rows: one :class:`_LevelRecord` per (group, task-interval, level)
+computes the whole group's sampling grid, partition and assignment in a few
+ragged NumPy sweeps (the ``*_rows`` kernels of :mod:`repro.core.rand`,
+:mod:`repro.sorting.kernels` and :mod:`repro.sorting.assignment`), and one
+lockstep phase per record (:class:`_JQLevelPhase`) prices the level's charges,
+its five collective sub-steps and the exchange at once, when the last member
+has joined.
 
 The record lives on the simulation's transport (all simulated ranks share one
-interpreter), is created by the first member that reaches the level, and is
-retired once every member has consumed its exchange row (or released it on a
-degenerate split).  Everything a record precomputes before the members'
-arrival — row sizes, sample counts, sample indices — is slot arithmetic, a
-pure function of ``(n, p, lo, hi, level, seed)`` that every member derives
-identically; the data-dependent steps (partition, assignment) run memoised on
-first request, after the whole group has registered its rows, which the
-gather/bcast ordering of pivot selection guarantees.
+interpreter) in a :class:`LevelBatcher`, is created by the first member that
+reaches the level, and is retired once every member has taken its slot view
+(or released its claim on a degenerate split).  What a record precomputes
+before the members arrive — row sizes, sample counts, sample indices — is slot
+arithmetic, a pure function of ``(n, p, lo, hi, level, seed)`` that every
+member derives identically.  Each member deposits its row with its single
+join (:func:`join_jq_level`); the data-dependent steps (samples, partition,
+assignment) run once, inside the phase's level-at-once pricing.
 
 Bit-identity: every batched kernel is the bit-exact row-stacked form of the
-scalar call it replaces (property-pinned in the kernel modules), and the
-exchange is priced through :func:`repro.core.spmd.join_exchange`, the
-analytic mirror of the native drain loop.  The tier therefore reproduces the
-scalar frontier's results and simulated times exactly; the differential
-suite in ``tests/test_jquick_batched.py`` pins this end to end.
+scalar call it replaces (property-pinned in the kernel modules), and every
+sub-step is priced by the phase class of :mod:`repro.core.spmd` that prices
+the unfused collective, fed whole.  The tier therefore reproduces the scalar
+frontier's results and simulated times exactly; the differential suite in
+``tests/sorting/test_jquick_batched.py`` pins this end to end, and
+``tests/core/test_fastforward.py`` pins fed against member-by-member pricing
+of the scan and exchange phases.
 """
 
 from __future__ import annotations
@@ -34,6 +38,7 @@ import numpy as np
 
 from ..core import rand
 from ..core.spmd import (
+    LockstepError,
     SpmdCoordinator,
     _BcastPhase,
     _ExchangePhase,
@@ -54,25 +59,25 @@ class _LevelRecord:
     """Shared state of one distributed level of one task's group."""
 
     __slots__ = (
-        "first", "last", "lo", "hi", "level", "size", "n", "p", "config",
-        "row_lo", "row_sizes", "row_offsets", "local_counts",
-        "indices", "index_offsets", "rows", "registered",
-        "buffer", "small_counts", "total_small",
-        "piece_dest", "piece_len", "piece_offsets", "expected",
-        "consumed",
+        "first", "lo", "hi", "level", "size", "n", "p", "config",
+        "endpoint", "row_lo", "row_sizes", "row_offsets", "view_bounds",
+        "local_counts", "indices", "index_offsets", "rows", "values",
+        "buffer", "small_counts", "consumed",
     )
 
     def __init__(self, run, first: int, last: int, lo: int, hi: int,
                  level: int):
         self.config = run.config
         self.first = first
-        self.last = last
         self.lo = lo
         self.hi = hi
         self.level = level
         self.n = run.n
         self.p = run.p
         size = self.size = last - first + 1
+        # The group endpoint every member joins the fused level phase
+        # through (join_jq_level stamps the joining member onto it).
+        self.endpoint = run._level_endpoint(first, size, lo, hi, level)
         # Slot layout of the group's rows (owner intervals clipped to the
         # task interval) — same arithmetic as the members' my_lo / my_hi.
         q, r = run._q, run._r
@@ -83,6 +88,8 @@ class _LevelRecord:
         row_sizes = self.row_sizes = np.minimum(hi, ends) - row_lo
         offsets = self.row_offsets = np.zeros(size + 1, dtype=np.int64)
         np.cumsum(row_sizes, out=offsets[1:])
+        # Member g's post-exchange slot region is buffer[b[g]:b[g + 1]].
+        self.view_bounds = offsets.tolist()
         # The whole group's sampling grid, in one ragged sweep.  Mirrors the
         # scalar per-rank expression ``max(1, ceil(sigma * size / total)) if
         # size else 0`` bit for bit (same float operand order elementwise).
@@ -97,15 +104,87 @@ class _LevelRecord:
         self.indices, self.index_offsets = rand.sample_indices_rows(
             keys, self.local_counts, row_sizes)
         self.rows: list = [None] * size
-        self.registered = 0
+        self.values = None
         self.buffer = None
         self.small_counts = None
-        self.total_small = 0
-        self.piece_dest = None
-        self.piece_len = None
-        self.piece_offsets = None
-        self.expected = None
         self.consumed = 0
+
+    def deposit(self, group_rank: int, data: np.ndarray) -> None:
+        """Store a member's row; a second deposit into one row refuses."""
+        rows = self.rows
+        if rows is None or rows[group_rank] is not None:
+            raise LockstepError(
+                f"jquick batched level [{self.lo}, {self.hi}) at level "
+                f"{self.level}: member {group_rank} deposited its row "
+                f"twice — concurrent sorts on one cluster cannot share the "
+                f"batched tier")
+        rows[group_rank] = data
+
+    def samples(self) -> tuple:
+        """The group's drawn samples as flat ``(values, slots, bounds)``.
+
+        Member ``g`` drew ``values/slots[bounds[g]:bounds[g + 1]]`` — the
+        row-stacked form of its native ``(row[picks], row_lo + picks)``.
+        Concatenates the deposited rows (kept for :meth:`partition`).
+        """
+        values = self.values = np.concatenate(self.rows)
+        self.rows = None
+        counts = self.local_counts
+        indices = self.indices
+        sample_values = values[indices + np.repeat(self.row_offsets[:-1],
+                                                   counts)]
+        sample_slots = indices + np.repeat(self.row_lo, counts)
+        return sample_values, sample_slots, self.index_offsets.tolist()
+
+    def partition(self, pivot_value: float, pivot_slot: int) -> None:
+        """Group-wide fused partition of the concatenated rows."""
+        if self.config.tie_breaking:
+            cuts = np.clip(pivot_slot - self.row_lo, 0, self.row_sizes)
+        else:
+            cuts = np.zeros(self.size, dtype=np.int64)
+        buffer, self.small_counts = fused_partition_rows(
+            self.values, self.row_offsets, cuts, pivot_value)
+        # The buffer *is* the task's slot region [lo, hi) after the
+        # exchange; freeze it so the views handed to child tasks (and
+        # base-case messages sent from them) skip the transport snapshot.
+        buffer.flags.writeable = False
+        self.buffer = buffer
+        self.values = None
+
+    def exchange_feed(self, total_small: int, cap_words: list,
+                      charge: bool) -> list:
+        """Group-wide greedy assignment, as the exchange phase's values.
+
+        Member ``g``'s entry is ``(pieces, expected, cap_words[g], charge)``
+        (see :func:`repro.core.spmd.join_exchange`): its outgoing remote
+        messages ``(dest_member, words)`` in native posting order (small
+        pieces then large pieces, each in slot order; self-copies excluded;
+        ``words`` counts the native ``(slot_start, chunk)`` payload) and
+        its count of inbound remote messages.
+        """
+        small_counts = self.small_counts
+        size = self.size
+        small_prefixes = np.zeros(size, dtype=np.int64)
+        np.cumsum(small_counts[:-1], out=small_prefixes[1:])
+        large_counts = self.row_sizes - small_counts
+        large_prefixes = np.zeros(size, dtype=np.int64)
+        np.cumsum(large_counts[:-1], out=large_prefixes[1:])
+        dest, _slot_start, length, offsets = greedy_assignment_rows(
+            lo=self.lo, total_small=total_small,
+            small_prefixes=small_prefixes, small_counts=small_counts,
+            large_prefixes=large_prefixes, large_counts=large_counts,
+            n=self.n, p=self.p)
+        dest = dest - self.first
+        src = np.repeat(np.arange(size, dtype=np.int64), np.diff(offsets))
+        remote = dest != src
+        dest = dest[remote]
+        expected = np.bincount(dest, minlength=size).tolist()
+        bounds = np.zeros(size + 1, dtype=np.int64)
+        np.cumsum(np.bincount(src[remote], minlength=size), out=bounds[1:])
+        bounds = bounds.tolist()
+        pieces = list(zip(dest.tolist(), (length[remote] + 1).tolist()))
+        return [(pieces[bounds[g]:bounds[g + 1]], expected[g], cap_words[g],
+                 charge) for g in range(size)]
 
 
 class LevelBatcher:
@@ -116,7 +195,9 @@ class LevelBatcher:
     retries a degenerate interval at ``level + 1``).  Records are dropped as
     soon as the last member consumes them, so the registry never grows with
     the recursion depth.  One batcher serves one run at a time per transport;
-    concurrent sorts on one cluster are not a supported pattern.
+    a second sort running concurrently on the cluster is refused
+    (:class:`~repro.core.spmd.LockstepError`) when it reaches a record the
+    first one holds.
     """
 
     __slots__ = ("_records",)
@@ -134,114 +215,17 @@ class LevelBatcher:
                 run, first, last, lo, hi, level)
         return record
 
-    # ------------------------------------------------------------- member API
-
-    def register(self, record: _LevelRecord, group_rank: int,
-                 data: np.ndarray):
-        """Deposit a member's row; returns its ``(sample_indices, count)``."""
-        if record.rows[group_rank] is None:
-            record.rows[group_rank] = data
-            record.registered += 1
-        offsets = record.index_offsets
-        indices = record.indices[offsets[group_rank]:offsets[group_rank + 1]]
-        return indices, int(record.local_counts[group_rank])
-
-    def partition(self, record: _LevelRecord, group_rank: int,
-                  pivot_value: float, pivot_slot: int,
-                  tie_breaking: bool) -> int:
-        """Group-wide fused partition (memoised); returns the member's
-        small count.
-
-        First called by whichever member leaves the pivot broadcast first; by
-        then every member has registered (registration happens before the
-        sample gather, which completes before the broadcast resolves).
-        """
-        if record.buffer is None:
-            if record.registered != record.size:
-                raise RuntimeError(
-                    f"jquick batched level [{record.lo}, {record.hi}) at "
-                    f"level {record.level}: partition requested with "
-                    f"{record.registered}/{record.size} rows registered")
-            values = np.concatenate(record.rows)
-            if tie_breaking:
-                cuts = np.clip(pivot_slot - record.row_lo, 0,
-                               record.row_sizes)
-            else:
-                cuts = np.zeros(record.size, dtype=np.int64)
-            buffer, small_counts = fused_partition_rows(
-                values, record.row_offsets, cuts, pivot_value)
-            # The buffer *is* the task's slot region [lo, hi) after the
-            # exchange; freeze it so the views handed to child tasks (and
-            # base-case messages sent from them) skip the transport snapshot.
-            buffer.flags.writeable = False
-            record.buffer = buffer
-            record.small_counts = small_counts
-            record.total_small = int(small_counts.sum())
-            record.rows = None
-        return int(record.small_counts[group_rank])
-
-    def assignment(self, record: _LevelRecord) -> None:
-        """Group-wide greedy assignment (memoised).
-
-        Fills the record's piece arrays — rank ``g``'s outgoing pieces are
-        ``piece_dest/piece_len[piece_offsets[g]:piece_offsets[g + 1]]`` in
-        native posting order (small pieces then large pieces, each in slot
-        order) — and ``expected``, the per-member count of inbound remote
-        messages.
-        """
-        if record.piece_offsets is not None:
-            return
-        small_counts = record.small_counts
-        size = record.size
-        small_prefixes = np.zeros(size, dtype=np.int64)
-        np.cumsum(small_counts[:-1], out=small_prefixes[1:])
-        large_counts = record.row_sizes - small_counts
-        large_prefixes = np.zeros(size, dtype=np.int64)
-        np.cumsum(large_counts[:-1], out=large_prefixes[1:])
-        dest, _slot_start, length, offsets = greedy_assignment_rows(
-            lo=record.lo, total_small=record.total_small,
-            small_prefixes=small_prefixes, small_counts=small_counts,
-            large_prefixes=large_prefixes, large_counts=large_counts,
-            n=record.n, p=record.p)
-        record.piece_dest = dest
-        record.piece_len = length
-        record.piece_offsets = offsets
-        src = np.repeat(
-            np.arange(record.first, record.last + 1, dtype=np.int64),
-            np.diff(offsets))
-        remote = dest != src
-        record.expected = np.bincount(dest[remote] - record.first,
-                                      minlength=size)
-
-    def pieces(self, record: _LevelRecord, group_rank: int) -> list:
-        """The member's outgoing remote messages as ``(dest_member, words)``.
-
-        Self-copies are excluded; ``words`` counts the native
-        ``(slot_start, chunk)`` payload.  ``assignment`` must have run.
-        """
-        my_rank = record.first + group_rank
-        begin = int(record.piece_offsets[group_rank])
-        end = int(record.piece_offsets[group_rank + 1])
-        dest = record.piece_dest
-        length = record.piece_len
-        return [(int(dest[i]) - record.first, 1 + int(length[i]))
-                for i in range(begin, end) if dest[i] != my_rank]
-
     def take_view(self, record: _LevelRecord, group_rank: int) -> np.ndarray:
         """The member's post-exchange slot region (a frozen view of the
         group buffer); consumes the member's claim on the record."""
-        lo = record.lo
-        row_lo = int(record.row_lo[group_rank])
-        view = record.buffer[row_lo - lo:
-                             row_lo - lo + int(record.row_sizes[group_rank])]
-        self._consume(record)
+        bounds = record.view_bounds
+        view = record.buffer[bounds[group_rank]:bounds[group_rank + 1]]
+        self.release(record)
         return view
 
-    def release(self, record: _LevelRecord, group_rank: int) -> None:
-        """Drop a member's claim without an exchange (degenerate split)."""
-        self._consume(record)
-
-    def _consume(self, record: _LevelRecord) -> None:
+    def release(self, record: _LevelRecord) -> None:
+        """Drop a member's claim on the record (after its view is taken, or
+        without an exchange on a degenerate split)."""
         record.consumed += 1
         if record.consumed == record.size:
             del self._records[(record.first, record.lo, record.hi,
@@ -252,8 +236,9 @@ class LevelBatcher:
 # The fused level phase: one lockstep join prices a whole distributed level.
 # ---------------------------------------------------------------------------
 
-def join_jq_level(ep, record: _LevelRecord, create: bool):
-    """Enter this rank into the fused level phase of ``record``'s group.
+def join_jq_level(env, record: _LevelRecord, group_rank: int,
+                  data: np.ndarray, create: bool):
+    """Enter this rank, with its row ``data``, into ``record``'s level phase.
 
     Must be called at the instant the member enters the level (where the
     native frontier would have started the group-communicator creation).
@@ -264,11 +249,17 @@ def join_jq_level(ep, record: _LevelRecord, create: bool):
     needs (its slot view, the degenerate verdict) derives from those via the
     batcher.
     """
-    transport = ep.transport
+    transport = env.transport
     coordinator = getattr(transport, "_spmd_coordinator", None)
     if coordinator is None:
         coordinator = transport._spmd_coordinator = SpmdCoordinator()
-    return coordinator.join(ep, "jqlevel", (record, create), None, 0)
+    # One endpoint (and coordinator key) per record: the coordinator only
+    # reads the member fields during the join call itself.
+    endpoint = record.endpoint
+    endpoint.env = env
+    endpoint.rank = group_rank
+    return coordinator.join(endpoint, "jqlevel", (record, data, create),
+                            None, 0)
 
 
 class _JQLevelPhase(_PhaseBase):
@@ -280,17 +271,22 @@ class _JQLevelPhase(_PhaseBase):
     scan, totals bcast, data exchange).  Every one of those resumes carries
     a full engine wake-up and a generator chain — pure dispatch at paper
     scale.  This phase collapses them: each member joins once on entering
-    the level, and the last join replays the whole level analytically —
+    the level, depositing its row, and the last join prices the whole level
+    at once —
 
     * the two compute charges are added onto the member's join time (with
       the tracer updated exactly as ``env.compute`` would);
     * the five sub-steps run as the *existing* phase classes of
-      :mod:`repro.core.spmd`, driven through ``_join_at`` with synthetic
-      join times — each member enters a sub-phase at its finish time from
-      the previous one, which is precisely when the engine would have
-      resumed it to issue the next call.  Port folds, payload snapshots,
-      tracer counters and float operand order are therefore those of the
-      unfused tier, bit for bit;
+      :mod:`repro.core.spmd` over this phase's own group context, each
+      *fed* whole (``_feed_all``): the members' entry times are the
+      finish-time list of the previous sub-step — precisely when the engine
+      would have resumed each member to issue the next call — and each
+      sub-step resolves in one fused pass returning plain finish/result
+      lists.  No per-member joins, request objects, readiness re-tests or
+      wake flushes are involved, and the scan takes its vector or scalar
+      resolver by group size (``SCAN_VECTOR_CUTOFF``) without arming a
+      flush event.  Port folds, payload snapshots, tracer counters and
+      float operand order are those of the unfused tier, bit for bit;
     * the member wakes once, at its native end-of-level time, with
       ``(total_small, messages)``.
 
@@ -307,34 +303,28 @@ class _JQLevelPhase(_PhaseBase):
 
     def __init__(self, ep, op, root, coordinator):
         super().__init__(ep, op, root, coordinator)
-        self.ep = ep
         self.record: _LevelRecord = None
         self.creates: list = [False] * self.size
 
     def on_join(self, rank: int) -> None:
-        record, create = self.values[rank]
+        record, data, create = self.values[rank]
         self.values[rank] = None
-        self.record = record
+        if self.record is None:
+            self.record = record
+        elif record is not self.record:
+            raise LockstepError(
+                f"jquick batched level: member {rank} joined with a "
+                f"different level record than the phase holds — concurrent "
+                f"sorts on one cluster cannot share the batched tier")
+        record.deposit(rank, data)
         self.creates[rank] = create
         if self.joined_count == self.size:
             self._resolve_all()
-
-    def _sub(self, factory, op, root):
-        """A sub-phase owned by this level (not coordinator-registered).
-
-        Delegates to the base class's ``_sub_phase``; the endpoint is reused
-        only for its group shape and neutral cost parameters — data-exchange
-        and RBC-collective messages carry no vendor word factor or
-        per-message delay.
-        """
-        return self._sub_phase(factory, op, root, self.ep)
 
     def _resolve_all(self) -> None:
         record = self.record
         config = record.config
         size = self.size
-        env = self.ep.env
-        batcher = self.transport._jquick_batcher
         compute_cost = self.compute_cost
         compute_time = self.stats.compute_time
         world = self.world
@@ -370,84 +360,51 @@ class _JQLevelPhase(_PhaseBase):
         # traced timeline shows creation/partition work separately from
         # the five fused collective sub-steps.
         self._span_starts = times
+        sub = self._sub_phase
 
         # --- 1. sample gather to member 0 --------------------------------
-        offsets = record.index_offsets
-        indices = record.indices
-        rows = record.rows
-        row_lo = record.row_lo
-        gather = self._sub(_GatherPhase, None, 0)
-        for m in range(size):
-            picks = indices[offsets[m]:offsets[m + 1]]
-            row = rows[m]
-            if picks.size:
-                value = (row[picks], row_lo[m] + picks)
-            else:
-                value = (row[:0], picks)
-            gather._join_at(m, value, times[m], env, None)
+        sample_values, sample_slots, bounds = record.samples()
+        times, _ = sub(_GatherPhase, None, 0)._feed_all(
+            times, [(sample_values[a:b], sample_slots[a:b])
+                    for a, b in zip(bounds, bounds[1:])])
 
         # --- 2. pivot broadcast from member 0 ----------------------------
-        pivot = median_of_samples(gather.requests[0]._value)
-        payload = (pivot.value, pivot.slot)
-        bcast = self._sub(_BcastPhase, None, 0)
-        requests = gather.requests
-        for m in range(size):
-            bcast._join_at(m, payload if m == 0 else None,
-                           requests[m].finish_time, env, None)
-        pivot_value = float(payload[0])
-        pivot_slot = int(payload[1])
+        # The root's gathered list is the members' chunks in member order,
+        # i.e. the flat sample arrays.
+        pivot = median_of_samples([(sample_values, sample_slots)])
+        values = [None] * size
+        values[0] = (pivot.value, pivot.slot)
+        times, _ = sub(_BcastPhase, None, 0)._feed_all(times, values)
 
         # --- 3. group-wide fused partition (host side, no simulated time) -
-        batcher.partition(record, 0, pivot_value, pivot_slot,
-                          config.tie_breaking)
-        small_counts = record.small_counts.tolist()
+        record.partition(pivot.value, pivot.slot)
+        small_counts = record.small_counts
 
         # --- 4. prefix scan of the (small, large) counts ------------------
-        scan = self._sub(_ScanPhase, SUM, 0)
-        requests = bcast.requests
-        for m in range(size):
-            counts = np.array(
-                [small_counts[m], row_sizes[m] - small_counts[m]],
-                dtype=np.int64)
-            scan._join_at(m, counts, requests[m].finish_time, env, None)
-        if scan._flush_armed:
-            # The deferred flush the scan armed at its first join fires as a
-            # harmless no-op later; resolve it now, with every join visible,
-            # exactly as the event would have at this same instant.
-            scan._flush(None)
+        times, values = sub(_ScanPhase, SUM, 0)._feed_all(
+            times, list(np.stack((small_counts,
+                                  record.row_sizes - small_counts), axis=1)))
 
         # --- 5. totals broadcast from the last member ---------------------
-        inclusive = scan.requests[size - 1]._value
-        bcast2 = self._sub(_BcastPhase, None, size - 1)
-        requests = scan.requests
-        for m in range(size):
-            bcast2._join_at(m, inclusive if m == size - 1 else None,
-                            requests[m].finish_time, env, None)
+        inclusive = values[size - 1]
+        values = [None] * size
+        values[size - 1] = inclusive
+        times, _ = sub(_BcastPhase, None, size - 1)._feed_all(times, values)
         total_small = int(inclusive[0])
 
-        requests = bcast2.requests
+        finish = self._finish
         if total_small == 0 or total_small == record.hi - record.lo:
             # Degenerate split: the level ends at the totals broadcast and
             # the members retry with fresh samples.
             for m in range(size):
-                self._finish(m, requests[m].finish_time, (total_small, 0))
+                finish(m, times[m], (total_small, 0))
             return
 
         # --- 6. analytic data exchange ------------------------------------
-        batcher.assignment(record)
-        expected = record.expected
-        exchange = self._sub(_ExchangePhase, None, 0)
+        times, values = sub(_ExchangePhase, None, 0)._feed_all(
+            times, record.exchange_feed(total_small, row_sizes, charge))
         for m in range(size):
-            exchange._join_at(
-                m,
-                (batcher.pieces(record, m), int(expected[m]), row_sizes[m],
-                 charge),
-                requests[m].finish_time, env, None)
-        requests = exchange.requests
-        for m in range(size):
-            request = requests[m]
-            self._finish(m, request.finish_time, (total_small,
-                                                  request._value))
+            finish(m, times[m], (total_small, values[m]))
 
 
 SpmdCoordinator.register_kind("jqlevel", lambda *args: _JQLevelPhase(*args))

@@ -418,16 +418,15 @@ class _JQuickRun:
                     self.stats.comm_creations += 1
                 record = self._batcher.level(self, first, last, lo, hi, level)
                 self.stats.batched_levels += 1
-                self._batcher.register(record, group_rank, data)
                 # The whole-world group reuses the backend's prebuilt world
                 # channel — no creation charge, mirroring make_group_comm.
-                request = self._join_level(
-                    record, group_rank, group_size,
+                request = join_jq_level(
+                    self.env, record, group_rank, data,
                     create and (first > 0 or last < self.p - 1))
                 yield request
                 total_small, messages = request.result()
                 if total_small == 0 or total_small == hi - lo:
-                    self._batcher.release(record, group_rank)
+                    self._batcher.release(record)
                     self.stats.degenerate_splits += 1
                     level += 1
                     continue
@@ -663,23 +662,22 @@ class _JQuickRun:
         buffer.flags.writeable = False
         return buffer[:cut], buffer[cut:], messages
 
-    def _join_level(self, record, group_rank: int, group_size: int,
-                    create: bool):
-        """Enter the fused batched level phase (see :mod:`.batched`).
+    def _level_endpoint(self, first: int, size: int, lo: int, hi: int,
+                        level: int) -> ExchangeEndpoint:
+        """Group endpoint of one fused batched level (see :mod:`.batched`).
 
-        The data movement of the level happens inside the group-wide
-        partition (the record's buffer *is* the slot region after the
-        exchange); the phase replays the level's native charge/collective/
-        exchange sequence analytically through the lockstep port machinery
-        and completes this member at its native end-of-level time.
+        Built once per level record; the context is unique per phase
+        instance (task interval and level).  The data movement of the level
+        happens inside the group-wide partition (the record's buffer *is*
+        the slot region after the exchange); the phase replays the level's
+        native charge/collective/exchange sequence analytically through the
+        lockstep port machinery.
         """
-        endpoint = ExchangeEndpoint(
-            self.env,
-            ("jql", self._world_context, record.lo, record.hi, record.level),
-            self._tag(record.lo, _PURPOSE_DATA), group_rank, group_size,
-            self._world_first + record.first * self._world_stride,
+        return ExchangeEndpoint(
+            self.env, ("jql", self._world_context, lo, hi, level),
+            self._tag(lo, _PURPOSE_DATA), 0, size,
+            self._world_first + first * self._world_stride,
             self._world_stride)
-        return join_jq_level(endpoint, record, create)
 
     # -------------------------------------------------------------- base cases
 

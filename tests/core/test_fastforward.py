@@ -12,6 +12,8 @@ refused by both tiers with the same :class:`~repro.core.spmd.LockstepError`.
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.core import spmd
 from repro.mpi import init_mpi
@@ -160,3 +162,208 @@ def test_fastforward_never_processes_more_events():
     scalar = _run(32, op="scan", words=4, reps=3, fastforward=False)
     vector = _run(32, op="scan", words=4, reps=3, fastforward=True)
     assert vector.events_processed <= scalar.events_processed
+
+
+# ---------------------------------------------------------------------------
+# Fed (whole phase at once) vs joined (member by member) pricing.
+#
+# The jquick level phase feeds its sub-steps through ``_feed_all`` instead
+# of synthetic per-member joins.  Both entries of one phase class must
+# leave byte-equal finish times, results, port arrays, port logs and tracer
+# statistics — or refuse with the same ``LockstepError``.
+# ---------------------------------------------------------------------------
+
+WORLD = 12       # ranks of the scratch cluster the phases are priced on
+GROUP_FIRST = 2  # the group under test starts at this world rank
+
+
+class _Bench:
+    """One unstarted cluster with a coordinator to price phases on."""
+
+    def __init__(self, fastforward=True):
+        # Room for a group of SCAN_VECTOR_CUTOFF + 1 members at GROUP_FIRST.
+        self.cluster = Cluster(WORLD + spmd.SCAN_VECTOR_CUTOFF)
+        self.env = self.cluster.envs[0]
+        self.env.lockstep_fastforward = fastforward
+        self.coordinator = spmd.SpmdCoordinator()
+
+    def phase(self, factory, op, size, first=GROUP_FIRST, stride=1):
+        endpoint = spmd.ExchangeEndpoint(self.env, ("fed", factory.kind), 0,
+                                         0, size, first, stride)
+        phase = factory(endpoint, op, 0, self.coordinator)
+        # Driver-owned, like ``_PhaseBase._sub_phase`` sets a sub-phase up.
+        phase._retired = True
+        phase._gen_key = None
+        phase.first_join = 0.0
+        return phase
+
+    def foreign_write(self, port, post_time):
+        """Another phase's (already capped) write on world rank ``port``,
+        posted at ``post_time`` by the world rank just below it."""
+        bcast = self.phase(spmd._BcastPhase, None, 2, first=port - 1)
+        bcast._feed_all([post_time, post_time], [np.ones(3), None])
+
+    def joined(self, phase, times, values, order):
+        for member in order:
+            phase._join_at(member, values[member], times[member], self.env,
+                           None)
+        if getattr(phase, "_flush_armed", False):
+            phase._flush(None)
+        requests = phase.requests
+        assert all(request._ready for request in requests)
+        return ([request.finish_time for request in requests],
+                [request._value for request in requests])
+
+    def observables(self):
+        transport = self.cluster.transport
+        stats = self.cluster.tracer.stats
+        owners: dict = {}
+        logs = {
+            port: [entry[:6] + [owners.setdefault(id(entry[6]), len(owners)),
+                                entry[7]] for entry in log]
+            for port, log in self.coordinator._recv_logs.items()}
+        return (list(transport._send_port_free),
+                list(transport._recv_port_free), logs,
+                stats.messages_sent, stats.words_sent,
+                list(stats.per_rank_messages_sent),
+                list(stats.per_rank_words_sent),
+                list(stats.per_rank_messages_received),
+                list(stats.per_rank_words_received))
+
+
+def _price_both_ways(factory, op, times, values, *, order=None, foreign=None,
+                     fastforward=True):
+    """(outcome, observables) of the joined and of the fed pricing."""
+    size = len(times)
+    outcomes = []
+    for fed in (False, True):
+        bench = _Bench(fastforward)
+        if foreign is not None:
+            bench.foreign_write(*foreign)
+        phase = bench.phase(factory, op, size)
+        try:
+            if fed:
+                finish, results = phase._feed_all(times, values)
+            else:
+                finish, results = bench.joined(
+                    phase, times, values, order or range(size))
+            outcome = (list(finish),
+                       [np.asarray(r).tolist() for r in results],
+                       [isinstance(r, np.ndarray) and r.flags.writeable
+                        for r in results])
+        except spmd.LockstepError:
+            outcomes.append(("refused", None, None))
+            continue
+        outcomes.append((outcome, bench.observables(),
+                         bench.coordinator.fastforward_fallbacks))
+    return outcomes
+
+
+def _scan_inputs(size, skew):
+    times = [skew * ((member * 7) % 5) for member in range(size)]
+    values = [np.array([member % 3, 1 - member % 2], dtype=np.int64)
+              for member in range(size)]
+    return times, values
+
+
+@pytest.mark.parametrize("size", [spmd.SCAN_VECTOR_CUTOFF - 1,
+                                  spmd.SCAN_VECTOR_CUTOFF,
+                                  spmd.SCAN_VECTOR_CUTOFF + 1])
+@pytest.mark.parametrize("skew", [0.0, 0.37])
+def test_fed_scan_matches_joined_at_cutoff_boundary(size, skew):
+    """The last scalar size, the first vector size and their neighbours."""
+    times, values = _scan_inputs(size, skew)
+    joined, fed = _price_both_ways(spmd._ScanPhase, SUM, times, values)
+    assert joined[:2] == fed[:2]
+    if size >= spmd.SCAN_VECTOR_CUTOFF:
+        # Both entries attempted the vector resolver: a decline is counted
+        # as a fast-forward fallback either way.
+        assert joined[2] == fed[2]
+    else:
+        assert fed[2] == 0  # a small fed scan is never an armed fast-forward
+    # The size cutoff only selects a resolver, never a result.
+    _, scalar = _price_both_ways(spmd._ScanPhase, SUM, times, values,
+                                 fastforward=False)
+    assert scalar[:2] == fed[:2]
+
+
+@given(size=st.integers(min_value=2, max_value=WORLD - GROUP_FIRST),
+       skew=st.sampled_from([0.0, 0.05, 0.37, 3.0]),
+       foreign_port=st.integers(min_value=GROUP_FIRST + 1,
+                                max_value=WORLD - 1),
+       foreign_post=st.one_of(st.none(), st.sampled_from([0.2, 1.5, 40.0])),
+       fastforward=st.booleans())
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+def test_property_fed_scan_matches_joined(size, skew, foreign_port,
+                                          foreign_post, fastforward):
+    times, values = _scan_inputs(size, skew)
+    foreign = None if foreign_post is None else (foreign_port, foreign_post)
+    joined, fed = _price_both_ways(spmd._ScanPhase, SUM, times, values,
+                                   foreign=foreign, fastforward=fastforward)
+    assert joined[:2] == fed[:2]
+
+
+_PIECE = st.tuples(st.integers(min_value=0, max_value=7),   # dest (mod size)
+                   st.integers(min_value=1, max_value=5))   # words
+
+
+@given(rows=st.lists(st.tuples(st.lists(_PIECE, max_size=3),
+                               st.sampled_from([0.0, 0.0, 0.4, 1.1, 2.5]),
+                               st.integers(min_value=0, max_value=4),
+                               st.booleans()),
+                     min_size=2, max_size=8),
+       order_seed=st.one_of(st.none(),
+                            st.integers(min_value=0, max_value=10 ** 6)),
+       foreign_port=st.integers(min_value=GROUP_FIRST + 1,
+                                max_value=WORLD - 1),
+       foreign_post=st.one_of(st.none(), st.sampled_from([0.2, 1.5, 40.0])),
+       miscount=st.sampled_from([0, 0, 0, -1]))
+@settings(max_examples=120, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+def test_property_fed_exchange_matches_joined(rows, order_seed, foreign_port,
+                                              foreign_post, miscount):
+    """Skewed and tied join times, members without pieces, everything sent
+    to one member (a degenerate split), several pieces to one destination,
+    a foreign write on one receive port, and an assignment the members
+    disagree on.  Tied posts fold in application order — member order for a
+    fed phase and for the level phase's old member-by-member replay alike —
+    so the joins come in member order, or in any order once the join times
+    are made distinct."""
+    size = len(rows)
+    pieces = [[(dest % size, words) for dest, words in row[0]
+               if dest % size != member] for member, row in enumerate(rows)]
+    expected = [0] * size
+    for row in pieces:
+        for dest, _ in row:
+            expected[dest] += 1
+    busiest = max(range(size), key=expected.__getitem__)
+    miscounted = bool(miscount and expected[busiest])
+    if miscounted:
+        expected[busiest] += miscount   # -1: one more arrives than announced
+    times = [row[1] for row in rows]
+    order = None
+    if order_seed is not None:
+        times = [time + 0.001 * member for member, time in enumerate(times)]
+        order = np.random.default_rng(order_seed).permutation(size).tolist()
+    values = [(pieces[m], expected[m], rows[m][2], rows[m][3])
+              for m in range(size)]
+    foreign = None if foreign_post is None else (foreign_port, foreign_post)
+    joined, fed = _price_both_ways(spmd._ExchangePhase, None, times, values,
+                                   order=order, foreign=foreign)
+    if miscounted:
+        # The join path only notices the surplus message while its receiver
+        # is still unresolved; the fed pass always does.
+        assert fed[0] == "refused"
+    else:
+        assert joined[:2] == fed[:2]
+
+
+def test_fed_exchange_refuses_a_missing_inbound_message():
+    """The join path would wait forever for a message nobody posts; the
+    fed pass checks the counts once and refuses."""
+    bench = _Bench()
+    phase = bench.phase(spmd._ExchangePhase, None, 3)
+    values = [([(1, 2)], 0, 0, False), ([], 2, 0, False), ([], 0, 0, False)]
+    with pytest.raises(spmd.LockstepError, match="disagree on the assignment"):
+        phase._feed_all([0.0, 0.0, 0.0], values)

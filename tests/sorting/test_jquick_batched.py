@@ -152,3 +152,55 @@ def test_forced_batching_rejects_n_not_equal_p():
     with pytest.raises(Exception) as excinfo:
         _run(values, p, batch_levels=True)
     assert "batch_levels" in str(excinfo.value)
+
+
+# ---------------------------------------------------------------------------
+# Honest refusal when two sorts would share a level record.
+# ---------------------------------------------------------------------------
+
+def _run_with_level_hook(monkeypatch, hook):
+    """Sort at ``P`` ranks with ``hook(run, record, key)`` replacing every
+    record a member fetches; returns the raised RankFailedError."""
+    from repro.simulator.errors import RankFailedError
+    from repro.sorting.batched import LevelBatcher
+
+    original = LevelBatcher.level
+
+    def level(self, run, *key):
+        return hook(run, original(self, run, *key), key)
+
+    monkeypatch.setattr(LevelBatcher, "level", level)
+    values = np.random.default_rng(6).random(P)
+    with pytest.raises(RankFailedError) as excinfo:
+        _run(values, P, batch_levels=True)
+    return excinfo.value
+
+
+def test_row_deposited_twice_is_refused(monkeypatch):
+    """A second sort's member reaching an occupied row of a live record
+    must refuse instead of silently keeping the first deposit."""
+    from repro.core.spmd import LockstepError
+
+    def occupy_row(run, record, key):
+        if run.rank == 0 and record.level == 0:
+            record.deposit(0, np.zeros(1))  # "the other sort" got here first
+        return record
+
+    failure = _run_with_level_hook(monkeypatch, occupy_row)
+    assert isinstance(failure.__cause__, LockstepError)
+    assert "deposited its row twice" in str(failure.__cause__)
+
+
+def test_member_joining_with_a_foreign_record_is_refused(monkeypatch):
+    """All members of a level phase must hold the same record object."""
+    from repro.core.spmd import LockstepError
+    from repro.sorting.batched import _LevelRecord
+
+    def foreign_record(run, record, key):
+        if run.rank == 3 and record.level == 0:
+            return _LevelRecord(run, *key)  # same key, not the shared one
+        return record
+
+    failure = _run_with_level_hook(monkeypatch, foreign_record)
+    assert isinstance(failure.__cause__, LockstepError)
+    assert "different level record" in str(failure.__cause__)
