@@ -20,7 +20,6 @@ finish times, the sorted output arrays (byte for byte) and the sorting stats
 (modulo the ``batched_levels`` counter).  The gate measures wall-clock only.
 """
 
-import gc
 import time
 
 import numpy as np
@@ -125,6 +124,3 @@ def test_jquick_member_level_cost(request):
         extra[f"host_us_per_member_level_p{p}"] = round(
             wall * 1e6 / member_levels, 1)
     request.node.bench_extra = extra
-    # The p = 4096 cluster dies as cyclic garbage; collect it here rather
-    # than inside whichever millisecond-scale bench happens to run next.
-    gc.collect()

@@ -5,7 +5,7 @@ benchmark in this suite downsizes that by orders of magnitude so the full
 sweep stays fast.  This gate runs a *single* collective per operation at the
 full 32768 ranks and holds the simulator to hard resource ceilings:
 
-* **wall-clock** — each operation must finish well under a minute.  The
+* **wall-clock** — each operation must finish well under half a minute.  The
   lockstep fast-forward tier (:mod:`repro.core.spmd`) prices whole collective
   rounds with numpy, so per-rank Python work is O(rounds), not O(p * rounds);
   losing that tier shows up as a 10x+ blowup here long before the trajectory
@@ -46,10 +46,11 @@ NUM_RANKS = 1 << 15
 #: both identically).
 WORDS = 16
 
-#: Hard per-operation wall-clock ceiling in seconds.  Measured ~5-7 s per
-#: operation on a development machine; 60 s absorbs slow CI hardware while
-#: still failing an order-of-magnitude regression outright.
-WALL_CEILING_S = 60.0
+#: Hard per-operation wall-clock ceiling in seconds.  Measured 1.5-3.5 s per
+#: operation on a development machine (4-7 s before ``Cluster.run`` paused
+#: the cyclic collector); 30 s absorbs slow CI hardware while still failing
+#: an order-of-magnitude regression outright.
+WALL_CEILING_S = 30.0
 
 #: Hard ceiling on the process RSS high-water mark (``ru_maxrss``), in MiB.
 #: Measured ~450 MiB peak for the largest operation; 2 GiB absorbs allocator
@@ -150,11 +151,12 @@ def test_paper_scale_hierarchical(request, operation):
 
 
 #: JQuick gate ceilings (Fig. 8 point n/p = 1 at the paper's full machine
-#: size).  Measured ~40 s / ~530 MiB with the level-at-once batched sorting
-#: tier (the ceiling is twice that); the member-by-member replay of the
-#: same tier took ~60 s and the pre-batched frontier needs several minutes,
-#: so losing either fails the wall ceiling.
-JQUICK_WALL_CEILING_S = 80.0
+#: size).  Measured ~28 s / ~530 MiB with the level-at-once batched sorting
+#: tier and the collector paused (the ceiling is twice that); with the
+#: collector walking the cluster the same tier took ~41-47 s, its
+#: member-by-member replay ~60 s, and the pre-batched frontier needs several
+#: minutes, so losing any of them fails the wall ceiling.
+JQUICK_WALL_CEILING_S = 55.0
 JQUICK_RSS_CEILING_MIB = 4096
 
 

@@ -111,6 +111,7 @@ __all__ = [
     "join_exchange",
     "ExchangeEndpoint",
     "SpmdCoordinator",
+    "coordinator_of",
     "FASTFORWARD_MIN_SIZE",
 ]
 
@@ -251,11 +252,19 @@ def join_lockstep(ep, kind: str, value: Any = None,
     constructed.  Returns a request completing at the rank's native finish
     time with the native result value.
     """
-    transport = ep.transport
-    coordinator = getattr(transport, "_spmd_coordinator", None)
+    return coordinator_of(ep.transport).join(ep, kind, value, op, root)
+
+
+def coordinator_of(transport) -> "SpmdCoordinator":
+    """The transport's phase coordinator, created on first use.
+
+    The transport owns it; :meth:`Transport.close` empties it when the
+    run is over (:meth:`SpmdCoordinator.close`).
+    """
+    coordinator = transport._spmd_coordinator
     if coordinator is None:
         coordinator = transport._spmd_coordinator = SpmdCoordinator()
-    return coordinator.join(ep, kind, value, op, root)
+    return coordinator
 
 
 class SpmdCoordinator:
@@ -326,6 +335,17 @@ class SpmdCoordinator:
         self.tier_phases: dict = {}
         self.refusals = 0
         self.fastforward_fallbacks = 0
+
+    def close(self) -> None:
+        """Drop live phases and port logs; the tier counters stay readable.
+
+        Phases reference their members' environments, and through them the
+        transport that owns this coordinator: a run that failed mid-phase
+        would otherwise leave that loop to the cyclic collector.
+        """
+        self._phases.clear()
+        self._recv_logs.clear()
+        self._live_first_joins.clear()
 
     def join(self, ep, kind: str, value, op, root) -> LockstepRequest:
         try:
@@ -2108,11 +2128,7 @@ def join_exchange(ep, pieces, expected: int, cap_words: int,
     completes at the native finish time ``max(drain [+ compute], last send
     leave)`` with the inbound message count as its result.
     """
-    transport = ep.transport
-    coordinator = getattr(transport, "_spmd_coordinator", None)
-    if coordinator is None:
-        coordinator = transport._spmd_coordinator = SpmdCoordinator()
-    return coordinator.join(
+    return coordinator_of(ep.transport).join(
         ep, "exchange", (pieces, expected, cap_words, charge), None, 0)
 
 

@@ -237,7 +237,7 @@ class MpiCommunicator:
             tag=0,
             rank=self._rank,
             size=self._size,
-            to_world=self.to_world,
+            to_world=self.group.translate,
             word_cost_factor=word_factor,
             per_message_delay=per_message,
             world_affine=self.group.affine_world_map(),

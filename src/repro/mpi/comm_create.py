@@ -54,16 +54,19 @@ def _creation_endpoint(parent: MpiCommunicator, *, channel: str, tag: int,
     apart, exactly as the real ``MPI_Comm_create_group`` interface requires.
     """
     env = parent.env
+    # Translate through the parent's group (an immutable value), not the
+    # parent: an endpoint must never keep a communicator alive.
+    translate = parent.group.translate
     if members is None:
         rank = parent.rank
         size = parent.size
-        to_world = parent.to_world
+        to_world = translate
     else:
         rank = members.index(parent.rank)
         size = len(members)
 
-        def to_world(index: int, _members=members, _parent=parent) -> int:
-            return _parent.to_world(_members[index])
+        def to_world(index: int) -> int:
+            return translate(members[index])
 
     return TransportEndpoint(
         env,

@@ -73,12 +73,12 @@ class MpiGroup:
             self._ranges: list[_RangeTriple] = []
         else:
             self._format = GroupFormat.RANGE
-            self._ranges = [
-                _RangeTriple(int(f), int(l), int(s) if len(rng) > 2 else 1)
-                for rng in ranges
-                for f, l, *rest in [rng]
-                for s in [rng[2] if len(rng) > 2 else 1]
-            ]
+            self._ranges = []
+            for rng in ranges:
+                first, last, *rest = rng
+                stride = rest[0] if rest else 1
+                self._ranges.append(
+                    _RangeTriple(int(first), int(last), int(stride)))
             self._ranks = []
             if len(self._ranges) > 1:
                 seen = set()

@@ -18,8 +18,10 @@ class MpiRuntime:
 
     Holds the process's context-ID pool (the bit mask used for communicator
     creation), the vendor cost model, and the counter used by the Section VI
-    ``MPI_Icomm_create_group`` proposal.  ``comm_world`` spans all ranks of
-    the cluster and uses context ID 0.
+    ``MPI_Icomm_create_group`` proposal.  Communicators reference their
+    runtime, never the other way round (no reference cycle per rank):
+    COMM_WORLD — all ranks of the cluster, context ID 0 — is what
+    :func:`init_mpi` returns.
     """
 
     WORLD_CONTEXT_ID = 0
@@ -31,11 +33,6 @@ class MpiRuntime:
         self.context_pool.acquire(self.WORLD_CONTEXT_ID)
         #: Counter `b` of the Section VI proposal (per-process creation counter).
         self.creation_counter = 0
-        self.comm_world = MpiCommunicator(
-            self,
-            group=MpiGroup.contiguous(0, env.size - 1),
-            context_id=self.WORLD_CONTEXT_ID,
-        )
 
     # ----------------------------------------------------------------- context
 
@@ -69,5 +66,5 @@ def init_mpi(env: RankEnv, vendor: Union[str, VendorModel] = "generic") -> MpiCo
             world = init_mpi(env, vendor="intel")
             ...
     """
-    runtime = MpiRuntime(env, vendor)
-    return runtime.comm_world
+    return MpiRuntime(env, vendor).make_communicator(
+        MpiGroup.contiguous(0, env.size - 1), MpiRuntime.WORLD_CONTEXT_ID)

@@ -110,6 +110,29 @@ __all__ = [
 _EP_CACHE_MAX = 64
 
 
+class _RangeToWorld:
+    """``RbcComm.to_world`` of one range, without the communicator.
+
+    The communicator caches its endpoints, so an endpoint must not refer
+    back to it (the bound ``comm.to_world`` would): this translates through
+    the MPI communicator and the range's ints instead.
+    """
+
+    __slots__ = ("mpi_comm", "first", "stride", "size")
+
+    def __init__(self, comm: RbcComm):
+        self.mpi_comm = comm.mpi_comm
+        self.first = comm.first
+        self.stride = comm.stride
+        self.size = comm.size
+
+    def __call__(self, rbc_rank: int) -> int:
+        if not 0 <= rbc_rank < self.size:
+            raise ValueError(
+                f"RBC rank {rbc_rank} out of range [0, {self.size})")
+        return self.mpi_comm.to_world(self.first + rbc_rank * self.stride)
+
+
 def _endpoint(comm: RbcComm, tag: int) -> TransportEndpoint:
     """Endpoint for one collective instance on an RBC communicator.
 
@@ -141,7 +164,7 @@ def _endpoint(comm: RbcComm, tag: int) -> TransportEndpoint:
         tag=tag,
         rank=comm.rank,
         size=comm.size,
-        to_world=comm.to_world,
+        to_world=_RangeToWorld(comm),
         world_affine=(None if world_first is None
                       else (world_first, comm._world_stride)),
     )

@@ -152,10 +152,16 @@ class RbcComm:
                 return (offset >= 0 and offset % stride == 0
                         and offset // stride < size)
         else:
-            mpi_comm = self.mpi_comm
+            # Explicit-group parent: the same test as ``from_mpi``, over
+            # captured ints — a closure over ``self`` cached on ``self``
+            # would be a reference cycle.
+            from_world = self.mpi_comm.from_world
+            first, last, stride = self.first, self.last, self.stride
 
             def member(world_rank: int) -> bool:
-                return self.contains_mpi_rank(mpi_comm.from_world(world_rank))
+                mpi_rank = from_world(world_rank)
+                return (first <= mpi_rank <= last
+                        and (mpi_rank - first) % stride == 0)
         self._member_pred = member
         return member
 

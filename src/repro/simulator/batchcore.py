@@ -80,6 +80,10 @@ class EventCore:
         tuples (debugging / introspection; not a hot path)."""
         raise NotImplementedError
 
+    def clear(self) -> None:
+        """Drop every pending event (a run that failed leaves some behind)."""
+        raise NotImplementedError
+
     def __bool__(self) -> bool:
         raise NotImplementedError
 
@@ -115,6 +119,9 @@ class HeapCore(EventCore):
 
     def events(self) -> list:
         return sorted(self._heap)
+
+    def clear(self) -> None:
+        self._heap.clear()
 
     def run(self, engine, until):
         from .engine import SimProcess
@@ -215,6 +222,10 @@ class BatchedCore(EventCore):
             for seq, (kind, a, b) in enumerate(self._buckets[time]):
                 out.append((time, seq, kind, a, b))
         return out
+
+    def clear(self) -> None:
+        self._buckets.clear()
+        self._times.clear()
 
     def run(self, engine, until):
         from .engine import SimProcess

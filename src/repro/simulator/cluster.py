@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 from dataclasses import dataclass
 from functools import partial
 from typing import Any, Callable, Optional, Sequence
@@ -96,7 +97,14 @@ class Cluster:
 
     A cluster instance is single-use: build it, call :meth:`run`, inspect the
     result.  (Re-running would need fresh engine state; constructing a new
-    cluster is cheap.)
+    cluster is cheap.)  It is also torn down: before :meth:`run` returns or
+    raises it releases wake-up hooks, suspended rank generators, pending
+    events, the lockstep coordinator's phases and the hierarchy views; the
+    result, the engine's counters, the transport's port state and
+    statistics and the per-rank environments stay readable.  The object
+    graph of a simulation is acyclic, so :meth:`run` pauses Python's cyclic
+    collector while it executes (restoring the caller's setting) and
+    dropping the cluster frees it by reference counting.
     """
 
     def __init__(self, num_ranks: int, params: Optional[CostModel] = None,
@@ -156,7 +164,7 @@ class Cluster:
             "fastforward_fallbacks": 0,
             "mailboxes_materialized": transport.mailboxes_materialized(),
         }
-        coordinator = getattr(transport, "_spmd_coordinator", None)
+        coordinator = transport._spmd_coordinator
         if coordinator is not None:
             for tier, count in coordinator.tier_phases.items():
                 snapshot[f"phases_{tier}"] = \
@@ -166,6 +174,13 @@ class Cluster:
                 coordinator.fastforward_fallbacks
         snapshot.update(transport.message_pool_stats())
         return snapshot
+
+    def _teardown(self) -> None:
+        """Release what no caller can use once the run is over."""
+        self.engine.close()
+        self.transport.close()
+        for env in self.envs:
+            env._proc = None
 
     def run(self, program: Callable, *args,
             rank_args: Optional[Sequence[tuple]] = None,
@@ -181,39 +196,49 @@ class Cluster:
             raise RuntimeError("Cluster instances are single-use; create a new one")
         self._ran = True
 
-        procs = []
-        for rank in range(self.num_ranks):
-            env = self.envs[rank]
-            extra_args = tuple(rank_args[rank]) if rank_args is not None else ()
-            extra_kwargs = dict(rank_kwargs[rank]) if rank_kwargs is not None else {}
-            gen = program(env, *args, *extra_args, **kwargs, **extra_kwargs)
-            proc = self.engine.add_process(gen)
-            env._proc = proc
-            # Bind the wake-up hook straight to engine.notify(proc): the
-            # per-delivery call chain is one hop instead of three.
-            self.transport.set_notify_hook(rank, partial(self.engine.notify, proc))
-            procs.append(proc)
+        # Collector paused from rank construction to result assembly:
+        # nothing below creates cyclic garbage, and a generation-2 pass
+        # walks every live object of all p ranks.
+        collect = gc.isenabled()
+        gc.disable()
+        try:
+            procs = []
+            for rank in range(self.num_ranks):
+                env = self.envs[rank]
+                extra_args = tuple(rank_args[rank]) if rank_args is not None else ()
+                extra_kwargs = dict(rank_kwargs[rank]) if rank_kwargs is not None else {}
+                gen = program(env, *args, *extra_args, **kwargs, **extra_kwargs)
+                proc = self.engine.add_process(gen)
+                env._proc = proc
+                # Bind the wake-up hook straight to engine.notify(proc): the
+                # per-delivery call chain is one hop instead of three.
+                self.transport.set_notify_hook(rank, partial(self.engine.notify, proc))
+                procs.append(proc)
 
-        total_time = self.engine.run()
-        results = [p.result for p in procs]
-        finish_times = [p.finish_time if p.finish_time is not None else total_time
-                        for p in procs]
-        obs = self._obs_snapshot()
-        if self.trace is not None:
-            self.trace.finalize(total_time, finish_times, obs)
-        result = ClusterResult(
-            results=results,
-            finish_times=finish_times,
-            total_time=total_time,
-            stats=self.tracer.stats,
-            events_processed=self.engine.events_processed,
-            message_pool=self.transport.message_pool_stats(),
-            obs=obs,
-            trace=self.trace,
-        )
-        for observer in _run_observers:
-            observer(result)
-        return result
+            total_time = self.engine.run()
+            results = [p.result for p in procs]
+            finish_times = [p.finish_time if p.finish_time is not None else total_time
+                            for p in procs]
+            obs = self._obs_snapshot()
+            if self.trace is not None:
+                self.trace.finalize(total_time, finish_times, obs)
+            result = ClusterResult(
+                results=results,
+                finish_times=finish_times,
+                total_time=total_time,
+                stats=self.tracer.stats,
+                events_processed=self.engine.events_processed,
+                message_pool=self.transport.message_pool_stats(),
+                obs=obs,
+                trace=self.trace,
+            )
+            for observer in _run_observers:
+                observer(result)
+            return result
+        finally:
+            self._teardown()
+            if collect:
+                gc.enable()
 
 
 def run_program(num_ranks: int, program: Callable, *args,

@@ -295,6 +295,30 @@ class Engine:
             raise DeadlockError(blocked)
         return final
 
+    def close(self) -> None:
+        """Release what a finished (or failed) run leaves referenced.
+
+        A run that raised leaves rank generators suspended mid-``yield`` and
+        events pending; their frames and callbacks reach the environment,
+        the transport and back to this engine, so they are closed and
+        dropped here instead of waiting for a cyclic collection.  The
+        failing rank's exception stays on the raised
+        :class:`RankFailedError` (``original`` / ``__cause__``); the copy in
+        :attr:`SimProcess.error` is dropped because its traceback holds the
+        :meth:`_step` frame, which holds the process.  Results, finish
+        times, states and :attr:`events_processed` stay readable.
+        """
+        self._core.clear()
+        for proc in self._processes:
+            if not proc.done:
+                try:
+                    proc.generator.close()
+                except Exception:  # noqa: BLE001
+                    # A program whose cleanup raises (or that swallows
+                    # GeneratorExit) must not mask the run's own error.
+                    pass
+            proc.error = None
+
     # --------------------------------------------------------------- stepping
 
     def _step(self, proc: SimProcess, send_value) -> None:

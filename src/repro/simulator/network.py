@@ -567,6 +567,9 @@ class Transport:
         # affine world map or member tuple; the placement is fixed per
         # transport, so it is not part of the key).
         self._hierarchy_cache: dict = {}
+        # Lockstep phase coordinator, created on first use by
+        # repro.core.spmd.coordinator_of.
+        self._spmd_coordinator = None
         # Optional observability sink (repro.obs.TraceRecorder), installed
         # by Cluster(trace=...); post_send appends one message edge per
         # send when it is set.
@@ -575,11 +578,32 @@ class Transport:
         # scalar state machines (CollectiveRequest) on this transport.
         self.scalar_collectives = 0
         # Callbacks used to wake rank processes; installed by the cluster.
-        self._notify_hooks: list[Optional[Any]] = [None] * num_ranks
-        # Pre-bound callbacks for the engine's allocation-free scheduled
-        # entries (one bound-method allocation per transport, not per send).
-        self._deliver_entry = self._deliver
-        self._notify_entry = self._notify
+        hooks = self._notify_hooks = [None] * num_ranks
+        # Targets of the engine's allocation-free scheduled entries, built
+        # once per transport.  They close over the three containers they
+        # touch and not over the transport: a pending event (or a stored
+        # bound method) must not tie the transport into a reference cycle.
+        mailboxes = self._mailboxes
+        stats = self.tracer.stats
+
+        def deliver(message: Message) -> None:
+            """Message reaches its destination mailbox; wake the receiver."""
+            dst = message.dst
+            mailboxes[dst].append(message)
+            stats.per_rank_messages_received[dst] += 1
+            stats.per_rank_words_received[dst] += message.words
+            hook = hooks[dst]
+            if hook is not None:
+                hook()
+
+        def notify(rank: int) -> None:
+            """Sender-free wake-up armed by a polled :class:`SendHandle`."""
+            hook = hooks[rank]
+            if hook is not None:
+                hook()
+
+        self._deliver_entry = deliver
+        self._notify_entry = notify
 
     # ----------------------------------------------------------------- wiring
 
@@ -587,21 +611,18 @@ class Transport:
         """Install the callable invoked whenever rank ``rank`` should wake up."""
         self._notify_hooks[rank] = hook
 
-    def _notify(self, rank: int) -> None:
-        hook = self._notify_hooks[rank]
-        if hook is not None:
-            hook()
+    def close(self) -> None:
+        """Drop what only a running simulation needs.
 
-    def _deliver(self, message: Message) -> None:
-        """Scheduled-entry target: message reaches its destination mailbox."""
-        dst = message.dst
-        self._mailboxes[dst].append(message)
-        stats = self.tracer.stats
-        stats.per_rank_messages_received[dst] += 1
-        stats.per_rank_words_received[dst] += message.words
-        hook = self._notify_hooks[dst]
-        if hook is not None:
-            hook()
+        Wake-up hooks, the lockstep coordinator's phases and port logs and
+        the hierarchy views go; port state, counters and mailboxes stay
+        readable.  Called by :meth:`Cluster.run` once the run is over.
+        """
+        hooks = self._notify_hooks
+        hooks[:] = [None] * len(hooks)
+        if self._spmd_coordinator is not None:
+            self._spmd_coordinator.close()
+        self._hierarchy_cache.clear()
 
     # ---------------------------------------------------------------- sending
 

@@ -73,7 +73,7 @@ class Tracer:
 
     def record_send(self, src: int, words: int) -> None:
         # NOTE: the transport's per-send hot path updates these counters
-        # inline (see Transport.post_send / Transport._deliver) rather than
+        # inline (see Transport.post_send and its deliver entry) rather than
         # through this method; it exists for out-of-band callers.
         s = self.stats
         s.messages_sent += 1

@@ -45,6 +45,7 @@ from ..core.spmd import (
     _GatherPhase,
     _PhaseBase,
     _ScanPhase,
+    coordinator_of,
 )
 from ..mpi.datatypes import SUM
 from ..rbc.comm import RBC_CREATE_OPS
@@ -249,10 +250,7 @@ def join_jq_level(env, record: _LevelRecord, group_rank: int,
     needs (its slot view, the degenerate verdict) derives from those via the
     batcher.
     """
-    transport = env.transport
-    coordinator = getattr(transport, "_spmd_coordinator", None)
-    if coordinator is None:
-        coordinator = transport._spmd_coordinator = SpmdCoordinator()
+    coordinator = coordinator_of(env.transport)
     # One endpoint (and coordinator key) per record: the coordinator only
     # reads the member fields during the join call itself.
     endpoint = record.endpoint
