@@ -19,6 +19,12 @@ full 32768 ranks and holds the simulator to hard resource ceilings:
   lockstep contract, so no rank's mailbox is ever touched.  A silent fall
   back to event-by-event messaging would materialize all 32768.
 
+``test_paper_scale_comm_create`` gates the paper's headline, Fig. 5 at its
+largest p: splitting 2^15 ranks into halves with ``rbc::Split_RBC_Comm``,
+``MPI_Comm_create_group`` and ``MPI_Comm_split`` (Intel cost model), event by
+event on the transport, under the same ceilings — and the simulated
+native / RBC ratio must exceed the paper's 400x.
+
 ``test_paper_scale_jquick`` additionally gates the full sort: Fig. 8's
 n/p = 1 point at p = 2^15 on the cross-rank batched sorting tier
 (:mod:`repro.sorting.batched`), with its own wall/RSS ceilings.
@@ -35,6 +41,7 @@ import time
 
 import pytest
 
+from repro.bench.fig5_comm_split import split_halves_program
 from repro.bench.harness import collective_program
 from repro.simulator.cluster import Cluster
 
@@ -148,6 +155,55 @@ def test_paper_scale_hierarchical(request, operation):
     assert materialized == 0, (
         f"{materialized} mailboxes materialized — the hierarchical run left "
         "the lockstep fast path")
+
+
+#: Simulated ceiling of the RBC split in microseconds (it is local and
+#: constant in p: 0.08 us measured).  The native creations must take more
+#: than 400x this, so the three cells together assert the paper's ">400x
+#: faster communicator creation" at p = 2^15 while staying independent.
+RBC_SPLIT_CEILING_US = 1.0
+
+
+@pytest.mark.parametrize("method", ["rbc", "create_group", "split"])
+def test_paper_scale_comm_create(request, method):
+    """Fig. 5 at p = 2^15: one halving per creation method.
+
+    Nothing here is priced in lockstep — every message of the context-id
+    agreement and of ``MPI_Comm_split``'s allgather crosses the transport —
+    so the ceilings hold only while the host work per creation stays
+    O(p log p): a per-rank walk of the member list or of the allgathered
+    (color, key) table is O(p^2) and takes minutes and tens of GiB here.
+    """
+    vendor = "generic" if method == "rbc" else "intel"
+    start = time.perf_counter()
+    cluster = Cluster(NUM_RANKS)
+    result = cluster.run(split_halves_program, method=method, vendor=vendor)
+    wall_s = time.perf_counter() - start
+    peak_mib = _peak_rss_mib()
+
+    assert len(result.results) == NUM_RANKS
+    creation_us = max(result.results)
+
+    request.node.bench_extra = {
+        "num_ranks": NUM_RANKS,
+        "method": method,
+        "vendor": vendor,
+        "creation_us": creation_us,
+        "peak_rss_mib": round(peak_mib, 1),
+    }
+
+    assert wall_s < WALL_CEILING_S, (
+        f"{method} at p={NUM_RANKS} took {wall_s:.1f} s (ceiling "
+        f"{WALL_CEILING_S:.0f} s) — quadratic host work in comm creation?")
+    assert peak_mib < RSS_CEILING_MIB, (
+        f"peak RSS {peak_mib:.0f} MiB exceeds {RSS_CEILING_MIB} MiB — "
+        "per-rank copies of the member list or the split table?")
+    if method == "rbc":
+        assert 0.0 < creation_us <= RBC_SPLIT_CEILING_US
+    else:
+        assert creation_us > 400 * RBC_SPLIT_CEILING_US, (
+            f"{method} took {creation_us:.1f} simulated us — less than 400x "
+            "the RBC split")
 
 
 #: JQuick gate ceilings (Fig. 8 point n/p = 1 at the paper's full machine

@@ -15,6 +15,11 @@ perf trajectory; this script fails CI when a fresh run regresses:
   so any drift is a semantic change (update the baseline deliberately if it
   is an intentional algorithm change).
 
+``events_processed`` is deterministic too, so any difference inside the
+allowed ratio — a drop included — prints a ``STALE`` line: the result still
+passes, but the committed count no longer describes the tree and should be
+re-pinned (copy the fresh file over the baseline) instead of lingering.
+
 Baselines without a fresh result are skipped as long as their benchmark still
 exists — CI only regenerates a subset of the suite (pass ``--require-all`` to
 turn any missing fresh result into a failure).  Two situations are *hard*
@@ -182,6 +187,9 @@ def main(argv=None) -> int:
             problems.append(
                 f"events_processed {cur_events} > {args.max_events_ratio:.2f}x "
                 f"baseline {base_events}")
+        elif base_events and cur_events != base_events:
+            print(f"STALE {name}: events_processed {cur_events} != baseline "
+                  f"{base_events} (within bounds; re-pin the baseline)")
 
         base_wall = base.get("wall_clock_s") or 0.0
         cur_wall = current.get("wall_clock_s") or 0.0

@@ -29,7 +29,8 @@ __all__ = ["PRESETS", "run", "split_halves_program"]
 PRESETS = {
     "tiny": dict(proc_counts=(32, 64, 128), repetitions=1),
     "small": dict(proc_counts=(256, 512, 1024, 2048, 4096), repetitions=1),
-    "paper": dict(proc_counts=(1024, 2048, 4096, 8192), repetitions=3),
+    "paper": dict(proc_counts=(1024, 2048, 4096, 8192, 16384, 32768),
+                  repetitions=3),
 }
 
 #: (label, method, vendor) — one per curve of Fig. 5.

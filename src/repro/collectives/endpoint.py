@@ -83,6 +83,9 @@ class TransportEndpoint:
 
         Returns the transport's :class:`~repro.simulator.network.SendHandle`,
         which implements the request protocol (``test``/``result``) directly.
+        ``words`` is the payload's word count when the caller already knows
+        it (a forwarder read it off the message it received); it travels on
+        with the message unscaled, whatever the wire is charged.
         """
         if words is None:
             words = payload_words(payload)
@@ -103,6 +106,7 @@ class TransportEndpoint:
             payload,
             wire_words,
             local_delay + self.per_message_delay,
+            words,
         )
 
     def irecv(self, source: int) -> RecvRequest:

@@ -133,6 +133,9 @@ def bcast_schedule(ep: TransportEndpoint, value: Any, root: int):
     frozen payloads.  Array-receiving ranks therefore return a read-only
     view of the single broadcast buffer; the root keeps its own (possibly
     writable) payload and sends one frozen copy down the tree.
+
+    The payload is measured once, by the root; every forwarder passes on the
+    count that arrived with the message.
     """
     size = ep.size
     if size == 1:
@@ -144,6 +147,7 @@ def bcast_schedule(ep: TransportEndpoint, value: Any, root: int):
         yield [recv]
         value = freeze_payload(recv.result())
         wire = value
+        words = recv.result_words()
     else:
         wire = None  # snapshot the root payload lazily, once, for all children
     sends = []
@@ -153,7 +157,8 @@ def bcast_schedule(ep: TransportEndpoint, value: Any, root: int):
                 wire = freeze_payload(value.copy())
             else:
                 wire = value
-        sends.append(ep.isend(wire, (child + root) % size))
+            words = payload_words(value)
+        sends.append(ep.isend(wire, (child + root) % size, words=words))
     if sends:
         yield sends
     return value
@@ -193,7 +198,9 @@ def reduce_schedule(ep: TransportEndpoint, value: Any, op: Callable[[Any, Any], 
 def gather_schedule(ep: TransportEndpoint, value: Any, root: int):
     """Binomial-tree gather; the root returns ``[value_0, ..., value_{p-1}]``.
 
-    Values may have different sizes, so this doubles as gatherv.
+    Values may have different sizes, so this doubles as gatherv.  The word
+    count of the growing list is this rank's own pair plus the counts that
+    arrived with the children's messages; no list is walked twice.
     """
     size = ep.size
     if size == 1:
@@ -201,14 +208,16 @@ def gather_schedule(ep: TransportEndpoint, value: Any, root: int):
     vrank = (ep.rank - root) % size  # to_virtual, inlined (hot)
     collected: list[tuple[int, Any]] = [(ep.rank, value)]
     children = binomial_children(vrank, size)
-    if children:
-        recvs = [ep.irecv((child + root) % size) for child in children]
+    recvs = [ep.irecv((child + root) % size) for child in children]
+    if recvs:
         yield recvs
         for recv in recvs:
             collected.extend(recv.result())
     parent = binomial_parent(vrank)
     if parent is not None:
-        send = ep.isend(collected, (parent + root) % size)
+        words = payload_words(collected[0]) \
+            + sum(recv.result_words() for recv in recvs)
+        send = ep.isend(collected, (parent + root) % size, words=words)
         yield [send]
         return None
     collected.sort(key=lambda pair: pair[0])

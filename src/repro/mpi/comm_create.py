@@ -22,7 +22,7 @@ schedules — emerge naturally in the simulation.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -34,7 +34,6 @@ from ..collectives.machines import (
 )
 from .comm import MpiCommunicator
 from .context import ContextIdPool
-from .datatypes import UNDEFINED
 from .group import MpiGroup
 
 __all__ = ["comm_create_group", "comm_split", "comm_dup"]
@@ -45,7 +44,7 @@ def _band_masks(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _creation_endpoint(parent: MpiCommunicator, *, channel: str, tag: int,
-                       members: Optional[list[int]] = None) -> TransportEndpoint:
+                       members: Optional[Sequence[int]] = None) -> TransportEndpoint:
     """Endpoint for the context-ID agreement collective.
 
     ``members`` is the list of parent ranks taking part (defaults to all of
@@ -107,9 +106,7 @@ def comm_create_group(parent: MpiCommunicator, group: MpiGroup, tag: int = 0):
         raise ValueError(
             f"rank {world_rank} called comm_create_group but is not in the group")
 
-    members = sorted(parent.from_world(w) for w in group.world_ranks())
-    if any(m == UNDEFINED for m in members):
-        raise ValueError("group contains ranks outside the parent communicator")
+    members = parent.group.ranks_of_subgroup(group)
 
     endpoint = _creation_endpoint(parent, channel="create_group", tag=tag,
                                   members=members)
@@ -123,6 +120,52 @@ def comm_create_group(parent: MpiCommunicator, group: MpiGroup, tag: int = 0):
     return parent.runtime.make_communicator(group, context_id)
 
 
+class _SplitTable:
+    """The per-color groups of one ``comm_split``, shared by its ranks."""
+
+    __slots__ = ("entries", "groups", "unread")
+
+    def __init__(self, parent: MpiCommunicator, entries):
+        #: The allgathered ``(color, key, parent rank)`` list grouped here.
+        self.entries = entries
+        by_color: dict = {}
+        for color, key, rank in entries:
+            if color is not None:
+                by_color.setdefault(color, []).append((key, rank))
+        to_world = parent.group.translate
+        #: ``{color: MpiGroup}``, members ordered by ``(key, parent rank)``.
+        self.groups = {
+            color: MpiGroup.incl(to_world(rank) for _, rank in sorted(pairs))
+            for color, pairs in by_color.items()}
+        #: Ranks with a color that have not fetched their group yet.
+        self.unread = sum(group.size for group in self.groups.values())
+
+
+def _split_group(parent: MpiCommunicator, split_seq: int, entries,
+                 color) -> MpiGroup:
+    """The group of ``color`` in the split that allgathered ``entries``.
+
+    The broadcast hands every rank the same list object, so the first rank
+    to ask groups it for all colors and parks the table on the transport;
+    the others look their (immutable, shared) group up, and the last rank
+    with a color to do so drops the table.  The key names the split — the
+    parent's rank 0 tells apart the disjoint communicators of an earlier
+    split, which share one context id — and a caller whose ``entries`` is
+    not the table's list (a transport that copies payloads) groups locally.
+    """
+    tables = parent.env.transport._split_tables
+    key = (parent.context_id, split_seq, parent.to_world(0))
+    table = tables.get(key)
+    if table is None:
+        table = tables[key] = _SplitTable(parent, entries)
+    elif table.entries is not entries:
+        return _SplitTable(parent, entries).groups[color]
+    table.unread -= 1
+    if not table.unread:
+        del tables[key]
+    return table.groups[color]
+
+
 def comm_split(parent: MpiCommunicator, color: Optional[int], key: int = 0):
     """Blocking ``MPI_Comm_split`` (generator).
 
@@ -134,7 +177,8 @@ def comm_split(parent: MpiCommunicator, color: Optional[int], key: int = 0):
     vendor = parent.vendor
 
     # 1. Allgather (color, key, parent rank) over the whole parent communicator.
-    endpoint = _creation_endpoint(parent, channel="split", tag=parent._coll_seq)
+    split_seq = parent._coll_seq
+    endpoint = _creation_endpoint(parent, channel="split", tag=split_seq)
     parent._coll_seq += 1
     contribution = (color, key, parent.rank)
     request = CollectiveRequest(env, allgather_schedule(endpoint, contribution))
@@ -152,14 +196,7 @@ def comm_split(parent: MpiCommunicator, color: Optional[int], key: int = 0):
 
     if color is None:
         return None
-
-    mine = sorted(
-        (entry_key, entry_rank)
-        for entry_color, entry_key, entry_rank in entries
-        if entry_color == color
-    )
-    my_group_world_ranks = [parent.to_world(rank) for _, rank in mine]
-    group = MpiGroup.incl(my_group_world_ranks)
+    group = _split_group(parent, split_seq, entries, color)
 
     # 4. Materialise the explicit group representation for the new communicator.
     yield from env.compute_time(vendor.group_construction_cost(group.size))

@@ -70,6 +70,9 @@ class MpiGroup:
             self._ranks = list(int(r) for r in explicit)
             if len(set(self._ranks)) != len(self._ranks):
                 raise ValueError("duplicate ranks in group")
+            # {world rank: group rank}, built by the first rank_of: one
+            # explicit group is shared by all its members after a split.
+            self._index: Optional[dict] = None
             self._ranges: list[_RangeTriple] = []
         else:
             self._format = GroupFormat.RANGE
@@ -172,10 +175,11 @@ class MpiGroup:
     def rank_of(self, world_rank: int) -> int:
         """World rank -> group-local rank, or ``UNDEFINED`` if not a member."""
         if self._format == GroupFormat.EXPLICIT:
-            try:
-                return self._ranks.index(world_rank)
-            except ValueError:
-                return UNDEFINED
+            index = self._index
+            if index is None:
+                index = self._index = {
+                    rank: i for i, rank in enumerate(self._ranks)}
+            return index.get(world_rank, UNDEFINED)
         offset = 0
         for triple in self._ranges:
             index = triple.index_of(world_rank)
@@ -186,6 +190,34 @@ class MpiGroup:
 
     def contains(self, world_rank: int) -> bool:
         return self.rank_of(world_rank) != UNDEFINED
+
+    def ranks_of_subgroup(self, subgroup: "MpiGroup") -> Sequence[int]:
+        """This group's ranks of all members of ``subgroup``, ascending.
+
+        The ``MPI_Group_translate_ranks`` analogue communicator creation
+        needs: which of this (parent) group's ranks form the new group.
+        When both groups are single ``(first, stride, count)`` ranges the
+        answer is a ``range`` (constant-time ``len``, ``index`` and
+        ``[i]``); any other pair is translated rank by rank.  Raises
+        ``ValueError`` when a member of ``subgroup`` is not in this group.
+        """
+        mine, theirs = self._single, subgroup._single
+        if mine is not None and theirs is not None:
+            first, stride, count = mine
+            sub_first, sub_stride, sub_count = theirs
+            if sub_count == 1:
+                sub_stride = stride
+            start, misaligned = divmod(sub_first - first, stride)
+            step, uneven = divmod(sub_stride, stride)
+            if not misaligned and not uneven and start >= 0 \
+                    and start + (sub_count - 1) * step < count:
+                return range(start, start + sub_count * step, step)
+            # Some member is off this group's lattice or beyond its ends;
+            # the per-rank translation below finds it.
+        ranks = sorted(self.rank_of(w) for w in subgroup.world_ranks())
+        if any(rank == UNDEFINED for rank in ranks):
+            raise ValueError("group contains ranks outside the parent communicator")
+        return ranks
 
     # ---------------------------------------------------------------- analysis
 

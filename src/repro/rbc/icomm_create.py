@@ -54,13 +54,10 @@ def ensure_tuple_context(parent: MpiCommunicator) -> TupleContextId:
 def _group_as_parent_range(parent: MpiCommunicator,
                            group: MpiGroup) -> Optional[tuple[int, int]]:
     """(f', l') in parent ranks if ``group`` is a contiguous parent range."""
-    parent_ranks = sorted(parent.from_world(w) for w in group.world_ranks())
-    if any(r < 0 for r in parent_ranks):
-        raise ValueError("group contains processes outside the parent communicator")
+    parent_ranks = parent.group.ranks_of_subgroup(group)
     first, last = parent_ranks[0], parent_ranks[-1]
+    # Ascending and distinct, so spanning exactly their count means gap-free.
     if last - first + 1 != len(parent_ranks):
-        return None
-    if parent_ranks != list(range(first, last + 1)):
         return None
     return first, last
 

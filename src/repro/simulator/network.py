@@ -147,18 +147,24 @@ class Message:
         "context",
         "payload",
         "words",
+        "payload_count",
         "send_time",
         "arrival_time",
     )
 
-    def __init__(self, seq, src, dst, tag, context, payload, words, send_time, arrival_time):
+    def __init__(self, seq, src, dst, tag, context, payload, words,
+                 payload_count, send_time, arrival_time):
         self.seq = seq
         self.src = src
         self.dst = dst
         self.tag = tag
         self.context = context
         self.payload = payload
+        # ``words`` is what the wire was charged for; ``payload_count`` is
+        # the sender's word count of the payload itself (they differ inside
+        # vendor collectives, which scale and round wire words).
         self.words = words
+        self.payload_count = payload_count
         self.send_time = send_time
         self.arrival_time = arrival_time
 
@@ -567,6 +573,9 @@ class Transport:
         # affine world map or member tuple; the placement is fixed per
         # transport, so it is not part of the key).
         self._hierarchy_cache: dict = {}
+        # Per-color groups of the MPI_Comm_split calls in flight, filled and
+        # emptied by repro.mpi.comm_create._split_group.
+        self._split_tables: dict = {}
         # Lockstep phase coordinator, created on first use by
         # repro.core.spmd.coordinator_of.
         self._spmd_coordinator = None
@@ -614,26 +623,32 @@ class Transport:
     def close(self) -> None:
         """Drop what only a running simulation needs.
 
-        Wake-up hooks, the lockstep coordinator's phases and port logs and
-        the hierarchy views go; port state, counters and mailboxes stay
-        readable.  Called by :meth:`Cluster.run` once the run is over.
+        Wake-up hooks, the lockstep coordinator's phases and port logs, the
+        hierarchy views and the split tables go; port state, counters and
+        mailboxes stay readable.  Called by :meth:`Cluster.run` once the run
+        is over.
         """
         hooks = self._notify_hooks
         hooks[:] = [None] * len(hooks)
         if self._spmd_coordinator is not None:
             self._spmd_coordinator.close()
         self._hierarchy_cache.clear()
+        self._split_tables.clear()
 
     # ---------------------------------------------------------------- sending
 
     def post_send(self, src: int, dst: int, tag: int, context, payload,
-                  words: Optional[int] = None, local_delay: float = 0.0) -> SendHandle:
+                  words: Optional[int] = None, local_delay: float = 0.0,
+                  payload_count: Optional[int] = None) -> SendHandle:
         """Hand a message to the network; returns its :class:`SendHandle`.
 
         ``local_delay`` models local work the sender performs before the
         message can be injected (used by collective state machines to charge
         e.g. the application of a reduction operator without blocking the
-        caller).
+        caller).  ``words`` is what the wire is charged for;
+        ``payload_count`` is the word count of the payload itself where the
+        two differ (default: they do not).  The receiver reads it off the
+        message instead of walking the payload again.
         """
         num_ranks = self.num_ranks
         if src < 0 or src >= num_ranks:
@@ -642,6 +657,8 @@ class Transport:
             self._check_rank(dst, "destination")
         if words is None:
             words = payload_words(payload)
+        if payload_count is None:
+            payload_count = words
         # Snapshot array payloads: MPI allows the application to reuse its send
         # buffer once the send completes locally, and the collective state
         # machines reuse buffers freely, so the wire copy must be immutable.
@@ -716,11 +733,12 @@ class Transport:
             message.context = context
             message.payload = payload
             message.words = words
+            message.payload_count = payload_count
             message.send_time = now
             message.arrival_time = arrival
         else:
             message = Message(next(self._seq), src, dst, tag, context,
-                              payload, words, now, arrival)
+                              payload, words, payload_count, now, arrival)
         # Tracer counters, inlined (one send per simulated message — the
         # method call was measurable).
         stats = self.tracer.stats

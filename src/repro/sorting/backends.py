@@ -225,8 +225,13 @@ class NativeMpiBackend(JQuickBackend):
         if first == 0 and last == self.sort_size - 1:
             return self._world_channel
             yield  # pragma: no cover - keeps this a generator
-        world_ranks = [self.world.to_world(r) for r in range(first, last + 1)]
-        group = MpiGroup.incl(world_ranks)
+        to_world = self.world.to_world
+        affine = self.world.group.affine_world_map()
+        if affine is not None:
+            group = MpiGroup.range_incl(
+                [(to_world(first), to_world(last), affine[1])])
+        else:
+            group = MpiGroup.incl(to_world(r) for r in range(first, last + 1))
         comm = yield from self.world.create_group(group, tag=self.CREATE_TAG)
         return MpiGroupComm(comm, group_first=first)
 

@@ -67,6 +67,30 @@ def test_simulated_us_drift_fails(trajectory, dirs):
     assert trajectory.main(_argv(results, baselines, bench_dir)) == 1
 
 
+@pytest.mark.parametrize("fresh_events", [8, 12])
+def test_events_drift_within_bounds_passes_but_is_called_stale(
+        trajectory, dirs, capsys, fresh_events):
+    results, baselines, bench_dir = dirs
+    _write_bench_json(results, "test_alpha", events_processed=fresh_events)
+    _write_bench_json(baselines, "test_alpha")
+    assert trajectory.main(_argv(results, baselines, bench_dir)) == 0
+    out = capsys.readouterr().out
+    assert f"STALE BENCH_test_alpha.json: events_processed {fresh_events} " \
+        "!= baseline 10" in out
+    assert "OK    BENCH_test_alpha.json" in out
+
+
+def test_equal_events_and_growth_past_the_ratio_are_not_stale(
+        trajectory, dirs, capsys):
+    results, baselines, bench_dir = dirs
+    _write_bench_json(results, "test_alpha")
+    _write_bench_json(baselines, "test_alpha")
+    assert trajectory.main(_argv(results, baselines, bench_dir)) == 0
+    _write_bench_json(results, "test_alpha", events_processed=13)
+    assert trajectory.main(_argv(results, baselines, bench_dir)) == 1
+    assert "STALE" not in capsys.readouterr().out
+
+
 def test_fresh_result_without_baseline_fails(trajectory, dirs, capsys):
     results, baselines, bench_dir = dirs
     _write_bench_json(results, "test_alpha")

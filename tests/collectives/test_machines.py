@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.collectives.endpoint import TransportEndpoint
+from repro.collectives.hierarchical import SubgroupEndpoint
 from repro.collectives.machines import (
     CollectiveRequest,
     allgather_schedule,
@@ -243,3 +244,75 @@ def test_property_bcast_and_reduce_agree_for_any_root(p, root_raw):
     assert bcast_results == [root] * p
     reduce_results = _run(p, lambda ep, env: reduce_schedule(ep, 1, SUM, root))
     assert reduce_results[root] == p
+
+
+# ---------------------------------------------------------------------------
+# Word counts travel with the message: forwarders never walk a payload again.
+# ---------------------------------------------------------------------------
+
+class _RecountingEndpoint(TransportEndpoint):
+    """Drops every forwarded count, so each send walks its own payload."""
+
+    __slots__ = ()
+
+    def isend(self, payload, dest, *, local_delay=0.0, words=None):
+        return super().isend(payload, dest, local_delay=local_delay)
+
+
+def _ragged(rank):
+    return [(rank, float(rank))] * (rank % 4) + [rank]
+
+
+def _list_collectives_run(p, endpoint_class, factor, through_subgroup):
+    def program(env):
+        ep = endpoint_class(
+            env, env.transport, context="coll-test", tag=0, rank=env.rank,
+            size=env.size, to_world=lambda r: r, word_cost_factor=factor)
+        if through_subgroup:
+            members = list(range(p - 1, -1, -1))
+            ep = SubgroupEndpoint(ep, members, members.index(env.rank))
+        gathered = yield from CollectiveRequest(
+            env, allgather_schedule(ep, _ragged(env.rank))).wait()
+        nested = yield from CollectiveRequest(
+            env, bcast_schedule(ep, [gathered, {"k": gathered}], 1 % p)).wait()
+        return gathered, nested
+
+    return Cluster(p).run(program)
+
+
+@pytest.mark.parametrize("through_subgroup", [False, True],
+                         ids=["endpoint", "subgroup"])
+@pytest.mark.parametrize("factor", [1.0, 1.5, 1.6, 6.0])
+@pytest.mark.parametrize("p", [2, 5, 16, 23])
+def test_forwarded_word_counts_equal_a_recount(p, factor, through_subgroup):
+    forwarded = _list_collectives_run(
+        p, TransportEndpoint, factor, through_subgroup)
+    recounted = _list_collectives_run(
+        p, _RecountingEndpoint, factor, through_subgroup)
+    assert forwarded.results == recounted.results
+    assert forwarded.finish_times == recounted.finish_times
+    assert forwarded.events_processed == recounted.events_processed
+    for field in ("messages_sent", "words_sent", "per_rank_words_sent",
+                  "per_rank_words_received"):
+        assert getattr(forwarded.stats, field) == \
+            getattr(recounted.stats, field)
+
+
+def test_allgathered_list_is_walked_once_not_once_per_send(monkeypatch):
+    from repro.collectives import endpoint, machines
+    from repro.simulator.network import payload_words
+
+    p = 32
+    walks = []
+
+    def counting(payload):
+        if isinstance(payload, list) and len(payload) == p:
+            walks.append(len(payload))
+        return payload_words(payload)
+
+    monkeypatch.setattr(machines, "payload_words", counting)
+    monkeypatch.setattr(endpoint, "payload_words", counting)
+    results = _run(p, lambda ep, env: allgather_schedule(ep, (env.rank, 0)))
+    assert results == [[(r, 0) for r in range(p)]] * p
+    # The bcast root measures the full list; p - 1 sends carry that count.
+    assert walks == [p]

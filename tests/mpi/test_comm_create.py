@@ -1,5 +1,7 @@
 """Communicator creation: comm_create_group, comm_split, comm_dup, vendor costs."""
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.mpi import SUM, MpiGroup, init_mpi
@@ -170,3 +172,75 @@ def test_create_group_cost_grows_with_group_size():
     small = _creation_time("intel", "create_group", p=16)
     large = _creation_time("intel", "create_group", p=128)
     assert large > small
+
+
+# ---------------------------------------------------------------------------
+# One table of per-color groups per split, shared and dropped by its readers.
+# ---------------------------------------------------------------------------
+
+def test_split_shares_one_group_per_color_and_leaves_no_table(run_ranks):
+    """Back-to-back splits of one parent, ``color=None`` ranks included."""
+
+    def program(env):
+        world = init_mpi(env, vendor="intel")
+        tables = env.transport._split_tables
+        first = yield from world.split(
+            None if world.rank % 3 == 0 else world.rank % 2, key=-world.rank)
+        second = yield from world.split(world.rank // 4, key=world.rank)
+        yield from world.barrier()
+        # Every rank with a color has read its group by now; close() has
+        # not run yet, so the readers themselves emptied the table.
+        assert tables == {}
+        return (None if first is None else first.group), second.group
+
+    results = run_ranks(12, program)
+    for rank, (first, second) in enumerate(results):
+        assert (first is None) == (rank % 3 == 0)
+        assert second.world_ranks() == \
+            list(range(rank // 4 * 4, rank // 4 * 4 + 4))
+        if first is not None:
+            assert first.world_ranks() == sorted(
+                (r for r in range(12) if r % 3 and r % 2 == rank % 2),
+                reverse=True)
+        for other_first, other_second in results[:rank]:
+            if first is not None and other_first is not None \
+                    and other_first == first:
+                assert other_first is first
+            if other_second == second:
+                assert other_second is second
+
+
+def test_split_with_every_color_none_builds_no_table(run_ranks):
+    def program(env):
+        world = init_mpi(env)
+        sub = yield from world.split(None)
+        assert env.transport._split_tables == {}
+        return sub
+
+    assert run_ranks(4, program) == [None] * 4
+
+
+def test_split_groups_locally_when_the_table_holds_another_list(run_ranks):
+    """A table under the split's key that was built from a different list
+    object is neither used nor touched."""
+    stale = SimpleNamespace(entries=["another", "split"], groups={}, unread=5)
+
+    def program(env):
+        world = init_mpi(env)
+        key = (world.context_id, world._coll_seq, world.to_world(0))
+        if world.rank == 0:
+            env.transport._split_tables[key] = stale
+        sub = yield from world.split(world.rank % 2, key=world.rank)
+        members = yield from sub.allgather(world.rank)
+        yield from world.barrier()
+        assert env.transport._split_tables == {key: stale}
+        return members, sub.group
+
+    results = run_ranks(6, program)
+    assert [members for members, _ in results] == \
+        [[0, 2, 4], [1, 3, 5]] * 3
+    assert (stale.entries, stale.groups, stale.unread) == \
+        (["another", "split"], {}, 5)
+    # Grouped locally: equal groups, one object per rank.
+    assert results[0][1] == results[2][1]
+    assert results[0][1] is not results[2][1]

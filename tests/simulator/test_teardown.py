@@ -116,6 +116,18 @@ def _explicit_group():
     return case
 
 
+def _split_twice_program(env):
+    """Two back-to-back splits of one parent; a third of the ranks sit the
+    first one out with ``color=None``."""
+    world = init_mpi(env, vendor="intel")
+    first = yield from world.split(
+        None if world.rank % 3 == 0 else world.rank % 2, key=-world.rank)
+    second = yield from world.split(world.rank // 4, key=world.rank)
+    yield from world.barrier()
+    assert env.transport._split_tables == {}  # emptied by its readers
+    return None if first is None else first.size, second.size
+
+
 _LOOP = dict(operation="gather", words=8, repetitions=3, lockstep=False)
 
 CASES = {
@@ -138,6 +150,7 @@ CASES = {
                              method="create_group", vendor="intel"),
     "split": _cluster(16, split_halves_program, method="split",
                       vendor="intel"),
+    "split-twice-some-none": _cluster(12, _split_twice_program),
     "explicit-group": _explicit_group(),
     "traced": _scenario("two_tier", trace=True),
 }
@@ -248,6 +261,7 @@ def test_everything_public_stays_readable_after_teardown(case):
         assert transport.mailboxes_materialized() == \
             result.obs["mailboxes_materialized"]
         assert max(transport._send_port_free) > 0.0
+        assert transport._split_tables == {}
         assert cluster._obs_snapshot() == result.obs
         assert [env.rank for env in cluster.envs] == \
             list(range(cluster.num_ranks))
@@ -288,6 +302,18 @@ def _fights_generator_exit(env):
         raise KeyError("raised while being closed")
 
 
+def _dies_mid_split(env):
+    """Rank 0 leaves the split first and dies while the table of per-color
+    groups is still waiting for the other ranks to read it."""
+    world = init_mpi(env, vendor="intel")
+    yield from world.split(world.rank % 2, key=world.rank)
+    if env.rank == 0:
+        (table,) = env.transport._split_tables.values()
+        assert table.unread == world.size - 1
+        raise ValueError("boom")
+    yield from world.barrier()
+
+
 def _failure(num_ranks, program, params=None, **kwargs):
     """Run a failing program; ``(error type, cause type, message, cluster)``.
 
@@ -320,6 +346,9 @@ FAILURES = {
         RankFailedError, LockstepError),
     "cleanup-raises": (
         lambda: _failure(4, _fights_generator_exit),
+        RankFailedError, ValueError),
+    "dies-mid-split": (
+        lambda: _failure(16, _dies_mid_split),
         RankFailedError, ValueError),
 }
 
@@ -354,6 +383,7 @@ def test_failed_run_restores_collector_and_never_collects(
     assert all(proc.error is None for proc in cluster.engine.processes)
     assert all(env._proc is None for env in cluster.envs)
     assert set(cluster.transport._notify_hooks) == {None}
+    assert cluster.transport._split_tables == {}
     assert cluster._obs_snapshot()["lockstep_refusals"] == \
         (failure[2] is LockstepError)
 
