@@ -4,15 +4,22 @@
 Two modes:
 
 * ``python check_trace_schema.py FILE.jsonl [...]`` — validate existing
-  trace artifacts (JSONL schema, record shapes, a complete critical-path
-  walk whose makespan equals the recorded ``total_time`` exactly).
+  ``repro-trace/v2`` artifacts.  The file's shape (schema, tables, column
+  sets, equal column lengths, row counts against the header) is the
+  loader's to judge — anything else, a per-record v1 file included, fails
+  with the loader's ``TraceFormatError`` message; the values are judged
+  here: ranks in range, monotone times, the category / kind vocabularies,
+  and a complete critical-path walk whose makespan equals the recorded
+  ``total_time`` exactly.
 * ``python check_trace_schema.py`` (no arguments; CI's trace-smoke step) —
   run a tiny traced benchmark end to end: prove the traced run is
   bit-identical to the untraced one, write + re-validate the JSONL
   artifact, assert the critical path telescopes to ``simulated_us``
-  exactly, and gate the recording overhead on the engine ping-pong
-  micro (traced wall-clock must stay within ``--max-overhead`` of
-  untraced, default 1.3x, min-of-N timing on both sides).
+  exactly, print the artifact's dump / load / critical-path seconds and
+  bytes per row (failing above 110: the per-record v1 format took ~150,
+  v2 takes ~65-90), and gate the recording overhead on the engine
+  ping-pong micro (traced wall-clock must stay within ``--max-overhead``
+  of untraced, default 1.3x, min-of-N timing on both sides).
 """
 
 from __future__ import annotations
@@ -34,6 +41,10 @@ from repro.obs import (  # noqa: E402
     to_chrome_trace,
     write_jsonl,
 )
+
+
+#: Ceiling on a smoke artifact's size per span / edge / event.
+MAX_BYTES_PER_ROW = 110
 
 
 def validate_trace(trace, name: str) -> list:
@@ -130,19 +141,35 @@ def smoke(max_overhead: float, repeats: int) -> int:
         if untraced.stats.messages_sent != traced.stats.messages_sent:
             problems.append(f"{name}: messages_sent differs traced vs untraced")
 
-        # 2. Artifact round-trip + schema + exact critical path.
+        # 2. Artifact round-trip + schema + exact critical path, timed.
         path = os.path.join(HERE, "bench_results",
                             f"trace_smoke_{name}.trace.jsonl")
         os.makedirs(os.path.dirname(path), exist_ok=True)
+        start = time.perf_counter()
         write_jsonl(traced.trace, path)
+        dumped = time.perf_counter()
         reloaded = load_jsonl(path)
+        loaded = time.perf_counter()
+        report = critical_path(reloaded)
+        walked = time.perf_counter()
         problems.extend(validate_trace(reloaded, os.path.basename(path)))
-        if reloaded.total_time != traced.total_time:
-            problems.append(f"{name}: JSONL round-trip changed total_time")
+        if (reloaded.spans, reloaded.edges, reloaded.events) != \
+                (traced.trace.spans, traced.trace.edges, traced.trace.events) \
+                or reloaded.total_time != traced.total_time:
+            problems.append(f"{name}: JSONL round-trip changed the trace")
+        rows = len(reloaded.spans) + len(reloaded.edges) + len(reloaded.events)
+        per_row = os.path.getsize(path) / rows
+        print(f"      dump {dumped - start:.4f} s, load {loaded - dumped:.4f} s, "
+              f"critical path {walked - loaded:.4f} s; "
+              f"{os.path.getsize(path)} bytes / {rows} rows = "
+              f"{per_row:.1f} bytes per row (limit {MAX_BYTES_PER_ROW})")
+        if per_row > MAX_BYTES_PER_ROW:
+            problems.append(f"{name}: {per_row:.1f} bytes per row exceeds "
+                            f"{MAX_BYTES_PER_ROW}")
         chrome = to_chrome_trace(reloaded)
         if not chrome["traceEvents"]:
             problems.append(f"{name}: chrome export produced no events")
-        print(format_report(critical_path(reloaded), limit=5))
+        print(format_report(report, limit=5))
 
     # 3. Overhead gate: min-of-N wall clock, traced vs untraced.
     def best_of(trace_on: bool) -> float:

@@ -11,13 +11,18 @@ Layout::
 
     <root>/<code-fingerprint>/<scenario-id>.json
 
+    <root>/<code-fingerprint>/<scenario-id>.trace.jsonl   (``run --trace``)
+
 Each entry stores the canonical scenario next to its result, so a hit is
 verified against the full scenario content (hash collisions or hand-edited
 files cannot smuggle in a wrong result) and the store is self-describing.
+Entries and trace artifacts are written to a temporary file in the same
+directory and renamed into place, so a reader never sees half of one.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import os
@@ -64,6 +69,20 @@ def default_cache_dir() -> str:
         os.path.join(os.getcwd(), "bench_results", "experiments", "cache"))
 
 
+def _write_atomic(path: str, text: str) -> None:
+    """Create or replace ``path`` with ``text`` in one rename."""
+    os.makedirs(os.path.dirname(path), exist_ok=True)
+    temporary = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(temporary, "w", encoding="utf-8") as handle:
+            handle.write(text)
+        os.replace(temporary, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(temporary)
+        raise
+
+
 class ResultCache:
     """Directory-backed scenario-result store (one JSON file per scenario)."""
 
@@ -87,6 +106,28 @@ class ResultCache:
         return os.path.join(self.root, self.fingerprint,
                             f"{scenario.scenario_id}.trace.jsonl")
 
+    def put_trace(self, scenario: Scenario, jsonl: str) -> str:
+        """Store the scenario's trace artifact; returns its path."""
+        path = self.trace_path_for(scenario)
+        _write_atomic(path, jsonl)
+        return path
+
+    def has_trace(self, scenario: Scenario) -> bool:
+        """Whether the scenario's trace artifact is there and complete.
+
+        Judged by header and line framing (schema, row counts against the
+        number of table lines, final newline), which a missing, foreign or
+        cut-off file fails; the tables are decoded only by whoever reads
+        the trace, so a warm ``run --trace`` stays a file read per scenario.
+        """
+        # Imported here: untraced sweeps never load repro.obs.
+        from ..obs import TraceFormatError, check_jsonl_framing
+        try:
+            check_jsonl_framing(self.trace_path_for(scenario))
+        except (OSError, TraceFormatError):
+            return False
+        return True
+
     def get(self, scenario: Scenario) -> Optional["ScenarioResult"]:
         """The stored result of ``scenario`` (marked ``cached``), or None."""
         from .runner import ScenarioResult
@@ -107,13 +148,10 @@ class ResultCache:
         if not result.ok:
             raise ValueError("refusing to cache a failed scenario result")
         path = self.path_for(result.scenario)
-        os.makedirs(os.path.dirname(path), exist_ok=True)
         payload = result.to_dict()
         payload["cached"] = False  # stored results re-mark on the way out
         payload["cache_key"] = self.key(result.scenario)
-        with open(path, "w") as handle:
-            json.dump(payload, handle, indent=2, default=str)
-            handle.write("\n")
+        _write_atomic(path, json.dumps(payload, indent=2, default=str) + "\n")
         return path
 
     def prune(self) -> List[str]:

@@ -86,34 +86,42 @@ def _cmd_show(args) -> int:
     if spec.description:
         print(spec.description)
     cache = ResultCache(args.cache_dir) if args.trace else None
-    missing = 0
+    missing = unreadable = 0
     for index, scenario in enumerate(scenarios):
         print(f"[{index + 1:>3}] {scenario.scenario_id}  {scenario.describe()}")
         if cache is None:
             continue
-        missing += _show_trace(cache, scenario)
+        status = _show_trace(cache, scenario)
+        missing += status == "missing"
+        unreadable += status == "unreadable"
     if missing:
         print(f"\n{missing} scenario(s) have no trace artifact — run "
               f"`python -m repro.experiments run {args.spec} --trace` "
               "first (artifacts are invalidated by any repro code change)")
-    return 0
+    return 1 if unreadable else 0
 
 
-def _show_trace(cache: ResultCache, scenario) -> int:
-    """Print the cached scenario's critical-path summary; 1 when missing."""
-    from ..obs import critical_path, load_jsonl
+def _show_trace(cache: ResultCache, scenario) -> str:
+    """Print the cached scenario's critical-path summary; returns ``"ok"``,
+    ``"missing"`` or ``"unreadable"`` (one line names the file and why)."""
+    from ..obs import TraceFormatError, critical_path, load_jsonl
     path = cache.trace_path_for(scenario)
     if not os.path.exists(path):
         print("      no trace artifact cached")
-        return 1
-    report = critical_path(load_jsonl(path))
+        return "missing"
+    try:
+        trace = load_jsonl(path)
+    except TraceFormatError as exc:
+        print(f"      {path}: TraceFormatError: {exc}")
+        return "unreadable"
+    report = critical_path(trace)
     percentages = report.percentages()
     breakdown = "  ".join(
         f"{category} {share:5.1f}%"
         for category, share in sorted(percentages.items(),
                                       key=lambda item: -item[1]))
     print(f"      critical path {report.total:.4f} us: {breakdown}")
-    return 0
+    return "ok"
 
 
 def _cmd_run(args) -> int:
@@ -241,9 +249,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     run_parser.add_argument("--trace", action="store_true",
                             help="record a structured repro.obs trace per "
                                  "fresh scenario (first repetition) and "
-                                 "persist it next to the cached result; "
-                                 "inspect with `show --trace` or "
-                                 "`python -m repro.obs`")
+                                 "persist it next to the cached result (a "
+                                 "cached result without a complete trace "
+                                 "artifact is re-run); inspect with "
+                                 "`show --trace` or `python -m repro.obs`")
     run_parser.add_argument("--verbose", action="store_true",
                             help="print failure tracebacks as they happen")
     run_parser.set_defaults(func=_cmd_run)

@@ -20,7 +20,6 @@ wrappers use: expand, run, collect, aggregate telemetry.
 from __future__ import annotations
 
 import multiprocessing
-import os
 import time
 import traceback
 from dataclasses import dataclass, field
@@ -262,7 +261,9 @@ def run_scenarios(scenarios: Sequence[Scenario], *, workers: int = 1,
     without touching the pool.  ``progress`` is invoked with every result as
     it is finalised (before it is yielded).  ``trace=True`` records a
     structured trace per fresh scenario and persists it as JSONL next to the
-    cached result (:meth:`ResultCache.trace_path_for`); it requires a cache.
+    cached result (:meth:`ResultCache.trace_path_for`); it requires a cache,
+    and a cached result whose trace artifact is missing or incomplete (the
+    sweep ran untraced before) counts as a miss and is re-run.
     """
     if trace and cache is None:
         raise ValueError("trace=True needs a result cache to persist the "
@@ -271,7 +272,7 @@ def run_scenarios(scenarios: Sequence[Scenario], *, workers: int = 1,
     pending: List[Scenario] = []
     for scenario in scenarios:
         hit = None if (cache is None or force) else cache.get(scenario)
-        if hit is not None:
+        if hit is not None and (not trace or cache.has_trace(scenario)):
             cached_results[scenario.scenario_id] = hit
         else:
             pending.append(scenario)
@@ -282,12 +283,9 @@ def run_scenarios(scenarios: Sequence[Scenario], *, workers: int = 1,
             # observer; subprocess counters only exist in this snapshot.
             TELEMETRY.merge(result.telemetry)
         if result.trace_jsonl is not None and cache is not None:
-            path = cache.trace_path_for(result.scenario)
-            os.makedirs(os.path.dirname(path), exist_ok=True)
-            with open(path, "w") as handle:
-                handle.write(result.trace_jsonl)
-            # The artifact now lives on disk; don't duplicate the blob
-            # inside the cached result JSON.
+            # Artifact first, entry second: an entry on disk then implies
+            # its trace.  The blob is not duplicated inside the entry.
+            cache.put_trace(result.scenario, result.trace_jsonl)
             result.trace_jsonl = None
         if cache is not None and result.ok and not result.cached:
             cache.put(result)

@@ -5,8 +5,8 @@ Opt-in, zero-overhead-when-off tracing threaded through the whole stack:
 * :class:`TraceRecorder` (:mod:`repro.obs.spans`) — the passive sink the
   engine, transport, SPMD coordinator, schedule-IR interpreter, and
   batched-sort tier emit spans / message edges / point events into.
-* :mod:`repro.obs.export` — Chrome-trace/Perfetto and compact JSONL
-  renderings of a recorded run.
+* :mod:`repro.obs.export` — Chrome-trace/Perfetto rendering and the
+  columnar ``repro-trace/v2`` JSONL artifact of a recorded run.
 * :mod:`repro.obs.critpath` — the critical-path analyzer: the one chain
   of computes, wire times, and port waits that determines
   ``simulated_us``, with Figure-8-style per-category attribution.
@@ -20,6 +20,9 @@ traces (``timeline`` / ``critpath`` / ``summary``).
 from .critpath import CriticalPathReport, Segment, critical_path, format_report
 from .export import (
     JSONL_SCHEMA,
+    TABLES,
+    TraceFormatError,
+    check_jsonl_framing,
     dump_jsonl,
     load_jsonl,
     loads_jsonl,
@@ -38,10 +41,13 @@ __all__ = [
     "critical_path",
     "format_report",
     "JSONL_SCHEMA",
+    "TABLES",
+    "TraceFormatError",
     "to_chrome_trace",
     "write_chrome_trace",
     "dump_jsonl",
     "write_jsonl",
     "load_jsonl",
     "loads_jsonl",
+    "check_jsonl_framing",
 ]

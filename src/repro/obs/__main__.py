@@ -1,4 +1,5 @@
-"""CLI over saved JSONL traces: ``python -m repro.obs <command> <trace>``.
+"""CLI over saved ``repro-trace/v2`` JSONL traces:
+``python -m repro.obs <command> <trace>``.
 
 Commands
 --------
@@ -11,6 +12,10 @@ Commands
 ``summary TRACE``
     Print per-category span totals, per-rank activity, recorded
     counters, and point events.
+
+A file that is not a complete v2 trace (cut off, hand-edited, written by an
+older version) ends the command with one line naming the file and the
+:class:`~repro.obs.export.TraceFormatError`, exit status 1.
 """
 
 from __future__ import annotations
@@ -19,11 +24,10 @@ import argparse
 import sys
 
 from .critpath import critical_path, format_report
-from .export import load_jsonl, write_chrome_trace
+from .export import TraceFormatError, load_jsonl, write_chrome_trace
 
 
-def _cmd_timeline(args) -> int:
-    trace = load_jsonl(args.trace)
+def _cmd_timeline(args, trace) -> int:
     out = args.output or (args.trace + ".chrome.json")
     write_chrome_trace(trace, out)
     print(f"wrote {out}: {len(trace.spans)} span(s), "
@@ -33,14 +37,12 @@ def _cmd_timeline(args) -> int:
     return 0
 
 
-def _cmd_critpath(args) -> int:
-    trace = load_jsonl(args.trace)
+def _cmd_critpath(args, trace) -> int:
     print(format_report(critical_path(trace), limit=args.limit))
     return 0
 
 
-def _cmd_summary(args) -> int:
-    trace = load_jsonl(args.trace)
+def _cmd_summary(args, trace) -> int:
     print(f"trace: {trace.num_ranks} rank(s), "
           f"total_time={trace.total_time:.6f} us")
     print(f"  spans: {len(trace.spans)}  edges: {len(trace.edges)}  "
@@ -64,7 +66,8 @@ def _cmd_summary(args) -> int:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.obs",
-        description="Inspect saved repro-trace/v1 JSONL traces.")
+        description="Inspect saved repro-trace/v2 JSONL traces (the columnar "
+                    "artifacts of write_jsonl and `experiments run --trace`).")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("timeline",
@@ -85,7 +88,12 @@ def main(argv=None) -> int:
     p.set_defaults(func=_cmd_summary)
 
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        trace = load_jsonl(args.trace)
+    except (OSError, TraceFormatError) as exc:
+        print(f"{args.trace}: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 1
+    return args.func(args, trace)
 
 
 if __name__ == "__main__":

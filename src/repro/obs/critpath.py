@@ -37,8 +37,10 @@ communication.
 
 from __future__ import annotations
 
-from bisect import bisect_left, insort
+from bisect import bisect_left
 from dataclasses import dataclass, field
+from itertools import chain
+from operator import itemgetter
 from typing import NamedTuple
 
 from .spans import TraceRecorder
@@ -110,6 +112,38 @@ class CriticalPathReport:
                 for group, duration in self.grouped_totals().items()}
 
 
+def _span_weight(span: tuple) -> tuple:
+    return span[1], _SPAN_PRIORITY.get(span[3], 0)
+
+
+def _binding(rows: list, key, weight) -> dict:
+    """``{key(row): row}`` keeping, of rows that share a key, the one of
+    greatest ``weight(row)`` — the first such in ``rows`` order.
+
+    ``key`` is an :func:`operator.itemgetter`, so the index is built by the
+    dict constructor with no Python-level call per row; ``weight`` runs only
+    for rows whose key another row took (rare: two messages through one port
+    at one instant, a charge and its enclosing phase ending together).
+    """
+    index = dict(zip(map(key, reversed(rows)), reversed(rows)))
+    if len(index) < len(rows):
+        for row in [row for row in rows if index[key(row)] is not row]:
+            if weight(row) > weight(index[key(row)]):
+                index[key(row)] = row
+    return index
+
+
+def _indexes(trace: TraceRecorder) -> tuple:
+    """The walker's three lookups: the most-constraining edge per
+    ``(dst, arrival)`` and per ``(src, leave)`` — on ties the latest-starting
+    (then latest-posted) message is the binding one — and the span per
+    ``(rank, t1)``, latest-starting then most specific first."""
+    latest = itemgetter(4, 2)
+    return (_binding(trace.edges, itemgetter(1, 6), latest),
+            _binding(trace.edges, itemgetter(0, 5), latest),
+            _binding(trace.spans, itemgetter(0, 2), _span_weight))
+
+
 def critical_path(trace: TraceRecorder) -> CriticalPathReport:
     """Compute the makespan path of a finalized trace."""
     if not trace.finalized:
@@ -120,47 +154,10 @@ def critical_path(trace: TraceRecorder) -> CriticalPathReport:
     if total_time <= 0.0:
         return CriticalPathReport(total=0.0)
 
-    # --- indexes ----------------------------------------------------------
-    # Most-constraining edge per (dst, arrival) and (src, leave): on ties
-    # the latest-starting (then latest-posted) message is the binding one.
-    by_arrival: dict = {}
-    by_leave: dict = {}
-    # Per-rank sorted activity end times for the idle fallback.
-    activity: dict[int, list[float]] = {}
-
-    def note(rank: int, time: float) -> None:
-        ends = activity.get(rank)
-        if ends is None:
-            activity[rank] = [time]
-        elif ends[-1] < time:
-            ends.append(time)
-        elif ends[-1] != time:
-            insort(ends, time)
-
-    for edge in trace.edges:
-        src, dst, post, _ld, start, _leave, arrival, _words = edge
-        key = (dst, arrival)
-        best = by_arrival.get(key)
-        if best is None or (start, post) > (best[4], best[2]):
-            by_arrival[key] = edge
-        key = (src, edge[5])
-        best = by_leave.get(key)
-        if best is None or (start, post) > (best[4], best[2]):
-            by_leave[key] = edge
-        note(dst, arrival)
-        note(src, edge[5])
-
-    span_best: dict = {}
-    for span in trace.spans:
-        rank, t0, t1, category, _label = span
-        key = (rank, t1)
-        best = span_best.get(key)
-        if best is None or (t0, _SPAN_PRIORITY.get(category, 0)) > \
-                (best[1], _SPAN_PRIORITY.get(best[3], 0)):
-            span_best[key] = span
-        note(rank, t1)
-    for ends in activity.values():
-        ends.sort()
+    by_arrival, by_leave, span_best = _indexes(trace)
+    # Sorted (rank, time) activity ends for the idle fallback, built by the
+    # first one: exactly the keys of the three indexes.
+    activity = None
 
     # --- backward walk ----------------------------------------------------
     rank = max(range(len(finish_times)), key=finish_times.__getitem__) \
@@ -209,14 +206,12 @@ def critical_path(trace: TraceRecorder) -> CriticalPathReport:
             t = span[1]
             continue
         # Idle fallback: back to the rank's latest earlier activity.
+        if activity is None:
+            activity = sorted(chain(by_arrival, by_leave, span_best))
         prev = 0.0
-        ends = activity.get(rank)
-        if ends:
-            i = bisect_left(ends, t)
-            if i > 0:
-                prev = ends[i - 1]
-        if prev >= t:
-            prev = 0.0
+        i = bisect_left(activity, (rank, t))
+        if i > 0 and activity[i - 1][0] == rank:
+            prev = activity[i - 1][1]
         segments.append(Segment(rank, prev, t, "idle", "idle"))
         t = prev
 

@@ -16,6 +16,12 @@ virtual-time reads beyond values the site already computed, and no RNG
 draws.  That is the zero-overhead contract — tracing must never perturb
 ``simulated_us``, event counts, or random sequences on any tier.
 
+The recorder stays row-major (one tuple per record: ``list.append(tuple)``
+costs 0.09 us at an emit site, ``array('d').extend(tuple)`` 0.56 us); the
+``repro-trace/v2`` artifact is column-major, and :mod:`repro.obs.export`
+transposes once per table with ``zip(*rows)``.  The field order of the
+tuples below is the column order of :data:`repro.obs.export.TABLES`.
+
 Recorded primitives
 -------------------
 

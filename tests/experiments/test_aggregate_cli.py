@@ -141,6 +141,31 @@ def test_cli_run_reports_failures_with_nonzero_exit(tmp_path, capsys):
               "--out", str(tmp_path / "out")])
 
 
+def test_cli_show_trace_after_untraced_run_and_on_a_broken_artifact(tmp_path,
+                                                                   capsys):
+    run = ["run", "smoke", "--out", str(tmp_path / "out"),
+           "--cache-dir", str(tmp_path / "cache")]
+    show = ["show", "smoke", "--trace", "--cache-dir", str(tmp_path / "cache")]
+    assert main(run) == 0
+    assert main(show) == 0
+    assert "4 scenario(s) have no trace artifact" in capsys.readouterr().out
+
+    # The results are cached, the traces are not: --trace re-runs them.
+    assert main(run + ["--trace"]) == 0
+    assert "4 executed, 0 cached" in capsys.readouterr().out
+    assert main(show) == 0
+    out = capsys.readouterr().out
+    assert out.count("critical path") == 4 and "no trace artifact" not in out
+
+    fingerprint_dir, = (tmp_path / "cache").iterdir()
+    broken = sorted(fingerprint_dir.glob("*.trace.jsonl"))[0]
+    broken.write_text(broken.read_text()[:-40])
+    assert main(show) == 1
+    lines = [line for line in capsys.readouterr().out.splitlines()
+             if "TraceFormatError" in line]
+    assert len(lines) == 1 and str(broken) in lines[0]
+
+
 def test_cli_unknown_spec_name_exits():
     with pytest.raises(SystemExit):
         main(["run", "no_such_spec"])

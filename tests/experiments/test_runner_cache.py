@@ -17,6 +17,7 @@ from repro.experiments import (
     run_scenarios,
     run_spec,
 )
+from repro.obs import JSONL_SCHEMA, TraceFormatError, critical_path, load_jsonl
 from repro.simulator import machine_preset
 
 
@@ -208,6 +209,81 @@ def test_cached_results_marked_cached(tmp_path):
     assert not fresh.cached
     hit = cache.get(scenario)
     assert hit.cached and hit.durations_us == fresh.durations_us
+
+
+def test_traced_run_after_untraced_run_writes_the_artifacts(tmp_path):
+    """``run SPEC`` then ``run SPEC --trace``: the cached results carry no
+    trace, so the traced sweep must re-run them, not serve four hits and
+    leave ``show --trace`` with nothing to read."""
+    spec = _mini_spec()
+    cache = ResultCache(str(tmp_path))
+    untraced = run_spec(spec, cache=cache)
+    traced = run_spec(spec, cache=cache, trace=True)
+    assert (traced.executed, traced.cached) == (4, 0)
+    assert [r.durations_us for r in traced.results] == \
+        [r.durations_us for r in untraced.results]
+    for result in traced.results:
+        trace = load_jsonl(cache.trace_path_for(result.scenario))
+        assert critical_path(trace).total == trace.total_time
+
+    warm = run_spec(spec, cache=cache, trace=True)
+    assert (warm.executed, warm.cached) == (0, 4)
+    # Untraced sweeps never look at the artifacts.
+    assert run_spec(spec, cache=cache).cached == 4
+
+
+@pytest.mark.parametrize("damage", ["cut mid-line", "cut at a line boundary",
+                                    "another schema"])
+def test_traced_hit_needs_a_complete_artifact(tmp_path, damage):
+    spec = _mini_spec()
+    cache = ResultCache(str(tmp_path))
+    first = run_spec(spec, cache=cache, trace=True)
+    victim = first.results[2].scenario
+    path = cache.trace_path_for(victim)
+    with open(path) as handle:
+        text = handle.read()
+    header, newline, tables = text.partition("\n")
+    with open(path, "w") as handle:
+        handle.write({"cut mid-line": text[:len(text) // 2],
+                      "cut at a line boundary": header + newline,
+                      "another schema": text.replace(JSONL_SCHEMA,
+                                                     "repro-trace/v1", 1),
+                      }[damage])
+    assert not cache.has_trace(victim)
+    with pytest.raises(TraceFormatError):
+        load_jsonl(path)
+
+    again = run_spec(spec, cache=cache, trace=True)
+    assert [r.cached for r in again.results] == [True, True, False, True]
+    with open(path) as handle:
+        assert handle.read() == text
+
+
+def test_cache_writes_go_through_a_rename(tmp_path, monkeypatch):
+    """A write that dies half way leaves the previous entry (or nothing) in
+    place and no temporary file behind."""
+    cache = ResultCache(str(tmp_path), fingerprint="aaaa")
+    scenario = _collective()
+    result = execute_scenario(scenario)
+    path = cache.put(result)
+    with open(path) as handle:
+        before = handle.read()
+
+    import os
+
+    def failing_replace(source, target):
+        raise OSError("disk full")
+    monkeypatch.setattr(os, "replace", failing_replace)
+    with pytest.raises(OSError, match="disk full"):
+        cache.put(result)
+    with pytest.raises(OSError, match="disk full"):
+        cache.put_trace(scenario, "half a tra")
+    monkeypatch.undo()
+
+    with open(path) as handle:
+        assert handle.read() == before
+    assert os.listdir(os.path.dirname(path)) == [os.path.basename(path)]
+    assert not cache.has_trace(scenario)
 
 
 # ---------------------------------------------------------------------------

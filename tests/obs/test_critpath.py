@@ -58,3 +58,22 @@ def test_makespan_rank_with_trailing_idle():
     grouped = report.grouped_totals()
     assert grouped["comm"] == pytest.approx(2.0)
     assert grouped["idle"] == pytest.approx(3.0)
+
+
+def test_idle_goes_back_to_the_ranks_own_latest_activity():
+    # Rank 1 makes the makespan with nothing ending at 9: the idle segment
+    # reaches back to rank 1's own span end at 4 — not to rank 0's later
+    # activity at 6, and not to rank 2's at 8 — then to 0 once rank 1 has
+    # nothing earlier, whatever lower-numbered ranks did before.
+    trace = TraceRecorder(3)
+    trace.spans.append((0, 0.0, 6.0, "compute", "other rank"))
+    trace.spans.append((1, 3.0, 4.0, "compute", "own"))
+    trace.spans.append((2, 0.0, 8.0, "compute", "other rank"))
+    trace.finalize(9.0, [6.0, 9.0, 8.0], {})
+    report = critical_path(trace)
+    assert report.complete and report.total == 9.0
+    assert [tuple(segment) for segment in report.segments] == [
+        (1, 0.0, 3.0, "idle", "idle"),
+        (1, 3.0, 4.0, "compute", "own"),
+        (1, 4.0, 9.0, "idle", "idle"),
+    ]
