@@ -59,13 +59,8 @@ def jquick_program(env, *, backend: str, vendor: str, local_data, config: JQuick
 
 def run(scale: str = "small", *, num_ranks: Optional[int] = None,
         workload: str = "uniform", schedule: str = "alternating",
-        repetitions: Optional[int] = None, sampler: str = "counter") -> Table:
-    """Run the Fig. 8 sweep; one row per (curve, n/p).
-
-    ``sampler`` selects the pivot-sampling stream of
-    :class:`~repro.sorting.JQuickConfig` — ``"pcg64"`` reproduces the
-    pre-kernel runs bit for bit (used by the differential trajectory test).
-    """
+        repetitions: Optional[int] = None) -> Table:
+    """Run the Fig. 8 sweep; one row per (curve, n/p)."""
     preset = dict(PRESETS[scale])
     if num_ranks is not None:
         preset["num_ranks"] = num_ranks
@@ -87,8 +82,7 @@ def run(scale: str = "small", *, num_ranks: Optional[int] = None,
 
             def make_program(rep, backend=backend, vendor=vendor, n=n):
                 parts = generate(workload, n, p, seed=1000 + rep)
-                config = JQuickConfig(schedule=schedule, seed=17 + rep,
-                                      sampler=sampler)
+                config = JQuickConfig(schedule=schedule, seed=17 + rep)
                 rank_kwargs = [dict(local_data=parts[rank]) for rank in range(p)]
                 return (jquick_program, (), dict(
                     backend=backend, vendor=vendor, config=config,

@@ -16,9 +16,11 @@ native MPI.
 * :mod:`repro.collectives.large` — large-input algorithms (scatter,
   scatter-allgather broadcast, pipelined broadcast, ring reduce-scatter and
   ring allreduce) plus the crossover heuristics for ``algorithm="auto"``.
-* :mod:`repro.collectives.hierarchical` — topology-aware node-leader
-  schedules for hierarchical machines, selected automatically when the
-  executing cluster's placement spans several nodes.
+* :mod:`repro.collectives.hierarchical` — the node/island hierarchy of a
+  group and the interpreter of the node-leader schedules
+  (:mod:`repro.collectives.ir`) built from it.
+* :mod:`repro.collectives.dispatch` — ``start``: the one place a collective
+  picks its schedule (flat, node-leader, large-input) and its execution tier.
 """
 
 from .endpoint import TransportEndpoint
@@ -26,10 +28,6 @@ from .hierarchical import (
     Hierarchy,
     SubgroupEndpoint,
     build_hierarchy,
-    hier_allreduce_schedule,
-    hier_barrier_schedule,
-    hier_bcast_schedule,
-    hier_reduce_schedule,
     hierarchy_of,
 )
 from .large import (
@@ -39,7 +37,6 @@ from .large import (
     block_sizes,
     choose_allreduce_algorithm,
     choose_bcast_algorithm,
-    dispatch_bcast_schedule,
     pipeline_bcast_schedule,
     reduce_scatter_ring_schedule,
     ring_allgather_schedule,
@@ -66,10 +63,6 @@ __all__ = [
     "SubgroupEndpoint",
     "TransportEndpoint",
     "build_hierarchy",
-    "hier_allreduce_schedule",
-    "hier_barrier_schedule",
-    "hier_bcast_schedule",
-    "hier_reduce_schedule",
     "hierarchy_of",
     "allgather_schedule",
     "allreduce_ring_schedule",
@@ -85,7 +78,6 @@ __all__ = [
     "ceil_log2",
     "choose_allreduce_algorithm",
     "choose_bcast_algorithm",
-    "dispatch_bcast_schedule",
     "exscan_schedule",
     "gather_schedule",
     "pipeline_bcast_schedule",

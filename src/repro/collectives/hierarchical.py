@@ -29,26 +29,25 @@ endpoint's group ranks — so :class:`~repro.collectives.machines.CollectiveRequ
 drives the composed schedule unchanged, and all forwarding/freezing fast
 paths of the flat schedules apply per phase.
 
-The composition itself is no longer described here: :mod:`repro.collectives.ir`
+The composition itself is not described here: :mod:`repro.collectives.ir`
 builds a typed :class:`~repro.collectives.ir.Schedule` (stage list + value
-routing) from the :class:`Hierarchy`, and :func:`run_schedule` below is the
-scalar *interpreter* of that IR — the same schedule objects drive the SPMD
-lockstep/fast-forward tier in :mod:`repro.core.spmd` bit-identically.  The
-``hier_*_schedule`` generators are thin wrappers that select the schedule
-(falling back to the flat algorithm off hierarchical machines) and hand it to
-the interpreter; they also cover the two operations new to the family,
-node-leader **gather** and the segmented node-prefix **iscan**.
+routing) from the :class:`Hierarchy` — for the four operations above and for
+node-leader **gather** and the segmented node-prefix **iscan** — and
+:func:`run_schedule` below is the scalar *interpreter* of that IR; the same
+schedule objects drive the SPMD lockstep/fast-forward tier in
+:mod:`repro.core.spmd` bit-identically.
 
 The root of a rooted operation acts as the leader of its own node and island
 (no extra hop into the root's node).  Leader election takes the smallest
 group rank of each node, which handles ragged nodes (a group whose size is
 not a multiple of the node size, or whose range starts mid-node) naturally.
 
-:func:`hierarchy_of` is the selection predicate the RBC layer and
-``algorithm="auto"`` use: it returns a :class:`Hierarchy` only when the
-executing machine's cost model prices links non-uniformly *and* the group
-actually spans more than one node — flat machines never reach the
-hierarchical code path, keeping their schedules bit-identical.
+:func:`hierarchy_of` is the selection predicate
+:func:`repro.collectives.dispatch.start` uses: it returns a
+:class:`Hierarchy` only when the executing machine's cost model prices links
+non-uniformly *and* the group actually spans more than one node — flat
+machines never reach the hierarchical code path, keeping their schedules
+bit-identical.
 """
 
 from __future__ import annotations
@@ -58,10 +57,8 @@ from typing import Any, Callable, Optional
 import numpy as np
 
 from .endpoint import TransportEndpoint
-from .ir import Schedule, schedule_for, token_op
+from .ir import Schedule
 from .machines import (
-    allreduce_schedule,
-    barrier_schedule,
     bcast_schedule,
     gather_schedule,
     reduce_schedule,
@@ -73,14 +70,7 @@ __all__ = [
     "SubgroupEndpoint",
     "build_hierarchy",
     "hierarchy_of",
-    "barrier_hierarchy_of",
     "run_schedule",
-    "hier_bcast_schedule",
-    "hier_reduce_schedule",
-    "hier_allreduce_schedule",
-    "hier_barrier_schedule",
-    "hier_gather_schedule",
-    "hier_scan_schedule",
 ]
 
 
@@ -291,23 +281,6 @@ def hierarchy_of(ep: TransportEndpoint) -> Optional[Hierarchy]:
     return hierarchy if hierarchy.nontrivial else None
 
 
-def barrier_hierarchy_of(ep: TransportEndpoint) -> Optional[Hierarchy]:
-    """The hierarchy a *barrier* should exploit, else None.
-
-    Stricter than :func:`hierarchy_of`: the node-leader tree barrier only
-    pays off on machines whose nodes share NIC ports (``ports_per_node``),
-    where the dissemination pattern's all-ranks-send-across-the-machine
-    rounds serialise on the node ports.  With private per-rank ports the
-    dissemination barrier's ``log p`` rounds beat the tree barrier's
-    ``2 log p`` and remain the default.  This is the single selection rule
-    shared by the RBC layer and the node-aware vendor MPI layer — one place
-    to change, so the two baselines can never desynchronise.
-    """
-    if not getattr(ep.cost_model, "ports_per_node", None):
-        return None
-    return hierarchy_of(ep)
-
-
 class SubgroupEndpoint:
     """View of a :class:`TransportEndpoint` restricted to ``members``.
 
@@ -347,7 +320,7 @@ class SubgroupEndpoint:
 
 
 # ---------------------------------------------------------------------------
-# The scalar IR interpreter, and the node-leader schedules as IR wrappers.
+# The scalar IR interpreter.
 # ---------------------------------------------------------------------------
 
 def run_schedule(ep: TransportEndpoint, schedule: Schedule, value: Any,
@@ -393,100 +366,3 @@ def run_schedule(ep: TransportEndpoint, schedule: Schedule, value: Any,
         else:  # "scan"
             carry = yield from scan_schedule(sub, carry, op)
     return schedule.finalize(rank, carry, prefix, op)
-
-
-def hier_bcast_schedule(ep: TransportEndpoint, value: Any, root: int,
-                        hierarchy: Optional[Hierarchy] = None):
-    """Node-leader broadcast: islands → node leaders → node members."""
-    h = hierarchy if hierarchy is not None else hierarchy_of(ep)
-    if h is None:
-        result = yield from bcast_schedule(ep, value, root)
-        return result
-    result = yield from run_schedule(ep, schedule_for(h, "bcast", root),
-                                     value, None)
-    return result
-
-
-def hier_reduce_schedule(ep: TransportEndpoint, value: Any,
-                         op: Callable[[Any, Any], Any], root: int,
-                         hierarchy: Optional[Hierarchy] = None):
-    """Node-leader reduction (the broadcast tree bottom-up); root gets the
-    result, every other rank returns None."""
-    h = hierarchy if hierarchy is not None else hierarchy_of(ep)
-    if h is None:
-        result = yield from reduce_schedule(ep, value, op, root)
-        return result
-    result = yield from run_schedule(ep, schedule_for(h, "reduce", root),
-                                     value, op)
-    return result
-
-
-def hier_allreduce_schedule(ep: TransportEndpoint, value: Any,
-                            op: Callable[[Any, Any], Any],
-                            hierarchy: Optional[Hierarchy] = None):
-    """Hierarchical reduce to rank 0 followed by a hierarchical broadcast."""
-    h = hierarchy if hierarchy is not None else hierarchy_of(ep)
-    if h is None:
-        result = yield from allreduce_schedule(ep, value, op)
-        return result
-    result = yield from run_schedule(ep, schedule_for(h, "allreduce"),
-                                     value, op)
-    return result
-
-
-def hier_barrier_schedule(ep: TransportEndpoint,
-                          hierarchy: Optional[Hierarchy] = None):
-    """Tree barrier along the hierarchy: token reduce up, release bcast down.
-
-    ``O(log ranks_per_node)`` shared-memory rounds plus ``O(log nodes)``
-    inter-node rounds — against the dissemination barrier's ``O(log p)``
-    rounds in which *every* rank sends across the machine (ruinous once a
-    node's ranks share a NIC).
-    """
-    h = hierarchy if hierarchy is not None else hierarchy_of(ep)
-    if h is None:
-        yield from barrier_schedule(ep)
-        return None
-    result = yield from run_schedule(ep, schedule_for(h, "barrier"),
-                                     None, token_op)
-    return result
-
-
-def hier_gather_schedule(ep: TransportEndpoint, value: Any, root: int,
-                         hierarchy: Optional[Hierarchy] = None):
-    """Node-leader gather: node members → node leader → island leader → root.
-
-    Only one (list-valued) message per node crosses the node boundary and one
-    per island crosses the island boundary; the root flattens the nested
-    lists back into group-rank order host-side.  Doubles as gatherv, like the
-    flat schedule.
-    """
-    h = hierarchy if hierarchy is not None else hierarchy_of(ep)
-    if h is None:
-        result = yield from gather_schedule(ep, value, root)
-        return result
-    result = yield from run_schedule(ep, schedule_for(h, "gather", root),
-                                     value, None)
-    return result
-
-
-def hier_scan_schedule(ep: TransportEndpoint, value: Any,
-                       op: Callable[[Any, Any], Any],
-                       hierarchy: Optional[Hierarchy] = None):
-    """Segmented node-prefix inclusive scan.
-
-    Per-node inclusive scans run concurrently, one dissemination scan over
-    the node totals crosses the node boundary, and a two-hop seam broadcast
-    delivers each node's exclusive prefix — ``O(log ranks_per_node +
-    log nodes)`` rounds with one inter-node message per node, against the
-    flat dissemination scan's ``O(log p)`` all-spanning rounds.  Requires a
-    contiguous hierarchy (:attr:`Hierarchy.contiguous`); callers fall back to
-    the flat scan otherwise.
-    """
-    h = hierarchy if hierarchy is not None else hierarchy_of(ep)
-    if h is None or not h.contiguous:
-        result = yield from scan_schedule(ep, value, op)
-        return result
-    result = yield from run_schedule(ep, schedule_for(h, "scan"),
-                                     value, op)
-    return result

@@ -16,7 +16,8 @@ those extensions:
 * a **ring reduce-scatter** and the **ring allreduce** built from it
   (reduce-scatter + allgather), both bandwidth-optimal,
 * :func:`choose_bcast_algorithm` / :func:`choose_allreduce_algorithm`, the
-  simple crossover heuristics the RBC layer uses for ``algorithm="auto"``.
+  simple crossover heuristics behind ``algorithm="auto"``
+  (:mod:`repro.collectives.dispatch`).
 
 All schedules follow the same protocol as :mod:`repro.collectives.machines`:
 they are generators that yield lists of pending point-to-point requests and
@@ -42,8 +43,6 @@ from ..simulator.costmodel import (
 )
 from ..simulator.network import freeze_payload, payload_words
 from .endpoint import TransportEndpoint
-from .hierarchical import hier_bcast_schedule, hierarchy_of
-from .machines import bcast_schedule
 from .topology import from_virtual, to_virtual
 
 __all__ = [
@@ -433,54 +432,3 @@ def choose_allreduce_algorithm(words: int, size: int, payload: Any = None,
     if size > 2 and words >= threshold:
         return "ring"
     return small
-
-
-# ---------------------------------------------------------------------------
-# Dispatching broadcast used by the RBC layer.
-# ---------------------------------------------------------------------------
-
-def dispatch_bcast_schedule(ep: TransportEndpoint, value: Any, root: int,
-                            algorithm: Optional[str] = None,
-                            segment_words: int = DEFAULT_SEGMENT_WORDS):
-    """Return the schedule implementing ``algorithm`` for a broadcast.
-
-    ``algorithm`` is one of ``"binomial"``, ``"hierarchical"``,
-    ``"scatter_allgather"``, ``"pipeline"``, ``"auto"`` — or None, which
-    resolves to the node-leader tree when the executing machine exposes a
-    non-trivial placement (:func:`~repro.collectives.hierarchical.hierarchy_of`)
-    and the historical binomial tree otherwise (bit-identical on flat
-    machines).  Only the root knows the payload, so under ``"auto"`` the root
-    picks the algorithm and broadcasts its one-word choice down the binomial
-    tree first (the cost of that step is a single ``alpha log p`` term,
-    negligible for the large payloads "auto" is about).
-    """
-    if algorithm is None:
-        hierarchy = hierarchy_of(ep)
-        if hierarchy is not None:
-            return hier_bcast_schedule(ep, value, root, hierarchy)
-        return bcast_schedule(ep, value, root)
-    if algorithm == "auto":
-        return _auto_bcast_schedule(ep, value, root, segment_words)
-    if algorithm == "binomial":
-        return bcast_schedule(ep, value, root)
-    if algorithm == "hierarchical":
-        return hier_bcast_schedule(ep, value, root)
-    if algorithm == "scatter_allgather":
-        return bcast_scatter_allgather_schedule(ep, value, root)
-    if algorithm == "pipeline":
-        return pipeline_bcast_schedule(ep, value, root, segment_words)
-    raise ValueError(
-        f"unknown broadcast algorithm {algorithm!r}; expected one of "
-        "'auto', 'binomial', 'hierarchical', 'scatter_allgather', 'pipeline'")
-
-
-def _auto_bcast_schedule(ep: TransportEndpoint, value: Any, root: int,
-                         segment_words: int):
-    choice = None
-    if ep.rank == root:
-        choice = choose_bcast_algorithm(payload_words(value), ep.size, value,
-                                        model=ep.cost_model,
-                                        hierarchical=hierarchy_of(ep) is not None)
-    choice = yield from bcast_schedule(ep, choice, root)
-    result = yield from dispatch_bcast_schedule(ep, value, root, choice, segment_words)
-    return result

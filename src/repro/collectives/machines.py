@@ -50,12 +50,15 @@ class CollectiveRequest(Request):
     creates a request object which contains a local state machine, executes
     its first state, and returns the request").  Subsequent states execute
     whenever ``test()`` finds all current data dependencies satisfied.
+
+    ``label`` names the request's span in a traced run; by default it is the
+    schedule generator's name without its ``_schedule`` suffix.
     """
 
     __slots__ = ("env", "_gen", "_pending", "_done", "_value",
                  "_obs", "_obs_t0", "_obs_label")
 
-    def __init__(self, env, schedule):
+    def __init__(self, env, schedule, label: Optional[str] = None):
         self.env = env
         self._gen = schedule
         # The current state's completion tester: a single Request, a
@@ -75,10 +78,11 @@ class CollectiveRequest(Request):
         self._obs = obs
         if obs is not None:
             self._obs_t0 = env.engine._now
-            code = getattr(schedule, "gi_code", None)
-            label = code.co_name if code is not None else "collective"
-            if label.endswith("_schedule"):
-                label = label[: -len("_schedule")]
+            if label is None:
+                code = getattr(schedule, "gi_code", None)
+                label = code.co_name if code is not None else "collective"
+                if label.endswith("_schedule"):
+                    label = label[: -len("_schedule")]
             self._obs_label = label
         # Execute the first state eagerly so communication starts immediately.
         self.test()

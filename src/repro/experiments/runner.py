@@ -2,7 +2,10 @@
 
 :func:`execute_scenario` runs one scenario's repetitions deterministically
 (per-scenario seeding, derived from the scenario's own ``seed`` field) and
-captures failures per scenario instead of aborting a whole sweep.
+captures failures per scenario instead of aborting a whole sweep.  A
+collective repetition the lockstep tier refuses (``LockstepError``) is not a
+failure: it is re-run on the event-by-event schedules and counted in the
+scenario's ``telemetry["lockstep_refusals"]``.
 
 :func:`run_scenarios` streams :class:`ScenarioResult` objects in submission
 order.  With ``workers > 1`` the uncached scenarios are distributed over a
@@ -23,6 +26,7 @@ import multiprocessing
 import time
 import traceback
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Iterator, List, Optional, Sequence
 
 from ..bench.harness import (
@@ -32,7 +36,9 @@ from ..bench.harness import (
     collective_program,
     run_rank_durations,
 )
+from ..core.spmd import LockstepError
 from ..simulator.cluster import add_run_observer, remove_run_observer
+from ..simulator.errors import RankFailedError
 from ..simulator.trace import Tracer
 from .cache import ResultCache
 from .spec import ExperimentSpec, Scenario
@@ -116,15 +122,26 @@ class ScenarioResult:
 # Single-scenario execution.
 # ---------------------------------------------------------------------------
 
-def _collective_reps(scenario: Scenario, params, placement, sink):
+def _collective_reps(scenario: Scenario, params, placement, sink, telemetry):
+    run = partial(run_rank_durations, scenario.num_ranks, collective_program,
+                  params=params, placement=placement,
+                  operation=scenario.operation, impl=scenario.impl,
+                  vendor=scenario.vendor, words=scenario.words)
     samples, messages = [], 0
     for rep in range(scenario.repetitions):
-        duration, result = run_rank_durations(
-            scenario.num_ranks, collective_program,
-            params=params, placement=placement,
-            trace=(sink.trace_first and rep == 0),
-            operation=scenario.operation, impl=scenario.impl,
-            vendor=scenario.vendor, words=scenario.words)
+        trace = sink.trace_first and rep == 0
+        try:
+            duration, result = run(trace=trace)
+        except RankFailedError as exc:
+            if not isinstance(exc.original, LockstepError):
+                raise
+            # The lockstep tier refused to price this repetition (it could
+            # not prove it would match the event engine bit for bit).  The
+            # event-by-event schedules are the reference it mirrors, so the
+            # repetition runs on them; the refusal stays on the books (a
+            # failed run reaches no cluster-run observer).
+            telemetry.lockstep_refusals += 1
+            duration, result = run(trace=trace, lockstep=False)
         samples.append(duration)
         messages = max(messages, result.stats.messages_sent)
         sink.absorb(result)
@@ -205,7 +222,7 @@ def execute_scenario(scenario: Scenario, *, trace: bool = False) -> ScenarioResu
         params, placement = scenario.resolve_machine()
         if scenario.kind == "collective":
             samples, messages = _collective_reps(scenario, params, placement,
-                                                 sink)
+                                                 sink, telemetry)
         else:
             samples, messages = _jquick_reps(scenario, params, placement,
                                              sink)

@@ -12,29 +12,14 @@ from __future__ import annotations
 
 from typing import Any, Callable, Optional, Sequence
 
+from ..collectives.dispatch import start
 from ..collectives.endpoint import TransportEndpoint
-from ..collectives.hierarchical import (
-    barrier_hierarchy_of,
-    hier_allreduce_schedule,
-    hier_barrier_schedule,
-    hier_bcast_schedule,
-    hier_gather_schedule,
-    hier_reduce_schedule,
-    hier_scan_schedule,
-    hierarchy_of,
-)
 from ..collectives.large import reduce_scatter_ring_schedule, scatter_schedule
 from ..collectives.machines import (
     CollectiveRequest,
     allgather_schedule,
-    allreduce_schedule,
     alltoallv_schedule,
-    barrier_schedule,
-    bcast_schedule,
     exscan_schedule,
-    gather_schedule,
-    reduce_schedule,
-    scan_schedule,
 )
 from ..simulator.network import ANY_SOURCE, ANY_TAG, payload_words
 from ..simulator.process import RankEnv
@@ -45,23 +30,6 @@ from .status import Status
 from .vendor import VendorModel
 
 __all__ = ["MpiCommunicator"]
-
-
-# repro.core.spmd cannot be imported at module load time: repro.core's
-# package __init__ re-exports the RBC facade, which imports this module.
-# Cached on first use.
-_spmd = None
-
-
-def _lockstep_eligible(ep) -> bool:
-    if not getattr(ep.env, "lockstep_collectives", False):
-        return False
-    global _spmd
-    if _spmd is None:
-        from ..core import spmd
-        _spmd = spmd
-    return _spmd.lockstep_eligible(ep)
-
 
 
 class MpiCommunicator:
@@ -243,92 +211,40 @@ class MpiCommunicator:
             world_affine=self.group.affine_world_map(),
         )
 
-    def _hierarchy(self, ep: TransportEndpoint):
-        """The group's node/island hierarchy, when this vendor exploits it.
+    def _start(self, name: str, value: Any = None, op=None,
+               root: int = 0) -> Request:
+        """Start one of the six dispatched collectives.
 
-        Production MPIs are node-aware (``VendorModel.node_aware``); for them
-        bcast/reduce/allreduce/gather/scan/barrier run the node-leader
-        schedules of :mod:`repro.collectives.hierarchical` whenever the
-        machine prices links non-uniformly and the group spans several nodes.
-        Under lockstep the same schedule IR is replayed analytically by the
-        ``hier_*`` phase kinds of :mod:`repro.core.spmd`.  On flat machines
-        :func:`hierarchy_of` returns None without touching any cache, so the
-        historical topology-blind path is taken bit-identically — and
-        topology-blind vendors never leave it.
+        Production MPIs ship SMP-optimised trees, so a topology-blind
+        baseline would flatter RBC on hierarchical machines: vendors whose
+        model declares ``VendorModel.node_aware`` (Intel, IBM) get the
+        node-leader schedules there, the generic vendor never does.
         """
-        if not self.vendor.node_aware:
-            return None
-        return hierarchy_of(ep)
+        return start(self._collective_endpoint(name), name, value, op, root,
+                     node_aware=self.vendor.node_aware)
 
     # --- nonblocking ---------------------------------------------------------
 
-    def ibcast(self, value: Any, root: int = 0) -> CollectiveRequest:
-        ep = self._collective_endpoint("bcast")
-        hierarchy = self._hierarchy(ep)
-        if hierarchy is not None:
-            if _lockstep_eligible(ep):
-                return _spmd.join_lockstep(ep, "hier_bcast", value, None, root)
-            return CollectiveRequest(
-                self._env, hier_bcast_schedule(ep, value, root, hierarchy))
-        if _lockstep_eligible(ep):
-            return _spmd.join_lockstep(ep, "bcast", value, None, root)
-        return CollectiveRequest(self._env, bcast_schedule(ep, value, root))
+    def ibcast(self, value: Any, root: int = 0) -> Request:
+        return self._start("bcast", value, None, root)
 
-    def ireduce(self, value: Any, op=SUM, root: int = 0) -> CollectiveRequest:
-        ep = self._collective_endpoint("reduce")
-        hierarchy = self._hierarchy(ep)
-        if hierarchy is not None:
-            if _lockstep_eligible(ep):
-                return _spmd.join_lockstep(ep, "hier_reduce", value, op, root)
-            return CollectiveRequest(
-                self._env, hier_reduce_schedule(ep, value, op, root, hierarchy))
-        if _lockstep_eligible(ep):
-            return _spmd.join_lockstep(ep, "reduce", value, op, root)
-        return CollectiveRequest(self._env, reduce_schedule(ep, value, op, root))
+    def ireduce(self, value: Any, op=SUM, root: int = 0) -> Request:
+        return self._start("reduce", value, op, root)
 
-    def iallreduce(self, value: Any, op=SUM) -> CollectiveRequest:
-        ep = self._collective_endpoint("allreduce")
-        hierarchy = self._hierarchy(ep)
-        if hierarchy is not None:
-            if _lockstep_eligible(ep):
-                return _spmd.join_lockstep(ep, "hier_allreduce", value, op)
-            return CollectiveRequest(
-                self._env, hier_allreduce_schedule(ep, value, op, hierarchy))
-        if _lockstep_eligible(ep):
-            return _spmd.join_lockstep(ep, "allreduce", value, op)
-        return CollectiveRequest(self._env, allreduce_schedule(ep, value, op))
+    def iallreduce(self, value: Any, op=SUM) -> Request:
+        return self._start("allreduce", value, op)
 
-    def iscan(self, value: Any, op=SUM) -> CollectiveRequest:
-        ep = self._collective_endpoint("scan")
-        hierarchy = self._hierarchy(ep)
-        # The segmented-prefix schedule needs node-contiguous groups; ragged
-        # groups keep the topology-blind dissemination scan.
-        if hierarchy is not None and hierarchy.contiguous:
-            if _lockstep_eligible(ep):
-                return _spmd.join_lockstep(ep, "hier_scan", value, op)
-            return CollectiveRequest(
-                self._env, hier_scan_schedule(ep, value, op, hierarchy))
-        if _lockstep_eligible(ep):
-            return _spmd.join_lockstep(ep, "scan", value, op)
-        return CollectiveRequest(self._env, scan_schedule(ep, value, op))
+    def iscan(self, value: Any, op=SUM) -> Request:
+        return self._start("scan", value, op)
 
     def iexscan(self, value: Any, op=SUM) -> CollectiveRequest:
         ep = self._collective_endpoint("exscan")
         return CollectiveRequest(self._env, exscan_schedule(ep, value, op))
 
-    def igather(self, value: Any, root: int = 0) -> CollectiveRequest:
-        ep = self._collective_endpoint("gather")
-        hierarchy = self._hierarchy(ep)
-        if hierarchy is not None:
-            if _lockstep_eligible(ep):
-                return _spmd.join_lockstep(ep, "hier_gather", value, None, root)
-            return CollectiveRequest(
-                self._env, hier_gather_schedule(ep, value, root, hierarchy))
-        if _lockstep_eligible(ep):
-            return _spmd.join_lockstep(ep, "gather", value, None, root)
-        return CollectiveRequest(self._env, gather_schedule(ep, value, root))
+    def igather(self, value: Any, root: int = 0) -> Request:
+        return self._start("gather", value, None, root)
 
-    def igatherv(self, value: Any, root: int = 0) -> CollectiveRequest:
+    def igatherv(self, value: Any, root: int = 0) -> Request:
         # Variable-size gather shares the implementation of igather.
         return self.igather(value, root)
 
@@ -352,16 +268,8 @@ class MpiCommunicator:
         ep = self._collective_endpoint("reduce_scatter")
         return CollectiveRequest(self._env, reduce_scatter_ring_schedule(ep, value, op))
 
-    def ibarrier(self) -> CollectiveRequest:
-        ep = self._collective_endpoint("barrier")
-        if self.vendor.node_aware:
-            hierarchy = barrier_hierarchy_of(ep)
-            if hierarchy is not None:
-                return CollectiveRequest(
-                    self._env, hier_barrier_schedule(ep, hierarchy))
-        if _lockstep_eligible(ep):
-            return _spmd.join_lockstep(ep, "barrier")
-        return CollectiveRequest(self._env, barrier_schedule(ep))
+    def ibarrier(self) -> Request:
+        return self._start("barrier")
 
     # --- blocking wrappers ---------------------------------------------------
 

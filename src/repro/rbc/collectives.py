@@ -14,54 +14,22 @@ provides exscan, allreduce, allgather, alltoallv, scatter(v), allgatherv and
 reduce_scatter, which the sorting algorithms and benchmarks use.
 
 Broadcast, reduce, allreduce, barrier, scan, gather and gatherv accept an
-``algorithm`` argument selecting between the small-input binomial-tree/
-dissemination algorithms, the large-input algorithms of
-:mod:`repro.collectives.large` (scatter-allgather or pipelined broadcast,
-ring allreduce) and the topology-aware node-leader schedules of
-:mod:`repro.collectives.hierarchical`; ``algorithm="auto"``
-applies the crossover heuristic.  The default (``algorithm=None``) picks the
-node-leader schedule whenever the executing machine's cost model exposes a
-non-trivial placement (several nodes, tiered link prices) and stays on the
-historical flat path — bit-identically — otherwise.  An *explicit*
-``algorithm="hierarchical"`` is portable: on machines without a non-trivial
-placement it falls back to the equivalent flat schedule rather than raising.
-This is the "easy to extend ... e.g., for large input sizes" extension point
-the paper describes in Section V-D.
-
-Every default path additionally fuses into the SPMD lockstep tier of
-:mod:`repro.core.spmd` when the program opted in
-(``env.lockstep_collectives``) and the endpoint is eligible: flat schedules
-through the per-op phase kinds, hierarchical schedules through the
-``hier_*`` kinds that replay the op's schedule IR
-(:mod:`repro.collectives.ir`) — same simulated times bit for bit, far fewer
-engine events.
-
-The simulated native-MPI layer (:mod:`repro.mpi.comm`) applies the same
-node-leader schedules for vendors whose model declares
-``VendorModel.node_aware`` (Intel and IBM MPI — real production MPIs ship
-SMP-optimised trees, so a topology-blind baseline would flatter RBC on
-hierarchical machines); the generic vendor stays topology-blind.
+``algorithm`` argument naming the communication pattern — the "easy to
+extend ... e.g., for large input sizes" extension point the paper describes
+in Section V-D.  These functions only build the endpoint (communicator, tag)
+and wrap the request; which schedule runs and which execution tier prices
+it is decided by :func:`repro.collectives.dispatch.start`, for this layer
+and the simulated native MPI alike.
 """
 
 from __future__ import annotations
 
 from typing import Any, Optional, Sequence
 
+from ..collectives.dispatch import start
 from ..collectives.endpoint import TransportEndpoint
-from ..collectives.hierarchical import (
-    barrier_hierarchy_of,
-    hier_allreduce_schedule,
-    hier_barrier_schedule,
-    hier_gather_schedule,
-    hier_reduce_schedule,
-    hier_scan_schedule,
-    hierarchy_of,
-)
 from ..collectives.large import (
     DEFAULT_SEGMENT_WORDS,
-    allreduce_ring_schedule,
-    choose_allreduce_algorithm,
-    dispatch_bcast_schedule,
     reduce_scatter_ring_schedule,
     ring_allgather_schedule,
     scatter_schedule,
@@ -69,17 +37,10 @@ from ..collectives.large import (
 from ..collectives.machines import (
     CollectiveRequest,
     allgather_schedule,
-    allreduce_schedule,
     alltoallv_schedule,
-    barrier_schedule,
-    bcast_schedule,
     exscan_schedule,
-    gather_schedule,
-    reduce_schedule,
-    scan_schedule,
 )
 from ..mpi.datatypes import SUM
-from ..simulator.network import payload_words
 from .comm import RbcComm
 from .request import RbcRequest
 from . import tags as _tags
@@ -178,25 +139,6 @@ def _request(comm: RbcComm, schedule) -> RbcRequest:
     return RbcRequest(comm.env, CollectiveRequest(comm.env, schedule))
 
 
-# repro.core.spmd cannot be imported at module load time: repro.core's
-# package __init__ re-exports this very module.  Cached on first use.
-_spmd = None
-
-
-def _lockstep_eligible(ep) -> bool:
-    if not getattr(ep.env, "lockstep_collectives", False):
-        return False
-    global _spmd
-    if _spmd is None:
-        from ..core import spmd
-        _spmd = spmd
-    return _spmd.lockstep_eligible(ep)
-
-
-def _lockstep(comm: RbcComm, ep, kind, value=None, op=None, root=0) -> RbcRequest:
-    return RbcRequest(comm.env, _spmd.join_lockstep(ep, kind, value, op, root))
-
-
 # ---------------------------------------------------------------------------
 # Broadcast.
 # ---------------------------------------------------------------------------
@@ -216,11 +158,9 @@ def ibcast(comm: RbcComm, value: Any, root: int = 0,
     bit-identically).
     """
     ep = _endpoint(comm, _tags.BCAST_TAG if tag is None else tag)
-    if algorithm is None and _lockstep_eligible(ep):
-        kind = "bcast" if hierarchy_of(ep) is None else "hier_bcast"
-        return _lockstep(comm, ep, kind, value, None, root)
-    return _request(comm, dispatch_bcast_schedule(ep, value, root, algorithm,
-                                                  segment_words))
+    return RbcRequest(comm.env, start(ep, "bcast", value, None, root,
+                                      algorithm=algorithm,
+                                      segment_words=segment_words))
 
 
 def bcast(comm: RbcComm, value: Any, root: int = 0, tag: Optional[int] = None,
@@ -247,24 +187,8 @@ def ireduce(comm: RbcComm, value: Any, op=None, root: int = 0,
     binomial tree (bit-identically) everywhere else.
     """
     ep = _endpoint(comm, _tags.REDUCE_TAG if tag is None else tag)
-    if algorithm is None:
-        hierarchy = hierarchy_of(ep)
-        if hierarchy is not None:
-            if _lockstep_eligible(ep):
-                return _lockstep(comm, ep, "hier_reduce", value, op or SUM,
-                                 root)
-            return _request(comm, hier_reduce_schedule(ep, value, op or SUM,
-                                                       root, hierarchy))
-        if _lockstep_eligible(ep):
-            return _lockstep(comm, ep, "reduce", value, op or SUM, root)
-        algorithm = "binomial"
-    if algorithm == "hierarchical":
-        return _request(comm, hier_reduce_schedule(ep, value, op or SUM, root))
-    if algorithm != "binomial":
-        raise ValueError(
-            f"unknown reduce algorithm {algorithm!r}; expected one of "
-            "'binomial', 'hierarchical'")
-    return _request(comm, reduce_schedule(ep, value, op or SUM, root))
+    return RbcRequest(comm.env, start(ep, "reduce", value, op or SUM, root,
+                                      algorithm=algorithm))
 
 
 def reduce(comm: RbcComm, value: Any, op=None, root: int = 0,
@@ -291,23 +215,8 @@ def iscan(comm: RbcComm, value: Any, op=None, tag: Optional[int] = None, *,
     recombination needs it) and the dissemination scan everywhere else.
     """
     ep = _endpoint(comm, _tags.SCAN_TAG if tag is None else tag)
-    if algorithm is None:
-        hierarchy = hierarchy_of(ep)
-        if hierarchy is not None and hierarchy.contiguous:
-            if _lockstep_eligible(ep):
-                return _lockstep(comm, ep, "hier_scan", value, op or SUM)
-            return _request(comm, hier_scan_schedule(ep, value, op or SUM,
-                                                     hierarchy))
-        if _lockstep_eligible(ep):
-            return _lockstep(comm, ep, "scan", value, op or SUM)
-        algorithm = "dissemination"
-    if algorithm == "hierarchical":
-        return _request(comm, hier_scan_schedule(ep, value, op or SUM))
-    if algorithm != "dissemination":
-        raise ValueError(
-            f"unknown scan algorithm {algorithm!r}; expected one of "
-            "'dissemination', 'hierarchical'")
-    return _request(comm, scan_schedule(ep, value, op or SUM))
+    return RbcRequest(comm.env, start(ep, "scan", value, op or SUM,
+                                      algorithm=algorithm))
 
 
 def scan(comm: RbcComm, value: Any, op=None, tag: Optional[int] = None, *,
@@ -334,28 +243,6 @@ def exscan(comm: RbcComm, value: Any, op=None, tag: Optional[int] = None):
 # Gather / Gatherv.
 # ---------------------------------------------------------------------------
 
-def _dispatch_gather(comm: RbcComm, ep, value: Any, root: int,
-                     algorithm: Optional[str]) -> RbcRequest:
-    """Shared gather/gatherv dispatch (both are size-agnostic here)."""
-    if algorithm is None:
-        hierarchy = hierarchy_of(ep)
-        if hierarchy is not None:
-            if _lockstep_eligible(ep):
-                return _lockstep(comm, ep, "hier_gather", value, None, root)
-            return _request(comm, hier_gather_schedule(ep, value, root,
-                                                       hierarchy))
-        if _lockstep_eligible(ep):
-            return _lockstep(comm, ep, "gather", value, None, root)
-        algorithm = "binomial"
-    if algorithm == "hierarchical":
-        return _request(comm, hier_gather_schedule(ep, value, root))
-    if algorithm != "binomial":
-        raise ValueError(
-            f"unknown gather algorithm {algorithm!r}; expected one of "
-            "'binomial', 'hierarchical'")
-    return _request(comm, gather_schedule(ep, value, root))
-
-
 def igather(comm: RbcComm, value: Any, root: int = 0,
             tag: Optional[int] = None, *,
             algorithm: Optional[str] = None) -> RbcRequest:
@@ -368,7 +255,8 @@ def igather(comm: RbcComm, value: Any, root: int = 0,
     (bit-identically) everywhere else.
     """
     ep = _endpoint(comm, _tags.GATHER_TAG if tag is None else tag)
-    return _dispatch_gather(comm, ep, value, root, algorithm)
+    return RbcRequest(comm.env, start(ep, "gather", value, None, root,
+                                      algorithm=algorithm))
 
 
 def gather(comm: RbcComm, value: Any, root: int = 0, tag: Optional[int] = None,
@@ -382,9 +270,11 @@ def gather(comm: RbcComm, value: Any, root: int = 0, tag: Optional[int] = None,
 def igatherv(comm: RbcComm, value: Any, root: int = 0,
              tag: Optional[int] = None, *,
              algorithm: Optional[str] = None) -> RbcRequest:
-    """``rbc::Igatherv``: like igather but contributions may differ in size."""
+    """``rbc::Igatherv``: like igather but contributions may differ in size
+    (the gather schedules are size-agnostic, so only the tag differs)."""
     ep = _endpoint(comm, _tags.GATHERV_TAG if tag is None else tag)
-    return _dispatch_gather(comm, ep, value, root, algorithm)
+    return RbcRequest(comm.env, start(ep, "gather", value, None, root,
+                                      algorithm=algorithm))
 
 
 def gatherv(comm: RbcComm, value: Any, root: int = 0, tag: Optional[int] = None,
@@ -412,22 +302,7 @@ def ibarrier(comm: RbcComm, tag: Optional[int] = None, *,
     the tree barrier's ``2 log p`` and remain the default.
     """
     ep = _endpoint(comm, _tags.BARRIER_TAG if tag is None else tag)
-    if algorithm is None:
-        hierarchy = barrier_hierarchy_of(ep)
-        if hierarchy is not None:
-            return _request(comm, hier_barrier_schedule(ep, hierarchy))
-        if _lockstep_eligible(ep):
-            return _lockstep(comm, ep, "barrier")
-        algorithm = "dissemination"
-    if algorithm == "hierarchical":
-        if _lockstep_eligible(ep) and hierarchy_of(ep) is not None:
-            return _lockstep(comm, ep, "hier_barrier")
-        return _request(comm, hier_barrier_schedule(ep))
-    if algorithm != "dissemination":
-        raise ValueError(
-            f"unknown barrier algorithm {algorithm!r}; expected one of "
-            "'dissemination', 'hierarchical'")
-    return _request(comm, barrier_schedule(ep))
+    return RbcRequest(comm.env, start(ep, "barrier", algorithm=algorithm))
 
 
 def barrier(comm: RbcComm, tag: Optional[int] = None, *,
@@ -454,29 +329,8 @@ def iallreduce(comm: RbcComm, value: Any, op=None, tag: Optional[int] = None,
     (bit-identically) everywhere else.
     """
     ep = _endpoint(comm, _tags.ALLREDUCE_TAG if tag is None else tag)
-    if algorithm is None:
-        hierarchy = hierarchy_of(ep)
-        if hierarchy is not None:
-            if _lockstep_eligible(ep):
-                return _lockstep(comm, ep, "hier_allreduce", value, op or SUM)
-            return _request(comm, hier_allreduce_schedule(ep, value, op or SUM,
-                                                          hierarchy))
-        if _lockstep_eligible(ep):
-            return _lockstep(comm, ep, "allreduce", value, op or SUM)
-        algorithm = "reduce_bcast"
-    elif algorithm == "auto":
-        algorithm = choose_allreduce_algorithm(
-            payload_words(value), comm.size, value, model=ep.cost_model,
-            hierarchical=hierarchy_of(ep) is not None)
-    if algorithm == "hierarchical":
-        return _request(comm, hier_allreduce_schedule(ep, value, op or SUM))
-    if algorithm == "ring":
-        return _request(comm, allreduce_ring_schedule(ep, value, op or SUM))
-    if algorithm != "reduce_bcast":
-        raise ValueError(
-            f"unknown allreduce algorithm {algorithm!r}; expected one of "
-            "'auto', 'reduce_bcast', 'hierarchical', 'ring'")
-    return _request(comm, allreduce_schedule(ep, value, op or SUM))
+    return RbcRequest(comm.env, start(ep, "allreduce", value, op or SUM,
+                                      algorithm=algorithm))
 
 
 def allreduce(comm: RbcComm, value: Any, op=None, tag: Optional[int] = None,

@@ -112,7 +112,6 @@ class Cluster:
                  max_events: int = 200_000_000,
                  mailbox_factory: Optional[Callable[[], Any]] = None,
                  lazy_mailboxes: Optional[bool] = None,
-                 message_pool_max: Optional[int] = None,
                  reference_engine: bool = False,
                  trace: Any = None):
         if num_ranks <= 0:
@@ -127,8 +126,6 @@ class Cluster:
             else {"mailbox_factory": mailbox_factory}
         if lazy_mailboxes is not None:
             transport_kwargs["lazy_mailboxes"] = lazy_mailboxes
-        if message_pool_max is not None:
-            transport_kwargs["message_pool_max"] = message_pool_max
         self.transport = Transport(self.engine, num_ranks, self.params,
                                    self.tracer, placement=self.placement,
                                    **transport_kwargs)
@@ -247,12 +244,10 @@ def run_program(num_ranks: int, program: Callable, *args,
                 rank_args: Optional[Sequence[tuple]] = None,
                 rank_kwargs: Optional[Sequence[dict]] = None,
                 reference_engine: bool = False,
-                message_pool_max: Optional[int] = None,
                 trace: Any = None,
                 **kwargs) -> ClusterResult:
     """One-shot convenience wrapper around :class:`Cluster`."""
     cluster = Cluster(num_ranks, params, placement=placement,
-                      message_pool_max=message_pool_max,
                       reference_engine=reference_engine,
                       trace=trace)
     return cluster.run(program, *args, rank_args=rank_args,

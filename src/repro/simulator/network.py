@@ -34,7 +34,6 @@ automatically.
 from __future__ import annotations
 
 import itertools
-import os
 from collections import deque
 from typing import Any, Callable, Optional
 
@@ -467,24 +466,11 @@ class LazyMailboxes:
 # Transport.
 # ---------------------------------------------------------------------------
 
-#: Default upper bound of the transport's :class:`Message` free list.  Bounded
-#: so a burst of in-flight traffic cannot pin an unbounded object pool; beyond
-#: the cap released messages are simply garbage as before.  Each transport
-#: resolves its own cap at construction time — ``message_pool_max`` kwarg,
-#: else the ``REPRO_MESSAGE_POOL_MAX`` environment variable, else this
-#: default — so setting the env var after import still takes effect.
+#: Upper bound of the transport's :class:`Message` free list.  Bounded so a
+#: burst of in-flight traffic cannot pin an unbounded object pool; beyond the
+#: cap released messages are simply garbage as before.
 MESSAGE_POOL_MAX = 4096
 
-
-def _resolve_pool_max(value: Optional[int]) -> int:
-    """Resolve the message-pool cap for one transport (kwarg > env > default)."""
-    if value is None:
-        env = os.environ.get("REPRO_MESSAGE_POOL_MAX")
-        value = int(env) if env else MESSAGE_POOL_MAX
-    value = int(value)
-    if value < 0:
-        raise ValueError(f"message pool cap must be >= 0, got {value}")
-    return value
 
 class Transport:
     """Routes messages between simulated ranks under a pluggable cost model.
@@ -504,8 +490,7 @@ class Transport:
                  tracer: Optional[Tracer] = None,
                  placement: Optional[Placement] = None,
                  mailbox_factory: Callable[[], Any] = IndexedMailbox,
-                 lazy_mailboxes: bool = True,
-                 message_pool_max: Optional[int] = None):
+                 lazy_mailboxes: bool = True):
         if num_ranks <= 0:
             raise ValueError("num_ranks must be positive")
         self.engine = engine
@@ -528,10 +513,8 @@ class Transport:
         self._send_port_free = [0.0] * num_ranks
         self._recv_port_free = [0.0] * num_ranks
         self._seq = itertools.count()
-        # Free list of released Message objects (see release_message); the
-        # cap is per-transport so tests and paper-scale runs can size it.
+        # Free list of released Message objects (see release_message).
         self._msg_pool: list = []
-        self._msg_pool_max = _resolve_pool_max(message_pool_max)
         self.pool_hits = 0      # sends served from the free list
         self.pool_recycled = 0  # releases accepted back into the free list
         self.pool_drops = 0     # releases discarded because the pool was full
@@ -819,7 +802,7 @@ class Transport:
         message.payload = None
         message.context = None
         pool = self._msg_pool
-        if len(pool) < self._msg_pool_max:
+        if len(pool) < MESSAGE_POOL_MAX:
             pool.append(message)
             self.pool_recycled += 1
         else:
@@ -828,7 +811,7 @@ class Transport:
     def message_pool_stats(self) -> dict:
         """Free-list effectiveness counters (surfaced by ``--profile`` runs)."""
         return {
-            "message_pool_max": self._msg_pool_max,
+            "message_pool_max": MESSAGE_POOL_MAX,
             "message_pool_hits": self.pool_hits,
             "message_pool_recycled": self.pool_recycled,
             "message_pool_drops": self.pool_drops,

@@ -37,10 +37,7 @@ one kernel call (no mask / arange materialisation), pivot samples are drawn
 by counter-based hashing with zero per-task generator construction, and the
 exchange buffer is handed to the two child tasks as a pair of frozen
 (read-only) views — no copies, and base-case messages sent from those views
-(bare arrays on the wire) skip the transport's defensive snapshot.  The
-pre-kernel PCG64 sampling path survives as ``JQuickConfig(sampler="pcg64")``;
-it is kept bit-identical in simulated time and event counts so differential
-tests can pin the rest of the compute path.
+(bare arrays on the wire) skip the transport's defensive snapshot.
 """
 
 from __future__ import annotations
@@ -102,14 +99,9 @@ class JQuickConfig:
     pivot:
         Pivot-selection strategy and constants (Section VIII-A).
     seed:
-        Base seed of the (deterministic, per-task) sampling stream.
-    sampler:
-        ``"counter"`` (default) draws pivot-sample indices with the stateless
-        counter-based hash of :mod:`repro.core.rand` — no per-task generator
-        construction, restart-deterministic.  ``"pcg64"`` reproduces the
-        pre-kernel per-task ``Generator(PCG64(...))`` stream bit for bit
-        (identical samples, simulated times and event counts), so differential
-        tests can isolate sampling from the rest of the compute path.
+        Base seed of the (deterministic, per-task) sampling stream: the
+        stateless counter-based hash of :mod:`repro.core.rand` — no per-task
+        generator construction, restart-deterministic.
     tie_breaking:
         Handle duplicate keys by comparing (value, global slot) pairs.
     schedule:
@@ -119,9 +111,8 @@ class JQuickConfig:
         ``"cascaded"`` (every janus creates the left group first).
     charge_local_work:
         Charge the simulated time of partitioning / sorting / copying; disable
-        to time only the communication.  With the counter sampler the charges
-        of one level are fused into fewer engine events (identical totals);
-        the pcg64 sampler keeps the historical one-event-per-charge placement.
+        to time only the communication.  The charges of one level are fused
+        into fewer engine events (identical totals).
     max_levels:
         Safety bound on the recursion depth per task.
     lockstep_size_agreement:
@@ -131,17 +122,14 @@ class JQuickConfig:
         schedule with fewer engine events.  Outside the batched tier the
         group-level collectives of the recursion are never lockstepped: a
         janus rank participates in two groups at once and interleaves
-        exchange traffic with them.  Like the fused compute charges, this
-        only applies under the counter sampler — ``sampler="pcg64"`` keeps
-        the historical event-by-event schedule so its telemetry (event
-        counts included) stays bit-identical to the PR 2 snapshot.
+        exchange traffic with them.
     batch_levels:
         Cross-rank batched execution of the distributed levels (the
         paper-scale tier, :mod:`repro.sorting.batched`): the per-rank
         sampling / partition / assignment work of a level is stacked into
         ragged NumPy sweeps over the whole group, the recursion's collectives
         are priced in SPMD lockstep, and the data exchange analytically.
-        Requires the counter sampler, the RBC backend, a flat machine with a
+        Requires the RBC backend, a flat machine with a
         uniform link, and the communicator-bound layout ``n == p`` — one
         element per rank, the regime of the paper's Fig. 8 — where no janus
         ranks exist and every split lands on a rank boundary.  ``None``
@@ -154,7 +142,6 @@ class JQuickConfig:
 
     pivot: PivotConfig = field(default_factory=PivotConfig)
     seed: int = 0
-    sampler: str = "counter"
     tie_breaking: bool = True
     schedule: str = "alternating"
     charge_local_work: bool = True
@@ -165,8 +152,6 @@ class JQuickConfig:
     def __post_init__(self):
         if self.schedule not in ("alternating", "cascaded"):
             raise ValueError(f"unknown schedule {self.schedule!r}")
-        if self.sampler not in ("counter", "pcg64"):
-            raise ValueError(f"unknown sampler {self.sampler!r}")
 
 
 @dataclass
@@ -236,7 +221,6 @@ class _JQuickRun:
         self.stats = JQuickStats()
         self.base_cases: list[BaseCaseTask] = []
         self.fragments: dict[int, np.ndarray] = {}
-        self._counter_sampler = config.sampler == "counter"
         # Cross-rank batched tier (decided in execute() once n is known).
         self._batched = False
         self._batcher: Optional[LevelBatcher] = None
@@ -259,12 +243,9 @@ class _JQuickRun:
         # same phase, so it may be priced in SPMD lockstep; the group-level
         # collectives deeper in the recursion must not (a janus rank serves
         # two groups at once and interleaves exchange point-to-point traffic
-        # with them, violating the quiet-ports lockstep contract).  The pcg64
-        # path keeps the event-by-event schedule — its trajectory pins the
-        # historical event counts, which phase fusion would shrink.
+        # with them, violating the quiet-ports lockstep contract).
         saved_lockstep = self.env.lockstep_collectives
-        self.env.lockstep_collectives = (self.config.lockstep_size_agreement
-                                         and self._counter_sampler)
+        self.env.lockstep_collectives = self.config.lockstep_size_agreement
         try:
             request = world.iallreduce(int(data.size), SUM, tag=_TAG_BASE - 1)
             yield from self.env.wait_until(request.test)
@@ -313,8 +294,6 @@ class _JQuickRun:
 
     def _batch_ineligibility(self) -> Optional[str]:
         """Why the batched tier cannot engage (``None`` when it can)."""
-        if not self._counter_sampler:
-            return "it requires sampler='counter'"
         if not isinstance(self.backend, RbcBackend):
             return "it requires the RBC backend"
         world = self.backend.world
@@ -372,8 +351,6 @@ class _JQuickRun:
         every rank, and a frozen-dataclass interval per level was measurable.
         """
         config = self.config
-        charge = config.charge_local_work
-        fused_charges = charge and self._counter_sampler
         comm: Optional[GroupComm] = None
         # Communicator reuse is keyed on the *task interval*: a degenerate
         # split retries the same interval, so every member takes the same
@@ -444,12 +421,9 @@ class _JQuickRun:
 
                 # --- 1. pivot selection --------------------------------------
                 pivot_value, pivot_slot = yield from self._select_pivot(
-                    comm, lo, hi, data, my_lo, level, group_rank, group_size,
-                    fused_charges)
+                    comm, lo, hi, data, my_lo, level, group_rank, group_size)
 
-                # --- 2. local partitioning -----------------------------------
-                if charge and not fused_charges:
-                    yield Blocking(self.env.compute(data.size))
+                # --- 2. local partitioning (charged with the sampling) -------
                 small_vals, large_vals, small_n = fused_partition(
                     data, my_lo, pivot_value, pivot_slot,
                     tie_breaking=config.tie_breaking)
@@ -534,35 +508,19 @@ class _JQuickRun:
     # ----------------------------------------------------------- pivot selection
 
     def _select_pivot(self, comm: GroupComm, lo: int, hi: int, data: np.ndarray,
-                      my_lo: int, level: int, group_rank: int, group_size: int,
-                      fused_charges: bool):
+                      my_lo: int, level: int, group_rank: int, group_size: int):
         """Sub-coroutine: sampled-median pivot selection on the task's group.
 
         Returns ``(pivot_value, pivot_slot)``.
         """
         config = self.config
         size = data.size
-        if self._counter_sampler:
-            total = hi - lo
-            sigma = sample_count(config.pivot, group_size, total / group_size)
-            local_count = max(1, math.ceil(sigma * size / total)) if size else 0
-            indices = rand.sample_indices(
-                rand.sample_key(config.seed, lo, hi, level, self.rank),
-                local_count, size)
-        else:
-            total = hi - lo
-            sigma = sample_count(config.pivot, group_size, total / group_size)
-            local_count = max(1, math.ceil(sigma * size / total)) if size else 0
-            # Generator(PCG64(seed)) draws the exact stream default_rng(seed)
-            # would, with less construction overhead — kept verbatim so
-            # ``sampler="pcg64"`` runs are bit-identical to the pre-kernel
-            # implementation.
-            rng = np.random.Generator(np.random.PCG64(
-                (hash((config.seed, lo, hi, level, self.rank)) & 0x7FFFFFFF)))
-            if size and local_count > 0:
-                indices = rng.integers(0, size, size=local_count)
-            else:
-                indices = np.empty(0, dtype=np.int64)
+        total = hi - lo
+        sigma = sample_count(config.pivot, group_size, total / group_size)
+        local_count = max(1, math.ceil(sigma * size / total)) if size else 0
+        indices = rand.sample_indices(
+            rand.sample_key(config.seed, lo, hi, level, self.rank),
+            local_count, size)
         if indices.size:
             values = data[indices]
             sample_slots = my_lo + indices
@@ -571,16 +529,9 @@ class _JQuickRun:
             sample_slots = indices
 
         if config.charge_local_work:
-            if fused_charges:
-                # One engine event for this level's sampling + partitioning
-                # (the partition size is already known): same total charged
-                # compute, fewer heap operations.  The coarser placement can
-                # shift completion times, which is why this runs only under
-                # the re-baselined counter sampler — pcg64 keeps the
-                # historical per-charge events below.
-                yield Blocking(self.env.compute(local_count + size))
-            elif local_count:
-                yield Blocking(self.env.compute(local_count))
+            # One engine event for this level's sampling + partitioning (the
+            # partition size is already known).
+            yield Blocking(self.env.compute(local_count + size))
 
         request = comm.igatherv((values, sample_slots), root=0,
                                 tag=self._tag(lo, _PURPOSE_SAMPLE))
@@ -707,14 +658,9 @@ class _JQuickRun:
                 task.data, channel.to_group(partner),
                 self._tag(task.lo, _PURPOSE_BASECASE)))
 
-        # With the counter sampler, all single-process local sorts are charged
-        # as one engine event up front — same total charged compute, but the
-        # placement relative to the two-process partner waits is coarser, so
-        # completion times can shift; counter mode is re-baselined for exactly
-        # this kind of change.  The pcg64 path keeps the historical
-        # charge-per-task placement (bit-identical to PR 2).
-        fused_charges = charge and self._counter_sampler
-        if fused_charges:
+        # All single-process local sorts are charged as one engine event up
+        # front.
+        if charge:
             local_ops = sum(local_sort_cost(task.data.size)
                             for task in self.base_cases if not task.two_process)
             if local_ops:
@@ -722,8 +668,6 @@ class _JQuickRun:
 
         for task in self.base_cases:
             if not task.two_process:
-                if charge and not fused_charges:
-                    yield from self.env.compute(local_sort_cost(task.data.size))
                 self.fragments[task.lo] = sort_local(task.data)
                 continue
             partner = task.last_rank if task.first_rank == self.rank else task.first_rank

@@ -59,12 +59,8 @@ class MultilevelConfig:
         Random samples each process contributes to the splitter selection,
         per target group.
     seed:
-        Base seed of the per-level sampling stream.
-    sampler:
-        ``"counter"`` (default) draws sample indices with the stateless
-        counter-based hash of :mod:`repro.core.rand`; ``"pcg64"`` reproduces
-        the pre-kernel per-level ``default_rng((seed, level, rank))`` stream
-        bit for bit.
+        Base seed of the per-level sampling stream (the stateless
+        counter-based hash of :mod:`repro.core.rand`).
     charge_local_work:
         Charge simulated time for partitioning / sorting / merging.
     """
@@ -72,7 +68,6 @@ class MultilevelConfig:
     branching: int = 8
     oversampling: int = 16
     seed: int = 0
-    sampler: str = "counter"
     charge_local_work: bool = True
 
     def __post_init__(self):
@@ -80,8 +75,6 @@ class MultilevelConfig:
             raise ValueError("branching factor must be at least 2")
         if self.oversampling < 1:
             raise ValueError("oversampling must be at least 1")
-        if self.sampler not in ("counter", "pcg64"):
-            raise ValueError(f"unknown sampler {self.sampler!r}")
 
 
 @dataclass
@@ -165,13 +158,9 @@ def _one_level(env: RankEnv, sub: RbcComm, data: np.ndarray,
     # --- 1. splitter agreement (k - 1 pivots from a gathered random sample) --
     sample_size = config.oversampling * k
     if data.size:
-        if config.sampler == "counter":
-            indices = rand.sample_indices(
-                rand.sample_key(config.seed, 0, 0, level, rank),
-                sample_size, data.size)
-        else:
-            rng = np.random.default_rng((config.seed, level, rank))
-            indices = rng.integers(0, data.size, size=sample_size)
+        indices = rand.sample_indices(
+            rand.sample_key(config.seed, 0, 0, level, rank),
+            sample_size, data.size)
         samples = data[indices]
     else:
         samples = data[:0]

@@ -33,21 +33,14 @@ _TAG_EXCHANGE = 3_000_002
 class SampleSortConfig:
     """Parameters of single-level sample sort.
 
-    ``sampler`` selects the sampling stream: ``"counter"`` (default) uses the
-    stateless counter-based hash of :mod:`repro.core.rand`; ``"pcg64"``
-    reproduces the pre-kernel per-rank ``default_rng((seed, rank))`` stream
-    bit for bit.
+    Samples are drawn with the stateless counter-based hash of
+    :mod:`repro.core.rand`, keyed by ``seed`` and the rank.
     """
 
     #: Number of random samples each process contributes.
     oversampling: int = 16
     seed: int = 0
-    sampler: str = "counter"
     charge_local_work: bool = True
-
-    def __post_init__(self):
-        if self.sampler not in ("counter", "pcg64"):
-            raise ValueError(f"unknown sampler {self.sampler!r}")
 
 
 @dataclass
@@ -80,13 +73,9 @@ def sample_sort(env: RankEnv, comm: RbcComm, local_data: np.ndarray,
 
     # 1. Sampling: every process contributes `oversampling` random elements.
     if data.size:
-        if config.sampler == "counter":
-            indices = rand.sample_indices(
-                rand.sample_key(config.seed, 0, 0, 0, rank),
-                config.oversampling, data.size)
-        else:
-            rng = np.random.default_rng((config.seed, rank))
-            indices = rng.integers(0, data.size, size=config.oversampling)
+        indices = rand.sample_indices(
+            rand.sample_key(config.seed, 0, 0, 0, rank),
+            config.oversampling, data.size)
         samples = data[indices]
     else:
         samples = data[:0]
