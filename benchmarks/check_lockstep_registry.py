@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Fail CI when a lockstep phase kind ships without a differential test.
 
-Every phase kind in ``SpmdCoordinator._KINDS`` — the seven builtin
+Every phase kind in ``SpmdCoordinator._KINDS`` — the six builtin
 collective kinds, the ``hier_*`` schedule-IR kinds registered at import, and
 externally registered kinds like the sorting tier's ``jqlevel`` — is priced
 analytically against the engine's bit-identity contract.  That contract is

@@ -12,63 +12,17 @@ Every benchmark additionally archives a machine-readable ``BENCH_<name>.json``
 (wall-clock seconds, total simulated time, events processed) next to its
 table, so successive PRs have a perf trajectory to compare against.
 
-Passing ``--profile`` wraps every benchmark in :mod:`cProfile` and records
-where the wall-clock went — split into the engine's phases (``drain``: event
-core pop/bucket loop, ``step``: generator resumption and command dispatch,
-``deliver``: transport pricing and message delivery, ``kernel``: numeric
-kernels, sampling and lockstep pricing) — into the ``profile`` key of the
-``BENCH_*.json`` payload.  Future PRs can then see which phase to attack
-without re-running cProfile by hand.  Profiling costs roughly 2-4x
-wall-clock, so the recorded ``wall_clock_s`` of a ``--profile`` run is not
-comparable against unprofiled baselines; ``check_trajectory.py`` gates stay
-meaningful because CI never passes ``--profile``.
+Where the host time of a run goes, layer by layer, is perfbench's job:
+``python -m perfbench run --trace`` (see ``perfbench/README.md``).
 """
 
-import cProfile
 import os
 import re
 import time
-import tracemalloc
 
 import pytest
 
 from repro.bench.harness import TELEMETRY, write_bench_json
-
-#: Engine phase of one profiled module: exclusive (self) time of every
-#: function defined in the file is accounted to the named phase.
-_PHASE_OF_MODULE = {
-    "batchcore.py": "drain",
-    "engine.py": "step",
-    "process.py": "step",
-    "network.py": "deliver",
-}
-_KERNEL_DIR = os.sep + os.path.join("repro", "core") + os.sep
-
-
-def pytest_addoption(parser):
-    parser.addoption(
-        "--profile", action="store_true", default=False,
-        help="record per-phase (drain/step/deliver/kernel) wall-clock "
-             "splits into the BENCH_*.json 'profile' field")
-
-
-def pytest_configure(config):
-    if not config.getoption("--profile"):
-        return
-    # pytest-benchmark pauses any active sys profiler around the timed
-    # region and restores it with ``sys.setprofile(sys.getprofile())``.
-    # A C-level :class:`cProfile.Profile` survives neither: the restore
-    # raises (the Profile object is not a valid profile function), and the
-    # pause would exclude exactly the region we want to measure.  Keep the
-    # profiler running through the timed region instead.
-    from pytest_benchmark import fixture as _bm_fixture
-
-    original_init = _bm_fixture.PauseInstrumentation.__init__
-
-    def keep_profiler(self, tracer=True, profiler=True):
-        original_init(self, tracer=tracer, profiler=False)
-
-    _bm_fixture.PauseInstrumentation.__init__ = keep_profiler
 
 
 def bench_scale() -> str:
@@ -83,67 +37,19 @@ def scale() -> str:
     return bench_scale()
 
 
-def _phase_splits(profiler: cProfile.Profile) -> dict:
-    """Fold a profile into per-phase exclusive-time buckets (seconds)."""
-    splits = {"drain": 0.0, "step": 0.0, "deliver": 0.0, "kernel": 0.0,
-              "other": 0.0}
-    total = 0.0
-    for entry in profiler.getstats():
-        code = entry.code
-        exclusive = entry.inlinetime
-        total += exclusive
-        if isinstance(code, str):
-            # Built-in function; numpy ufuncs/array ops are kernel work.
-            phase = "kernel" if "numpy" in code else "other"
-        else:
-            filename = code.co_filename
-            phase = _PHASE_OF_MODULE.get(os.path.basename(filename))
-            if phase is None:
-                phase = "kernel" if _KERNEL_DIR in filename else "other"
-        splits[phase] += exclusive
-    out = {f"{phase}_s": round(seconds, 6)
-           for phase, seconds in splits.items()}
-    out["total_s"] = round(total, 6)
-    return out
-
-
 @pytest.fixture(autouse=True)
 def bench_result_json(request):
     """Write ``BENCH_<test>.json`` with the run's aggregate counters.
-
-    Under ``--profile`` the payload additionally records the per-phase
-    wall-clock split and the :mod:`tracemalloc` peak of the benchmark body
-    (``tracemalloc_peak_bytes``), so memory regressions at paper scale are
-    visible from the archived JSON alone.  Both instruments distort
-    wall-clock (tracemalloc alone costs ~3-5x on allocation-heavy runs), so
-    profiled ``wall_clock_s`` values are never compared against unprofiled
-    baselines.
 
     A benchmark may stash a dict in ``request.node.bench_extra``; its keys
     are merged into the JSON payload (used e.g. by ``bench_paper_scale`` to
     record per-operation peak-RSS readings).
     """
     TELEMETRY.reset()
-    profiling = request.config.getoption("--profile")
-    profiler = cProfile.Profile() if profiling else None
-    tracing_started = False
-    if profiling and not tracemalloc.is_tracing():
-        tracemalloc.start()
-        tracing_started = True
     start = time.perf_counter()
-    if profiler is not None:
-        profiler.enable()
     yield
-    if profiler is not None:
-        profiler.disable()
     wall_clock_s = time.perf_counter() - start
     extra = {"scale": bench_scale()}
-    if profiler is not None:
-        extra["profile"] = _phase_splits(profiler)
-    if tracing_started:
-        _, peak = tracemalloc.get_traced_memory()
-        tracemalloc.stop()
-        extra["tracemalloc_peak_bytes"] = peak
     bench_extra = getattr(request.node, "bench_extra", None)
     if bench_extra:
         extra.update(bench_extra)

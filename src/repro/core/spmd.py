@@ -81,24 +81,32 @@ visible at once and vectorise; the flush costs one engine event per phase
 and resolves at the same virtual time the scalar frontier would have.
 ``env.lockstep_fastforward = False`` disables the tier (differential tests
 compare both pricers); :data:`FASTFORWARD_MIN_SIZE` bounds when it engages.
-A scan *fed* whole by a driver (``_feed_all``: the jquick level phase) needs
-no flush — every join is already known — and picks the vector or the scalar
-resolver by group size (:data:`SCAN_VECTOR_CUTOFF`).
+
+One pricer per phase
+--------------------
+Each phase class mirrors ``post_send`` in exactly one pass, which stores
+finish times and results in the phase's ``finish`` / ``results`` lists.  A
+join prices a worklist, a driver prices everyone: a member joining through
+the engine hands the pass the members its join made resolvable (a bcast's
+joined descendants, a reduce/gather's ready chain toward the root, a scan's
+prefix) and ``_publish`` gives each its request and wake-up; a driver that
+knows every join up front (``_feed_all``: the allreduce composition, the
+jquick level phase — its data exchange is only ever priced this way) runs
+the same pass over all members and reads the lists, without requests or
+wake events.  Scan and barrier keep a vector and a scalar resolver on
+purpose: which applies follows from what the phase observes (group size — a
+fed scan needs no flush and picks by :data:`SCAN_VECTOR_CUTOFF` — in-order
+port writes, value dtype), not from who called.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
 from operator import itemgetter
 from typing import Any, Callable, Optional
 
 import numpy as np
 
-from ..collectives.topology import (
-    binomial_children,
-    binomial_parent,
-    dissemination_rounds,
-)
+from ..collectives.topology import binomial_children, dissemination_rounds
 from ..messaging import Request
 from ..simulator.errors import RankFailedError
 from ..simulator.network import freeze_payload, is_frozen_payload, payload_words
@@ -108,7 +116,6 @@ __all__ = [
     "LockstepRequest",
     "lockstep_eligible",
     "join_lockstep",
-    "join_exchange",
     "ExchangeEndpoint",
     "SpmdCoordinator",
     "coordinator_of",
@@ -125,7 +132,7 @@ _EDGE_POST = itemgetter(0)
 #: than the scalar loops they replace.
 FASTFORWARD_MIN_SIZE = 2
 
-#: Smallest group a *fed* scan (``_ScanPhase._resolve_fed``) prices with the
+#: Smallest group a *fed* scan (``_ScanPhase._price_all``) prices with the
 #: vector resolver; smaller groups take the scalar prefix loop.  The two are
 #: pinned bit-identical, so this is the measured crossover, not a knob —
 #: two-word SUM scan, scalar vs vector: 73 vs 120 us at 8 members, 126 vs
@@ -291,7 +298,6 @@ class SpmdCoordinator:
         "scan": lambda *a: _ScanPhase(*a),
         "gather": lambda *a: _GatherPhase(*a),
         "barrier": lambda *a: _BarrierPhase(*a),
-        "exchange": lambda *a: _ExchangePhase(*a),
     }
 
     @classmethod
@@ -464,8 +470,12 @@ class _PhaseBase:
         # post-charge start times for a granular decomposition.
         self._span_starts = self.joined
         self.values: list = [None] * size
+        # The one result sink: a pricer stores a member's finish time and
+        # result here (finish None = unpriced).  Requests exist only for
+        # members that joined through the engine.
+        self.finish: list = [None] * size
+        self.results: list = [None] * size
         self.requests: list = [None] * size
-        self.procs: list = [None] * size
         self.joined_count = 0
         self.resolved_count = 0
         self._wakes: list = []
@@ -514,7 +524,7 @@ class _PhaseBase:
         else:
             self.world = [ep.to_world(i) for i in range(ep.size)]
         self.fastforward = getattr(env, "lockstep_fastforward", True)
-        # Observability: spans are emitted from _finish when a recorder is
+        # Observability: spans are emitted from _publish when a recorder is
         # installed (Cluster(trace=...)); driver-owned sub-phases get
         # _obs nulled by _sub_phase so only the outer phase's span counts.
         self._obs = transport._obs
@@ -557,24 +567,25 @@ class _PhaseBase:
             raise LockstepError(
                 f"lockstep {self.kind}: rank {rank} joined twice — interleaved "
                 f"collectives on one (context, tag) are not lockstep-safe")
-        return self._join_at(rank, value, self.engine._now, ep.env,
-                             ep.env._proc)
+        return self._join_at(rank, value, self.engine._now, ep.env)
 
-    def _join_at(self, rank: int, value, now: float, env,
-                 proc) -> LockstepRequest:
+    def _join_at(self, rank: int, value, now: float,
+                 env=None) -> Optional[LockstepRequest]:
         """Record a member's join at virtual time ``now``; run the phase hook.
 
         ``join`` delegates here with the live engine clock and the member's
-        process.  A streaming driver (the schedule-IR replay) instead feeds
-        a sub-phase directly with the member's *synthetic* join time and
-        ``proc=None``: such members get no wake-up event — the driver reads
-        their finish times and results synchronously from the requests.
+        environment.  A streaming driver (the schedule-IR replay) instead
+        feeds a sub-phase directly with the member's *synthetic* join time
+        and no environment: such members get no request and no wake-up
+        event — the driver reads their finish times and results from the
+        ``finish`` / ``results`` lists.
         """
         self.joined[rank] = now
         self.joined_count += 1
         self.values[rank] = value
-        self.procs[rank] = proc
-        request = self.requests[rank] = LockstepRequest(env)
+        request = None
+        if env is not None:
+            request = self.requests[rank] = LockstepRequest(env)
         self.on_join(rank)
         self._flush_wakes()
         return request
@@ -582,51 +593,44 @@ class _PhaseBase:
     def _feed_all(self, times: list, values: list) -> tuple[list, list]:
         """Feed every member synthetically at once; returns finishes/results.
 
-        Batch counterpart of per-member ``_join_at(..., proc=None)`` calls
-        for drivers that know the whole phase up front (the allreduce
-        composition, the jquick level phase): one array assignment replaces
-        per-join bookkeeping,
-        and the phase resolves in a single fused pass over a known member
-        order instead of re-testing readiness on every join.  No wake
-        events or request objects are involved — the driver reads the
-        returned ``(finish_times, results)`` lists directly.  The input
-        lists are adopted as they are; no fed pass writes to them.
+        For drivers that know the whole phase up front (the allreduce
+        composition, the jquick level phase): one list assignment replaces
+        per-join bookkeeping, and the phase's pricer runs once over every
+        member in its natural order instead of over one join's worklist.
+        No wake events or request objects are involved — the driver reads
+        the returned ``(finish, results)`` lists directly.  The input lists
+        are adopted as they are; no pricer writes to them.
         """
         self.joined = times
         self.values = values
         self.joined_count = self.size
-        self._fed_finish = [0.0] * self.size
-        self._fed_values: list = [None] * self.size
-        self._resolve_fed()
-        return self._fed_finish, self._fed_values
+        self._price_all()
+        return self.finish, self.results
 
-    def _resolve_fed(self) -> None:  # pragma: no cover - interface
+    def _price_all(self) -> None:  # pragma: no cover - interface
+        """Price every member; all of them have joined."""
         raise NotImplementedError
 
-    def _finish_fed(self, rank: int, finish: float, value) -> None:
-        """``_finish`` of a fed phase: plain list stores, no request/wake.
-
-        A ``_resolve_fed`` that reuses its class's join-path resolvers
-        binds this over ``_finish`` on the instance.
-        """
-        self._fed_finish[rank] = finish
-        self._fed_values[rank] = value
-
     def on_join(self, rank: int) -> None:  # pragma: no cover - interface
+        """Price and ``_publish`` what ``rank``'s join made resolvable."""
         raise NotImplementedError
 
     # --------------------------------------------------------------- plumbing
 
     def _finish(self, rank: int, finish: float, value) -> None:
-        """Mark ``rank`` priced: result ``value``, wake at ``finish``.
+        """Store ``rank``'s finish time and result, and publish them."""
+        self.finish[rank] = finish
+        self.results[rank] = value
+        self._publish(rank)
 
-        Members joined synthetically (``proc=None``, see ``_join_at``) get no
-        wake event; their driver consumes the request fields directly.
+    def _publish(self, rank: int) -> None:
+        """Announce a member a pricer just stored in ``finish``/``results``.
+
+        Emits the member's span when tracing and, for a member that joined
+        through the engine, completes its request and queues its wake-up
+        at the finish time; a synthetically joined member has neither.
         """
-        request = self.requests[rank]
-        request.finish_time = finish
-        request._value = value
-        request._ready = True
+        finish = self.finish[rank]
         self.resolved_count += 1
         obs = self._obs
         if obs is not None:
@@ -634,9 +638,14 @@ class _PhaseBase:
             obs.spans.append((self.world[rank],
                               finish if start is None else start, finish,
                               "collective", f"{self.obs_label}@{self.tier}"))
-        proc = self.procs[rank]
-        if proc is not None:
-            self._wakes.append((finish, proc))
+        request = self.requests[rank]
+        if request is not None:
+            request.finish_time = finish
+            request._value = self.results[rank]
+            request._ready = True
+            proc = request.env._proc
+            if proc is not None:
+                self._wakes.append((finish, proc))
 
     def _flush_wakes(self) -> None:
         wakes = self._wakes
@@ -644,10 +653,6 @@ class _PhaseBase:
             self._wakes = []
             self.engine.charge_batch(
                 [w[0] for w in wakes], [w[1] for w in wakes])
-
-    def _wire_words(self, words: int) -> int:
-        factor = self.factor
-        return words if factor == 1.0 else int(round(words * factor))
 
     def _edge_link(self, src: int, dst: int) -> tuple:
         """``(alpha, beta)`` of one group-rank edge on a tiered machine.
@@ -700,32 +705,6 @@ class _PhaseBase:
 
     def to_world(self, rank: int) -> int:
         return self.world[rank]
-
-    def _send_side(self, src: int, post_time: float, local_delay: float,
-                   wire: int, link: Optional[tuple] = None) -> float:
-        """Mirror the sender half of ``post_send``; returns the leave time.
-
-        ``local_delay`` must already include the per-message delay, exactly
-        as ``TransportEndpoint.isend`` folds it in before the transport adds
-        it to ``now``.  ``link`` carries the per-edge ``(alpha, beta)`` on
-        tiered machines; None selects the uniform link.
-        """
-        world = self.world[src]
-        start = post_time + local_delay
-        port_free = self.transport._send_port_free[world]
-        if port_free > start:
-            start = port_free
-        if link is None:
-            leave = start + self.alpha + wire * self.beta
-        else:
-            leave = start + link[0] + wire * link[1]
-        self.transport._send_port_free[world] = leave
-        stats = self.stats
-        stats.messages_sent += 1
-        stats.words_sent += wire
-        stats.per_rank_messages_sent[world] += 1
-        stats.per_rank_words_sent[world] += wire
-        return leave
 
     def _recv_side(self, dst: int, leave: float, wire: int,
                    post_time: float, beta: Optional[float] = None) -> float:
@@ -1098,30 +1077,6 @@ class _PhaseBase:
                             hier or (bool(log) and log[-1][0] == post
                                      and log[-1][7])])
 
-    # Tree helpers (vrank rotation for rooted collectives).
-
-    def _children(self, rank: int) -> list[int]:
-        if self.root == 0:
-            return binomial_children(rank, self.size)
-        return _rotated_children(rank, self.root, self.size)
-
-    def _parent(self, rank: int) -> Optional[int]:
-        if self.root == 0:
-            return binomial_parent(rank)
-        return _rotated_parent(rank, self.root, self.size)
-
-
-@lru_cache(maxsize=8192)
-def _rotated_children(rank: int, root: int, size: int) -> tuple[int, ...]:
-    vrank = (rank - root) % size
-    return tuple((c + root) % size for c in binomial_children(vrank, size))
-
-
-@lru_cache(maxsize=8192)
-def _rotated_parent(rank: int, root: int, size: int) -> Optional[int]:
-    parent = binomial_parent((rank - root) % size)
-    return None if parent is None else (parent + root) % size
-
 
 def _edge_tiers(node_src, node_dst, island_src, island_dst) -> np.ndarray:
     """Per-edge tier indices (0 node, 1 island, 2 machine) for one round.
@@ -1206,26 +1161,20 @@ class _ScanPhase(_PhaseBase):
         if self.resolved_count == self.size:
             self.coordinator.retire(self)
 
-    def _resolve_fed(self) -> None:
+    def _price_all(self) -> None:
         """Every member is joined: vector rounds, or the scalar prefix loop.
 
         Same two resolvers as the join path, selected by group size instead
         of by a deferred flush: no engine event is armed, and a vector
         attempt that declines is counted like an armed fast-forward's.
         """
-        self._finish = self._finish_fed
-        try:
-            if self.fastforward and self.size >= SCAN_VECTOR_CUTOFF:
-                if self._vector_resolve():
-                    return
-                self.coordinator.fastforward_fallbacks += 1
-            resolve = self._resolve
-            for rank in range(self.size):
-                resolve(rank)
-        finally:
-            # The bound method makes the phase reference itself; drop it so
-            # the phase dies by refcount, not in a collector pass.
-            del self._finish
+        if self.fastforward and self.size >= SCAN_VECTOR_CUTOFF:
+            if self._vector_resolve():
+                return
+            self.coordinator.fastforward_fallbacks += 1
+        resolve = self._resolve
+        for rank in range(self.size):
+            resolve(rank)
 
     def _advance(self) -> None:
         # Rank i depends on ranks 0..i-1 only (messages always flow from
@@ -1401,8 +1350,7 @@ class _ScanPhase(_PhaseBase):
                     acc = freeze_payload(acc)
                 words = payload_words(acc)
                 wire = words if factor == 1.0 else int(round(words * factor))
-                # Sender half of post_send inlined (same float operand
-                # order as _send_side).
+                # Sender half of post_send, same float operand order.
                 if tiered:
                     alpha, beta = self._edge_link(rank, rank + distance)
                 local_delay = pending_delay + pmd
@@ -1445,27 +1393,55 @@ class _BcastPhase(_PhaseBase):
 
     def __init__(self, ep, op, root, coordinator):
         super().__init__(ep, op, root, coordinator)
-        # rank -> (arrival, post_time) of the message from its parent; set
-        # when the parent resolves.
+        # vrank -> arrival of the message from its parent; set when the
+        # parent is priced.
         self.arrivals: list = [None] * self.size
         self.wire_value: Any = None
         self.wire_words_cached: Optional[int] = None
 
     def on_join(self, rank: int) -> None:
-        if rank == self.root or self.arrivals[rank] is not None:
-            self._cascade(rank)
+        """Price the joined part of the subtree this join unblocks.
 
-    def _resolve_fed(self) -> None:
-        """Every member is joined: one fused top-down pass from the root.
+        Nothing unless the member is the root or its parent's message is
+        priced; else the member and its joined descendants, depth first off
+        a stack (children pushed largest subtree first, so the smallest is
+        priced first).  That order is the wake order of members finishing
+        at one instant, which the event counts pin.
+        """
+        size = self.size
+        root = self.root
+        joined = self.joined
+        vrank = (rank - root) % size
+        if vrank and self.arrivals[vrank] is None:
+            return
+        worklist = []
+        stack = [vrank]
+        while stack:
+            vrank = stack.pop()
+            worklist.append(vrank)
+            for child in binomial_children(vrank, size):
+                if joined[(child + root) % size] is not None:
+                    stack.append(child)
+        self._price(worklist)
+        for vrank in worklist:
+            self._publish((vrank + root) % size)
 
-        A binomial parent carries a smaller vrank than its children, so
-        ascending vrank order prices parents before children — the only
-        ordering the per-port write sequences depend on.  Children are
-        enumerated inline, largest subtree first as ``_children`` orders
-        them (its cache thrashes once a run's (vrank, size) pairs outgrow
-        it), the sender half of ``post_send`` is inlined (same float operand
-        order as ``_send_side``) and the in-order untied receive fold skips
-        the ``_recv_side`` call; tied or out-of-order folds take the full
+    def _price_all(self) -> None:
+        # A binomial parent carries a smaller vrank than its children, so
+        # ascending vrank order prices parents before children.
+        self._price(range(self.size))
+
+    def _price(self, vranks) -> None:
+        """Price the members ``vranks``, each after its parent.
+
+        Parents before children is the only ordering the per-port write
+        sequences depend on: every send port is written by its own member
+        alone and every receive port by the member's one parent.  Children
+        are enumerated inline, largest subtree first (a memoised child
+        table thrashes once a run's (vrank, size) pairs outgrow it), the
+        sender half of ``post_send`` is inlined with its float operand
+        order and the in-order untied receive fold skips the
+        ``_recv_side`` call; tied or out-of-order folds take the full
         logged path.
         """
         size = self.size
@@ -1477,8 +1453,9 @@ class _BcastPhase(_PhaseBase):
         pmd = self.pmd
         tiered = self._tiered
         hier = self._hier_sub
-        fed_finish = self._fed_finish
-        fed_values = self._fed_values
+        finishes = self.finish
+        results = self.results
+        arrivals = self.arrivals
         logs = self._recv_logs
         recv_free = self._recv_free
         recv_side = self._recv_side
@@ -1490,19 +1467,22 @@ class _BcastPhase(_PhaseBase):
         sent_by_rank = stats.per_rank_messages_sent
         sent_words_by_rank = stats.per_rank_words_sent
         root_value = self.values[root]
-        if isinstance(root_value, np.ndarray) and \
-                not is_frozen_payload(root_value):
-            wire_value = freeze_payload(root_value.copy())
-        else:
-            wire_value = root_value
-        self.wire_value = wire_value
-        wire = self.wire_words_cached = self._wire_words(
-            payload_words(wire_value))
+        if self.wire_words_cached is None:
+            # Snapshot of the root payload, once for the whole tree
+            # (mirrors bcast_schedule's `wire` fast path).
+            if isinstance(root_value, np.ndarray) and \
+                    not is_frozen_payload(root_value):
+                self.wire_value = freeze_payload(root_value.copy())
+            else:
+                self.wire_value = root_value
+            words = payload_words(self.wire_value)
+            self.wire_words_cached = words if self.factor == 1.0 \
+                else int(round(words * self.factor))
+        wire_value = self.wire_value
+        wire = self.wire_words_cached
         nsent = 0
         wsent = 0
-        # Arrival of each member's message from its parent, by vrank.
-        arrivals = [0.0] * size
-        for vrank in range(size):
+        for vrank in vranks:
             rank = vrank + root
             if rank >= size:
                 rank -= size
@@ -1568,59 +1548,10 @@ class _BcastPhase(_PhaseBase):
                 arrivals[child_vrank] = arrival
                 if leave > finish:
                     finish = leave
-            fed_finish[rank] = finish
-            fed_values[rank] = wire_value
-        fed_values[root] = root_value
+            finishes[rank] = finish
+            results[rank] = wire_value if vrank else root_value
         stats.messages_sent += nsent
         stats.words_sent += wsent
-
-    def _cascade(self, rank: int) -> None:
-        stack = [rank]
-        while stack:
-            current = stack.pop()
-            self._resolve(current)
-            for child in self._children(current):
-                if self.joined[child] is not None:
-                    stack.append(child)
-
-    def _resolve(self, rank: int) -> None:
-        entry = self.joined[rank]
-        if rank != self.root:
-            arrival = self.arrivals[rank][0]
-            if arrival > entry:
-                entry = arrival
-        finish = entry
-        for child in self._children(rank):
-            if self.wire_words_cached is None:
-                # Lazy snapshot of the root payload, once for the whole tree
-                # (mirrors bcast_schedule's `wire` fast path).
-                root_value = self.values[self.root]
-                if isinstance(root_value, np.ndarray) and \
-                        not is_frozen_payload(root_value):
-                    self.wire_value = freeze_payload(root_value.copy())
-                else:
-                    self.wire_value = root_value
-                self.wire_words_cached = self._wire_words(
-                    payload_words(self.wire_value))
-            wire = self.wire_words_cached
-            if self._tiered:
-                link = self._edge_link(rank, child)
-                leave = self._send_side(rank, entry, self.pmd, wire, link)
-                arrival = self._recv_side(child, leave, wire, entry, link[1])
-            else:
-                leave = self._send_side(rank, entry, self.pmd, wire)
-                arrival = self._recv_side(child, leave, wire, entry)
-            # The arrival is consumed verbatim as the child's entry floor,
-            # so it admits no growth: cap = arrival.
-            self._commit_caps(arrival)
-            self.arrivals[child] = (arrival, entry)
-            if leave > finish:
-                finish = leave
-        if rank == self.root:
-            result = self.values[rank]
-        else:
-            result = self.wire_value
-        self._finish(rank, finish, result)
 
 
 # ---------------------------------------------------------------------------
@@ -1638,24 +1569,56 @@ class _TreeUpPhase(_PhaseBase):
 
     def __init__(self, ep, op, root, coordinator):
         super().__init__(ep, op, root, coordinator)
-        # rank -> (post_time, leave, wire, payload-ish) of its send to the
-        # parent; shape of the last field differs per subclass.
+        # rank -> (post_time, leave, wire, payload-ish, link beta) of its
+        # send to the parent; shape of the payload field differs per
+        # subclass.  Set when the rank is priced (the root's stays None).
         self.up_send: list = [None] * self.size
 
     def on_join(self, rank: int) -> None:
-        self._cascade_up(rank)
+        priced: list = []
+        self._price(self._ready_chain((rank - self.root) % self.size, priced))
+        for member in priced:
+            self._publish(member)
 
-    def _resolve_fed(self) -> None:
-        """All members known up front: one fused bottom-up pass.
+    def _ready_chain(self, vrank: int, priced: list):
+        """Lazy worklist of a join: the ready members from ``vrank`` rootward.
 
-        A binomial child always carries a larger vrank than its parent, so
-        descending vrank order is a topological order of the tree — every
-        rank is priced after all of its children, exactly as the per-join
-        cascade would have, with identical per-port write sequences (each
-        resolve touches only its own ports).  The sender half of
-        ``post_send`` is inlined with the exact float operand order of
-        ``_send_side``, and the in-order untied receive fold bypasses the
-        ``_recv_side`` call (this pass dominates the composed-allreduce
+        A member is ready once it has joined and all of its children are
+        priced.  For a parent that hinges on the member priced just before
+        it, so readiness is tested when the pricer pulls the next vrank.
+        Yielded members are noted in ``priced`` for the caller to publish.
+        The generator lives in its caller's frame, never on the phase (a
+        phase must not reference itself).
+        """
+        size = self.size
+        root = self.root
+        up_send = self.up_send
+        while True:
+            member = (vrank + root) % size
+            if self.joined[member] is None:
+                return
+            for child in binomial_children(vrank, size):
+                if up_send[(child + root) % size] is None:
+                    return
+            priced.append(member)
+            yield vrank
+            if not vrank:
+                return
+            vrank &= vrank - 1
+
+    def _price_all(self) -> None:
+        # A binomial child carries a larger vrank than its parent, so
+        # descending vrank order prices every member after its children.
+        self._price(range(self.size - 1, -1, -1))
+
+    def _price(self, vranks) -> None:
+        """Price the members ``vranks``, each after all of its children.
+
+        Children before parents is the only ordering the per-port write
+        sequences depend on (each member's pricing touches only its own
+        ports).  The sender half of ``post_send`` is inlined with its
+        float operand order, and the in-order untied receive fold bypasses
+        the ``_recv_side`` call (this pass dominates the composed-allreduce
         gate); tied or out-of-order folds take the full logged path.
         """
         size = self.size
@@ -1668,8 +1631,8 @@ class _TreeUpPhase(_PhaseBase):
         factor = self.factor
         tiered = self._tiered
         hier = self._hier_sub
-        fed_finish = self._fed_finish
-        fed_values = self._fed_values
+        finishes = self.finish
+        results = self.results
         logs = self._recv_logs
         recv_free = self._recv_free
         recv_side = self._recv_side
@@ -1683,12 +1646,12 @@ class _TreeUpPhase(_PhaseBase):
         up_payload = self._up_payload
         nsent = 0
         wsent = 0
-        for vrank in range(size - 1, -1, -1):
+        for vrank in vranks:
             rank = vrank + root
             if rank >= size:
                 rank -= size
-            # The rank's children, largest subtree first — what
-            # ``_children`` returns, enumerated inline (see the bcast pass).
+            # The rank's children, largest subtree first, enumerated
+            # inline (see the bcast pass).
             children = []
             if not vrank & 1:
                 mask = ((vrank & -vrank) if vrank
@@ -1745,8 +1708,8 @@ class _TreeUpPhase(_PhaseBase):
                         row[5] = entry
                     del cap_pending[:]
             if vrank == 0:
-                fed_finish[rank] = entry
-                fed_values[rank] = self._root_result(rank, children)
+                finishes[rank] = entry
+                results[rank] = self._root_result(rank, children)
                 continue
             payload, local_delay, words = up_payload(rank, children)
             wire = words if factor == 1.0 else int(round(words * factor))
@@ -1756,7 +1719,9 @@ class _TreeUpPhase(_PhaseBase):
             if port_free > start:
                 start = port_free
             if tiered:
-                link = self._edge_link(rank, self._parent(rank))
+                parent = (vrank & (vrank - 1)) + root
+                link = self._edge_link(
+                    rank, parent if parent < size else parent - size)
                 leave = start + link[0] + wire * link[1]
                 ebeta = link[1]
             else:
@@ -1768,62 +1733,9 @@ class _TreeUpPhase(_PhaseBase):
             sent_by_rank[src] += 1
             sent_words_by_rank[src] += wire
             up_send[rank] = (entry, leave, wire, payload, ebeta)
-            fed_finish[rank] = leave
+            finishes[rank] = leave
         stats.messages_sent += nsent
         stats.words_sent += wsent
-
-    def _cascade_up(self, rank: int) -> None:
-        stack = [rank]
-        while stack:
-            current = stack.pop()
-            if self.joined[current] is None or \
-                    self.up_send[current] is not None or \
-                    self._priced(current):
-                continue
-            children = self._children(current)
-            if any(self.up_send[child] is None for child in children):
-                continue
-            self._resolve(current, children)
-            parent = self._parent(current)
-            if parent is not None:
-                stack.append(parent)
-
-    def _priced(self, rank: int) -> bool:
-        request = self.requests[rank]
-        return request is not None and request._ready
-
-    def _entry_time(self, rank: int, children: list[int]) -> float:
-        """max(join, child arrivals), with port writes in native post order."""
-        entry = self.joined[rank]
-        if children:
-            edges = sorted((self.up_send[child] for child in children),
-                           key=_EDGE_POST)
-            for post_time, leave, wire, _payload, beta in edges:
-                arrival = self._recv_side(rank, leave, wire, post_time, beta)
-                if arrival > entry:
-                    entry = arrival
-        # Only the max of (join, arrivals) is committed downstream.
-        self._commit_caps(entry)
-        return entry
-
-    def _resolve(self, rank: int, children: list[int]) -> None:
-        """Price one member on the live path: entry, up-send, finish.
-
-        The op-specific payload semantics live in ``_up_payload`` /
-        ``_root_result``, shared with the fused ``_resolve_fed`` pass.
-        """
-        entry = self._entry_time(rank, children)
-        parent = self._parent(rank)
-        if parent is None:
-            self._finish(rank, entry, self._root_result(rank, children))
-            return
-        payload, local_delay, words = self._up_payload(rank, children)
-        wire = self._wire_words(words)
-        link = self._edge_link(rank, parent) if self._tiered else None
-        leave = self._send_side(rank, entry, local_delay, wire, link)
-        self.up_send[rank] = (entry, leave, wire, payload,
-                              self.beta if link is None else link[1])
-        self._finish(rank, leave, None)
 
     def _up_payload(self, rank: int,
                     children: list[int]) -> tuple:  # pragma: no cover
@@ -2035,7 +1947,7 @@ class _BarrierPhase(_PhaseBase):
         nsent = 0
         for distance in dissemination_rounds(size):
             # Sender half of post_send inlined for the all-zero-word round
-            # (same float operand order as _send_side with wire = 0:
+            # (same float operand order as post_send with wire = 0:
             # ``start + alpha + 0 * beta`` folds to ``start + alpha + 0.0``,
             # and ``x + 0.0 == x`` for the non-negative times here).
             leaves = []
@@ -2083,7 +1995,7 @@ _INF = float("inf")
 
 
 class ExchangeEndpoint:
-    """Minimal endpoint for :func:`join_exchange`.
+    """Minimal endpoint of a phase that prices a data exchange.
 
     Data-exchange messages are plain point-to-point sends (no vendor word
     factor, no per-message delay), so the endpoint carries neutral cost
@@ -2115,35 +2027,22 @@ class ExchangeEndpoint:
         return first + rank * stride
 
 
-def join_exchange(ep, pieces, expected: int, cap_words: int,
-                  charge: bool) -> LockstepRequest:
-    """Enter this rank into an analytic data-exchange phase on ``ep``.
-
-    ``pieces`` lists this rank's outgoing remote messages as ``(dest_member,
-    words)`` in native posting order (self-copies excluded); ``expected`` is
-    the number of remote messages this rank will receive, ``cap_words`` the
-    number of slot words it drains (the local-work charge argument), and
-    ``charge`` whether that drain charges compute.  Must be called at the
-    instant the native code would have posted its sends.  The request
-    completes at the native finish time ``max(drain [+ compute], last send
-    leave)`` with the inbound message count as its result.
-    """
-    return coordinator_of(ep.transport).join(
-        ep, "exchange", (pieces, expected, cap_words, charge), None, 0)
-
-
 class _ExchangePhase(_PhaseBase):
     """Mirror of the native drain-then-charge-then-wait exchange loop.
 
+    Only ever *fed* (the jquick level phase knows every member's pieces):
+    no registered kind, no join path.  A member's value is ``(pieces,
+    expected, cap_words, charge)``: its outgoing remote messages ``(dest
+    member, words)`` in native posting order (self-copies excluded), the
+    number of remote messages it will receive, the slot words it drains
+    (the local-work charge argument) and whether that drain charges
+    compute.  Its join time is the instant the native code would have
+    posted its sends; its result is its inbound message count.
+
     Each member posts its remote sends back-to-back at its join instant
-    (``_send_side`` serialises them on the send port exactly like the native
-    sequential ``isend`` calls), and every send folds into its destination
-    port at the sender's join — which is the native virtual post instant, so
-    the fold order seen by each receive port matches the engine's chronology
-    and the in-order branch of ``_recv_side`` applies (out-of-order inserts
-    can still come from *other* phases overlapping on a port; the shared log
-    machinery handles or honestly refuses those).  A member resolves once it
-    has joined and all ``expected`` inbound messages are folded:
+    (serialised on the send port exactly like the native sequential
+    ``isend`` calls), and every send folds into its destination port at the
+    sender's join — the native virtual post instant.  A member finishes at
 
         drain  = max(join, inbound arrivals)
         finish = max(drain + compute(cap_words) if charge else drain,
@@ -2154,63 +2053,23 @@ class _ExchangePhase(_PhaseBase):
     ``Pending(send_requests)`` wait.  Inbound entries keep an infinite cap
     until their consumer's drain is known — their arrivals are still
     re-foldable by out-of-order inserts, and the re-folded value is re-read
-    at resolution — then the drain is committed as the cap.
+    when the drain is computed — then the drain is committed as the cap.
     """
 
     kind = "exchange"
 
-    def __init__(self, ep, op, root, coordinator):
-        super().__init__(ep, op, root, coordinator)
-        size = self.size
-        self.expected: list = [None] * size
-        self.inbound: list = [[] for _ in range(size)]
-        self.max_leave: list = [0.0] * size
-        self.cap_words: list = [0] * size
-        self.charge: list = [False] * size
+    def _price_all(self) -> None:
+        """Fold all sends in native post order, then drain every member.
 
-    def on_join(self, rank: int) -> None:
-        post_time = self.joined[rank]
-        pieces, expected, cap_words, charge = self.values[rank]
-        self.values[rank] = None
-        self.expected[rank] = expected
-        self.cap_words[rank] = cap_words
-        self.charge[rank] = charge
-        pending = self._cap_pending
-        inbound = self.inbound
-        best_leave = 0.0
-        touched = []
-        tiered = self._tiered
-        for dest, words in pieces:
-            wire = self._wire_words(words)
-            link = self._edge_link(rank, dest) if tiered else None
-            leave = self._send_side(rank, post_time, 0.0, wire, link)
-            self._recv_side(dest, leave, wire, post_time,
-                            None if link is None else link[1])
-            entry = pending.pop()
-            entry[5] = _INF
-            inbound[dest].append(entry)
-            touched.append(dest)
-            if leave > best_leave:
-                best_leave = leave
-        self.max_leave[rank] = best_leave
-        self._try_resolve(rank)
-        for dest in touched:
-            self._try_resolve(dest)
-
-    def _resolve_fed(self) -> None:
-        """Every member is joined: fold all sends in native post order.
-
-        The join path leaves each receive port folding the phase's writes
-        sorted by post time, ties in application (member) order — a send
-        posting before an already applied one is re-inserted by the log.
-        Visiting the members in that order (stable sort by join time) puts
-        every write on the in-order branch of ``_recv_side``, applied
-        inline like the sender half of ``post_send`` (same float operand
-        order as ``_send_side``); only a port another phase already wrote
-        at a later or order-ambiguous post takes the full logged path.
-        Inbound counts are checked once, after all sends are folded, and
-        arrivals are read then (a logged re-insertion may have re-folded
-        them upward).
+        Each receive port must fold the phase's writes sorted by post time,
+        ties in member order.  Visiting the members in that order (stable
+        sort by join time) puts every write on the in-order branch of
+        ``_recv_side``, applied inline like the sender half of
+        ``post_send`` (same float operand order); only a port another phase
+        already wrote at a later or order-ambiguous post takes the full
+        logged path.  Inbound counts are checked once, after all sends are
+        folded, and arrivals are read then (a logged re-insertion may have
+        re-folded them upward).
         """
         size = self.size
         joined = self.joined
@@ -2231,8 +2090,8 @@ class _ExchangePhase(_PhaseBase):
         stats = self.stats
         sent_by_rank = stats.per_rank_messages_sent
         sent_words_by_rank = stats.per_rank_words_sent
-        inbound = self.inbound
-        max_leave = self.max_leave
+        inbound: list = [[] for _ in range(size)]
+        max_leave = [0.0] * size
         nsent = 0
         wsent = 0
         for rank in sorted(range(size), key=joined.__getitem__):
@@ -2293,8 +2152,8 @@ class _ExchangePhase(_PhaseBase):
         stats.messages_sent += nsent
         stats.words_sent += wsent
         compute_cost = self.compute_cost
-        fed_finish = self._fed_finish
-        fed_values = self._fed_values
+        finishes = self.finish
+        results = self.results
         for member in range(size):
             _pieces, expected, cap_words, charge = values[member]
             entries = inbound[member]
@@ -2315,41 +2174,8 @@ class _ExchangePhase(_PhaseBase):
             leave = max_leave[member]
             if leave > finish:
                 finish = leave
-            fed_finish[member] = finish
-            fed_values[member] = arrived
-
-    def _try_resolve(self, member: int) -> None:
-        expected = self.expected[member]
-        if expected is None:
-            return  # not joined yet
-        request = self.requests[member]
-        if request._ready:
-            return
-        entries = self.inbound[member]
-        arrived = len(entries)
-        if arrived < expected:
-            return
-        if arrived > expected:
-            raise LockstepError(
-                f"lockstep exchange: member {member} expected {expected} "
-                f"inbound message(s) but {arrived} were posted — the "
-                f"participants disagree on the assignment")
-        # Re-read arrivals: out-of-order inserts from overlapping phases may
-        # have re-folded them upward since the send was priced.
-        drain = self.joined[member]
-        for entry in entries:
-            arrival = entry[4]
-            if arrival > drain:
-                drain = arrival
-        for entry in entries:
-            entry[5] = drain
-        finish = drain
-        if self.charge[member]:
-            finish = drain + self.compute_cost(self.cap_words[member])
-        leave = self.max_leave[member]
-        if leave > finish:
-            finish = leave
-        self._finish(member, finish, arrived)
+            finishes[member] = finish
+            results[member] = arrived
 
 
 # ---------------------------------------------------------------------------
@@ -2468,7 +2294,6 @@ class _SchedulePhase(_PhaseBase):
         """Drain the cascade: feed ready members, harvest, repeat."""
         schedule = self.schedule
         stages = schedule.stages
-        env = self.env
         op = self.op
         plan = self._plan
         pos = self._pos
@@ -2492,7 +2317,7 @@ class _SchedulePhase(_PhaseBase):
                     value = (carry if stage.src == "carry" else prefix)[g]
             else:
                 value = carry[g]
-            phase._join_at(i, value, times[g], env, None)
+            phase._join_at(i, value, times[g])
             if stage.kind == "scan" and phase._flush_armed:
                 # The sub-scan deferred its vectorised flush to an engine
                 # event at this instant; harvest right behind it.  Same-time
@@ -2513,7 +2338,8 @@ class _SchedulePhase(_PhaseBase):
             return
         stage = self.schedule.stages[s]
         harvested = self._stage_harvested[s]
-        requests = phase.requests
+        finish = phase.finish
+        results = phase.results
         to_prefix = stage.kind == "bcast" and stage.dst == "prefix"
         root = stage.root
         times = self._times
@@ -2521,20 +2347,17 @@ class _SchedulePhase(_PhaseBase):
         prefix = self._prefix
         pos = self._pos
         for i, g in enumerate(stage.members):
-            if harvested[i]:
-                continue
-            request = requests[i]
-            if request is None or not request._ready:
+            if harvested[i] or finish[i] is None:
                 continue
             harvested[i] = True
-            times[g] = request.finish_time
+            times[g] = finish[i]
             if to_prefix:
                 # Prefix delivery: the stage root's registers survive (its
                 # carry is already its final scan value).
                 if i != root:
-                    prefix[g] = request._value
+                    prefix[g] = results[i]
             else:
-                carry[g] = request._value
+                carry[g] = results[i]
             pos[g] += 1
             worklist.append(g)
 

@@ -135,10 +135,12 @@ class ResultCache:
         try:
             with open(path) as handle:
                 data = json.load(handle)
-        except (FileNotFoundError, json.JSONDecodeError):
+        except (FileNotFoundError, json.JSONDecodeError, UnicodeDecodeError):
+            return None  # absent, cut off or not text: a miss
+        if not isinstance(data, dict) \
+                or data.get("scenario") != scenario.canonical():
+            # Not a result object, hash collision or tampered entry: a miss.
             return None
-        if data.get("scenario") != scenario.canonical():
-            return None  # hash collision or tampered entry: treat as a miss
         result = ScenarioResult.from_dict(data, scenario=scenario)
         result.cached = True
         return result

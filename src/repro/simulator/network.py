@@ -809,7 +809,7 @@ class Transport:
             self.pool_drops += 1
 
     def message_pool_stats(self) -> dict:
-        """Free-list effectiveness counters (surfaced by ``--profile`` runs)."""
+        """Free-list effectiveness counters (``ClusterResult.message_pool``)."""
         return {
             "message_pool_max": MESSAGE_POOL_MAX,
             "message_pool_hits": self.pool_hits,

@@ -157,7 +157,7 @@ class _LevelRecord:
         """Group-wide greedy assignment, as the exchange phase's values.
 
         Member ``g``'s entry is ``(pieces, expected, cap_words[g], charge)``
-        (see :func:`repro.core.spmd.join_exchange`): its outgoing remote
+        (see :class:`repro.core.spmd._ExchangePhase`): its outgoing remote
         messages ``(dest_member, words)`` in native posting order (small
         pieces then large pieces, each in slot order; self-copies excluded;
         ``words`` counts the native ``(slot_start, chunk)`` payload) and
@@ -279,12 +279,13 @@ class _JQLevelPhase(_PhaseBase):
       *fed* whole (``_feed_all``): the members' entry times are the
       finish-time list of the previous sub-step — precisely when the engine
       would have resumed each member to issue the next call — and each
-      sub-step resolves in one fused pass returning plain finish/result
-      lists.  No per-member joins, request objects, readiness re-tests or
-      wake flushes are involved, and the scan takes its vector or scalar
-      resolver by group size (``SCAN_VECTOR_CUTOFF``) without arming a
-      flush event.  Port folds, payload snapshots, tracer counters and
-      float operand order are those of the unfused tier, bit for bit;
+      sub-step's pricer (the pass a join would hand a worklist) runs once
+      over all members, leaving plain finish/result lists.  No per-member
+      joins, request objects, readiness re-tests or wake flushes are
+      involved, and the scan takes its vector or scalar resolver by group
+      size (``SCAN_VECTOR_CUTOFF``) without arming a flush event.  Port
+      folds, payload snapshots, tracer counters and float operand order
+      are those of the unfused tier, bit for bit;
     * the member wakes once, at its native end-of-level time, with
       ``(total_small, messages)``.
 

@@ -15,9 +15,11 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.collectives.endpoint import TransportEndpoint
 from repro.core import spmd
+from repro.messaging import RecvRequest, wait_all
 from repro.mpi import init_mpi
-from repro.mpi.datatypes import MAX, MIN, PROD, SUM
+from repro.mpi.datatypes import ANY_SOURCE, MAX, MIN, PROD, SUM
 from repro.rbc import collectives as rbc
 from repro.rbc import create_rbc_comm
 from repro.simulator import Cluster
@@ -167,10 +169,12 @@ def test_fastforward_never_processes_more_events():
 # ---------------------------------------------------------------------------
 # Fed (whole phase at once) vs joined (member by member) pricing.
 #
-# The jquick level phase feeds its sub-steps through ``_feed_all`` instead
-# of synthetic per-member joins.  Both entries of one phase class must
-# leave byte-equal finish times, results, port arrays, port logs and tracer
-# statistics — or refuse with the same ``LockstepError``.
+# A phase class has one pricer: a driver runs it over everyone
+# (``_feed_all``), a join hands it the members that join made resolvable.
+# Whatever the join order, both entries must leave byte-equal finish times,
+# results, port arrays, port logs and tracer statistics — or refuse with
+# the same ``LockstepError``.  The data exchange is only ever fed, so its
+# reference is the event engine itself (further down).
 # ---------------------------------------------------------------------------
 
 WORLD = 12       # ranks of the scratch cluster the phases are priced on
@@ -187,32 +191,35 @@ class _Bench:
         self.env.lockstep_fastforward = fastforward
         self.coordinator = spmd.SpmdCoordinator()
 
-    def phase(self, factory, op, size, first=GROUP_FIRST, stride=1):
+    def phase(self, factory, op, size, first=GROUP_FIRST, stride=1, root=0):
         endpoint = spmd.ExchangeEndpoint(self.env, ("fed", factory.kind), 0,
                                          0, size, first, stride)
-        phase = factory(endpoint, op, 0, self.coordinator)
+        phase = factory(endpoint, op, root, self.coordinator)
         # Driver-owned, like ``_PhaseBase._sub_phase`` sets a sub-phase up.
         phase._retired = True
         phase._gen_key = None
         phase.first_join = 0.0
         return phase
 
-    def foreign_write(self, port, post_time):
+    def foreign_write(self, port, post_time, sender=None):
         """Another phase's (already capped) write on world rank ``port``,
-        posted at ``post_time`` by the world rank just below it."""
-        bcast = self.phase(spmd._BcastPhase, None, 2, first=port - 1)
+        posted at ``post_time`` by world rank ``sender`` (default: the rank
+        just below the port)."""
+        if sender is None:
+            sender = port - 1
+        bcast = self.phase(spmd._BcastPhase, None, 2, first=sender,
+                           stride=port - sender)
         bcast._feed_all([post_time, post_time], [np.ones(3), None])
 
     def joined(self, phase, times, values, order):
         for member in order:
-            phase._join_at(member, values[member], times[member], self.env,
-                           None)
+            phase._join_at(member, values[member], times[member])
         if getattr(phase, "_flush_armed", False):
             phase._flush(None)
-        requests = phase.requests
-        assert all(request._ready for request in requests)
-        return ([request.finish_time for request in requests],
-                [request._value for request in requests])
+        assert None not in phase.finish
+        # Synthetic members get no request object.
+        assert phase.requests == [None] * phase.size
+        return phase.finish, phase.results
 
     def observables(self):
         transport = self.cluster.transport
@@ -221,7 +228,7 @@ class _Bench:
         logs = {
             port: [entry[:6] + [owners.setdefault(id(entry[6]), len(owners)),
                                 entry[7]] for entry in log]
-            for port, log in self.coordinator._recv_logs.items()}
+            for port, log in sorted(self.coordinator._recv_logs.items())}
         return (list(transport._send_port_free),
                 list(transport._recv_port_free), logs,
                 stats.messages_sent, stats.words_sent,
@@ -231,8 +238,17 @@ class _Bench:
                 list(stats.per_rank_words_received))
 
 
-def _price_both_ways(factory, op, times, values, *, order=None, foreign=None,
-                     fastforward=True):
+def _plain(value):
+    """A result as comparable plain data (arrays keep their writability)."""
+    if isinstance(value, np.ndarray):
+        return ("array", value.tolist(), value.flags.writeable)
+    if isinstance(value, (list, tuple)):
+        return [_plain(item) for item in value]
+    return value
+
+
+def _price_both_ways(factory, op, times, values, *, root=0, order=None,
+                     foreign=None, fastforward=True):
     """(outcome, observables) of the joined and of the fed pricing."""
     size = len(times)
     outcomes = []
@@ -240,17 +256,14 @@ def _price_both_ways(factory, op, times, values, *, order=None, foreign=None,
         bench = _Bench(fastforward)
         if foreign is not None:
             bench.foreign_write(*foreign)
-        phase = bench.phase(factory, op, size)
+        phase = bench.phase(factory, op, size, root=root)
         try:
             if fed:
                 finish, results = phase._feed_all(times, values)
             else:
                 finish, results = bench.joined(
                     phase, times, values, order or range(size))
-            outcome = (list(finish),
-                       [np.asarray(r).tolist() for r in results],
-                       [isinstance(r, np.ndarray) and r.flags.writeable
-                        for r in results])
+            outcome = (list(finish), _plain(results))
         except spmd.LockstepError:
             outcomes.append(("refused", None, None))
             continue
@@ -304,32 +317,100 @@ def test_property_fed_scan_matches_joined(size, skew, foreign_port,
     assert joined[:2] == fed[:2]
 
 
-_PIECE = st.tuples(st.integers(min_value=0, max_value=7),   # dest (mod size)
-                   st.integers(min_value=1, max_value=5))   # words
+_TREES = {"bcast": (spmd._BcastPhase, None),
+          "reduce": (spmd._ReducePhase, SUM),
+          "gather": (spmd._GatherPhase, None)}
 
 
-@given(rows=st.lists(st.tuples(st.lists(_PIECE, max_size=3),
-                               st.sampled_from([0.0, 0.0, 0.4, 1.1, 2.5]),
-                               st.integers(min_value=0, max_value=4),
-                               st.booleans()),
-                     min_size=2, max_size=8),
+@given(kind=st.sampled_from(sorted(_TREES)),
+       size=st.integers(min_value=2, max_value=WORLD - GROUP_FIRST),
+       root=st.sampled_from([0, 0, 1, 3, 7]),
+       lists=st.booleans(),
+       skew=st.sampled_from([0.0, 0.05, 0.37, 3.0]),
        order_seed=st.one_of(st.none(),
                             st.integers(min_value=0, max_value=10 ** 6)),
        foreign_port=st.integers(min_value=GROUP_FIRST + 1,
                                 max_value=WORLD - 1),
-       foreign_post=st.one_of(st.none(), st.sampled_from([0.2, 1.5, 40.0])),
-       miscount=st.sampled_from([0, 0, 0, -1]))
-@settings(max_examples=120, deadline=None,
+       foreign_post=st.one_of(st.none(), st.sampled_from([0.2, 1.5, 40.0])))
+@settings(max_examples=150, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
-def test_property_fed_exchange_matches_joined(rows, order_seed, foreign_port,
-                                              foreign_post, miscount):
-    """Skewed and tied join times, members without pieces, everything sent
-    to one member (a degenerate split), several pieces to one destination,
-    a foreign write on one receive port, and an assignment the members
-    disagree on.  Tied posts fold in application order — member order for a
-    fed phase and for the level phase's old member-by-member replay alike —
-    so the joins come in member order, or in any order once the join times
-    are made distinct."""
+def test_property_fed_trees_match_joined(kind, size, root, lists, skew,
+                                         order_seed, foreign_port,
+                                         foreign_post):
+    """Any join order equals the fed order for the tree phases: root 0 and
+    a rotated root, array and list payloads (a SUM of lists concatenates,
+    so the up-tree word counts grow), skewed and tied join times — the
+    joins come in member order, or in any order once the times are made
+    distinct — and an optional foreign write on one receive port."""
+    factory, op = _TREES[kind]
+    root %= size
+    times = [skew * ((member * 7) % 5) for member in range(size)]
+    order = None
+    if order_seed is not None:
+        times = [time + 0.001 * member for member, time in enumerate(times)]
+        order = np.random.default_rng(order_seed).permutation(size).tolist()
+    if lists:
+        values = [[float(member), 1.0] for member in range(size)]
+    else:
+        values = [np.array([member % 3, 1.5 * member])
+                  for member in range(size)]
+    if kind == "bcast":
+        values = [value if member == root else None
+                  for member, value in enumerate(values)]
+    foreign = None if foreign_post is None else (foreign_port, foreign_post)
+    joined, fed = _price_both_ways(factory, op, times, values, root=root,
+                                   order=order, foreign=foreign)
+    assert joined[:2] == fed[:2]
+
+
+# ---------------------------------------------------------------------------
+# The fed data exchange vs the event engine.
+#
+# ``_ExchangePhase`` has no join path to compare against: its reference is
+# the native loop of ``jquick._exchange`` run event by event on the
+# reference engine.
+# ---------------------------------------------------------------------------
+
+_PIECE = st.tuples(st.integers(min_value=0, max_value=7),   # dest (mod size)
+                   st.integers(min_value=1, max_value=5))   # words
+_EXCHANGE_TAG = 7
+_FOREIGN_SENDER = 0     # a world rank below GROUP_FIRST: outside the group
+
+
+def _native_exchange(env, feed, times, foreign):
+    """The data exchange of ``jquick._exchange`` as a plain rank program."""
+    if foreign is not None and env.rank == _FOREIGN_SENDER:
+        port, post_time = foreign
+        yield from env.sleep(post_time)
+        handle = env.transport.post_send(_FOREIGN_SENDER, port, 0, "foreign",
+                                         np.ones(3))
+        yield from env.wait_until(handle.test)
+        return None
+    member = env.rank - GROUP_FIRST
+    if not 0 <= member < len(feed):
+        return None
+    pieces, expected, cap_words, charge = feed[member]
+    yield from env.sleep(times[member])
+    endpoint = TransportEndpoint(
+        env, env.transport, context="exchange", tag=_EXCHANGE_TAG,
+        rank=member, size=len(feed), to_world=lambda r: GROUP_FIRST + r)
+    sends = [endpoint.isend(np.zeros(words), dest) for dest, words in pieces]
+    inbound = 0
+    if expected:
+        request = RecvRequest(env, env.transport, "exchange", ANY_SOURCE,
+                              _EXCHANGE_TAG)
+        while inbound < expected:
+            yield from env.wait_until(request.test)
+            request.take()
+            inbound += 1
+    if charge:
+        yield from env.compute(cap_words)
+    yield from wait_all(env, sends)
+    return env.now, inbound
+
+
+def _exchange_feed(rows):
+    """Per-member ``(pieces, expected, cap_words, charge)`` and join times."""
     size = len(rows)
     pieces = [[(dest % size, words) for dest, words in row[0]
                if dest % size != member] for member, row in enumerate(rows)]
@@ -337,33 +418,70 @@ def test_property_fed_exchange_matches_joined(rows, order_seed, foreign_port,
     for row in pieces:
         for dest, _ in row:
             expected[dest] += 1
-    busiest = max(range(size), key=expected.__getitem__)
-    miscounted = bool(miscount and expected[busiest])
-    if miscounted:
-        expected[busiest] += miscount   # -1: one more arrives than announced
-    times = [row[1] for row in rows]
-    order = None
-    if order_seed is not None:
-        times = [time + 0.001 * member for member, time in enumerate(times)]
-        order = np.random.default_rng(order_seed).permutation(size).tolist()
-    values = [(pieces[m], expected[m], rows[m][2], rows[m][3])
-              for m in range(size)]
+    feed = [(pieces[m], expected[m], rows[m][2], rows[m][3])
+            for m in range(size)]
+    return feed, [row[1] for row in rows]
+
+
+@given(rows=st.lists(st.tuples(st.lists(_PIECE, max_size=3),
+                               st.sampled_from([0.0, 0.0, 0.4, 1.1, 2.5]),
+                               st.integers(min_value=0, max_value=4),
+                               st.booleans()),
+                     min_size=2, max_size=8),
+       foreign_port=st.integers(min_value=GROUP_FIRST + 1,
+                                max_value=WORLD - 1),
+       foreign_post=st.one_of(st.none(), st.sampled_from([0.2, 1.5, 40.0])))
+@settings(max_examples=120, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+def test_property_fed_exchange_matches_engine(rows, foreign_port,
+                                              foreign_post):
+    """Skewed and tied join times, members without pieces, everything sent
+    to one member (a degenerate split), several pieces to one destination
+    and a foreign write on one receive port (posted by a rank outside the
+    group: a two-member bcast phase on the scratch cluster, a real
+    ``post_send`` at the same instant on the engine).  The fed pass must
+    leave the engine's finish times, inbound counts, port arrays and
+    per-rank word counts, bit for bit, or refuse."""
+    feed, times = _exchange_feed(rows)
     foreign = None if foreign_post is None else (foreign_port, foreign_post)
-    joined, fed = _price_both_ways(spmd._ExchangePhase, None, times, values,
-                                   order=order, foreign=foreign)
-    if miscounted:
-        # The join path only notices the surplus message while its receiver
-        # is still unresolved; the fed pass always does.
-        assert fed[0] == "refused"
-    else:
-        assert joined[:2] == fed[:2]
+    bench = _Bench()
+    if foreign is not None:
+        bench.foreign_write(*foreign, sender=_FOREIGN_SENDER)
+    phase = bench.phase(spmd._ExchangePhase, None, len(rows))
+    try:
+        finish, inbound = phase._feed_all(times, feed)
+    except spmd.LockstepError:
+        return
+    cluster = Cluster(bench.cluster.num_ranks, reference_engine=True)
+    native = cluster.run(_native_exchange, feed, times, foreign)
+    members = native.results[GROUP_FIRST:GROUP_FIRST + len(rows)]
+    assert [float.hex(time) for time in finish] == \
+        [float.hex(time) for time, _ in members]
+    assert inbound == [count for _, count in members]
+    priced = bench.cluster.transport
+    assert priced._send_port_free == cluster.transport._send_port_free
+    assert priced._recv_port_free == cluster.transport._recv_port_free
+    assert bench.cluster.tracer.stats.per_rank_words_sent == \
+        native.stats.per_rank_words_sent
+    assert bench.cluster.tracer.stats.per_rank_words_received == \
+        native.stats.per_rank_words_received
 
 
 def test_fed_exchange_refuses_a_missing_inbound_message():
-    """The join path would wait forever for a message nobody posts; the
-    fed pass checks the counts once and refuses."""
+    """A member announces a message nobody posts: the native loop would
+    wait forever; the fed pass checks the counts once and refuses."""
     bench = _Bench()
     phase = bench.phase(spmd._ExchangePhase, None, 3)
     values = [([(1, 2)], 0, 0, False), ([], 2, 0, False), ([], 0, 0, False)]
+    with pytest.raises(spmd.LockstepError, match="disagree on the assignment"):
+        phase._feed_all([0.0, 0.0, 0.0], values)
+
+
+def test_fed_exchange_refuses_a_surplus_inbound_message():
+    """One more message arrives than its receiver announced."""
+    bench = _Bench()
+    phase = bench.phase(spmd._ExchangePhase, None, 3)
+    values = [([(1, 2)], 0, 0, False), ([], 1, 0, False),
+              ([(1, 1)], 0, 0, False)]
     with pytest.raises(spmd.LockstepError, match="disagree on the assignment"):
         phase._feed_all([0.0, 0.0, 0.0], values)

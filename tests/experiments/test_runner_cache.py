@@ -200,6 +200,27 @@ def test_cache_rejects_failed_results_and_tampered_entries(tmp_path):
     assert cache.get(scenario) is None
 
 
+@pytest.mark.parametrize("blob", [b"[]", b'"x"', b"null", b"\xff\xfe\x00",
+                                  b'{"scenario": {"kind": "coll'],
+                         ids=["list", "string", "null", "not-utf8", "cut-off"])
+def test_corrupt_cache_entry_is_a_miss_and_gets_overwritten(tmp_path, blob):
+    """Valid JSON that is no object, bytes that are no UTF-8 and a cut-off
+    entry are misses, not a crashed sweep: the scenario re-runs and its
+    entry is rewritten."""
+    spec = _mini_spec()
+    cache = ResultCache(str(tmp_path))
+    cold = run_spec(spec, cache=cache)
+    scenario = cold.results[0].scenario
+    with open(cache.path_for(scenario), "wb") as handle:
+        handle.write(blob)
+    assert cache.get(scenario) is None
+    again = run_spec(spec, cache=cache)
+    assert (again.executed, again.cached, again.failed) == (1, 3, 0)
+    assert [r.durations_us for r in again.results] == \
+        [r.durations_us for r in cold.results]
+    assert cache.get(scenario).durations_us == cold.results[0].durations_us
+
+
 def test_cached_results_marked_cached(tmp_path):
     cache = ResultCache(str(tmp_path))
     scenario = _collective()

@@ -24,8 +24,8 @@ from repro.sorting.jquick import JQUICK_BATCH_MIN_RANKS
 
 #: Lockstep phase kinds this module covers differentially (scanned by
 #: ``benchmarks/check_lockstep_registry.py``): the fused jquick level phase
-#: and the analytic data-exchange phase it drives.
-COVERS_KINDS = ("jqlevel", "exchange")
+#: (the analytic data exchange it drives is a fed sub-phase, not a kind).
+COVERS_KINDS = ("jqlevel",)
 
 P = JQUICK_BATCH_MIN_RANKS  # smallest auto-engaged group: every level batched
 
