@@ -207,19 +207,33 @@ def test_paper_scale_comm_create(request, method):
 
 
 #: JQuick gate ceilings (Fig. 8 point n/p = 1 at the paper's full machine
-#: size).  Measured ~28 s / ~530 MiB with the level-at-once batched sorting
-#: tier and the collector paused (the ceiling is twice that); with the
-#: collector walking the cluster the same tier took ~41-47 s, its
-#: member-by-member replay ~60 s, and the pre-batched frontier needs several
-#: minutes, so losing any of them fails the wall ceiling.
+#: size).  Measured ~23-25 s / ~530 MiB with the per-round sort plan, the
+#: level-at-once pricing and the collector paused (the ceiling is twice
+#: that); with per-group data kernels the same tier took ~28-30 s, with the
+#: collector walking the cluster ~41-47 s, its member-by-member replay
+#: ~60 s, and the pre-batched frontier needs several minutes, so losing any
+#: of them fails the wall ceiling.
 JQUICK_WALL_CEILING_S = 55.0
 JQUICK_RSS_CEILING_MIB = 4096
 
 
+def _jquick_with_output(env, *, local_data, config):
+    """``fig8_jquick.jquick_program`` on the RBC backend, returning the
+    rank's sorted output next to its measured µs."""
+    from repro.mpi import init_mpi
+    from repro.rbc import create_rbc_comm
+    from repro.sorting import RbcBackend, jquick
+
+    world = yield from create_rbc_comm(init_mpi(env, vendor="generic"))
+    start = env.now
+    output, _stats = yield from jquick(env, RbcBackend(world), local_data,
+                                       config)
+    return env.now - start, output
+
+
 def test_paper_scale_jquick(request):
-    from repro.bench.fig8_jquick import jquick_program
     from repro.bench.workloads import generate
-    from repro.sorting import JQuickConfig
+    from repro.sorting import JQuickConfig, verify_sort
 
     parts = generate("uniform", NUM_RANKS, NUM_RANKS, seed=1000)
     config = JQuickConfig(seed=17)
@@ -227,15 +241,18 @@ def test_paper_scale_jquick(request):
 
     start = time.perf_counter()
     cluster = Cluster(NUM_RANKS)
-    result = cluster.run(jquick_program, rank_kwargs=rank_kwargs,
-                         backend="rbc", vendor="generic", config=config)
+    result = cluster.run(_jquick_with_output, rank_kwargs=rank_kwargs,
+                         config=config)
     wall_s = time.perf_counter() - start
     peak_mib = _peak_rss_mib()
     materialized = cluster.transport.mailboxes_materialized()
 
-    durations = [d for d in result.results if d is not None]
-    assert len(durations) == NUM_RANKS
+    # The paper's claims about the output, at the paper's scale (off the
+    # clock): globally sorted, a permutation of the input, and every rank
+    # back at exactly its share.
+    durations, outputs = zip(*result.results)
     assert max(durations) > 0.0
+    verify_sort(parts, outputs)
 
     request.node.bench_extra = {
         "num_ranks": NUM_RANKS,

@@ -39,12 +39,6 @@ _MIX2 = 0x94D049BB133111EB
 #: Draws at or below this size take the scalar path (no array construction).
 _SCALAR_DRAWS = 4
 
-#: Row grids (one stream per rank of a group) at or below this many rows take
-#: the per-row scalar path; above it, the whole grid is hashed as one ragged
-#: ``uint64`` sweep.  Both tiers are bit-identical — this is purely a
-#: constant-overhead knob, same convention as ``_SCALAR_DRAWS``.
-ROWS_SCALAR_CUTOFF = 4
-
 # uint64 constants for the vectorised path (avoids per-call casts).
 _U_GOLDEN = np.uint64(_GOLDEN)
 _U_MIX1 = np.uint64(_MIX1)
@@ -122,28 +116,28 @@ def sample_indices(key: int, count: int, size: int) -> np.ndarray:
     return (z % np.uint64(size)).astype(np.int64)
 
 
-def sample_keys(seed: int, lo: int, hi: int, level: int,
-                ranks) -> np.ndarray:
-    """Vector of :func:`sample_key` over a contiguous batch of ranks.
+def sample_keys(seed: int, lo, hi, level: int, ranks) -> np.ndarray:
+    """Vector of :func:`sample_key` over a batch of ranks.
 
-    Returns a ``uint64`` array with ``out[i] == sample_key(seed, lo, hi,
-    level, ranks[i])`` bit-for-bit: the multilinear combination wraps mod
-    2^64 whether computed on Python ints (scalar) or ``uint64`` lanes
+    Returns a ``uint64`` array with ``out[i] == sample_key(seed, lo[i],
+    hi[i], level, ranks[i])`` bit-for-bit: the multilinear combination wraps
+    mod 2^64 whether computed on Python ints (scalar) or ``uint64`` lanes
     (vector), and the SplitMix64 avalanche is elementwise.  ``ranks`` may be
-    any non-negative integer sequence; at or below :data:`ROWS_SCALAR_CUTOFF`
-    rows the scalar helper is looped instead of building array expressions.
+    any non-negative integer sequence; ``lo`` and ``hi`` are each one int
+    shared by every rank (the ranks of one task) or an array with one entry
+    per rank (the ranks of every task of a recursion round, stacked).
     """
-    ranks = np.asarray(ranks, dtype=np.int64)
-    if ranks.size <= ROWS_SCALAR_CUTOFF:
-        return np.array([sample_key(seed, lo, hi, level, int(rank))
-                         for rank in ranks], dtype=np.uint64)
-    base = (seed * 0x8CB92BA72F3D8DD7
-            + lo * 0xD6E8FEB86659FD93
-            + hi * 0xA3AAC6CB3B6FD391
-            + level * 0xC2B2AE3D27D4EB4F
-            + _GOLDEN) & _MASK64
-    z = np.uint64(base) + ranks.astype(np.uint64) * np.uint64(
+    z = np.asarray(ranks, dtype=np.int64).astype(np.uint64) * np.uint64(
         0x165667B19E3779F9)
+    shared = (seed * 0x8CB92BA72F3D8DD7 + level * 0xC2B2AE3D27D4EB4F
+              + _GOLDEN)
+    for word, multiplier in ((lo, 0xD6E8FEB86659FD93),
+                             (hi, 0xA3AAC6CB3B6FD391)):
+        if isinstance(word, np.ndarray):
+            z += word.astype(np.uint64) * np.uint64(multiplier)
+        else:
+            shared += int(word) * multiplier
+    z += np.uint64(shared & _MASK64)
     z = (z ^ (z >> _U30)) * _U_MIX1
     z = (z ^ (z >> _U27)) * _U_MIX2
     return z ^ (z >> _U31)
@@ -158,7 +152,6 @@ def sample_indices_rows(keys, counts, sizes) -> tuple[np.ndarray, np.ndarray]:
     array and ``offsets`` of length ``len(keys) + 1`` delimiting them —
     row ``i`` is ``indices[offsets[i]:offsets[i + 1]]``.  Rows with a
     non-positive count or size are empty, exactly like the scalar helper.
-    Bit-identical across the per-row and ragged-sweep tiers.
     """
     keys = np.asarray(keys, dtype=np.uint64)
     counts = np.asarray(counts, dtype=np.int64)
@@ -169,10 +162,6 @@ def sample_indices_rows(keys, counts, sizes) -> tuple[np.ndarray, np.ndarray]:
     total = int(offsets[-1])
     if total == 0:
         return np.empty(0, dtype=np.int64), offsets
-    if keys.size <= ROWS_SCALAR_CUTOFF:
-        rows = [sample_indices(int(keys[i]), int(effective[i]), int(sizes[i]))
-                for i in range(keys.size)]
-        return np.concatenate(rows), offsets
     row_of = np.repeat(np.arange(effective.size, dtype=np.int64), effective)
     counters = (np.arange(1, total + 1, dtype=np.int64)
                 - np.repeat(offsets[:-1], effective)).astype(np.uint64)

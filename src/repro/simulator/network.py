@@ -562,6 +562,9 @@ class Transport:
         # Lockstep phase coordinator, created on first use by
         # repro.core.spmd.coordinator_of.
         self._spmd_coordinator = None
+        # Per-round data plan of a batched Janus Quicksort, created on first
+        # use by repro.sorting.jquick (repro.sorting.batched.SortPlan).
+        self._sort_plan = None
         # Optional observability sink (repro.obs.TraceRecorder), installed
         # by Cluster(trace=...); post_send appends one message edge per
         # send when it is set.
@@ -607,14 +610,17 @@ class Transport:
         """Drop what only a running simulation needs.
 
         Wake-up hooks, the lockstep coordinator's phases and port logs, the
-        hierarchy views and the split tables go; port state, counters and
-        mailboxes stay readable.  Called by :meth:`Cluster.run` once the run
-        is over.
+        sort plan, the hierarchy views and the split tables go; port state,
+        counters and mailboxes stay readable.  Called by :meth:`Cluster.run`
+        once the run is over.
         """
         hooks = self._notify_hooks
         hooks[:] = [None] * len(hooks)
         if self._spmd_coordinator is not None:
             self._spmd_coordinator.close()
+        if self._sort_plan is not None:
+            self._sort_plan.close()
+            self._sort_plan = None
         self._hierarchy_cache.clear()
         self._split_tables.clear()
 

@@ -20,8 +20,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .intervals import layout_constants
-from .kernels import ROWS_SCALAR_CUTOFF
+from .intervals import layout_constants, owners_of
 
 __all__ = ["OutgoingPiece", "chop_slot_range", "greedy_assignment",
            "greedy_assignment_rows", "incoming_message_counts"]
@@ -113,15 +112,10 @@ def _chop_rows(starts: np.ndarray, ends: np.ndarray, n: int, p: int):
     the slice ``[offsets[i], offsets[i + 1])``, in slot order — identical to
     the scalar chop minus the ``local_start`` bookkeeping.
     """
-    q, r, boundary = layout_constants(n, p)
-    big = q + 1
-    q_safe = q if q else 1  # q == 0 => every slot is below the boundary
+    q, r, _boundary = layout_constants(n, p)
     num = starts.size
-    first = np.where(starts < boundary, starts // big,
-                     r + np.maximum(starts - boundary, 0) // q_safe)
-    last_slot = ends - 1
-    last = np.where(last_slot < boundary, last_slot // big,
-                    r + np.maximum(last_slot - boundary, 0) // q_safe)
+    first = owners_of(starts, n, p)
+    last = owners_of(ends - 1, n, p)
     counts = np.where(ends > starts, last - first + 1, 0)
     offsets = np.zeros(num + 1, dtype=np.int64)
     np.cumsum(counts, out=offsets[1:])
@@ -139,48 +133,30 @@ def _chop_rows(starts: np.ndarray, ends: np.ndarray, n: int, p: int):
     return dest, slot_start, length, offsets
 
 
-def greedy_assignment_rows(*, lo: int, total_small: int,
+def greedy_assignment_rows(*, lo, total_small,
                            small_prefixes: np.ndarray,
                            small_counts: np.ndarray,
                            large_prefixes: np.ndarray,
                            large_counts: np.ndarray,
                            n: int, p: int):
-    """Vectorised :func:`greedy_assignment` over every rank of one task.
+    """Vectorised :func:`greedy_assignment` over a batch of ranks.
 
-    Array parameters are indexed by the task's group rank; scalars match the
-    per-rank call.  Returns ``(dest, slot_start, length, row_offsets)``:
-    group rank ``g``'s pieces are ``[row_offsets[g], row_offsets[g + 1])``,
-    ordered exactly like the scalar helper's ``small_pieces + large_pieces``
+    Array parameters hold one entry per row (a rank of a task's group);
+    ``lo`` and ``total_small`` are each one int shared by every row (the
+    ranks of one task) or an array with one entry per row (the ranks of
+    every task of a recursion round, stacked — prefixes then count from the
+    row's own task).  Returns ``(dest, slot_start, length, row_offsets)``:
+    row ``g``'s pieces are ``[row_offsets[g], row_offsets[g + 1])``, ordered
+    exactly like the scalar helper's ``small_pieces + large_pieces``
     flattening (each side in slot order).  ``local_start`` is omitted — the
     batched tier reshuffles whole groups in one pass and never indexes a
-    per-rank partition buffer.  Below :data:`ROWS_SCALAR_CUTOFF` rows the
-    scalar helper is looped instead.
+    per-rank partition buffer.
     """
     small_prefixes = np.asarray(small_prefixes, dtype=np.int64)
     small_counts = np.asarray(small_counts, dtype=np.int64)
     large_prefixes = np.asarray(large_prefixes, dtype=np.int64)
     large_counts = np.asarray(large_counts, dtype=np.int64)
     num_rows = small_counts.size
-    if num_rows <= ROWS_SCALAR_CUTOFF:
-        dest_l: list = []
-        slot_l: list = []
-        len_l: list = []
-        row_offsets = np.zeros(num_rows + 1, dtype=np.int64)
-        for row in range(num_rows):
-            small_pieces, large_pieces = greedy_assignment(
-                lo=lo, total_small=total_small,
-                small_prefix=int(small_prefixes[row]),
-                large_prefix=int(large_prefixes[row]),
-                small_count=int(small_counts[row]),
-                large_count=int(large_counts[row]), n=n, p=p)
-            for piece in small_pieces + large_pieces:
-                dest_l.append(piece.dest)
-                slot_l.append(piece.slot_start)
-                len_l.append(piece.length)
-            row_offsets[row + 1] = len(dest_l)
-        return (np.array(dest_l, dtype=np.int64),
-                np.array(slot_l, dtype=np.int64),
-                np.array(len_l, dtype=np.int64), row_offsets)
     small_start = lo + small_prefixes
     large_start = lo + total_small + large_prefixes
     s_dest, s_slot, s_len, s_offs = _chop_rows(

@@ -16,12 +16,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 __all__ = [
     "capacity",
     "layout_constants",
     "slot_start",
     "slot_range",
     "owner_of",
+    "owners_of",
     "procs_of_interval",
     "overlap",
     "span",
@@ -80,6 +83,15 @@ def owner_of(slot: int, n: int, p: int) -> int:
         return slot // (q + 1)
     # q == 0 cannot happen here: slots >= boundary exist only if q > 0.
     return r + (slot - boundary) // q
+
+
+def owners_of(slots: np.ndarray, n: int, p: int) -> np.ndarray:
+    """:func:`owner_of` over an integer array of slots, without the range
+    check (an entry outside ``[0, n)`` yields a meaningless owner)."""
+    q, r, boundary = layout_constants(n, p)
+    # q == 0 => every slot is below the boundary.
+    return np.where(slots < boundary, slots // (q + 1),
+                    r + (slots - boundary) // max(q, 1))
 
 
 def procs_of_interval(lo: int, hi: int, n: int, p: int) -> tuple[int, int]:

@@ -56,7 +56,7 @@ from ..rbc.tags import RESERVED_TAG_BASE
 from ..simulator.process import RankEnv
 from .assignment import greedy_assignment
 from .backends import GroupComm, JQuickBackend, NativeMpiBackend, RbcBackend
-from .batched import LevelBatcher, join_jq_level
+from .batched import SortPlan, join_jq_level
 from .basecase import (
     BaseCaseTask,
     local_sort_cost,
@@ -127,8 +127,9 @@ class JQuickConfig:
         Cross-rank batched execution of the distributed levels (the
         paper-scale tier, :mod:`repro.sorting.batched`): the per-rank
         sampling / partition / assignment work of a level is stacked into
-        ragged NumPy sweeps over the whole group, the recursion's collectives
-        are priced in SPMD lockstep, and the data exchange analytically.
+        ragged NumPy sweeps over every group of a recursion round, the
+        recursion's collectives are priced in SPMD lockstep group by group,
+        and the data exchange analytically.
         Requires the RBC backend, a flat machine with a
         uniform link, and the communicator-bound layout ``n == p`` — one
         element per rank, the regime of the paper's Fig. 8 — where no janus
@@ -223,7 +224,7 @@ class _JQuickRun:
         self.fragments: dict[int, np.ndarray] = {}
         # Cross-rank batched tier (decided in execute() once n is known).
         self._batched = False
-        self._batcher: Optional[LevelBatcher] = None
+        self._plan: Optional[SortPlan] = None
         # Slot-layout constants, filled in by execute() once n is known.
         self._my_start = 0
         self._my_end = 0
@@ -322,10 +323,9 @@ class _JQuickRun:
             self._batched = True
         if self._batched:
             transport = self.env.transport
-            batcher = getattr(transport, "_jquick_batcher", None)
-            if batcher is None:
-                batcher = transport._jquick_batcher = LevelBatcher()
-            self._batcher = batcher
+            if transport._sort_plan is None:
+                transport._sort_plan = SortPlan()
+            self._plan = transport._sort_plan
             # Endpoint constants of the fused level phase, hoisted out of
             # the per-level hot path.
             world = self.backend.world
@@ -393,7 +393,7 @@ class _JQuickRun:
                 if create:
                     comm_interval = (lo, hi)
                     self.stats.comm_creations += 1
-                record = self._batcher.level(self, first, last, lo, hi, level)
+                record = self._plan.level(self, first, last, lo, hi, level)
                 self.stats.batched_levels += 1
                 # The whole-world group reuses the backend's prebuilt world
                 # channel — no creation charge, mirroring make_group_comm.
@@ -403,11 +403,11 @@ class _JQuickRun:
                 yield request
                 total_small, messages = request.result()
                 if total_small == 0 or total_small == hi - lo:
-                    self._batcher.release(record)
+                    self._plan.release(record)
                     self.stats.degenerate_splits += 1
                     level += 1
                     continue
-                buffer = self._batcher.take_view(record, group_rank)
+                buffer = self._plan.take_view(record, group_rank)
                 split = lo + total_small
                 cut = min(max(split, my_lo), my_hi) - my_lo
                 left_data, right_data = buffer[:cut], buffer[cut:]
@@ -619,10 +619,10 @@ class _JQuickRun:
 
         Built once per level record; the context is unique per phase
         instance (task interval and level).  The data movement of the level
-        happens inside the group-wide partition (the record's buffer *is*
-        the slot region after the exchange); the phase replays the level's
-        native charge/collective/exchange sequence analytically through the
-        lockstep port machinery.
+        happens inside the round-wide partition (the group's range of the
+        round's buffer *is* the slot region after the exchange); the phase
+        replays the level's native charge/collective/exchange sequence
+        analytically through the lockstep port machinery.
         """
         return ExchangeEndpoint(
             self.env, ("jql", self._world_context, lo, hi, level),

@@ -47,8 +47,8 @@ __all__ = [
 #: wins below ~24 elements, ufunc dispatch amortises above).
 PARTITION_SCALAR_CUTOFF = 24
 
-#: Row-batched kernels at or below this many rows loop the per-row kernel
-#: instead of building ragged array expressions.  Both tiers are
+#: :func:`select_splitters_rows` at or below this many rows loops the per-row
+#: kernel instead of building ragged array expressions.  Both tiers are
 #: bit-identical — a pure constant-overhead knob, like the cutoff above.
 ROWS_SCALAR_CUTOFF = 4
 
@@ -113,61 +113,58 @@ def fused_partition(values: np.ndarray, slot_base: int, pivot_value: float,
 
 
 def fused_partition_rows(values: np.ndarray, offsets: np.ndarray,
-                         cuts: np.ndarray, pivot_value: float):
+                         cuts: np.ndarray, pivot_value, segments=None):
     """Row-batched :func:`fused_partition` over a concatenated buffer.
 
-    ``values`` holds the rows of a whole group back to back (row ``i`` is
+    ``values`` holds rows back to back (row ``i`` is
     ``values[offsets[i]:offsets[i + 1]]``) and ``cuts[i]`` is row ``i``'s
     already-clamped tie cut (``0`` everywhere when tie breaking is off).
+    The rows form *segments* of consecutive rows — the groups of one
+    recursion round, each partitioned around its own pivot: segment ``g`` is
+    the rows ``segments[g]:segments[g + 1]`` and ``pivot_value[g]`` its
+    pivot.  Without ``segments`` all rows are one segment and
+    ``pivot_value`` is a scalar.
+
     Returns ``(reordered, small_counts)``: ``reordered`` is one fresh buffer
-    laid out as *all rows' smalls in row order, then all rows' larges in row
-    order* — exactly the concatenation of the per-row ``fused_partition``
-    outputs — and ``small_counts[i]`` is row ``i``'s small count.  Element
-    order within every part is preserved, so when the rows are a group's
-    slot-ordered buffers the result is the global slot-region content after
+    in which every segment keeps its element range, laid out as *all its
+    rows' smalls in row order, then all its rows' larges in row order* —
+    exactly the concatenation of the per-row ``fused_partition`` outputs —
+    and ``small_counts[i]`` is row ``i``'s small count.  Element order
+    within every part is preserved, so when a segment's rows are a group's
+    slot-ordered buffers its range is the task's slot-region content after
     the level's exchange.
     """
     offsets = np.asarray(offsets, dtype=np.int64)
     cuts = np.asarray(cuts, dtype=np.int64)
     size = values.size
-    num_rows = offsets.size - 1
-    if size <= PARTITION_SCALAR_CUTOFF and values.dtype == _FLOAT64:
-        pivot = float(pivot_value)
-        smalls: list = []
-        larges: list = []
-        small_counts = np.empty(num_rows, dtype=np.int64)
-        for row in range(num_rows):
-            part = values[offsets[row]:offsets[row + 1]]
-            small, large, n_small = _scalar_partition(
-                part, int(cuts[row]), pivot)
-            smalls.append(small)
-            larges.append(large)
-            small_counts[row] = n_small
-        reordered = np.concatenate(smalls + larges) if size \
-            else values.copy()
-        return reordered, small_counts
     starts = offsets[:-1]
     lengths = np.diff(offsets)
-    mask = values < pivot_value
-    pos = np.arange(size, dtype=np.int64) - np.repeat(starts, lengths)
+    # Element range of every segment, and per-element views of the
+    # per-segment quantities.
+    if segments is None:
+        bounds = np.array([0, size], dtype=np.int64)
+    else:
+        bounds = offsets[np.asarray(segments, dtype=np.int64)]
+    spans = np.diff(bounds)
+    base = np.repeat(bounds[:-1], spans)
+    pivot = np.repeat(np.asarray(pivot_value), spans)
+    position = np.arange(size, dtype=np.int64)
+    mask = values < pivot
     if np.any(cuts != 0):
-        tie = values == pivot_value
-        tie &= pos < np.repeat(cuts, lengths)
+        tie = values == pivot
+        tie &= position - np.repeat(starts, lengths) < np.repeat(cuts, lengths)
         np.logical_or(mask, tie, out=mask)
     csum = np.empty(size + 1, dtype=np.int64)
     csum[0] = 0
     np.cumsum(mask, out=csum[1:])
     small_counts = csum[offsets[1:]] - csum[starts]
-    total_small = int(csum[size])
-    within_small = csum[:-1] - np.repeat(csum[starts], lengths)
-    # Destination of a small: smalls of earlier rows + rank among own row's
-    # smalls; of a large: total smalls + larges of earlier rows + rank among
-    # own row's larges (earlier larges = earlier elements - earlier smalls).
-    dest = np.where(
-        mask,
-        np.repeat(csum[starts], lengths) + within_small,
-        total_small + np.repeat(starts - csum[starts], lengths)
-        + (pos - within_small))
+    # A small lands at its rank among its segment's smalls; a large behind
+    # all of the segment's smalls, at its rank among the segment's larges
+    # (elements before it in the segment - smalls before it).
+    smalls_before = csum[:-1] - np.repeat(csum[bounds[:-1]], spans)
+    segment_smalls = np.repeat(csum[bounds[1:]] - csum[bounds[:-1]], spans)
+    dest = np.where(mask, base + smalls_before,
+                    segment_smalls + position - smalls_before)
     reordered = np.empty_like(values)
     reordered[dest] = values
     return reordered, small_counts

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import gc
 import sys
+from unittest import mock
 
 import pytest
 
@@ -34,6 +35,7 @@ from repro.simulator.errors import (
     SimulationError,
 )
 from repro.sorting import JQuickConfig
+from repro.sorting import batched as sorting_batched
 
 
 # ---------------------------------------------------------------------------
@@ -314,6 +316,27 @@ def _dies_mid_split(env):
     yield from world.barrier()
 
 
+def _dies_mid_batched_level():
+    """The partition of the sort's third round raises inside the level phase
+    that asked for it, while the plan holds live rounds and records and
+    every rank is suspended in (or on its way to) a level join."""
+    real = sorting_batched.fused_partition_rows
+    calls = []
+
+    def partition(*args):
+        calls.append(args)
+        if len(calls) == 3:
+            raise ValueError("boom")
+        return real(*args)
+
+    parts = generate("uniform", 64, 64, seed=3)
+    with mock.patch.object(sorting_batched, "fused_partition_rows", partition):
+        return _failure(
+            64, jquick_program, backend="rbc", vendor="intel",
+            config=JQuickConfig(seed=17),
+            rank_kwargs=[dict(local_data=part) for part in parts])
+
+
 def _failure(num_ranks, program, params=None, **kwargs):
     """Run a failing program; ``(error type, cause type, message, cluster)``.
 
@@ -350,6 +373,8 @@ FAILURES = {
     "dies-mid-split": (
         lambda: _failure(16, _dies_mid_split),
         RankFailedError, ValueError),
+    "dies-mid-batched-level": (
+        _dies_mid_batched_level, RankFailedError, ValueError),
 }
 
 
@@ -384,8 +409,25 @@ def test_failed_run_restores_collector_and_never_collects(
     assert all(env._proc is None for env in cluster.envs)
     assert set(cluster.transport._notify_hooks) == {None}
     assert cluster.transport._split_tables == {}
+    assert cluster.transport._sort_plan is None
+    assert not _batched_sort_state_reachable_from(cluster.transport)
     assert cluster._obs_snapshot()["lockstep_refusals"] == \
         (failure[2] is LockstepError)
+
+
+def _batched_sort_state_reachable_from(root) -> list:
+    """Plans, rounds, records and level phases of the batched sorting tier
+    that a walk over ``gc.get_referents`` reaches from ``root``."""
+    found, seen, stack = [], {id(root)}, [root]
+    while stack:
+        for referent in gc.get_referents(stack.pop()):
+            if id(referent) in seen or isinstance(referent, type):
+                continue
+            seen.add(id(referent))
+            stack.append(referent)
+            if type(referent).__module__ == sorting_batched.__name__:
+                found.append(referent)
+    return found
 
 
 def test_blocked_ranks_are_closed_not_left_suspended():

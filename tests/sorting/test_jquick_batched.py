@@ -82,39 +82,122 @@ def _assert_identical(values, p, seed):
 # Property-based bit identity at n == p.
 # ---------------------------------------------------------------------------
 
-@given(distinct=st.integers(min_value=1, max_value=6),
+#: Group sizes of the differential: the smallest auto-engaged world, and one
+#: that is not a power of two (the groups of a round then differ in size and
+#: drop out to their base cases in different rounds).
+WORLD_SIZES = st.sampled_from((P, P + 13))
+
+
+@given(distinct=st.integers(min_value=1, max_value=6), p=WORLD_SIZES,
        seed=st.integers(min_value=0, max_value=10_000))
 @settings(max_examples=8, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
-def test_property_duplicate_heavy_inputs_bit_identical(distinct, seed):
+def test_property_duplicate_heavy_inputs_bit_identical(distinct, p, seed):
     rng = np.random.default_rng(seed)
-    values = rng.integers(0, distinct, size=P).astype(np.float64)
-    _assert_identical(values, P, seed)
+    values = rng.integers(0, distinct, size=p).astype(np.float64)
+    _assert_identical(values, p, seed)
 
 
-@given(reverse=st.booleans(),
+@given(reverse=st.booleans(), p=WORLD_SIZES,
        seed=st.integers(min_value=0, max_value=10_000))
 @settings(max_examples=8, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
-def test_property_pre_sorted_inputs_bit_identical(reverse, seed):
+def test_property_pre_sorted_inputs_bit_identical(reverse, p, seed):
     rng = np.random.default_rng(seed)
-    values = np.sort(rng.random(P))
+    values = np.sort(rng.random(p))
     if reverse:
         values = values[::-1].copy()
-    _assert_identical(values, P, seed)
+    _assert_identical(values, p, seed)
 
 
-@given(exponent=st.integers(min_value=1, max_value=200),
+@given(exponent=st.integers(min_value=1, max_value=200), p=WORLD_SIZES,
        seed=st.integers(min_value=0, max_value=10_000))
 @settings(max_examples=8, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
-def test_property_adversarially_skewed_inputs_bit_identical(exponent, seed):
-    """Zipf-like magnitudes spanning hundreds of orders of magnitude: the
-    pivot lands far off-median, so the recursion degenerates towards the
-    level bound and degenerate (empty-side) splits occur."""
+def test_property_adversarially_skewed_inputs_bit_identical(exponent, p,
+                                                            seed):
+    """Zipf-like magnitudes spanning hundreds of orders of magnitude, with
+    many exact duplicates among the small exponents."""
     rng = np.random.default_rng(seed)
-    values = np.power(10.0, -rng.integers(0, exponent, size=P).astype(float))
-    _assert_identical(values, P, seed)
+    values = np.power(10.0, -rng.integers(0, exponent, size=p).astype(float))
+    _assert_identical(values, p, seed)
+
+
+@pytest.mark.parametrize("p", (P, P + 13))
+def test_int64_keys_at_both_world_sizes_bit_identical(p):
+    values = np.random.default_rng(p).integers(-5, 40, size=p)
+    assert values.dtype == np.int64
+    _assert_identical(values, p, seed=p)
+
+
+# ---------------------------------------------------------------------------
+# Rounds that mix retrying and splitting groups.
+#
+# At n == p every rank draws its one element at least once, so a group's
+# pivot is its exact lower median whatever the level: with tie breaking no
+# split is ever degenerate, and without it a group whose lower median is its
+# minimum retries the same split until ``max_levels`` fails the sort.  The
+# differential for such rounds therefore compares the failure: all three
+# tiers must give up on the same task at the same simulated instant (which
+# of the task's members reports it is a same-instant tie).
+# ---------------------------------------------------------------------------
+
+def _failure_of(values, p, *, batch_levels, reference=False):
+    from repro.simulator.errors import RankFailedError
+
+    config = JQuickConfig(seed=17, batch_levels=batch_levels,
+                          tie_breaking=False, max_levels=6)
+    cluster = Cluster(p, reference_engine=reference)
+    with pytest.raises(RankFailedError) as excinfo:
+        cluster.run(_sort_program, config=config,
+                    rank_kwargs=[dict(local_data=values[rank:rank + 1].copy())
+                                 for rank in range(p)])
+    cause = excinfo.value.__cause__
+    assert isinstance(cause, RuntimeError)
+    assert "exceeded 6 levels" in str(cause)
+    return str(cause).split(": ", 1)[1], cluster.engine.now
+
+
+def _few_keys_and_a_uniform_tail(p):
+    """Half the keys from {0, 1, 2} (their groups end up all-equal and
+    retry), half distinct (their groups keep splitting), shuffled."""
+    rng = np.random.default_rng(p)
+    values = np.concatenate((rng.integers(0, 3, size=p // 2).astype(float),
+                             3 + rng.random(p - p // 2)))
+    rng.shuffle(values)
+    return values
+
+
+@pytest.mark.parametrize("make_values", (_few_keys_and_a_uniform_tail,
+                                         np.zeros),
+                         ids=("retrying-beside-splitting", "root-retries"))
+@pytest.mark.parametrize("p", (P, P + 13))
+def test_degenerate_retries_fail_identically_on_every_tier(p, make_values):
+    values = make_values(p)
+    batched = _failure_of(values, p, batch_levels=True)
+    assert batched == _failure_of(values, p, batch_levels=False)
+    assert batched == _failure_of(values, p, batch_levels=False,
+                                  reference=True)
+
+
+def test_rounds_mix_retrying_and_splitting_groups():
+    """The input above does what its name says: some round of the plan holds
+    several groups that retry next to several that split."""
+    from repro.sorting.batched import _Round
+
+    p = P
+    config = JQuickConfig(seed=17, tie_breaking=False)
+    pending = (0, np.zeros(1, dtype=np.int64), np.full(1, p, dtype=np.int64),
+               _few_keys_and_a_uniform_tail(p))
+    mixed = False
+    while pending is not None and pending[0] < 6:
+        current = _Round(config, p, p, *pending)
+        totals = [int(current.counts[a:b, 0].sum()) for a, b in
+                  zip(current.row_bounds, current.row_bounds[1:])]
+        retrying = sum(total == 0 for total in totals)
+        mixed = mixed or (retrying > 1 and len(totals) - retrying > 1)
+        pending = current.successor
+    assert mixed
 
 
 # ---------------------------------------------------------------------------
@@ -155,6 +238,38 @@ def test_forced_batching_rejects_n_not_equal_p():
 
 
 # ---------------------------------------------------------------------------
+# One plan per cluster, one sort at a time.
+# ---------------------------------------------------------------------------
+
+def _sort_twice_program(env, *, local_data, config):
+    world_rbc = yield from create_rbc_comm(init_mpi(env))
+    backend = RbcBackend(world_rbc)
+    first, _ = yield from jquick(env, backend, local_data, config)
+    second, stats = yield from jquick(env, backend, -first, config)
+    return env.now, second, stats.as_dict()
+
+
+def test_sorts_in_a_row_reuse_the_emptied_plan():
+    """A finished sort leaves the cluster's plan empty, so the next sort on
+    the same cluster starts from its own root rows — bit-identical to the
+    scalar frontier doing the same two sorts."""
+    p = P + 13
+    values = np.random.default_rng(8).random(p)
+    runs = [Cluster(p).run(
+        _sort_twice_program,
+        config=JQuickConfig(seed=3, batch_levels=batch_levels),
+        rank_kwargs=[dict(local_data=values[rank:rank + 1].copy())
+                     for rank in range(p)]) for batch_levels in (True, False)]
+    batched, scalar = (run.results for run in runs)
+    for rank in range(p):
+        assert batched[rank][0] == scalar[rank][0]
+        assert np.array_equal(batched[rank][1], scalar[rank][1])
+        assert batched[rank][2]["batched_levels"] > 0
+    assert np.array_equal(np.concatenate([out for _, out, _ in batched]),
+                          np.sort(-values))
+
+
+# ---------------------------------------------------------------------------
 # Honest refusal when two sorts would share a level record.
 # ---------------------------------------------------------------------------
 
@@ -162,14 +277,14 @@ def _run_with_level_hook(monkeypatch, hook):
     """Sort at ``P`` ranks with ``hook(run, record, key)`` replacing every
     record a member fetches; returns the raised RankFailedError."""
     from repro.simulator.errors import RankFailedError
-    from repro.sorting.batched import LevelBatcher
+    from repro.sorting.batched import SortPlan
 
-    original = LevelBatcher.level
+    original = SortPlan.level
 
     def level(self, run, *key):
         return hook(run, original(self, run, *key), key)
 
-    monkeypatch.setattr(LevelBatcher, "level", level)
+    monkeypatch.setattr(SortPlan, "level", level)
     values = np.random.default_rng(6).random(P)
     with pytest.raises(RankFailedError) as excinfo:
         _run(values, P, batch_levels=True)
@@ -177,8 +292,8 @@ def _run_with_level_hook(monkeypatch, hook):
 
 
 def test_row_deposited_twice_is_refused(monkeypatch):
-    """A second sort's member reaching an occupied row of a live record
-    must refuse instead of silently keeping the first deposit."""
+    """A second sort's member reaching an occupied row of a live root
+    record must refuse instead of silently keeping the first deposit."""
     from repro.core.spmd import LockstepError
 
     def occupy_row(run, record, key):
@@ -198,9 +313,25 @@ def test_member_joining_with_a_foreign_record_is_refused(monkeypatch):
 
     def foreign_record(run, record, key):
         if run.rank == 3 and record.level == 0:
-            return _LevelRecord(run, *key)  # same key, not the shared one
+            # Same key, not the shared one.
+            return _LevelRecord(record.plan, run, *key)
         return record
 
     failure = _run_with_level_hook(monkeypatch, foreign_record)
     assert isinstance(failure.__cause__, LockstepError)
     assert "different level record" in str(failure.__cause__)
+
+
+def test_second_sort_reaching_a_live_plan_is_refused(monkeypatch):
+    """A root level that resolves while the plan still holds another sort's
+    rounds must refuse instead of computing rounds over mixed-up values."""
+    from repro.core.spmd import LockstepError
+
+    def leave_a_round_behind(run, record, key):
+        if run.rank == 0 and record.level == 0:
+            record.plan._pending = (5, None, None, None)  # "the other sort"
+        return record
+
+    failure = _run_with_level_hook(monkeypatch, leave_a_round_behind)
+    assert isinstance(failure.__cause__, LockstepError)
+    assert "holds another sort's rounds" in str(failure.__cause__)
