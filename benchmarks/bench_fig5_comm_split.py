@@ -6,27 +6,20 @@ cost models) and with ``rbc::Split_RBC_Comm``, and asserts the qualitative
 claims of Section VIII-B ("Communicator splitting").
 """
 
-import pytest
+def test_fig5_comm_split(figure_table):
+    table = figure_table("fig5_comm_split")
 
-from repro.bench import fig5_comm_split
-
-
-def test_fig5_comm_split(benchmark, scale):
-    table = benchmark.pedantic(fig5_comm_split.run, args=(scale,),
-                               rounds=1, iterations=1)
-    table.save("fig5_comm_split")
-
-    proc_counts = sorted({row["p"] for row in table.rows})
+    proc_counts = sorted({row["num_ranks"] for row in table.rows})
     p_small, p_large = proc_counts[0], proc_counts[-1]
 
-    rbc_large = table.lookup("time_ms", curve="RBC - Comm create group", p=p_large)
-    intel_cg_small = table.lookup("time_ms", curve="Intel - MPI Comm create group", p=p_small)
-    intel_cg_large = table.lookup("time_ms", curve="Intel - MPI Comm create group", p=p_large)
-    intel_split_large = table.lookup("time_ms", curve="Intel - MPI Comm split", p=p_large)
-    ibm_cg_large = table.lookup("time_ms", curve="IBM - MPI Comm create group", p=p_large)
+    rbc_large = table.lookup("time_ms", label="RBC - Comm create group", num_ranks=p_large)
+    intel_cg_small = table.lookup("time_ms", label="Intel - MPI Comm create group", num_ranks=p_small)
+    intel_cg_large = table.lookup("time_ms", label="Intel - MPI Comm create group", num_ranks=p_large)
+    intel_split_large = table.lookup("time_ms", label="Intel - MPI Comm split", num_ranks=p_large)
+    ibm_cg_large = table.lookup("time_ms", label="IBM - MPI Comm create group", num_ranks=p_large)
 
     # RBC communicator creation is constant and negligible.
-    rbc_times = table.filter(curve="RBC - Comm create group").column("time_ms")
+    rbc_times = table.filter(label="RBC - Comm create group").column("time_ms")
     assert max(rbc_times) < 0.01, "RBC split should be negligible (<10 µs)"
     assert max(rbc_times) <= min(rbc_times) * 1.5 + 1e-9, "RBC split should be constant in p"
 
@@ -37,7 +30,7 @@ def test_fig5_comm_split(benchmark, scale):
     # Intel create_group grows with p (explicit group construction).  The
     # linear term only dominates the fixed startup/agreement costs for large
     # p, so the stronger growth bound is asserted once p reaches 2^10.
-    intel_cg = [table.lookup("time_ms", curve="Intel - MPI Comm create group", p=p)
+    intel_cg = [table.lookup("time_ms", label="Intel - MPI Comm create group", num_ranks=p)
                 for p in proc_counts]
     assert all(a <= b * 1.05 for a, b in zip(intel_cg, intel_cg[1:])), \
         "Intel create_group must grow monotonically with p"

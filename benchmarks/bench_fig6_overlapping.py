@@ -5,25 +5,18 @@ creation is negligible and schedule-independent, while cascaded creation with
 native MPI becomes much slower than the alternating schedule for large p.
 """
 
-import pytest
+def test_fig6_overlapping(figure_table):
+    table = figure_table("fig6_overlapping")
 
-from repro.bench import fig6_overlapping
-
-
-def test_fig6_overlapping(benchmark, scale):
-    table = benchmark.pedantic(fig6_overlapping.run, args=(scale,),
-                               rounds=1, iterations=1)
-    table.save("fig6_overlapping")
-
-    proc_counts = sorted({row["p"] for row in table.rows})
+    proc_counts = sorted({row["num_ranks"] for row in table.rows})
     p_large = proc_counts[-1]
 
-    rbc_cascade = table.lookup("time_ms", curve="RBC - Cascade", p=p_large)
-    rbc_alt = table.lookup("time_ms", curve="RBC - Alternating", p=p_large)
+    rbc_cascade = table.lookup("time_ms", label="RBC - Cascade", num_ranks=p_large)
+    rbc_alt = table.lookup("time_ms", label="RBC - Alternating", num_ranks=p_large)
     intel_cascade = table.lookup(
-        "time_ms", curve="Intel - Cascade MPI Comm create group", p=p_large)
+        "time_ms", label="Intel - Cascade MPI Comm create group", num_ranks=p_large)
     intel_alt = table.lookup(
-        "time_ms", curve="Intel - Alternating MPI Comm create group", p=p_large)
+        "time_ms", label="Intel - Alternating MPI Comm create group", num_ranks=p_large)
 
     # RBC: negligible, and no difference between the two schedules.
     assert rbc_cascade < 0.01 and rbc_alt < 0.01
@@ -33,7 +26,7 @@ def test_fig6_overlapping(benchmark, scale):
     # grows with p, while the alternating schedule stays roughly flat.
     assert intel_cascade > intel_alt * 2
     intel_cascade_small = table.lookup(
-        "time_ms", curve="Intel - Cascade MPI Comm create group", p=proc_counts[0])
+        "time_ms", label="Intel - Cascade MPI Comm create group", num_ranks=proc_counts[0])
     assert intel_cascade > intel_cascade_small * 2
 
     # RBC is orders of magnitude faster than native creation either way.

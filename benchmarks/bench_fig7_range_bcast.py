@@ -5,29 +5,32 @@ ratio is large for moderate n with a single broadcast, smaller when 50
 broadcasts amortise the communicator creation, and shrinks as n grows.
 """
 
-import pytest
-
-from repro.bench import fig7_range_bcast
+RBC = "RBC - Split RBC Comm + Ibcast"
 
 
-def test_fig7_range_bcast(benchmark, scale):
-    table = benchmark.pedantic(fig7_range_bcast.run, args=(scale,),
-                               rounds=1, iterations=1)
-    table.save("fig7_range_bcast")
+def test_fig7_range_bcast(figure_table):
+    table = figure_table("fig7_range_bcast")
 
-    sizes = sorted({row["n"] for row in table.rows})
-    counts = sorted({row["bcasts"] for row in table.rows})
+    sizes = sorted({row["n_per_proc"] for row in table.rows})
+    counts = sorted({row["num_bcasts"] for row in table.rows})
     single, many = counts[0], counts[-1]
     smallest, largest = sizes[0], sizes[-1]
 
-    for curve in sorted({row["curve"] for row in table.rows}):
+    def ratio(curve, bcasts, n):
+        """MPI time / RBC time of one (broadcast count, payload) cell."""
+        return (table.lookup("time_ms", label=curve, num_bcasts=bcasts,
+                             n_per_proc=n)
+                / table.lookup("time_ms", label=RBC, num_bcasts=bcasts,
+                               n_per_proc=n))
+
+    for curve in sorted({row["label"] for row in table.rows} - {RBC}):
         # MPI (creation + broadcast) never beats RBC.
-        ratios = table.filter(curve=curve).column("ratio")
+        ratios = [ratio(curve, bcasts, n) for bcasts in counts for n in sizes]
         assert all(r > 0.9 for r in ratios), f"{curve}: RBC should not lose"
 
-        ratio_single_small = table.lookup("ratio", curve=curve, bcasts=single, n=smallest)
-        ratio_many_small = table.lookup("ratio", curve=curve, bcasts=many, n=smallest)
-        ratio_single_large = table.lookup("ratio", curve=curve, bcasts=single, n=largest)
+        ratio_single_small = ratio(curve, single, smallest)
+        ratio_many_small = ratio(curve, many, smallest)
+        ratio_single_large = ratio(curve, single, largest)
 
         # A single broadcast on a moderate payload: creation dominates, large ratio.
         assert ratio_single_small > 3

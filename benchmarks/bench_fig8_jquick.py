@@ -5,22 +5,15 @@ native-MPI variants already at n/p = 1, the gap is largest for moderate
 inputs, and the curves converge as n/p grows.
 """
 
-import pytest
-
-from repro.bench import fig8_jquick
-
-
-def test_fig8_jquick(benchmark, scale):
-    table = benchmark.pedantic(fig8_jquick.run, args=(scale,),
-                               rounds=1, iterations=1)
-    table.save("fig8_jquick")
+def test_fig8_jquick(figure_table):
+    table = figure_table("fig8_jquick")
 
     sizes = sorted({row["n_per_proc"] for row in table.rows})
     smallest, largest = sizes[0], sizes[-1]
     moderate = sizes[len(sizes) // 2]
 
     def time_of(curve, size):
-        return table.lookup("time_ms", curve=curve, n_per_proc=size)
+        return table.lookup("time_ms", label=curve, n_per_proc=size)
 
     # n/p = 1: RBC already wins against both vendors.
     assert time_of("Intel MPI", smallest) / time_of("RBC", smallest) > 1.3

@@ -9,24 +9,20 @@ actually communicate across the widened tiers), and the hierarchical times
 must differ from the flat alpha-beta machine's.
 """
 
-import pytest
-
-from repro.bench import hierarchical
+from repro.experiments.figures import MACHINE_SWEEP
 
 
-def test_hierarchical_machines(benchmark, scale):
-    table = benchmark.pedantic(hierarchical.run, args=(scale,),
-                               rounds=1, iterations=1)
-    table.save("hierarchical_machines")
+def test_hierarchical_machines(figure_table):
+    table = figure_table("hierarchical_machines")
 
-    workloads = sorted({(row["workload"], row["n_per_proc"])
+    workloads = sorted({(row["operation"], row["n_per_proc"])
                         for row in table.rows})
     assert len(workloads) >= 2, "collectives and jquick must both be present"
 
     for workload, size in workloads:
-        times = {machine: table.lookup("time_ms", machine=machine,
-                                       workload=workload, n_per_proc=size)
-                 for machine in hierarchical.MACHINES}
+        times = {machine: table.lookup("time_ms", label=machine,
+                                       operation=workload, n_per_proc=size)
+                 for machine in MACHINE_SWEEP}
         assert all(t is not None and t > 0 for t in times.values()), \
             f"{workload}/{size}: every machine must produce a time"
 

@@ -41,8 +41,8 @@ import time
 
 import pytest
 
-from repro.bench.fig5_comm_split import split_halves_program
 from repro.bench.harness import collective_program
+from repro.bench.programs import split_halves_program
 from repro.simulator.cluster import Cluster
 
 #: The paper's machine size: 2^15 ranks.

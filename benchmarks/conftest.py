@@ -23,6 +23,7 @@ import time
 import pytest
 
 from repro.bench.harness import TELEMETRY, write_bench_json
+from repro.experiments import aggregate_results, figure_spec, run_spec
 
 
 def bench_scale() -> str:
@@ -35,6 +36,24 @@ def bench_scale() -> str:
 @pytest.fixture(scope="session")
 def scale() -> str:
     return bench_scale()
+
+
+@pytest.fixture
+def figure_table(benchmark, scale):
+    """``figure_table(name)``: run figure ``name`` of the paper at the
+    session's scale through the experiment runner (timed, once) and return
+    the aggregate table of its cells, archived under the figure's name."""
+    def run(name):
+        spec = figure_spec(name, scale)
+        sweep = benchmark.pedantic(run_spec, args=(spec,),
+                                   rounds=1, iterations=1)
+        errors = [result.error for result in sweep.results if not result.ok]
+        assert not errors, errors[0]
+        table = aggregate_results(sweep.results, title=spec.name,
+                                  notes=[spec.description])
+        table.save(name)
+        return table
+    return run
 
 
 @pytest.fixture(autouse=True)

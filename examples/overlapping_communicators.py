@@ -14,7 +14,7 @@ Run with::
 
 import sys
 
-from repro.bench.fig6_overlapping import overlapping_groups, overlapping_program
+from repro.bench.programs import overlapping_groups, overlapping_program
 from repro.simulator import Cluster
 
 

@@ -14,7 +14,7 @@ Run with::
 
 import sys
 
-from repro.bench.fig7_range_bcast import range_bcast_program
+from repro.bench.programs import range_bcast_program
 from repro.simulator import Cluster
 
 

@@ -17,8 +17,11 @@ Package layout
   range-based communicators created locally in constant time, plus the
   Section VI ``MPI_Icomm_create_group`` proposal.
 * :mod:`repro.sorting` — Janus Quicksort (JQuick) and the baseline sorters.
-* :mod:`repro.bench` — the benchmark harness reproducing every figure of the
-  paper's evaluation.
+* :mod:`repro.bench` — the measurement library: timing convention, rank
+  programs of the paper's figures, sort inputs, result tables.
+* :mod:`repro.experiments` — declarative scenario grids run in parallel
+  behind a result cache; the paper's Fig. 4-9 are specs there
+  (``python -m repro.experiments run fig5_comm_split_paper``).
 """
 
 __version__ = "1.0.0"

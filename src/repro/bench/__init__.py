@@ -1,33 +1,26 @@
-"""Benchmark harness: one module per table/figure of the paper's evaluation.
+"""Benchmark library: what a measurement of the paper's evaluation is made of.
 
-Each ``figN_*`` module exposes ``run(scale)`` returning a
-:class:`~repro.bench.tables.Table` with the same rows/series the paper plots,
-at ``scale`` ``"tiny"`` (seconds, used by the test suite), ``"small"`` (the
-default for ``pytest benchmarks/``) or ``"paper"`` (closest to the paper's
-parameters the pure-Python simulator can afford).  The ablation studies in
-:mod:`repro.bench.ablations` cover design decisions discussed in the text;
-:mod:`repro.bench.hierarchical` sweeps the same programs over flat vs.
-hierarchical machine models.
+* :mod:`~repro.bench.harness` — the timing convention (max over ranks of the
+  per-rank virtual duration), the collective microbenchmark program of
+  Fig. 4 / Fig. 9 and the ``BENCH_*.json`` telemetry sink;
+* :mod:`~repro.bench.programs` — the rank programs of Fig. 5-8;
+* :mod:`~repro.bench.workloads` — input generators of the sorting runs;
+* :mod:`~repro.bench.tables` — result tables.
+
+The figures themselves are experiment specs
+(:mod:`repro.experiments.figures`) executed by :mod:`repro.experiments`, which
+builds on this package — nothing here imports it.  Two studies report per-run
+statistics other than a duration and drive ``run_rank_durations`` themselves:
+:mod:`repro.bench.ablations` (design decisions discussed in the text) and
+:mod:`repro.bench.hier_collectives` (flat vs. node-leader schedules).
 """
 
-from . import (
-    ablations,
-    fig4_iscan,
-    fig5_comm_split,
-    fig6_overlapping,
-    fig7_range_bcast,
-    fig8_jquick,
-    fig9_collectives,
-    hierarchical,
-)
 from .harness import (
     COLLECTIVE_OPS,
     TELEMETRY,
     BenchTelemetry,
     Measurement,
     collective_program,
-    ratio,
-    repeat_max_duration,
     run_rank_durations,
     write_bench_json,
 )
@@ -41,18 +34,8 @@ __all__ = [
     "TELEMETRY",
     "Table",
     "WORKLOADS",
-    "ablations",
     "collective_program",
-    "fig4_iscan",
-    "fig5_comm_split",
-    "fig6_overlapping",
-    "fig7_range_bcast",
-    "fig8_jquick",
-    "fig9_collectives",
     "generate",
-    "hierarchical",
-    "ratio",
-    "repeat_max_duration",
     "results_dir",
     "run_rank_durations",
     "split_balanced",

@@ -31,10 +31,8 @@ __all__ = [
     "TELEMETRY",
     "write_bench_json",
     "run_rank_durations",
-    "repeat_max_duration",
     "collective_program",
     "COLLECTIVE_OPS",
-    "ratio",
 ]
 
 US_PER_MS = 1000.0
@@ -195,35 +193,6 @@ def run_rank_durations(num_ranks: int, program: Callable, *args,
     result = cluster.run(program, *args, rank_kwargs=rank_kwargs, **kwargs)
     durations = [d for d in result.results if d is not None]
     return (max(durations) if durations else 0.0), result
-
-
-def repeat_max_duration(num_ranks: int, make_program: Callable[[int], tuple],
-                        repetitions: int = 3,
-                        params: Optional[CostModel] = None,
-                        placement: Optional[Placement] = None) -> Measurement:
-    """Run ``repetitions`` independent simulations and aggregate their timings.
-
-    ``make_program(rep)`` must return ``(program, args, kwargs)``; the program
-    returns this rank's measured duration in microseconds (or None for ranks
-    that do not participate).
-    """
-    samples = []
-    messages = 0
-    for rep in range(repetitions):
-        program, args, kwargs = make_program(rep)
-        duration, result = run_rank_durations(num_ranks, program, *args,
-                                              params=params,
-                                              placement=placement, **kwargs)
-        samples.append(duration)
-        messages = max(messages, result.stats.messages_sent)
-    return Measurement.from_samples(samples, messages=messages)
-
-
-def ratio(numerator: Optional[float], denominator: Optional[float]) -> Optional[float]:
-    """Safe ratio helper for table post-processing."""
-    if numerator is None or denominator in (None, 0):
-        return None
-    return numerator / denominator
 
 
 # ---------------------------------------------------------------------------

@@ -67,10 +67,17 @@ class Table:
                      notes=list(self.notes))
 
     def lookup(self, value_column: str, **criteria) -> Optional[Any]:
-        """Value of ``value_column`` in the unique row matching ``criteria``."""
+        """Value of ``value_column`` in the unique row matching ``criteria``.
+
+        ``None`` when no row matches; ``LookupError`` when several do (the
+        criteria leave out a column the table varies).
+        """
         matches = self.filter(**criteria).rows
         if not matches:
             return None
+        if len(matches) > 1:
+            raise LookupError(f"{criteria} matches {len(matches)} rows of "
+                              f"{self.title!r}, not one")
         return matches[0].get(value_column)
 
     # ------------------------------------------------------------- rendering

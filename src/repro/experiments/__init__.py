@@ -8,6 +8,8 @@ machine:
 * :mod:`~repro.experiments.spec` — validated :class:`Scenario` cells and
   :class:`ExperimentSpec` grids (TOML/JSON or programmatic), with stable
   content-hash scenario IDs;
+* :mod:`~repro.experiments.figures` — the paper's Fig. 4-9 and the machine
+  sweep as specs, ``figure_spec(name, scale)``;
 * :mod:`~repro.experiments.runner` — parallel scenario execution with
   per-scenario failure capture and :class:`~repro.bench.harness.BenchTelemetry`
   routing;
@@ -17,14 +19,15 @@ machine:
   (max-over-ranks, mean-over-repetitions) compatible with
   :mod:`repro.bench.tables`, plus CSV export;
 * :mod:`~repro.experiments.cli` — ``python -m repro.experiments
-  run/list/show`` over spec files, with shipped fig4/fig9 grid specs.
+  run/list/show`` over spec files and shipped spec names (the figures at
+  every scale, the fig4/fig8/fig9 machine grids).
 """
 
 from .aggregate import RESULT_COLUMNS, aggregate_results, write_csv, write_results_json
 from .cache import ResultCache, code_fingerprint, default_cache_dir
+from .figures import figure_spec
 from .runner import ExperimentRun, ScenarioResult, execute_scenario, run_scenarios, run_spec
 from .spec import (
-    COLLECTIVE_OPERATIONS,
     SCENARIO_KINDS,
     ExperimentSpec,
     Grid,
@@ -35,7 +38,6 @@ from .spec import (
 )
 
 __all__ = [
-    "COLLECTIVE_OPERATIONS",
     "RESULT_COLUMNS",
     "SCENARIO_KINDS",
     "ExperimentRun",
@@ -49,6 +51,7 @@ __all__ = [
     "code_fingerprint",
     "default_cache_dir",
     "execute_scenario",
+    "figure_spec",
     "run_scenarios",
     "run_spec",
     "shipped_spec_names",

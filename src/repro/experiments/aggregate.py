@@ -3,8 +3,8 @@
 Turns a stream of :class:`~repro.experiments.runner.ScenarioResult` objects
 into the paper's statistics — per scenario the *max over ranks* is taken
 inside the simulation and the *mean over repetitions/seeds* here — and emits
-them as :class:`repro.bench.tables.Table` rows (the same container the
-``fig*`` drivers archive), plus CSV for external plotting tools.
+them as :class:`repro.bench.tables.Table` rows (the container the figure
+benches look their cells up in), plus CSV for external plotting tools.
 """
 
 from __future__ import annotations
@@ -25,31 +25,42 @@ __all__ = ["RESULT_COLUMNS", "COMPARE_METRICS", "aggregate_results",
 #: paper's figures index by, then the timing statistics.
 RESULT_COLUMNS = (
     "scenario_id", "label", "kind", "machine", "num_ranks", "operation",
-    "impl", "vendor", "n_per_proc", "time_ms", "min_ms", "max_ms",
-    "repetitions", "messages", "simulated_us", "status",
+    "impl", "vendor", "n_per_proc", "num_bcasts", "time_ms", "min_ms",
+    "max_ms", "repetitions", "messages", "simulated_us", "status",
 )
+
+
+def _coordinates(scenario) -> dict:
+    """The kind's own fields under the table's shared column names."""
+    if scenario.kind == "collective":
+        return dict(operation=scenario.operation, impl=scenario.impl,
+                    n_per_proc=scenario.words)
+    if scenario.kind == "jquick":
+        return dict(operation="jquick", impl=scenario.impl,
+                    n_per_proc=scenario.n_per_proc)
+    coordinates = dict(operation=scenario.operation, impl=scenario.method)
+    if scenario.operation == "range_bcast":
+        coordinates.update(n_per_proc=scenario.words,
+                           num_bcasts=scenario.num_bcasts)
+    return coordinates
 
 
 def _row_of(result: ScenarioResult) -> dict:
     scenario = result.scenario
-    row = {
+    row = _coordinates(scenario)
+    row.update({
         "scenario_id": scenario.scenario_id,
         "label": scenario.label if scenario.label is not None
-        else f"{scenario.impl}/{scenario.vendor}",
+        else f"{row['impl']}/{scenario.vendor}",
         "kind": scenario.kind,
         "machine": scenario.machine,
         "num_ranks": scenario.num_ranks,
-        "operation": scenario.operation if scenario.kind == "collective"
-        else "jquick",
-        "impl": scenario.impl,
         "vendor": scenario.vendor,
-        "n_per_proc": scenario.words if scenario.kind == "collective"
-        else scenario.n_per_proc,
         "repetitions": scenario.repetitions,
         "status": "failed" if not result.ok
         else ("cached" if result.cached else "ok"),
         "simulated_us": result.telemetry.get("simulated_us"),
-    }
+    })
     if result.ok:
         measurement = result.measurement()
         row.update(time_ms=measurement.mean_ms, min_ms=measurement.min_ms,

@@ -4,7 +4,8 @@
   parallel workers and the on-disk result cache; writes the aggregate table
   (text/JSON/CSV), the raw per-scenario results and a ``BENCH_<spec>.json``
   telemetry file into the output directory.
-* ``list``      — shipped specs with their descriptions.
+* ``list``      — shipped specs with their descriptions: the paper's figures
+  (``fig5_comm_split_paper``, ``fig8_jquick_tiny``, ...) and the grid files.
 * ``show SPEC`` — expand a spec and print its scenario grid without running.
 * ``compare BASELINE CANDIDATE`` — cell-by-cell ratio table between two
   archived ``<spec>_results.json`` files (time, simulated time, messages per
@@ -231,7 +232,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     run_parser = commands.add_parser(
         "run", help="execute a sweep from a spec file or shipped spec name")
     run_parser.add_argument("spec", help="spec file (.toml/.json) or shipped "
-                            f"spec name ({', '.join(shipped_spec_names())})")
+                            "spec name (`list` prints them: the paper's "
+                            "figures as <figure>_<scale>, and grid files)")
     run_parser.add_argument("--workers", type=int, default=1,
                             help="parallel worker processes (default 1)")
     run_parser.add_argument("--out", default=None,

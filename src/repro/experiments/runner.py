@@ -16,8 +16,8 @@ so parallel sweeps feed the same ``BENCH_*.json`` perf trajectory as
 in-process benchmarks (in-process runs are counted by the cluster-run
 observer directly and are *not* merged twice).
 
-:func:`run_spec` is the one-call entry the CLI and the ``repro.bench.fig*``
-wrappers use: expand, run, collect, aggregate telemetry.
+:func:`run_spec` is the one-call entry of the CLI and of the figure benches
+under ``benchmarks/``: expand, run, collect, aggregate telemetry.
 """
 
 from __future__ import annotations
@@ -36,10 +36,18 @@ from ..bench.harness import (
     collective_program,
     run_rank_durations,
 )
+from ..bench.programs import (
+    jquick_program,
+    overlapping_program,
+    range_bcast_program,
+    split_halves_program,
+)
+from ..bench.workloads import generate
 from ..core.spmd import LockstepError
 from ..simulator.cluster import add_run_observer, remove_run_observer
 from ..simulator.errors import RankFailedError
 from ..simulator.trace import Tracer
+from ..sorting import JQuickConfig
 from .cache import ResultCache
 from .spec import ExperimentSpec, Scenario
 
@@ -122,72 +130,63 @@ class ScenarioResult:
 # Single-scenario execution.
 # ---------------------------------------------------------------------------
 
-def _collective_reps(scenario: Scenario, params, placement, sink, telemetry):
+# One function per scenario kind: run repetition ``rep`` of ``scenario`` and
+# return ``(max-over-ranks duration in µs, ClusterResult)``.
+
+def _collective_rep(scenario: Scenario, params, placement, rep, trace, *,
+                    telemetry):
     run = partial(run_rank_durations, scenario.num_ranks, collective_program,
-                  params=params, placement=placement,
+                  params=params, placement=placement, trace=trace,
                   operation=scenario.operation, impl=scenario.impl,
                   vendor=scenario.vendor, words=scenario.words)
-    samples, messages = [], 0
-    for rep in range(scenario.repetitions):
-        trace = sink.trace_first and rep == 0
-        try:
-            duration, result = run(trace=trace)
-        except RankFailedError as exc:
-            if not isinstance(exc.original, LockstepError):
-                raise
-            # The lockstep tier refused to price this repetition (it could
-            # not prove it would match the event engine bit for bit).  The
-            # event-by-event schedules are the reference it mirrors, so the
-            # repetition runs on them; the refusal stays on the books (a
-            # failed run reaches no cluster-run observer).
-            telemetry.lockstep_refusals += 1
-            duration, result = run(trace=trace, lockstep=False)
-        samples.append(duration)
-        messages = max(messages, result.stats.messages_sent)
-        sink.absorb(result)
-    return samples, messages
+    try:
+        return run()
+    except RankFailedError as exc:
+        if not isinstance(exc.original, LockstepError):
+            raise
+        # The lockstep tier refused to price this repetition (it could
+        # not prove it would match the event engine bit for bit).  The
+        # event-by-event schedules are the reference it mirrors, so the
+        # repetition runs on them; the refusal stays on the books (a
+        # failed run reaches no cluster-run observer).
+        telemetry.lockstep_refusals += 1
+        return run(lockstep=False)
 
 
-def _jquick_reps(scenario: Scenario, params, placement, sink):
-    # Imported lazily: sorting pulls in the whole algorithm stack, which
-    # pure collective sweeps (and their worker processes) never need.
-    from ..bench.fig8_jquick import jquick_program
-    from ..bench.workloads import generate
-    from ..sorting import JQuickConfig
-
+def _jquick_rep(scenario: Scenario, params, placement, rep, trace):
     p = scenario.num_ranks
-    n = scenario.n_per_proc * p
-    samples, messages = [], 0
-    for rep in range(scenario.repetitions):
-        # Deterministic per-scenario seeding: the data stream and the pivot
-        # stream are derived from the scenario's own seed and the repetition
-        # index only, so any cell can be re-run in isolation bit-identically.
-        parts = generate(scenario.workload, n, p, seed=scenario.seed + rep)
-        config = JQuickConfig(schedule=scenario.schedule,
-                              seed=scenario.seed + 7919 * (rep + 1))
-        rank_kwargs = [dict(local_data=parts[rank]) for rank in range(p)]
-        duration, result = run_rank_durations(
-            p, jquick_program, params=params, placement=placement,
-            rank_kwargs=rank_kwargs,
-            trace=(sink.trace_first and rep == 0),
-            backend=scenario.impl, vendor=scenario.vendor, config=config)
-        samples.append(duration)
-        messages = max(messages, result.stats.messages_sent)
-        sink.absorb(result)
-    return samples, messages
+    # Deterministic per-scenario seeding: the data stream and the pivot
+    # stream are derived from the scenario's own seed and the repetition
+    # index only, so any cell can be re-run in isolation bit-identically.
+    parts = generate(scenario.workload, scenario.n_per_proc * p, p,
+                     seed=scenario.seed + rep)
+    config = JQuickConfig(schedule=scenario.schedule,
+                          seed=scenario.seed + 7919 * (rep + 1))
+    rank_kwargs = [dict(local_data=parts[rank]) for rank in range(p)]
+    return run_rank_durations(
+        p, jquick_program, params=params, placement=placement,
+        rank_kwargs=rank_kwargs, trace=trace,
+        backend=scenario.impl, vendor=scenario.vendor, config=config)
+
+
+def _comm_create_rep(scenario: Scenario, params, placement, rep, trace):
+    if scenario.operation == "split_halves":
+        program, fields = split_halves_program, {}
+    elif scenario.operation == "overlapping":
+        program, fields = overlapping_program, dict(schedule=scenario.schedule)
+    else:
+        program, fields = range_bcast_program, dict(
+            words=scenario.words, num_bcasts=scenario.num_bcasts)
+    return run_rank_durations(
+        scenario.num_ranks, program, params=params, placement=placement,
+        trace=trace, method=scenario.method, vendor=scenario.vendor, **fields)
 
 
 class _ScenarioSink:
-    """Per-scenario aggregation: merged trace stats + the first-rep trace.
+    """Per-scenario aggregation: merged trace stats + the first-rep trace."""
 
-    Tracing only the first repetition bounds artifact size (repetitions of
-    one scenario differ only in seed); recording is proven non-perturbing,
-    so the traced repetition's timing is bit-identical to the others'.
-    """
-
-    def __init__(self, num_ranks: int, trace_first: bool):
+    def __init__(self, num_ranks: int):
         self.tracer = Tracer(num_ranks)
-        self.trace_first = trace_first
         self.trace = None
 
     def absorb(self, result) -> None:
@@ -215,17 +214,25 @@ def execute_scenario(scenario: Scenario, *, trace: bool = False) -> ScenarioResu
     """
     telemetry = BenchTelemetry()
     add_run_observer(telemetry.record)
-    sink = _ScenarioSink(scenario.num_ranks, trace)
+    sink = _ScenarioSink(scenario.num_ranks)
     start = time.perf_counter()
     try:
         scenario.validate()
         params, placement = scenario.resolve_machine()
-        if scenario.kind == "collective":
-            samples, messages = _collective_reps(scenario, params, placement,
-                                                 sink, telemetry)
-        else:
-            samples, messages = _jquick_reps(scenario, params, placement,
-                                             sink)
+        run_rep = {"collective": partial(_collective_rep, telemetry=telemetry),
+                   "jquick": _jquick_rep,
+                   "comm_create": _comm_create_rep}[scenario.kind]
+        samples, messages = [], 0
+        for rep in range(scenario.repetitions):
+            # Tracing only the first repetition bounds artifact size
+            # (repetitions of one scenario differ only in seed); recording
+            # is proven non-perturbing, so the traced repetition's timing is
+            # bit-identical to the others'.
+            duration, result = run_rep(scenario, params, placement, rep,
+                                       trace and rep == 0)
+            samples.append(duration)
+            messages = max(messages, result.stats.messages_sent)
+            sink.absorb(result)
         snapshot = telemetry.snapshot()
         snapshot["trace_stats"] = sink.tracer.stats.as_dict()
         return ScenarioResult(

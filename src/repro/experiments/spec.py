@@ -13,8 +13,8 @@ matrix declaratively instead of in hand-written per-figure loops:
   field named like the axis) or a mapping (several fields varied together,
   e.g. ``{impl: "mpi", vendor: "intel", label: "Intel MPI"}``).
 * :class:`ExperimentSpec` — a named list of grids, loadable from TOML or JSON
-  files (``[[grid]]`` array of tables) or built programmatically by the
-  ``repro.bench.fig*`` drivers.
+  files (``[[grid]]`` array of tables), by shipped name, or built
+  programmatically (the paper's figures: :mod:`repro.experiments.figures`).
 
 Scenario IDs are content hashes over the *kind-relevant* canonical fields, so
 adding a new scenario kind (or new defaults for another kind) never
@@ -31,12 +31,12 @@ import tomllib
 from dataclasses import dataclass, field, fields, replace
 from typing import List, Mapping, Optional
 
+from ..bench.harness import COLLECTIVE_OPS
 from ..mpi.vendor import VENDORS
 from ..simulator.costmodel import MACHINE_PRESETS, Placement, machine_preset
 
 __all__ = [
     "SCENARIO_KINDS",
-    "COLLECTIVE_OPERATIONS",
     "Scenario",
     "Grid",
     "ExperimentSpec",
@@ -46,14 +46,13 @@ __all__ = [
 ]
 
 #: Supported scenario kinds (what the runner knows how to execute).
-SCENARIO_KINDS = ("collective", "jquick")
-
-#: Collective operations of the fig4/fig9 microbenchmark program (kept in
-#: sync with :data:`repro.bench.harness.COLLECTIVE_OPS` by a unit test; not
-#: imported to keep this module import-light for worker processes).
-COLLECTIVE_OPERATIONS = ("bcast", "reduce", "scan", "gather")
+SCENARIO_KINDS = ("collective", "jquick", "comm_create")
 
 _IMPLS = ("rbc", "mpi")
+#: ``comm_create``: what is created (Fig. 5 / 6 / 7) and by which call.
+_COMM_CREATE_OPERATIONS = ("split_halves", "overlapping", "range_bcast")
+_METHODS = ("rbc", "create_group", "split")
+_SCHEDULES = ("alternating", "cascaded")
 _WORKLOADS = ("uniform", "gaussian", "duplicates", "few_distinct",
               "all_equal", "sorted", "reverse", "zipf", "staggered")
 _PLACEMENT_KINDS = ("single_node", "regular", "cyclic")
@@ -96,9 +95,12 @@ class Scenario:
     Common fields apply to every kind; ``operation``/``impl``/``vendor``/
     ``words`` describe a collective microbenchmark cell, ``n_per_proc``/
     ``workload``/``schedule`` (with ``impl``/``vendor`` reused as the
-    backend) a JQuick sorting cell.  ``label`` is a display name carried into
-    result tables (it participates in the content hash, so relabelling a
-    scenario is a new scenario — IDs stay unambiguous).
+    backend) a JQuick sorting cell, and ``operation``/``method``/``vendor``
+    a communicator-creation cell (``schedule`` orders the two creations of
+    an ``overlapping`` boundary rank; a ``range_bcast`` then broadcasts
+    ``words`` elements ``num_bcasts`` times).  ``label`` is a display name
+    carried into result tables (it participates in the content hash, so
+    relabelling a scenario is a new scenario — IDs stay unambiguous).
     """
 
     kind: str = "collective"
@@ -117,6 +119,9 @@ class Scenario:
     n_per_proc: int = 64
     workload: str = "uniform"
     schedule: str = "alternating"
+    # --- comm_create fields
+    method: str = "rbc"
+    num_bcasts: int = 1
 
     # ------------------------------------------------------------ validation
 
@@ -138,12 +143,29 @@ class Scenario:
             raise ValueError(f"unknown vendor {self.vendor!r}; expected one "
                              f"of {sorted(VENDORS)}")
         if self.kind == "collective":
-            if self.operation not in COLLECTIVE_OPERATIONS:
+            if self.operation not in COLLECTIVE_OPS:
                 raise ValueError(
                     f"unknown collective operation {self.operation!r}; "
-                    f"expected one of {COLLECTIVE_OPERATIONS}")
+                    f"expected one of {COLLECTIVE_OPS}")
             if self.words < 0:
                 raise ValueError("words must be non-negative")
+        elif self.kind == "comm_create":
+            if self.operation not in _COMM_CREATE_OPERATIONS:
+                raise ValueError(
+                    f"unknown comm_create operation {self.operation!r}; "
+                    f"expected one of {_COMM_CREATE_OPERATIONS}")
+            if self.method not in _METHODS:
+                raise ValueError(f"unknown method {self.method!r}; expected "
+                                 f"one of {_METHODS}")
+            if self.operation == "overlapping" and self.method == "split":
+                raise ValueError("MPI_Comm_split (method 'split') cannot "
+                                 "create overlapping communicators")
+            if self.schedule not in _SCHEDULES:
+                raise ValueError(f"unknown schedule {self.schedule!r}")
+            if self.words < 0:
+                raise ValueError("words must be non-negative")
+            if self.num_bcasts <= 0:
+                raise ValueError("num_bcasts must be positive")
         else:  # jquick
             if self.n_per_proc <= 0:
                 raise ValueError("n_per_proc must be positive")
@@ -153,7 +175,7 @@ class Scenario:
             if self.workload not in _WORKLOADS:
                 raise ValueError(f"unknown workload {self.workload!r}; "
                                  f"expected one of {_WORKLOADS}")
-            if self.schedule not in ("alternating", "cascaded"):
+            if self.schedule not in _SCHEDULES:
                 raise ValueError(f"unknown schedule {self.schedule!r}")
         # Materialising the placement validates its shape parameters too.
         build_placement(self.placement, self.num_ranks)
@@ -176,6 +198,10 @@ class Scenario:
         }
         if self.kind == "collective":
             common.update(operation=self.operation, words=self.words)
+        elif self.kind == "comm_create":
+            common.update(operation=self.operation, method=self.method,
+                          schedule=self.schedule, words=self.words,
+                          num_bcasts=self.num_bcasts)
         else:
             common.update(n_per_proc=self.n_per_proc, workload=self.workload,
                           schedule=self.schedule)
@@ -193,6 +219,12 @@ class Scenario:
         if self.kind == "collective":
             core = (f"{self.operation} {self.impl}/{self.vendor} "
                     f"words={self.words}")
+        elif self.kind == "comm_create":
+            core = f"{self.operation} {self.method}/{self.vendor}"
+            if self.operation == "overlapping":
+                core += f" schedule={self.schedule}"
+            elif self.operation == "range_bcast":
+                core += f" words={self.words} bcasts={self.num_bcasts}"
         else:
             core = (f"jquick {self.impl}/{self.vendor} "
                     f"n/p={self.n_per_proc} workload={self.workload}")
@@ -348,14 +380,20 @@ class ExperimentSpec:
         """Load a spec from a file path or a shipped spec name."""
         if os.path.sep in name_or_path or name_or_path.endswith((".toml", ".json")):
             return cls.from_file(name_or_path)
+        from .figures import figure_spec, figure_spec_names  # builds on this module
+        if name_or_path in figure_spec_names():
+            return figure_spec(*name_or_path.rsplit("_", 1))
         return cls.from_file(shipped_spec_path(name_or_path))
 
 
 def shipped_spec_names() -> List[str]:
-    """Names of the specs shipped under ``repro/experiments/specs/``."""
-    return sorted(os.path.splitext(name)[0]
-                  for name in os.listdir(_SPECS_DIR)
-                  if name.endswith((".toml", ".json")))
+    """Names :meth:`ExperimentSpec.load` resolves: the spec files under
+    ``repro/experiments/specs/`` and the paper's ``<figure>_<scale>`` grids."""
+    from .figures import figure_spec_names  # builds on this module
+    return sorted([os.path.splitext(name)[0]
+                   for name in os.listdir(_SPECS_DIR)
+                   if name.endswith((".toml", ".json"))]
+                  + figure_spec_names())
 
 
 def shipped_spec_path(name: str) -> str:

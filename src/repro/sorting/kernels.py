@@ -33,12 +33,10 @@ import numpy as np
 
 __all__ = [
     "PARTITION_SCALAR_CUTOFF",
-    "ROWS_SCALAR_CUTOFF",
     "fused_partition",
     "fused_partition_rows",
     "kway_bucket_split",
     "select_splitters",
-    "select_splitters_rows",
     "cached_log2",
 ]
 
@@ -46,11 +44,6 @@ __all__ = [
 #: (crossover measured by ``benchmarks/bench_kernels.py``: the Python loop
 #: wins below ~24 elements, ufunc dispatch amortises above).
 PARTITION_SCALAR_CUTOFF = 24
-
-#: :func:`select_splitters_rows` at or below this many rows loops the per-row
-#: kernel instead of building ragged array expressions.  Both tiers are
-#: bit-identical — a pure constant-overhead knob, like the cutoff above.
-ROWS_SCALAR_CUTOFF = 4
 
 _FLOAT64 = np.dtype(np.float64)
 
@@ -216,39 +209,6 @@ def select_splitters(chunks, k: int, dtype) -> np.ndarray:
     pool = np.sort(parts[0] if len(parts) == 1 else np.concatenate(parts))
     positions = (np.arange(1, k) * pool.size) // k
     return pool[np.minimum(positions, pool.size - 1)]
-
-
-def select_splitters_rows(values: np.ndarray, offsets: np.ndarray, k: int,
-                          dtype) -> tuple[np.ndarray, np.ndarray]:
-    """Row-batched :func:`select_splitters` over a concatenated pool buffer.
-
-    Row ``i`` is the already-gathered sample pool ``values[offsets[i]:
-    offsets[i + 1]]``.  Returns ``(splitters, out_offsets)`` with row ``i``'s
-    ``k - 1`` splitters at ``splitters[out_offsets[i]:out_offsets[i + 1]]``
-    (empty for an empty pool, like the scalar helper).  Value-identical to
-    calling ``select_splitters([row], k, dtype)`` per row: one stable
-    ``lexsort`` sorts every row in place of the per-row ``np.sort``, and the
-    equidistant positions are picked with one 2-D gather.
-    """
-    offsets = np.asarray(offsets, dtype=np.int64)
-    num_rows = offsets.size - 1
-    lengths = np.diff(offsets)
-    out_offsets = np.zeros(num_rows + 1, dtype=np.int64)
-    np.cumsum(np.where(lengths > 0, k - 1, 0), out=out_offsets[1:])
-    if values.size == 0:
-        return np.empty(0, dtype=dtype), out_offsets
-    if num_rows <= ROWS_SCALAR_CUTOFF:
-        rows = [select_splitters([values[offsets[i]:offsets[i + 1]]], k,
-                                 dtype) for i in range(num_rows)]
-        return np.concatenate(rows), out_offsets
-    row_of = np.repeat(np.arange(num_rows, dtype=np.int64), lengths)
-    pool = values[np.lexsort((values, row_of))]
-    rows_nz = np.nonzero(lengths > 0)[0]
-    sizes = lengths[rows_nz, None]
-    positions = (np.arange(1, k, dtype=np.int64)[None, :] * sizes) // k
-    np.minimum(positions, sizes - 1, out=positions)
-    positions += offsets[rows_nz][:, None]
-    return pool[positions.ravel()], out_offsets
 
 
 # ---------------------------------------------------------------------------

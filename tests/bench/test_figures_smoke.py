@@ -1,36 +1,38 @@
-"""Smoke tests of the remaining figure drivers and ablations (tiny sizes).
+"""Smoke tests of the remaining figure specs and ablations (tiny sizes).
 
 The full sweeps (with the paper's qualitative claims asserted) live in
-``benchmarks/``; here we only check that every driver runs, produces the
+``benchmarks/``; here we only check that every figure runs, produces the
 expected table structure, and behaves sanely at very small sizes so the unit
 test suite stays fast.
 """
 
 import pytest
 
-from repro.bench import ablations, fig7_range_bcast, fig8_jquick, fig9_collectives
+from repro.bench import ablations
 
 
-def test_fig7_driver_structure():
-    table = fig7_range_bcast.run("tiny", num_ranks=32)
-    assert {"curve", "bcasts", "n", "rbc_ms", "mpi_ms", "ratio"} <= set(table.columns)
-    assert len({row["curve"] for row in table.rows}) == 2
-    assert all(row["ratio"] is not None and row["ratio"] > 0 for row in table.rows)
+def test_fig7_driver_structure(figure_table):
+    table = figure_table("fig7_range_bcast", num_ranks=32)
+    assert {"label", "num_bcasts", "n_per_proc", "time_ms"} <= set(table.columns)
+    assert len({row["label"] for row in table.rows}) == 3
+    assert {row["num_bcasts"] for row in table.rows} == {1, 10}
+    assert all(row["time_ms"] > 0 for row in table.rows)
 
 
-def test_fig8_driver_structure():
-    table = fig8_jquick.run("tiny", num_ranks=16)
-    assert len({row["curve"] for row in table.rows}) == 3
-    rbc = [row["time_ms"] for row in table.rows if row["curve"] == "RBC"]
-    ibm = [row["time_ms"] for row in table.rows if row["curve"] == "IBM MPI"]
+def test_fig8_driver_structure(figure_table):
+    table = figure_table("fig8_jquick", num_ranks=16)
+    assert len({row["label"] for row in table.rows}) == 3
+    rbc = [row["time_ms"] for row in table.rows if row["label"] == "RBC"]
+    ibm = [row["time_ms"] for row in table.rows if row["label"] == "IBM MPI"]
     assert all(a < b for a, b in zip(rbc, ibm)), "RBC should win at every size"
 
 
-def test_fig9_driver_single_panel():
-    table = fig9_collectives.run("tiny", num_ranks=32,
-                                 panels=(("9a", "bcast", "ibm"),))
-    assert {row["impl"] for row in table.rows} == {"RBC", "MPI"}
-    assert all(row["panel"] == "9a" for row in table.rows)
+def test_fig9_driver_single_panel(figure_table):
+    table = figure_table("fig9_collectives", num_ranks=32)
+    assert len({row["label"] for row in table.rows}) == 8
+    panel = table.filter(label="9a")
+    assert {row["impl"] for row in panel.rows} == {"rbc", "mpi"}
+    assert {row["operation"] for row in panel.rows} == {"bcast"}
 
 
 def test_schedule_ablation_small():

@@ -1,16 +1,15 @@
-"""Tests of the benchmark harness measurement machinery and figure modules."""
+"""Tests of the benchmark harness measurement machinery and figure specs."""
 
 import pytest
 
-from repro.bench import fig4_iscan, fig5_comm_split, fig6_overlapping
 from repro.bench.harness import (
     COLLECTIVE_OPS,
     Measurement,
     collective_program,
-    ratio,
-    repeat_max_duration,
     run_rank_durations,
 )
+from repro.bench.programs import overlapping_groups
+from repro.experiments.figures import MACHINE_SWEEP
 
 
 def test_measurement_aggregation():
@@ -20,12 +19,6 @@ def test_measurement_aggregation():
     assert measurement.max_ms == pytest.approx(3.0)
     assert measurement.repetitions == 3
     assert measurement.messages == 7
-
-
-def test_ratio_helper():
-    assert ratio(10.0, 5.0) == 2.0
-    assert ratio(None, 5.0) is None
-    assert ratio(10.0, 0) is None
 
 
 def test_run_rank_durations_takes_max_over_ranks():
@@ -47,19 +40,6 @@ def test_run_rank_durations_ignores_non_participants():
     assert duration == 5.0
 
 
-def test_repeat_max_duration_averages_repetitions():
-    def make_program(rep):
-        def program(env):
-            yield from env.sleep(1000.0 * (rep + 1))
-            return 1000.0 * (rep + 1)
-
-        return program, (), {}
-
-    measurement = repeat_max_duration(2, make_program, repetitions=3)
-    assert measurement.mean_ms == pytest.approx(2.0)
-    assert measurement.repetitions == 3
-
-
 @pytest.mark.parametrize("operation", COLLECTIVE_OPS)
 @pytest.mark.parametrize("impl", ["rbc", "mpi"])
 def test_collective_program_runs_all_ops(operation, impl):
@@ -79,22 +59,22 @@ def test_collective_program_rejects_unknown_inputs():
                            impl="other", vendor="generic", words=1)
 
 
-def test_fig_modules_expose_presets_and_run_tiny():
-    """Smoke-test the figure drivers at the smallest scale."""
-    table = fig5_comm_split.run("tiny", proc_counts=(8, 16), repetitions=1)
-    assert {"curve", "p", "time_ms"} <= set(table.columns)
+def test_fig_modules_expose_presets_and_run_tiny(figure_table):
+    """Smoke-test the figure specs below their smallest scale."""
+    table = figure_table("fig5_comm_split", num_ranks=[8, 16])
+    assert {"label", "num_ranks", "time_ms"} <= set(table.columns)
     assert len(table.rows) == 5 * 2
     assert all(row["time_ms"] >= 0 for row in table.rows)
 
-    table = fig6_overlapping.run("tiny", proc_counts=(16,), repetitions=1)
+    table = figure_table("fig6_overlapping", num_ranks=16)
     assert len(table.rows) == 4
 
-    table = fig4_iscan.run("tiny", num_ranks=16, repetitions=1)
-    assert len({row["impl"] for row in table.rows}) == 3
+    table = figure_table("fig4_iscan", num_ranks=16)
+    assert len({row["label"] for row in table.rows}) == 3
 
 
 def test_overlapping_groups_cover_every_rank():
-    groups = fig6_overlapping.overlapping_groups(16)
+    groups = overlapping_groups(16)
     covered = set()
     for first, last in groups:
         assert last - first <= 3
@@ -137,16 +117,14 @@ def test_telemetry_records_cluster_runs(tmp_path, monkeypatch):
     TELEMETRY.reset()
 
 
-def test_hierarchical_bench_module_tiny():
-    """Smoke-test the hierarchical machine sweep at the smallest scale."""
-    from repro.bench import hierarchical
-
-    table = hierarchical.run("tiny", num_ranks=8)
-    machines = {row["machine"] for row in table.rows}
-    assert machines == set(hierarchical.MACHINES)
+def test_hierarchical_bench_module_tiny(figure_table):
+    """Smoke-test the hierarchical machine sweep below its smallest scale."""
+    table = figure_table("hierarchical_machines", num_ranks=8)
+    machines = {row["label"] for row in table.rows}
+    assert machines == set(MACHINE_SWEEP)
     for row in table.rows:
         assert row["time_ms"] > 0
     # Hierarchy ordering on the sort workload.
-    times = {m: table.lookup("time_ms", machine=m, workload="jquick")
-             for m in hierarchical.MACHINES}
+    times = {m: table.lookup("time_ms", label=m, operation="jquick")
+             for m in MACHINE_SWEEP}
     assert times["single-node"] <= times["multi-node"] <= times["multi-island"]

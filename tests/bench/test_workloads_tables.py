@@ -100,6 +100,13 @@ def test_table_filter_lookup_column():
     assert filtered.notes == ["a note"]
 
 
+def test_table_lookup_rejects_an_ambiguous_match():
+    """Criteria that leave out a column the table varies must not quietly
+    answer with the first of the matching rows."""
+    with pytest.raises(LookupError, match=r"curve.*matches 2 rows"):
+        _example_table().lookup("time_ms", curve="a")
+
+
 def test_table_text_rendering_contains_everything():
     text = _example_table().to_text()
     assert "Example" in text

@@ -50,3 +50,18 @@ def balanced_input():
         return generate(kind, n, p, seed=seed)
 
     return make
+
+
+@pytest.fixture
+def figure_table():
+    """``figure_table(name, **overrides)``: run a figure of the paper at
+    ``tiny`` size (``overrides`` resize it like the CLI's ``--set``) and return
+    the aggregate table of its cells; a failed cell fails the test."""
+
+    def run(name, **overrides):
+        from repro.experiments import aggregate_results, figure_spec, run_spec
+        sweep = run_spec(figure_spec(name, "tiny").override(**overrides))
+        assert [r.error for r in sweep.results if not r.ok] == []
+        return aggregate_results(sweep.results)
+
+    return run

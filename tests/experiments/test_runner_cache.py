@@ -1,24 +1,21 @@
-"""Runner + cache: equivalence with the hand-written benches, parallelism,
+"""Runner + cache: equivalence with direct cluster runs, parallelism,
 failure capture, incremental re-runs."""
 
 import pytest
 
-from repro.bench.harness import (
-    TELEMETRY,
-    collective_program,
-    repeat_max_duration,
-)
+from repro.bench.harness import TELEMETRY, Measurement, collective_program
 from repro.experiments import (
     ExperimentSpec,
     Grid,
     ResultCache,
     Scenario,
     execute_scenario,
+    figure_spec,
     run_scenarios,
     run_spec,
 )
 from repro.obs import JSONL_SCHEMA, TraceFormatError, critical_path, load_jsonl
-from repro.simulator import machine_preset
+from repro.simulator import Cluster, machine_preset
 
 
 def _collective(machine="flat", words=16, **overrides):
@@ -33,31 +30,35 @@ def _collective(machine="flat", words=16, **overrides):
 # Single-scenario execution.
 # ---------------------------------------------------------------------------
 
+def _direct_durations(scenario):
+    """Max-over-ranks duration of ``scenario``'s collective per repetition,
+    straight from ``Cluster.run`` (no runner, no harness)."""
+    durations = []
+    for _ in range(scenario.repetitions):
+        result = Cluster(scenario.num_ranks,
+                         machine_preset(scenario.machine)).run(
+            collective_program, operation=scenario.operation,
+            impl=scenario.impl, vendor=scenario.vendor, words=scenario.words)
+        durations.append(max(result.results))
+    return tuple(durations)
+
+
 def test_collective_scenario_matches_hand_written_bench():
-    """The overlap guarantee: a flat scenario cell reproduces the exact
-    ``repeat_max_duration`` measurement of the single-config benches."""
+    """A flat scenario cell is exactly the max over ranks of a direct run
+    of the collective program, once per repetition."""
     scenario = _collective()
     result = execute_scenario(scenario)
     assert result.ok
 
-    expected = repeat_max_duration(
-        scenario.num_ranks,
-        lambda rep: (collective_program, (), dict(
-            operation="scan", impl="rbc", vendor="ibm", words=16)),
-        repetitions=2)
-    assert result.measurement() == expected
-    assert result.time_ms == expected.mean_ms
+    expected = _direct_durations(scenario)
+    assert result.durations_us == expected
+    assert result.time_ms == Measurement.from_samples(expected).mean_ms
 
 
 def test_hierarchical_machine_cell_matches_direct_run():
     scenario = _collective(machine="fat_tree", words=256)
     result = execute_scenario(scenario)
-    expected = repeat_max_duration(
-        16,
-        lambda rep: (collective_program, (), dict(
-            operation="scan", impl="rbc", vendor="ibm", words=256)),
-        repetitions=2, params=machine_preset("fat_tree"))
-    assert result.measurement() == expected
+    assert result.durations_us == _direct_durations(scenario)
 
 
 def test_scenario_telemetry_counts_only_its_own_runs():
@@ -111,14 +112,20 @@ def _mini_spec():
 
 
 def test_parallel_run_equals_serial_run():
-    spec = _mini_spec()
-    serial = run_spec(spec, workers=1)
-    parallel = run_spec(spec, workers=2)
-    assert [r.scenario.scenario_id for r in serial.results] == \
-        [r.scenario.scenario_id for r in parallel.results]
-    assert [r.durations_us for r in serial.results] == \
-        [r.durations_us for r in parallel.results]
-    assert serial.telemetry().snapshot() == parallel.telemetry().snapshot()
+    # The pool rebuilds a scenario from ``canonical()``, which has to carry
+    # the comm_create fields (method, schedule, words, num_bcasts).
+    fig6 = figure_spec("fig6_overlapping", "tiny").override(num_ranks=16)
+    fig7 = figure_spec("fig7_range_bcast", "tiny").override(num_ranks=16,
+                                                           words=[4])
+    for spec in (_mini_spec(), fig6, fig7):
+        serial = run_spec(spec, workers=1)
+        parallel = run_spec(spec, workers=2)
+        assert serial.failed == 0
+        assert [r.scenario.scenario_id for r in serial.results] == \
+            [r.scenario.scenario_id for r in parallel.results]
+        assert [r.durations_us for r in serial.results] == \
+            [r.durations_us for r in parallel.results]
+        assert serial.telemetry().snapshot() == parallel.telemetry().snapshot()
 
 
 def test_parallel_run_feeds_global_telemetry():
@@ -326,11 +333,4 @@ def test_shipped_fig4_grid_runs_parallel_and_matches_single_config_cells():
     flat = [r for r in run.results if r.scenario.machine == "flat"]
     assert flat
     for result in flat:
-        scenario = result.scenario
-        expected = repeat_max_duration(
-            scenario.num_ranks,
-            lambda rep: (collective_program, (), dict(
-                operation="scan", impl=scenario.impl, vendor=scenario.vendor,
-                words=scenario.words)),
-            repetitions=scenario.repetitions)
-        assert result.measurement() == expected
+        assert result.durations_us == _direct_durations(result.scenario)

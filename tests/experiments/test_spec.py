@@ -4,9 +4,7 @@ import json
 
 import pytest
 
-from repro.bench.harness import COLLECTIVE_OPS
 from repro.experiments import (
-    COLLECTIVE_OPERATIONS,
     ExperimentSpec,
     Grid,
     Scenario,
@@ -14,10 +12,6 @@ from repro.experiments import (
     shipped_spec_names,
 )
 from repro.simulator import MACHINE_PRESETS, HierarchicalParams, NetworkParams
-
-
-def test_collective_operations_match_harness():
-    assert COLLECTIVE_OPERATIONS == COLLECTIVE_OPS
 
 
 def test_workloads_match_bench_registry():
@@ -48,6 +42,16 @@ def test_default_scenario_is_valid():
     (dict(kind="jquick", workload="lumpy"), "workload"),
     (dict(kind="jquick", schedule="eager"), "schedule"),
     (dict(placement={"kind": "spiral"}), "placement kind"),
+    (dict(kind="comm_create"), "comm_create operation"),
+    (dict(kind="comm_create", operation="split_halves", method="dup"),
+     "method"),
+    (dict(kind="comm_create", operation="overlapping", method="split"),
+     "overlapping"),
+    (dict(kind="comm_create", operation="overlapping", schedule="eager"),
+     "schedule"),
+    (dict(kind="comm_create", operation="range_bcast", words=-1), "words"),
+    (dict(kind="comm_create", operation="range_bcast", num_bcasts=0),
+     "num_bcasts"),
 ])
 def test_invalid_scenarios_are_rejected(overrides, match):
     with pytest.raises(ValueError, match=match):
@@ -80,6 +84,11 @@ def test_scenario_id_ignores_other_kinds_fields():
                  workload="zipf", schedule="cascaded")
     assert a.scenario_id == b.scenario_id
     assert "n_per_proc" not in a.canonical()
+    # ... nor when a comm_create-only field does.
+    c = Scenario(kind="collective", words=16, method="split", num_bcasts=9)
+    assert a.scenario_id == c.scenario_id
+    assert {"method", "num_bcasts"} <= set(Scenario(
+        kind="comm_create", operation="range_bcast").canonical())
 
 
 def test_canonical_is_json_stable():

@@ -16,9 +16,8 @@ from unittest import mock
 
 import pytest
 
-from repro.bench.fig5_comm_split import split_halves_program
-from repro.bench.fig8_jquick import jquick_program
 from repro.bench.harness import collective_program
+from repro.bench.programs import jquick_program, split_halves_program
 from repro.bench.workloads import generate
 from repro.core.spmd import LockstepError
 from repro.experiments import Scenario, execute_scenario

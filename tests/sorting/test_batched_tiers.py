@@ -13,7 +13,7 @@ The ``*_at_boundary`` tests pin small grids (3 to 5 rows, 23 to 25
 elements — the sizes of the groups deep rounds are made of, and the sizes
 around which ``sample_keys``, ``sample_indices_rows``,
 ``fused_partition_rows`` and ``greedy_assignment_rows`` used to switch to a
-per-row loop).  ``select_splitters_rows`` still has that switch.
+per-row loop).
 """
 
 import numpy as np
@@ -28,15 +28,11 @@ from repro.core.rand import (
 from repro.sorting.assignment import greedy_assignment, greedy_assignment_rows
 from repro.sorting.kernels import (
     PARTITION_SCALAR_CUTOFF,
-    ROWS_SCALAR_CUTOFF,
     fused_partition,
     fused_partition_rows,
-    select_splitters,
-    select_splitters_rows,
 )
 
-BOUNDARY_ROWS = (ROWS_SCALAR_CUTOFF - 1, ROWS_SCALAR_CUTOFF,
-                 ROWS_SCALAR_CUTOFF + 1)
+BOUNDARY_ROWS = (3, 4, 5)
 
 
 @pytest.mark.parametrize("num_rows", BOUNDARY_ROWS)
@@ -92,23 +88,6 @@ def test_fused_partition_rows_matches_scalar_at_boundary(total, tie_breaking):
         smalls.append(small)
         larges.append(large)
     np.testing.assert_array_equal(reordered, np.concatenate(smalls + larges))
-
-
-@pytest.mark.parametrize("num_rows", BOUNDARY_ROWS)
-def test_select_splitters_rows_matches_scalar_at_boundary(num_rows):
-    rng = np.random.default_rng(num_rows)
-    lengths = rng.integers(0, 9, size=num_rows)
-    offsets = np.zeros(num_rows + 1, dtype=np.int64)
-    np.cumsum(lengths, out=offsets[1:])
-    values = rng.random(int(offsets[-1]))
-    k = 4
-    splitters, out_offsets = select_splitters_rows(values, offsets, k,
-                                                   values.dtype)
-    for i in range(num_rows):
-        expected = select_splitters([values[offsets[i]:offsets[i + 1]]], k,
-                                    values.dtype)
-        np.testing.assert_array_equal(
-            splitters[out_offsets[i]:out_offsets[i + 1]], expected)
 
 
 @pytest.mark.parametrize("num_rows", BOUNDARY_ROWS)
