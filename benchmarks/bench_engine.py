@@ -46,7 +46,7 @@ def pingpong_program(env, *, rounds: int, words: int):
     start = env.now
     for rnd in range(rounds):
         if rank < partner:
-            send = SendRequest(env, transport.post_send(
+            send = SendRequest(env, transport.isend(
                 rank, partner, rnd, _CTX, None, words=words))
             recv = RecvRequest(env, transport, context=_CTX,
                                source_world=partner, tag=rnd)
@@ -55,7 +55,7 @@ def pingpong_program(env, *, rounds: int, words: int):
             recv = RecvRequest(env, transport, context=_CTX,
                                source_world=partner, tag=rnd)
             yield from env.wait_until(recv.test)
-            send = SendRequest(env, transport.post_send(
+            send = SendRequest(env, transport.isend(
                 rank, partner, rnd, _CTX, None, words=words))
             yield from env.wait_until(send.test)
     return env.now - start
@@ -72,7 +72,7 @@ def incast_program(env, *, burst: int, words: int):
                  for b in range(burst) for src in range(1, env.size)]
         yield from wait_all(env, recvs)
     else:
-        sends = [SendRequest(env, transport.post_send(
+        sends = [SendRequest(env, transport.isend(
             rank, 0, b, _CTX, None, words=words)) for b in range(burst)]
         yield from wait_all(env, sends)
     return env.now - start

@@ -23,27 +23,30 @@ finish times, the sorted output arrays (byte for byte) and the sorting stats
 import time
 
 import numpy as np
-import pytest
 
+from repro.bench.harness import paired_medians
 from repro.bench.workloads import generate
 from repro.mpi import init_mpi
 from repro.rbc import create_rbc_comm
 from repro.simulator import Cluster
 from repro.sorting import JQuickConfig, RbcBackend, jquick
 
+#: ``pairs``: interleaved (scalar, batched) sorts of the gate, whose medians
+#: are compared.  A sample is 0.3-2 s, so few are needed; the counts are kept
+#: because the gate's ``BENCH_*.json`` sums the counters of all its runs.
 SCALES = {
-    "tiny": dict(num_ranks=1024, samples=2),
-    "small": dict(num_ranks=1024, samples=3),
-    "paper": dict(num_ranks=4096, samples=3),
+    "tiny": dict(num_ranks=1024, pairs=2),
+    "small": dict(num_ranks=1024, pairs=3),
+    "paper": dict(num_ranks=4096, pairs=3),
 }
 
-#: Required wall-clock speedup of the batched tier over the scalar frontier.
-#: Measured ~5.5x at p=1024 (median of fourteen runs on a shared machine,
-#: quartiles 4.5 / 6.2) and growing with p (the scalar side suspends every
-#: rank several times per level); 3.8 keeps the margin the gate had before
-#: the per-round sort plan (2.6 of a measured ~3.75x) for CI hardware
-#: variance.
-MIN_SPEEDUP = 3.8
+#: Required wall-clock speedup of the batched tier over the scalar frontier:
+#: 0.7 x the median of nine runs at p=1024 on a shared 2-core machine
+#: (median 4.65x, range 3.8-5.2; it grows with p — the scalar side suspends
+#: every rank several times per level).  The scalar side runs on the event
+#: tier, so a faster event tier lowers the ratio (5.5x before the collective
+#: request became its own endpoint); re-derive it the same way then.
+MIN_SPEEDUP = 3.2
 
 #: Group sizes of the reported (not gated) host cost per member-level.
 MEMBER_LEVEL_RANKS = (256, 1024, 4096)
@@ -57,30 +60,20 @@ def _sort_program(env, *, local_data, config):
     return env.now, result, stats.as_dict()
 
 
-def _run(num_ranks, batch_levels):
+def _sort(num_ranks, batch_levels):
+    """Zero-argument run of the benchmark's sort on one tier (the input is
+    generated here, outside of whatever times the run)."""
     parts = generate("uniform", num_ranks, num_ranks, seed=1000)
     config = JQuickConfig(seed=17, batch_levels=batch_levels)
     rank_kwargs = [dict(local_data=parts[rank]) for rank in range(num_ranks)]
-    cluster = Cluster(num_ranks)
-    started = time.perf_counter()
-    result = cluster.run(_sort_program, rank_kwargs=rank_kwargs,
-                         config=config)
-    return result, time.perf_counter() - started
-
-
-def _best(num_ranks, batch_levels, samples):
-    result, best = None, float("inf")
-    for _ in range(samples):
-        result, wall = _run(num_ranks, batch_levels)
-        best = min(best, wall)
-    return result, best
+    return lambda: Cluster(num_ranks).run(
+        _sort_program, rank_kwargs=rank_kwargs, config=config)
 
 
 def test_jquick_batched_speedup(request, scale):
-    preset = SCALES[scale]
-    p = preset["num_ranks"]
-    batched, wall_batched = _best(p, True, preset["samples"])
-    scalar, wall_scalar = _best(p, False, preset["samples"])
+    p = SCALES[scale]["num_ranks"]
+    scalar, batched, wall_scalar, wall_batched = paired_medians(
+        _sort(p, False), _sort(p, True), SCALES[scale]["pairs"])
 
     # Identical simulation observables rank by rank.
     for rank in range(p):
@@ -118,7 +111,12 @@ def test_jquick_member_level_cost(request):
     """
     extra = {}
     for p in MEMBER_LEVEL_RANKS:
-        result, wall = _best(p, True, 2)
+        sort = _sort(p, True)
+        wall = float("inf")
+        for _ in range(2):
+            started = time.perf_counter()
+            result = sort()
+            wall = min(wall, time.perf_counter() - started)
         member_levels = sum(stats["batched_levels"]
                             for _, _, stats in result.results)
         extra[f"member_levels_p{p}"] = member_levels

@@ -11,9 +11,10 @@ perf trajectory; this script fails CI when a fresh run regresses:
 * ``wall_clock_s`` grew by more than ``--max-wall-ratio`` (default 2.0) —
   generous, because CI hardware varies, but catches order-of-magnitude
   slowdowns;
-* ``simulated_us`` changed at all — simulated time is bit-exact by design,
-  so any drift is a semantic change (update the baseline deliberately if it
-  is an intentional algorithm change).
+* ``simulated_us`` or ``messages_sent`` changed at all — simulated time and
+  the message count are bit-exact by design, so any drift is a semantic
+  change (update the baseline deliberately if it is an intentional
+  algorithm change).
 
 ``events_processed`` is deterministic too, so any difference inside the
 allowed ratio — a drop included — prints a ``STALE`` line: the result still
@@ -204,6 +205,13 @@ def main(argv=None) -> int:
                 f"simulated_us changed: {current['simulated_us']!r} != "
                 f"baseline {base['simulated_us']!r} (bit-exactness broken — "
                 "update the baseline only for intentional algorithm changes)")
+
+        if "messages_sent" in base and "messages_sent" in current \
+                and current["messages_sent"] != base["messages_sent"]:
+            problems.append(
+                f"messages_sent changed: {current['messages_sent']} != "
+                f"baseline {base['messages_sent']} (a different schedule "
+                "ran — an event-count re-pin must never carry this)")
 
         # Newer harness versions add counters (tier attribution, trace
         # stats) that old committed baselines predate.  Those keys are

@@ -31,6 +31,7 @@ __all__ = [
     "TELEMETRY",
     "write_bench_json",
     "run_rank_durations",
+    "paired_medians",
     "collective_program",
     "COLLECTIVE_OPS",
 ]
@@ -193,6 +194,31 @@ def run_rank_durations(num_ranks: int, program: Callable, *args,
     result = cluster.run(program, *args, rank_kwargs=rank_kwargs, **kwargs)
     durations = [d for d in result.results if d is not None]
     return (max(durations) if durations else 0.0), result
+
+
+def paired_medians(run_a: Callable, run_b: Callable,
+                   pairs: int) -> tuple:
+    """Interleaved A/B wall-clock measurement of two zero-argument runs.
+
+    Runs ``run_a`` then ``run_b``, ``pairs`` times over, and returns
+    ``(last result of A, last result of B, median seconds of A, median
+    seconds of B)``.  Interleaving puts both sides under the same machine
+    load and the median drops the hiccups, so the ratio of the two medians
+    is a usable speedup on a shared machine where a best-of-N of two
+    separately measured blocks is not (the ratio gates of
+    ``benchmarks/bench_*_batched.py`` compare it against their thresholds).
+    """
+    walls_a, walls_b = [], []
+    result_a = result_b = None
+    for _ in range(pairs):
+        started = time.perf_counter()
+        result_a = run_a()
+        walls_a.append(time.perf_counter() - started)
+        started = time.perf_counter()
+        result_b = run_b()
+        walls_b.append(time.perf_counter() - started)
+    return (result_a, result_b,
+            float(np.median(walls_a)), float(np.median(walls_b)))
 
 
 # ---------------------------------------------------------------------------

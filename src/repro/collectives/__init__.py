@@ -9,10 +9,11 @@ translation, context, tag discipline) and the vendor cost model applied to
 native MPI.
 
 * :mod:`repro.collectives.topology` — binomial-tree and dissemination helpers.
-* :mod:`repro.collectives.endpoint` — adapter binding a collective instance to
-  a communicator, a tag and a cost model.
-* :mod:`repro.collectives.machines` — the collective state machines
-  (progressed by ``test()``) and their schedules.
+* :mod:`repro.collectives.endpoint` — the frozen description of a collective
+  instance: communicator, tag, rank translation and vendor cost factors.
+* :mod:`repro.collectives.machines` — the collective request (progressed by
+  ``test()``; it is the port its schedule posts sends and receives on) and
+  the flat schedules.
 * :mod:`repro.collectives.large` — large-input algorithms (scatter,
   scatter-allgather broadcast, pipelined broadcast, ring reduce-scatter and
   ring allreduce) plus the crossover heuristics for ``algorithm="auto"``.

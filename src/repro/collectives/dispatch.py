@@ -70,20 +70,22 @@ from .machines import (
 __all__ = ["start"]
 
 #: op -> (its noun in error messages, the name of its flat algorithm, the
-#: flat schedule behind the uniform ``(ep, value, op, root)`` signature).
+#: flat schedule behind the uniform ``(port, value, op, root)`` signature).
 _FLAT = {
     "bcast": ("broadcast", "binomial",
-              lambda ep, value, op, root: bcast_schedule(ep, value, root)),
+              lambda port, value, op, root:
+                  bcast_schedule(port, value, root)),
     "reduce": ("reduce", "binomial", reduce_schedule),
     "allreduce": ("allreduce", "reduce_bcast",
-                  lambda ep, value, op, root:
-                      allreduce_schedule(ep, value, op)),
+                  lambda port, value, op, root:
+                      allreduce_schedule(port, value, op)),
     "scan": ("scan", "dissemination",
-             lambda ep, value, op, root: scan_schedule(ep, value, op)),
+             lambda port, value, op, root: scan_schedule(port, value, op)),
     "gather": ("gather", "binomial",
-               lambda ep, value, op, root: gather_schedule(ep, value, root)),
+               lambda port, value, op, root:
+                   gather_schedule(port, value, root)),
     "barrier": ("barrier", "dissemination",
-                lambda ep, value, op, root: barrier_schedule(ep)),
+                lambda port, value, op, root: barrier_schedule(port)),
 }
 
 #: op -> {large-input algorithm: (span label, schedule)}.  These are the
@@ -92,18 +94,18 @@ _LARGE = {
     "bcast": {
         "scatter_allgather": (
             "bcast_scatter_allgather",
-            lambda ep, value, op, root, segment_words:
-                bcast_scatter_allgather_schedule(ep, value, root)),
+            lambda port, value, op, root, segment_words:
+                bcast_scatter_allgather_schedule(port, value, root)),
         "pipeline": (
             "pipeline_bcast",
-            lambda ep, value, op, root, segment_words:
-                pipeline_bcast_schedule(ep, value, root, segment_words)),
+            lambda port, value, op, root, segment_words:
+                pipeline_bcast_schedule(port, value, root, segment_words)),
     },
     "allreduce": {
         "ring": (
             "allreduce_ring",
-            lambda ep, value, op, root, segment_words:
-                allreduce_ring_schedule(ep, value, op)),
+            lambda port, value, op, root, segment_words:
+                allreduce_ring_schedule(port, value, op)),
     },
 }
 
@@ -143,32 +145,33 @@ def _select(ep: TransportEndpoint, name: str, algorithm: Optional[str],
         + ", ".join(repr(known) for known in names))
 
 
-def _schedule(ep: TransportEndpoint, name: str, value: Any, op, root: int,
+def _schedule(port, name: str, value: Any, op, root: int,
               segment_words: int, hierarchy: Optional[Hierarchy], large):
-    """The schedule generator of one :func:`_select` outcome."""
+    """The schedule generator of one :func:`_select` outcome on ``port``."""
     if large is not None:
-        return large(ep, value, op, root, segment_words)
+        return large(port, value, op, root, segment_words)
     if hierarchy is not None:
-        return run_schedule(ep, schedule_for(hierarchy, name, root), value, op)
-    return _FLAT[name][2](ep, value, op, root)
+        return run_schedule(port, schedule_for(hierarchy, name, root), value,
+                            op)
+    return _FLAT[name][2](port, value, op, root)
 
 
-def _auto_bcast(ep: TransportEndpoint, value: Any, root: int,
-                segment_words: int):
+def _auto_bcast(port, value: Any, root: int, segment_words: int):
     """Broadcast whose root picks the algorithm from the payload size.
 
     Only the root knows the payload, so it broadcasts its one-word choice
     down the binomial tree first (a single ``alpha log p`` term, negligible
     for the large payloads ``"auto"`` is about).
     """
+    ep = port.ep
     choice = None
     if ep.rank == root:
         choice = choose_bcast_algorithm(
             payload_words(value), ep.size, value, model=ep.cost_model,
             hierarchical=hierarchy_of(ep) is not None)
-    choice = yield from bcast_schedule(ep, choice, root)
+    choice = yield from bcast_schedule(port, choice, root)
     _, hierarchy, large = _select(ep, "bcast", choice, True)
-    result = yield from _schedule(ep, "bcast", value, None, root,
+    result = yield from _schedule(port, "bcast", value, None, root,
                                   segment_words, hierarchy, large)
     return result
 
@@ -195,9 +198,7 @@ def start(ep: TransportEndpoint, name: str, value: Any = None,
     ``ValueError``.
     """
     if algorithm == "auto" and name == "bcast":
-        return CollectiveRequest(
-            ep.env, _auto_bcast(ep, value, root, segment_words),
-            "_auto_bcast")
+        return CollectiveRequest(ep, _auto_bcast, value, root, segment_words)
     if algorithm == "auto" and name == "allreduce":
         # Every rank contributes the same amount, so every rank picks alike.
         algorithm = choose_allreduce_algorithm(
@@ -212,6 +213,5 @@ def start(ep: TransportEndpoint, name: str, value: Any = None,
         if _spmd.lockstep_eligible(ep):
             return _spmd.join_lockstep(ep, label, value, op, root)
     return CollectiveRequest(
-        ep.env,
-        _schedule(ep, name, value, op, root, segment_words, hierarchy, large),
-        label)
+        ep, _schedule, name, value, op, root, segment_words, hierarchy, large,
+        label=label)

@@ -1,26 +1,37 @@
-"""Endpoint adapter binding a collective instance to a communicator and a tag.
+"""The frozen description of one collective instance.
 
-A collective schedule only speaks in group-local ranks.  The endpoint
-translates these to world ranks, stamps the communicator's context and the
-collective's tag onto every message, and applies the cost model of the layer
-executing the collective (native MPI implementations may pay extra per-word
-and per-message overheads — see :mod:`repro.mpi.vendor`).
+A collective schedule only speaks in group-local ranks.  The endpoint says
+where those live: the communicator's context and the collective's tag that
+every message is stamped with, this process's rank and the group size
+*within the collective*, the translation from group-local to world ranks,
+and the cost factors of the layer executing the collective (native MPI
+implementations may pay extra per-word and per-message overheads — see
+:mod:`repro.mpi.vendor`).
+
+The endpoint does not send or receive.  It is what the deciding layers read —
+:mod:`repro.collectives.dispatch` (schedule and tier),
+:func:`~repro.collectives.hierarchical.hierarchy_of` (the group's node
+structure) and :mod:`repro.core.spmd` (lockstep pricing) — and what a
+:class:`~repro.collectives.machines.CollectiveRequest` is built from: the
+request is the *port* its schedule talks to, and it applies the translation
+and the cost factors described here to every message it posts.  Endpoints
+are immutable and shared (the RBC layer caches one per communicator and
+tag), so nothing per-collective is ever stored on them.
 """
 
 from __future__ import annotations
 
 from typing import Callable, Optional
 
-from ..messaging import RecvRequest
 from ..simulator.costmodel import CostModel
-from ..simulator.network import Transport, payload_words
+from ..simulator.network import Transport
 from ..simulator.process import RankEnv
 
 __all__ = ["TransportEndpoint"]
 
 
 class TransportEndpoint:
-    """Point-to-point adapter used by collective state machines.
+    """Where one collective instance lives: group, envelope and cost factors.
 
     Parameters
     ----------
@@ -71,57 +82,9 @@ class TransportEndpoint:
         self.to_world = to_world
         self.word_cost_factor = word_cost_factor
         self.per_message_delay = per_message_delay
-        # (first, stride) when group -> world is one multiply-add; inlined in
-        # isend/irecv so the hot path skips the translation call entirely.
+        # (first, stride) when group -> world is one multiply-add; the port
+        # inlines it so the hot path skips the translation call entirely.
         self._affine = world_affine
-
-    # ------------------------------------------------------------------- p2p
-
-    def isend(self, payload, dest: int, *, local_delay: float = 0.0,
-              words: Optional[int] = None):
-        """Nonblocking send of ``payload`` to group rank ``dest``.
-
-        Returns the transport's :class:`~repro.simulator.network.SendHandle`,
-        which implements the request protocol (``test``/``result``) directly.
-        ``words`` is the payload's word count when the caller already knows
-        it (a forwarder read it off the message it received); it travels on
-        with the message unscaled, whatever the wire is charged.
-        """
-        if words is None:
-            words = payload_words(payload)
-        factor = self.word_cost_factor
-        wire_words = words if factor == 1.0 else int(round(words * factor))
-        affine = self._affine
-        # The bounds check keeps the fail-loud behaviour of to_world for
-        # out-of-range group ranks (a schedule bug must not silently deliver
-        # into an unrelated rank's mailbox).
-        dst = (affine[0] + dest * affine[1]) \
-            if affine is not None and 0 <= dest < self.size \
-            else self.to_world(dest)
-        return self.transport.post_send(
-            self.env.rank,
-            dst,
-            self.tag,
-            self.context,
-            payload,
-            wire_words,
-            local_delay + self.per_message_delay,
-            words,
-        )
-
-    def irecv(self, source: int) -> RecvRequest:
-        """Nonblocking receive from group rank ``source`` on this collective's tag."""
-        affine = self._affine
-        src = (affine[0] + source * affine[1]) \
-            if affine is not None and 0 <= source < self.size \
-            else self.to_world(source)
-        return RecvRequest(
-            self.env,
-            self.transport,
-            self.context,
-            src,
-            self.tag,
-        )
 
     # ------------------------------------------------------------------ costs
 
@@ -138,7 +101,3 @@ class TransportEndpoint:
     def placement(self):
         """The cluster-owned rank -> (node, island) placement (world ranks)."""
         return self.transport.placement
-
-    def op_delay(self, words: int) -> float:
-        """Local time to apply a reduction operator to ``words`` words."""
-        return self.env.params.compute_cost(words)

@@ -24,10 +24,11 @@ decomposed along the machine hierarchy around per-node *leaders*:
   whose inter-node round count is ``O(log nodes)``, not ``O(log p)``).
 
 Each phase *is* one of the existing generator schedules, run on a
-:class:`SubgroupEndpoint` that remaps subgroup ranks onto the parent
-endpoint's group ranks — so :class:`~repro.collectives.machines.CollectiveRequest`
-drives the composed schedule unchanged, and all forwarding/freezing fast
-paths of the flat schedules apply per phase.
+:class:`SubgroupEndpoint` — a view of the request's port that remaps subgroup
+ranks onto the port's group ranks — so
+:class:`~repro.collectives.machines.CollectiveRequest` drives the composed
+schedule unchanged, and all forwarding/freezing fast paths of the flat
+schedules apply per phase.
 
 The composition itself is not described here: :mod:`repro.collectives.ir`
 builds a typed :class:`~repro.collectives.ir.Schedule` (stage list + value
@@ -282,72 +283,66 @@ def hierarchy_of(ep: TransportEndpoint) -> Optional[Hierarchy]:
 
 
 class SubgroupEndpoint:
-    """View of a :class:`TransportEndpoint` restricted to ``members``.
+    """View of a collective request's port restricted to ``members``.
 
-    ``members`` are parent-group ranks in subgroup-rank order; the wrapper
-    translates subgroup ranks on the way in, so any flat schedule runs on the
-    subgroup unchanged (same transport, same context/tag — phases of one
+    ``members`` are parent-group ranks in subgroup-rank order; the view
+    translates subgroup ranks on the way in and is the parent port otherwise
+    (same state, same slots, same ``msgs``), so any flat schedule runs on
+    the subgroup unchanged (same transport, same context/tag — phases of one
     hierarchical collective never overlap on a (src, dst) pair, so FIFO
     matching per envelope is preserved).
     """
 
-    __slots__ = ("_ep", "_members", "rank", "size")
+    __slots__ = ("_port", "_members", "rank", "size")
 
-    def __init__(self, ep, members, rank_index: int):
-        self._ep = ep
+    def __init__(self, port, members, rank_index: int):
+        self._port = port
         self._members = members
         self.rank = rank_index
         self.size = len(members)
 
-    def isend(self, payload, dest: int, *, local_delay: float = 0.0,
-              words: Optional[int] = None):
-        return self._ep.isend(payload, self._members[dest],
-                              local_delay=local_delay, words=words)
+    def isend(self, payload, dest: int, local_delay: float = 0.0,
+              words: Optional[int] = None) -> None:
+        self._port.isend(payload, self._members[dest], local_delay, words)
 
-    def irecv(self, source: int):
-        return self._ep.irecv(self._members[source])
+    def irecv(self, source: int) -> int:
+        return self._port.irecv(self._members[source])
 
     def op_delay(self, words: int) -> float:
-        return self._ep.op_delay(words)
+        return self._port.op_delay(words)
 
     @property
-    def cost_model(self):
-        return self._ep.cost_model
-
-    @property
-    def placement(self):
-        return self._ep.placement
+    def msgs(self):
+        return self._port.msgs
 
 
 # ---------------------------------------------------------------------------
 # The scalar IR interpreter.
 # ---------------------------------------------------------------------------
 
-def run_schedule(ep: TransportEndpoint, schedule: Schedule, value: Any,
+def run_schedule(port, schedule: Schedule, value: Any,
                  op: Optional[Callable[[Any, Any], Any]]):
-    """Interpret one :class:`~repro.collectives.ir.Schedule` on ``ep``.
+    """Interpret one :class:`~repro.collectives.ir.Schedule` on ``port``.
 
-    Walks the stage list, running each stage this rank participates in as the
-    corresponding flat generator schedule on a :class:`SubgroupEndpoint`, and
-    routes values through the two per-rank registers (``carry``/``prefix``)
-    exactly as the IR prescribes.  The SPMD lockstep driver replays the same
-    stages with the same routing, which is what makes the two tiers
-    bit-identical by construction.
+    Walks the stages this rank participates in
+    (:meth:`~repro.collectives.ir.Schedule.stages_of` — never the whole stage
+    list), running each as the corresponding flat generator schedule on a
+    :class:`SubgroupEndpoint`, and routes values through the two per-rank
+    registers (``carry``/``prefix``) exactly as the IR prescribes.  The SPMD
+    lockstep driver replays the same stages with the same routing, which is
+    what makes the two tiers bit-identical by construction.
     """
-    rank = ep.rank
-    obs = ep.transport._obs
+    rank = port.rank
+    env = port.env
+    obs = env.transport._obs
     if obs is not None:
-        obs.events.append((ep.env.engine._now, ep.env.rank, "ir",
+        obs.events.append((env.engine._now, env.rank, "ir",
                            schedule.ir_token()))
     carry = value
     prefix: Any = None
     stage_op = schedule.reduce_op(op)
-    for stage in schedule.stages:
-        members = stage.members
-        if rank not in members:
-            continue
-        index = members.index(rank)
-        sub = SubgroupEndpoint(ep, members, index)
+    for stage, index in schedule.stages_of(rank):
+        sub = SubgroupEndpoint(port, stage.members, index)
         kind = stage.kind
         if kind == "bcast":
             payload = carry if stage.src == "carry" else prefix

@@ -16,8 +16,8 @@ executors consume it unchanged:
 
 * the **scalar interpreter** :func:`repro.collectives.hierarchical.run_schedule`
   drives the flat generator schedules stage by stage on
-  :class:`~repro.collectives.hierarchical.SubgroupEndpoint` views — the
-  event-by-event reference tier;
+  :class:`~repro.collectives.hierarchical.SubgroupEndpoint` views of the
+  request's port — the event-by-event reference tier;
 * the **lockstep driver** ``repro.core.spmd._SchedulePhase`` feeds the flat
   phase classes with synthetic joins and reads their finish times — the
   analytic paper-scale tier, bit-identical to the interpreter by
@@ -94,7 +94,7 @@ class Schedule:
     ``None`` for every other op.
     """
 
-    __slots__ = ("op_name", "size", "stages", "token", "shape")
+    __slots__ = ("op_name", "size", "stages", "token", "shape", "_by_rank")
 
     def __init__(self, op_name: str, size: int, stages, token: bool = False,
                  shape=None):
@@ -103,6 +103,23 @@ class Schedule:
         self.stages = tuple(stages)
         self.token = token
         self.shape = shape
+        self._by_rank: Optional[dict] = None
+
+    def stages_of(self, rank: int):
+        """``[(stage, member index), ...]`` of ``rank``'s stages, in order.
+
+        The per-rank executor's walk: a schedule over p ranks has O(p)
+        stages of which a rank takes part in a handful, and every rank of
+        the group interprets the same (cached) schedule — so the index is
+        built once, for all ranks, by the first one that asks.
+        """
+        by_rank = self._by_rank
+        if by_rank is None:
+            by_rank = self._by_rank = {}
+            for stage in self.stages:
+                for index, member in enumerate(stage.members):
+                    by_rank.setdefault(member, []).append((stage, index))
+        return by_rank.get(rank, ())
 
     def reduce_op(self, op: Optional[Callable]) -> Optional[Callable]:
         """The operator a ``"reduce"`` stage applies for group operator ``op``."""

@@ -19,10 +19,10 @@ those extensions:
   simple crossover heuristics behind ``algorithm="auto"``
   (:mod:`repro.collectives.dispatch`).
 
-All schedules follow the same protocol as :mod:`repro.collectives.machines`:
-they are generators that yield lists of pending point-to-point requests and
-finally return the local result, so they can be driven by the same
-:class:`~repro.collectives.machines.CollectiveRequest` state machine.
+All schedules follow the port protocol of :mod:`repro.collectives.machines`:
+they are generators that post sends and receives on the port they are handed,
+``yield`` to end a state and finally return the local result, so the same
+:class:`~repro.collectives.machines.CollectiveRequest` drives them.
 
 The vector algorithms (scatter-allgather broadcast, reduce-scatter, ring
 allreduce, pipelined broadcast) require one-dimensional NumPy array payloads;
@@ -35,14 +35,12 @@ from typing import Any, Callable, Optional, Sequence
 
 import numpy as np
 
-from ..messaging import Request
 from ..simulator.costmodel import (
     DEFAULT_ALLREDUCE_CROSSOVER_WORDS,
     DEFAULT_BCAST_CROSSOVER_WORDS,
     CostModel,
 )
 from ..simulator.network import freeze_payload, payload_words
-from .endpoint import TransportEndpoint
 from .topology import from_virtual, to_virtual
 
 __all__ = [
@@ -130,7 +128,7 @@ def _require_vector(value: Any, operation: str) -> np.ndarray:
 # Scatter / scatterv.
 # ---------------------------------------------------------------------------
 
-def scatter_schedule(ep: TransportEndpoint, values: Optional[Sequence[Any]], root: int):
+def scatter_schedule(port, values: Optional[Sequence[Any]], root: int):
     """Binomial-tree scatter: the root distributes ``values[i]`` to rank ``i``.
 
     ``values`` is only read on the root (its length must equal the group
@@ -140,8 +138,8 @@ def scatter_schedule(ep: TransportEndpoint, values: Optional[Sequence[Any]], roo
     exactly the data below it — ``O(alpha log p + beta n)`` from the root's
     point of view.
     """
-    size = ep.size
-    rank = ep.rank
+    size = port.size
+    rank = port.rank
     if rank == root:
         if values is None:
             raise ValueError("scatter root must provide one payload per rank")
@@ -156,18 +154,18 @@ def scatter_schedule(ep: TransportEndpoint, values: Optional[Sequence[Any]], roo
     if vrank == 0:
         bucket = {to_virtual(dest, root, size): values[dest] for dest in range(size)}
     else:
-        recv = ep.irecv(from_virtual(binomial_parent_of(vrank), root, size))
-        yield [recv]
-        bucket = recv.result()
+        slot = port.irecv(from_virtual(binomial_parent_of(vrank), root, size))
+        yield
+        bucket = port.msgs[slot].payload
 
     my_value = bucket[vrank]
 
-    sends: list[Request] = []
-    for child, span in _binomial_subtrees(vrank, size):
+    subtrees = _binomial_subtrees(vrank, size)
+    for child, span in subtrees:
         payload = {vr: bucket[vr] for vr in range(child, min(child + span, size))}
-        sends.append(ep.isend(payload, from_virtual(child, root, size)))
-    if sends:
-        yield sends
+        port.isend(payload, from_virtual(child, root, size))
+    if subtrees:
+        yield
     return my_value
 
 
@@ -200,7 +198,7 @@ def _binomial_subtrees(vrank: int, size: int) -> list[tuple[int, int]]:
 # Ring allgather.
 # ---------------------------------------------------------------------------
 
-def ring_allgather_schedule(ep: TransportEndpoint, value: Any):
+def ring_allgather_schedule(port, value: Any):
     """Ring allgather: after p-1 rounds every rank holds every contribution.
 
     Bandwidth-optimal (every word crosses each link once) but with ``p - 1``
@@ -208,8 +206,8 @@ def ring_allgather_schedule(ep: TransportEndpoint, value: Any):
     trade-off of Section IV.  Contributions may differ in size (allgatherv).
     Returns the list of contributions indexed by group rank.
     """
-    size = ep.size
-    rank = ep.rank
+    size = port.size
+    rank = port.rank
     gathered: list[Any] = [None] * size
     gathered[rank] = value
     if size == 1:
@@ -218,10 +216,10 @@ def ring_allgather_schedule(ep: TransportEndpoint, value: Any):
     pred = (rank - 1) % size
     carried = (rank, value)
     for _ in range(size - 1):
-        send = ep.isend(carried, succ)
-        recv = ep.irecv(pred)
-        yield [send, recv]
-        carried = recv.result()
+        port.isend(carried, succ)
+        slot = port.irecv(pred)
+        yield
+        carried = port.msgs[slot].payload
         src, payload = carried
         gathered[src] = payload
     return gathered
@@ -231,7 +229,7 @@ def ring_allgather_schedule(ep: TransportEndpoint, value: Any):
 # Large-message broadcasts.
 # ---------------------------------------------------------------------------
 
-def bcast_scatter_allgather_schedule(ep: TransportEndpoint, value: Any, root: int):
+def bcast_scatter_allgather_schedule(port, value: Any, root: int):
     """Scatter-allgather (van de Geijn) broadcast for long vectors.
 
     The root splits the vector into p near-equal blocks, scatters them down a
@@ -241,19 +239,19 @@ def bcast_scatter_allgather_schedule(ep: TransportEndpoint, value: Any, root: in
     Requires a 1-D array payload on the root; every rank returns the full
     broadcast vector.
     """
-    size = ep.size
+    size = port.size
     if size == 1:
         return _require_vector(value, "scatter-allgather broadcast")
     blocks = None
-    if ep.rank == root:
+    if port.rank == root:
         array = _require_vector(value, "scatter-allgather broadcast")
         blocks = split_blocks(array, size)
-    my_block = yield from scatter_schedule(ep, blocks, root)
-    gathered = yield from ring_allgather_schedule(ep, my_block)
+    my_block = yield from scatter_schedule(port, blocks, root)
+    gathered = yield from ring_allgather_schedule(port, my_block)
     return np.concatenate([np.asarray(block) for block in gathered])
 
 
-def pipeline_bcast_schedule(ep: TransportEndpoint, value: Any, root: int,
+def pipeline_bcast_schedule(port, value: Any, root: int,
                             segment_words: int = DEFAULT_SEGMENT_WORDS):
     """Pipelined chain broadcast: stream fixed-size segments down a process chain.
 
@@ -263,14 +261,18 @@ def pipeline_bcast_schedule(ep: TransportEndpoint, value: Any, root: int,
     ``O((p + k)(alpha + beta n / k))`` — with ``k ~ sqrt(n beta / alpha)`` this
     approaches ``beta n`` for long vectors, at the price of a chain (not
     logarithmic) latency term.  Requires a 1-D array payload on the root.
+
+    A forward is posted right after the resume, so it belongs to the *next*
+    state: the rank waits for segment ``k`` to leave together with the
+    arrival of segment ``k + 1``.
     """
     if segment_words <= 0:
         raise ValueError("segment_words must be positive")
-    size = ep.size
+    size = port.size
     if size == 1:
         return _require_vector(value, "pipelined broadcast")
 
-    vrank = to_virtual(ep.rank, root, size)
+    vrank = to_virtual(port.rank, root, size)
     succ = from_virtual(vrank + 1, root, size) if vrank + 1 < size else None
     pred = from_virtual(vrank - 1, root, size) if vrank > 0 else None
 
@@ -278,44 +280,34 @@ def pipeline_bcast_schedule(ep: TransportEndpoint, value: Any, root: int,
         array = _require_vector(value, "pipelined broadcast")
         total = array.shape[0]
         num_segments = max(1, -(-total // segment_words))
-        pending_send: Optional[Request] = None
         for index in range(num_segments):
             lo = index * segment_words
             segment = array[lo:lo + segment_words]
-            state = [] if pending_send is None else [pending_send]
-            if state:
-                yield state
-            pending_send = ep.isend((index, num_segments, segment), succ)
-        if pending_send is not None:
-            yield [pending_send]
+            port.isend((index, num_segments, segment), succ)
+            yield
         return array
 
     segments: list[np.ndarray] = []
     num_segments: Optional[int] = None
-    pending_send = None
     received = 0
     while num_segments is None or received < num_segments:
-        recv = ep.irecv(pred)
-        state: list[Request] = [recv]
-        if pending_send is not None:
-            state.append(pending_send)
-            pending_send = None
-        yield state
-        index, num_segments, segment = recv.result()
+        slot = port.irecv(pred)
+        yield
+        index, num_segments, segment = port.msgs[slot].payload
         segments.append(np.asarray(segment))
         received += 1
         if succ is not None:
-            pending_send = ep.isend((index, num_segments, segment), succ)
-    if pending_send is not None:
-        yield [pending_send]
-    return np.concatenate(segments) if segments else np.asarray(value)
+            port.isend((index, num_segments, segment), succ)
+    if succ is not None:
+        yield
+    return np.concatenate(segments)
 
 
 # ---------------------------------------------------------------------------
 # Ring reduce-scatter and ring allreduce.
 # ---------------------------------------------------------------------------
 
-def reduce_scatter_ring_schedule(ep: TransportEndpoint, value: Any,
+def reduce_scatter_ring_schedule(port, value: Any,
                                  op: Callable[[Any, Any], Any]):
     """Ring reduce-scatter: rank ``i`` returns the reduction of block ``i``.
 
@@ -326,8 +318,8 @@ def reduce_scatter_ring_schedule(ep: TransportEndpoint, value: Any,
     total.  Assumes a commutative ``op`` (contributions are folded in ring
     order, not rank order).
     """
-    size = ep.size
-    rank = ep.rank
+    size = port.size
+    rank = port.rank
     array = _require_vector(value, "ring reduce-scatter")
     bounds = block_bounds(array.shape[0], size)
     if size == 1:
@@ -348,17 +340,17 @@ def reduce_scatter_ring_schedule(ep: TransportEndpoint, value: Any,
         # ``current`` is always a buffer this rank owns (the initial copy or
         # a fresh ``op`` result) and is never touched after the send, so it
         # travels frozen — the transport skips its defensive snapshot.
-        send = ep.isend(freeze_payload(current), succ, local_delay=pending_delay)
-        recv = ep.irecv(pred)
-        yield [send, recv]
-        incoming = recv.result()
+        port.isend(freeze_payload(current), succ, pending_delay)
+        slot = port.irecv(pred)
+        yield
+        incoming = port.msgs[slot].payload
         mine = local_block(rank - step - 2)
-        pending_delay = ep.op_delay(payload_words(incoming))
+        pending_delay = port.op_delay(payload_words(incoming))
         current = op(incoming, mine)
     return current
 
 
-def allreduce_ring_schedule(ep: TransportEndpoint, value: Any,
+def allreduce_ring_schedule(port, value: Any,
                             op: Callable[[Any, Any], Any]):
     """Ring allreduce = ring reduce-scatter followed by a ring allgather.
 
@@ -366,12 +358,12 @@ def allreduce_ring_schedule(ep: TransportEndpoint, value: Any,
     long vectors; the small-input alternative (binomial reduce + broadcast)
     lives in :func:`repro.collectives.machines.allreduce_schedule`.
     """
-    size = ep.size
+    size = port.size
     array = _require_vector(value, "ring allreduce")
-    my_block = yield from reduce_scatter_ring_schedule(ep, array, op)
+    my_block = yield from reduce_scatter_ring_schedule(port, array, op)
     if size == 1:
         return my_block
-    gathered = yield from ring_allgather_schedule(ep, my_block)
+    gathered = yield from ring_allgather_schedule(port, my_block)
     return np.concatenate([np.asarray(block) for block in gathered])
 
 

@@ -87,6 +87,15 @@ class Request:
     def done(self) -> bool:
         return self.test()
 
+    def peek(self) -> Optional[bool]:
+        """Completion as far as it can be read *without* making progress.
+
+        ``test()`` may post sends and consume messages; ``peek`` never does,
+        which is what ``repr`` and a debugger need.  ``None`` means only
+        ``test()`` can tell.
+        """
+        return None
+
     def wait(self):
         """Generator: block the calling rank until the operation completes."""
         yield from self.env.wait_until(self.test)
@@ -114,6 +123,8 @@ class CompletedRequest(Request):
     def test(self) -> bool:
         return True
 
+    peek = test
+
     def result(self) -> Any:
         return self._value
 
@@ -132,6 +143,11 @@ class SendRequest(Request):
 
     def test(self) -> bool:
         return self._handle.done
+
+    def peek(self) -> bool:
+        # The handle's own test would arm the sender's wake-up event.
+        handle = self._handle
+        return handle._engine._now >= handle.complete_time
 
 
 class RecvRequest(Request):
@@ -184,6 +200,9 @@ class RecvRequest(Request):
             return False
         self._message = message
         return True
+
+    def peek(self) -> bool:
+        return self._message is not None
 
     def _match(self):
         transport = self._transport

@@ -90,7 +90,7 @@ class MpiCommunicator:
         """Nonblocking send to communicator rank ``dest``."""
         if dest == PROC_NULL:
             return CompletedRequest(self._env)
-        handle = self._env.transport.post_send(
+        handle = self._env.transport.isend(
             src=self._env.rank,
             dst=self.to_world(dest),
             tag=tag,
@@ -238,8 +238,8 @@ class MpiCommunicator:
         return self._start("scan", value, op)
 
     def iexscan(self, value: Any, op=SUM) -> CollectiveRequest:
-        ep = self._collective_endpoint("exscan")
-        return CollectiveRequest(self._env, exscan_schedule(ep, value, op))
+        return CollectiveRequest(self._collective_endpoint("exscan"),
+                                 exscan_schedule, value, op)
 
     def igather(self, value: Any, root: int = 0) -> Request:
         return self._start("gather", value, None, root)
@@ -249,24 +249,24 @@ class MpiCommunicator:
         return self.igather(value, root)
 
     def iallgather(self, value: Any) -> CollectiveRequest:
-        ep = self._collective_endpoint("allgather")
-        return CollectiveRequest(self._env, allgather_schedule(ep, value))
+        return CollectiveRequest(self._collective_endpoint("allgather"),
+                                 allgather_schedule, value)
 
     def ialltoallv(self, payloads: Sequence[Any]) -> CollectiveRequest:
-        ep = self._collective_endpoint("alltoallv")
-        return CollectiveRequest(self._env, alltoallv_schedule(ep, payloads))
+        return CollectiveRequest(self._collective_endpoint("alltoallv"),
+                                 alltoallv_schedule, payloads)
 
     def iscatter(self, values: Optional[Sequence[Any]], root: int = 0) -> CollectiveRequest:
-        ep = self._collective_endpoint("scatter")
-        return CollectiveRequest(self._env, scatter_schedule(ep, values, root))
+        return CollectiveRequest(self._collective_endpoint("scatter"),
+                                 scatter_schedule, values, root)
 
     def iscatterv(self, values: Optional[Sequence[Any]], root: int = 0) -> CollectiveRequest:
         # Variable-size scatter shares the implementation of iscatter.
         return self.iscatter(values, root)
 
     def ireduce_scatter(self, value: Any, op=SUM) -> CollectiveRequest:
-        ep = self._collective_endpoint("reduce_scatter")
-        return CollectiveRequest(self._env, reduce_scatter_ring_schedule(ep, value, op))
+        return CollectiveRequest(self._collective_endpoint("reduce_scatter"),
+                                 reduce_scatter_ring_schedule, value, op)
 
     def ibarrier(self) -> Request:
         return self._start("barrier")

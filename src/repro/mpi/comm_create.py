@@ -87,7 +87,7 @@ def _agree_on_context_id(parent: MpiCommunicator, endpoint: TransportEndpoint):
     pool = parent.runtime.context_pool
     my_mask = pool.mask_array()
     request = CollectiveRequest(
-        parent.env, allreduce_schedule(endpoint, my_mask, _band_masks))
+        endpoint, allreduce_schedule, my_mask, _band_masks)
     reduced = yield from request.wait()
     context_id = ContextIdPool.common_lowest_free(
         ContextIdPool.mask_from_array(reduced))
@@ -181,7 +181,7 @@ def comm_split(parent: MpiCommunicator, color: Optional[int], key: int = 0):
     endpoint = _creation_endpoint(parent, channel="split", tag=split_seq)
     parent._coll_seq += 1
     contribution = (color, key, parent.rank)
-    request = CollectiveRequest(env, allgather_schedule(endpoint, contribution))
+    request = CollectiveRequest(endpoint, allgather_schedule, contribution)
     entries = yield from request.wait()
 
     # 2. Group locally (charged per the vendor model).

@@ -135,8 +135,10 @@ def _endpoint(comm: RbcComm, tag: int) -> TransportEndpoint:
     return ep
 
 
-def _request(comm: RbcComm, schedule) -> RbcRequest:
-    return RbcRequest(comm.env, CollectiveRequest(comm.env, schedule))
+def _request(comm: RbcComm, tag: int, schedule_fn, *args) -> RbcRequest:
+    """The request driving ``schedule_fn(port, *args)`` on ``comm`` and ``tag``."""
+    return RbcRequest(
+        comm.env, CollectiveRequest(_endpoint(comm, tag), schedule_fn, *args))
 
 
 # ---------------------------------------------------------------------------
@@ -229,8 +231,8 @@ def scan(comm: RbcComm, value: Any, op=None, tag: Optional[int] = None, *,
 
 def iexscan(comm: RbcComm, value: Any, op=None, tag: Optional[int] = None) -> RbcRequest:
     """Nonblocking exclusive prefix reduction (rank 0 receives None)."""
-    ep = _endpoint(comm, _tags.EXSCAN_TAG if tag is None else tag)
-    return _request(comm, exscan_schedule(ep, value, op or SUM))
+    return _request(comm, _tags.EXSCAN_TAG if tag is None else tag,
+                    exscan_schedule, value, op or SUM)
 
 
 def exscan(comm: RbcComm, value: Any, op=None, tag: Optional[int] = None):
@@ -342,8 +344,8 @@ def allreduce(comm: RbcComm, value: Any, op=None, tag: Optional[int] = None,
 
 def iallgather(comm: RbcComm, value: Any, tag: Optional[int] = None) -> RbcRequest:
     """Nonblocking allgather (gather to rank 0 + broadcast of the list)."""
-    ep = _endpoint(comm, _tags.ALLGATHER_TAG if tag is None else tag)
-    return _request(comm, allgather_schedule(ep, value))
+    return _request(comm, _tags.ALLGATHER_TAG if tag is None else tag,
+                    allgather_schedule, value)
 
 
 def allgather(comm: RbcComm, value: Any, tag: Optional[int] = None):
@@ -355,8 +357,8 @@ def allgather(comm: RbcComm, value: Any, tag: Optional[int] = None):
 def ialltoallv(comm: RbcComm, payloads: Sequence[Any],
                tag: Optional[int] = None) -> RbcRequest:
     """Nonblocking direct all-to-all exchange of per-destination payloads."""
-    ep = _endpoint(comm, _tags.ALLTOALLV_TAG if tag is None else tag)
-    return _request(comm, alltoallv_schedule(ep, payloads))
+    return _request(comm, _tags.ALLTOALLV_TAG if tag is None else tag,
+                    alltoallv_schedule, payloads)
 
 
 def alltoallv(comm: RbcComm, payloads: Sequence[Any], tag: Optional[int] = None):
@@ -368,8 +370,8 @@ def alltoallv(comm: RbcComm, payloads: Sequence[Any], tag: Optional[int] = None)
 def iscatter(comm: RbcComm, values: Optional[Sequence[Any]], root: int = 0,
              tag: Optional[int] = None) -> RbcRequest:
     """Nonblocking binomial-tree scatter: ``values[i]`` (on the root) goes to rank ``i``."""
-    ep = _endpoint(comm, _tags.SCATTER_TAG if tag is None else tag)
-    return _request(comm, scatter_schedule(ep, values, root))
+    return _request(comm, _tags.SCATTER_TAG if tag is None else tag,
+                    scatter_schedule, values, root)
 
 
 def scatter(comm: RbcComm, values: Optional[Sequence[Any]], root: int = 0,
@@ -382,8 +384,8 @@ def scatter(comm: RbcComm, values: Optional[Sequence[Any]], root: int = 0,
 def iscatterv(comm: RbcComm, values: Optional[Sequence[Any]], root: int = 0,
               tag: Optional[int] = None) -> RbcRequest:
     """Nonblocking variable-size scatter (payloads may differ in size)."""
-    ep = _endpoint(comm, _tags.SCATTERV_TAG if tag is None else tag)
-    return _request(comm, scatter_schedule(ep, values, root))
+    return _request(comm, _tags.SCATTERV_TAG if tag is None else tag,
+                    scatter_schedule, values, root)
 
 
 def scatterv(comm: RbcComm, values: Optional[Sequence[Any]], root: int = 0,
@@ -395,8 +397,8 @@ def scatterv(comm: RbcComm, values: Optional[Sequence[Any]], root: int = 0,
 
 def iallgatherv(comm: RbcComm, value: Any, tag: Optional[int] = None) -> RbcRequest:
     """Nonblocking ring allgather (bandwidth-optimal for large contributions)."""
-    ep = _endpoint(comm, _tags.ALLGATHERV_TAG if tag is None else tag)
-    return _request(comm, ring_allgather_schedule(ep, value))
+    return _request(comm, _tags.ALLGATHERV_TAG if tag is None else tag,
+                    ring_allgather_schedule, value)
 
 
 def allgatherv(comm: RbcComm, value: Any, tag: Optional[int] = None):
@@ -408,8 +410,8 @@ def allgatherv(comm: RbcComm, value: Any, tag: Optional[int] = None):
 def ireduce_scatter(comm: RbcComm, value: Any, op=None,
                     tag: Optional[int] = None) -> RbcRequest:
     """Nonblocking ring reduce-scatter: rank ``i`` obtains the reduction of block ``i``."""
-    ep = _endpoint(comm, _tags.REDUCE_SCATTER_TAG if tag is None else tag)
-    return _request(comm, reduce_scatter_ring_schedule(ep, value, op or SUM))
+    return _request(comm, _tags.REDUCE_SCATTER_TAG if tag is None else tag,
+                    reduce_scatter_ring_schedule, value, op or SUM)
 
 
 def reduce_scatter(comm: RbcComm, value: Any, op=None, tag: Optional[int] = None):

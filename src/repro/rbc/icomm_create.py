@@ -139,7 +139,7 @@ def icomm_create_group(parent: MpiCommunicator, group: MpiGroup,
         size=len(members),
         to_world=lambda index: members[index],
     )
-    inner = CollectiveRequest(env, bcast_schedule(endpoint, new_ctx, root=0))
+    inner = CollectiveRequest(endpoint, bcast_schedule, new_ctx, 0)
     return RbcRequest(env, _IcommCreateRequest(parent, group, inner))
 
 

@@ -144,6 +144,9 @@ class _TranslatedRecvRequest(_InnerRequest):
     def test(self) -> bool:
         return self._inner.test()
 
+    def peek(self) -> Optional[bool]:
+        return self._inner.peek()
+
     def result(self):
         return self._inner.result()
 

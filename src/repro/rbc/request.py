@@ -72,8 +72,11 @@ class RbcRequest:
         yield from self.env.wait_until(self._inner.test)
         return self._inner.result()
 
-    def __repr__(self):  # pragma: no cover - debugging aid
-        state = "done" if self._inner.test() else "pending"
+    def __repr__(self):
+        # Never ``test()`` here: that can post sends and consume messages, and
+        # printing a request must not change the simulation.
+        state = {True: "done", False: "pending",
+                 None: "untested"}[self._inner.peek()]
         return f"RbcRequest({type(self._inner).__name__}, {state})"
 
 

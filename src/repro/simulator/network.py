@@ -592,7 +592,8 @@ class Transport:
                 hook()
 
         def notify(rank: int) -> None:
-            """Sender-free wake-up armed by a polled :class:`SendHandle`."""
+            """Sender-free wake-up armed by whoever polls an unfinished send
+            (a :class:`SendHandle`, a collective request)."""
             hook = hooks[rank]
             if hook is not None:
                 hook()
@@ -626,10 +627,22 @@ class Transport:
 
     # ---------------------------------------------------------------- sending
 
+    def isend(self, src: int, dst: int, tag: int, context, payload,
+              words: Optional[int] = None, local_delay: float = 0.0,
+              payload_count: Optional[int] = None) -> SendHandle:
+        """:meth:`post_send` plus the pollable :class:`SendHandle` of the
+        send — what the point-to-point layer hands to its callers."""
+        return SendHandle(
+            self.engine,
+            self.post_send(src, dst, tag, context, payload, words,
+                           local_delay, payload_count),
+            self._notify_entry, src)
+
     def post_send(self, src: int, dst: int, tag: int, context, payload,
                   words: Optional[int] = None, local_delay: float = 0.0,
-                  payload_count: Optional[int] = None) -> SendHandle:
-        """Hand a message to the network; returns its :class:`SendHandle`.
+                  payload_count: Optional[int] = None) -> float:
+        """Hand a message to the network; returns the time it has fully left
+        the sender's send port (the send buffer is free from then on).
 
         ``local_delay`` models local work the sender performs before the
         message can be injected (used by collective state machines to charge
@@ -738,12 +751,13 @@ class Transport:
 
         # Allocation-free scheduled entries: the delivery is a (fn, arg) event
         # tuple, not a per-send closure.  The sender-free wake-up is *not*
-        # scheduled here — the handle arms it lazily on the first incomplete
-        # poll, so sends nobody waits on cost no engine event (the trailing
+        # scheduled here — whoever waits on the send (a SendHandle, a
+        # collective request) arms it lazily on the first incomplete poll,
+        # so sends nobody waits on cost no engine event (the trailing
         # delivery event at ``arrival >= leave_sender`` keeps the simulation's
         # final time unchanged).
         self.engine.schedule_call_at(arrival, self._deliver_entry, message)
-        return SendHandle(self.engine, leave_sender, self._notify_entry, src)
+        return leave_sender
 
     # -------------------------------------------------------------- receiving
 
@@ -779,9 +793,10 @@ class Transport:
     def mailbox_of(self, dst: int):
         """The mailbox of rank ``dst`` (receive-side fast-path accessor).
 
-        :class:`~repro.messaging.RecvRequest` caches this together with its
-        exact match key so each completion poll is a single dict probe instead
-        of a call chain through the transport.
+        :class:`~repro.messaging.RecvRequest` and the collective requests
+        cache this together with their exact match keys so each completion
+        poll is a single dict probe instead of a call chain through the
+        transport.
         """
         self._check_rank(dst, "destination")
         return self._mailboxes[dst]

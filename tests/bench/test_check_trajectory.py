@@ -67,6 +67,17 @@ def test_simulated_us_drift_fails(trajectory, dirs):
     assert trajectory.main(_argv(results, baselines, bench_dir)) == 1
 
 
+def test_messages_sent_drift_fails(trajectory, dirs, capsys):
+    """A lower event count is a STALE baseline; another message count is a
+    different schedule, whatever ``simulated_us`` reads."""
+    results, baselines, bench_dir = dirs
+    _write_bench_json(results, "test_alpha", events_processed=8,
+                      messages_sent=41)
+    _write_bench_json(baselines, "test_alpha", messages_sent=42)
+    assert trajectory.main(_argv(results, baselines, bench_dir)) == 1
+    assert "messages_sent changed: 41 != baseline 42" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("fresh_events", [8, 12])
 def test_events_drift_within_bounds_passes_but_is_called_stale(
         trajectory, dirs, capsys, fresh_events):

@@ -389,8 +389,8 @@ def test_inter_node_sends_serialise_on_shared_nic():
     alpha = cluster.params.inter_node_alpha
     first = transport.post_send(0, 2, 0, "ctx", None, 0)
     second = transport.post_send(1, 3, 0, "ctx", None, 0)
-    assert first.complete_time == pytest.approx(alpha)
-    assert second.complete_time == pytest.approx(2 * alpha)
+    assert first == pytest.approx(alpha)
+    assert second == pytest.approx(2 * alpha)
 
 
 def test_per_rank_ports_do_not_serialise_across_ranks():
@@ -399,17 +399,16 @@ def test_per_rank_ports_do_not_serialise_across_ranks():
     alpha = cluster.params.inter_node_alpha
     first = transport.post_send(0, 2, 0, "ctx", None, 0)
     second = transport.post_send(1, 3, 0, "ctx", None, 0)
-    assert first.complete_time == pytest.approx(alpha)
-    assert second.complete_time == pytest.approx(alpha)
+    assert first == pytest.approx(alpha)
+    assert second == pytest.approx(alpha)
 
 
 def test_two_nic_ports_allow_two_concurrent_transfers():
     cluster = _nic_cluster(ports=2, num_ranks=12, ranks_per_node=3)
     transport = cluster.transport
     alpha = cluster.params.inter_node_alpha
-    sends = [transport.post_send(src, src + 3, 0, "ctx", None, 0)
-             for src in range(3)]
-    times = sorted(handle.complete_time for handle in sends)
+    times = sorted(transport.post_send(src, src + 3, 0, "ctx", None, 0)
+                   for src in range(3))
     assert times[0] == pytest.approx(alpha)
     assert times[1] == pytest.approx(alpha)
     assert times[2] == pytest.approx(2 * alpha)
@@ -422,8 +421,7 @@ def test_intra_node_traffic_bypasses_the_nic():
     transport = cluster.transport
     transport.post_send(0, 2, 0, "ctx", None, 0)          # NIC busy
     intra = transport.post_send(0, 1, 0, "ctx", None, 0)  # same node
-    assert intra.complete_time == pytest.approx(
-        cluster.params.intra_node_alpha)
+    assert intra == pytest.approx(cluster.params.intra_node_alpha)
 
 
 def test_receive_side_nic_serialises_incast():
@@ -449,6 +447,78 @@ def test_nic_machine_runs_collectives_correctly():
     result = Cluster(8, params).run(_collective_program, "allreduce", 0, None)
     expected = [float(i * 8 + sum(range(8))) for i in range(5)]
     assert all(value == expected for value in result.results)
+
+
+# ---------------------------------------------------------------------------
+# The interpreter's walk: a rank visits its own stages only.
+# ---------------------------------------------------------------------------
+
+class _CountingMembers(tuple):
+    """Stage members that count the membership tests made against them."""
+
+    lookups = 0
+
+    def __contains__(self, rank):
+        _CountingMembers.lookups += 1
+        return tuple.__contains__(self, rank)
+
+    def index(self, rank):
+        _CountingMembers.lookups += 1
+        return tuple.index(self, rank)
+
+
+def _every_stage(schedule, rank):
+    """``stages_of`` the way the interpreter used to find it out: by asking
+    every stage of the schedule."""
+    return [(stage, stage.members.index(rank)) for stage in schedule.stages
+            if rank in stage.members]
+
+
+@pytest.mark.parametrize("operation,algorithm", [
+    ("bcast", None), ("reduce", None), ("allreduce", None),
+    ("barrier", "hierarchical")])
+def test_run_schedule_visits_only_the_ranks_own_stages(monkeypatch, operation,
+                                                       algorithm):
+    from repro.collectives import ir
+
+    stage_init = ir.Stage.__init__
+
+    def counting_init(self, kind, members, *args, **kwargs):
+        stage_init(self, kind, members, *args, **kwargs)
+        self.members = _CountingMembers(self.members)
+
+    monkeypatch.setattr(ir.Stage, "__init__", counting_init)
+
+    def run():
+        _CountingMembers.lookups = 0
+        result = Cluster(24, THREE_TIER).run(
+            _collective_program, operation, 5, algorithm)
+        return (result.results, result.finish_times, result.events_processed,
+                result.stats.messages_sent), _CountingMembers.lookups
+
+    indexed, lookups = run()
+    assert lookups == 0
+    monkeypatch.setattr(ir.Schedule, "stages_of", _every_stage)
+    walked, lookups = run()
+    assert walked == indexed
+    # 24 ranks on 6 nodes and 3 islands: every rank asked every stage.
+    assert lookups >= 24 * 6
+
+
+def test_stages_of_lists_a_ranks_stages_in_schedule_order():
+    from repro.collectives.ir import schedule_for
+
+    placement = Placement.regular(13, ranks_per_node=4, nodes_per_island=2)
+    hierarchy = build_hierarchy(placement, range(13))
+    for operation in ("bcast", "reduce", "allreduce", "gather", "scan",
+                      "barrier"):
+        schedule = schedule_for(hierarchy, operation, 0 if operation in (
+            "allreduce", "scan", "barrier") else 6)
+        for rank in range(13):
+            assert list(schedule.stages_of(rank)) == \
+                _every_stage(schedule, rank)
+        assert sum(len(schedule.stages_of(rank)) for rank in range(13)) == \
+            sum(len(stage.members) for stage in schedule.stages)
 
 
 # ---------------------------------------------------------------------------

@@ -35,7 +35,8 @@ def _run(p, schedule_factory):
     """Run a schedule on every rank (driven via CollectiveRequest); return results."""
 
     def program(env):
-        request = CollectiveRequest(env, schedule_factory(_endpoint(env), env))
+        request = CollectiveRequest(
+            _endpoint(env), lambda port: schedule_factory(port, env))
         yield from env.wait_until(request.test)
         return request.result()
 
@@ -123,7 +124,7 @@ def test_barrier_synchronises_late_arrivals():
     def program(env):
         if env.rank == 3:
             yield from env.sleep(entry_time)
-        request = CollectiveRequest(env, barrier_schedule(_endpoint(env)))
+        request = CollectiveRequest(_endpoint(env), barrier_schedule)
         yield from env.wait_until(request.test)
         return env.now
 
@@ -164,7 +165,7 @@ def test_alltoallv_wrong_payload_count_rejected():
     def program(env):
         ep = _endpoint(env)
         with pytest.raises(ValueError):
-            CollectiveRequest(env, alltoallv_schedule(ep, ["only-one"]))
+            CollectiveRequest(ep, alltoallv_schedule, ["only-one"])
         yield from env.sleep(0.0)
 
     Cluster(3).run(program)
@@ -176,12 +177,12 @@ def test_first_state_executes_eagerly():
     def program(env):
         ep = _endpoint(env)
         if env.rank == 0:
-            CollectiveRequest(env, bcast_schedule(ep, "x", 0))
+            CollectiveRequest(ep, bcast_schedule, "x", 0)
             # Without any further test() calls the message should already be
             # on the wire: rank 1 can receive it.
             yield from env.sleep(100.0)
             return None
-        request = CollectiveRequest(env, bcast_schedule(ep, None, 0))
+        request = CollectiveRequest(ep, bcast_schedule, None, 0)
         yield from env.wait_until(request.test)
         return request.result()
 
@@ -194,10 +195,10 @@ def test_consecutive_collectives_on_same_tag_do_not_mix():
 
     def program(env):
         ep = _endpoint(env, tag=4)
-        first = CollectiveRequest(env, scan_schedule(ep, env.rank, SUM))
+        first = CollectiveRequest(ep, scan_schedule, env.rank, SUM)
         yield from env.wait_until(first.test)
         ep2 = _endpoint(env, tag=4)
-        second = CollectiveRequest(env, scan_schedule(ep2, 100 * env.rank, SUM))
+        second = CollectiveRequest(ep2, scan_schedule, 100 * env.rank, SUM)
         yield from env.wait_until(second.test)
         return first.result(), second.result()
 
@@ -213,7 +214,7 @@ def test_word_cost_factor_slows_down_but_keeps_result():
         def program(env):
             ep = _endpoint(env, word_cost_factor=factor)
             request = CollectiveRequest(
-                env, bcast_schedule(ep, np.zeros(1000) if env.rank == 0 else None, 0))
+                ep, bcast_schedule, np.zeros(1000) if env.rank == 0 else None, 0)
             yield from env.wait_until(request.test)
             return env.now
 
@@ -226,7 +227,7 @@ def test_per_message_delay_increases_runtime():
     def run_with(delay):
         def program(env):
             ep = _endpoint(env, per_message_delay=delay)
-            request = CollectiveRequest(env, barrier_schedule(ep))
+            request = CollectiveRequest(ep, barrier_schedule)
             yield from env.wait_until(request.test)
             return env.now
 
@@ -250,31 +251,35 @@ def test_property_bcast_and_reduce_agree_for_any_root(p, root_raw):
 # Word counts travel with the message: forwarders never walk a payload again.
 # ---------------------------------------------------------------------------
 
-class _RecountingEndpoint(TransportEndpoint):
+class _RecountingRequest(CollectiveRequest):
     """Drops every forwarded count, so each send walks its own payload."""
 
     __slots__ = ()
 
-    def isend(self, payload, dest, *, local_delay=0.0, words=None):
-        return super().isend(payload, dest, local_delay=local_delay)
+    def isend(self, payload, dest, local_delay=0.0, words=None):
+        super().isend(payload, dest, local_delay)
 
 
 def _ragged(rank):
     return [(rank, float(rank))] * (rank % 4) + [rank]
 
 
-def _list_collectives_run(p, endpoint_class, factor, through_subgroup):
+def _list_collectives_run(p, request_class, factor, through_subgroup):
     def program(env):
-        ep = endpoint_class(
-            env, env.transport, context="coll-test", tag=0, rank=env.rank,
-            size=env.size, to_world=lambda r: r, word_cost_factor=factor)
-        if through_subgroup:
-            members = list(range(p - 1, -1, -1))
-            ep = SubgroupEndpoint(ep, members, members.index(env.rank))
-        gathered = yield from CollectiveRequest(
-            env, allgather_schedule(ep, _ragged(env.rank))).wait()
-        nested = yield from CollectiveRequest(
-            env, bcast_schedule(ep, [gathered, {"k": gathered}], 1 % p)).wait()
+        ep = _endpoint(env, word_cost_factor=factor)
+
+        def on_view(port, schedule, *args):
+            if through_subgroup:
+                members = list(range(p - 1, -1, -1))
+                port = SubgroupEndpoint(port, members,
+                                        members.index(env.rank))
+            return schedule(port, *args)
+
+        gathered = yield from request_class(
+            ep, on_view, allgather_schedule, _ragged(env.rank)).wait()
+        nested = yield from request_class(
+            ep, on_view, bcast_schedule, [gathered, {"k": gathered}],
+            1 % p).wait()
         return gathered, nested
 
     return Cluster(p).run(program)
@@ -286,9 +291,9 @@ def _list_collectives_run(p, endpoint_class, factor, through_subgroup):
 @pytest.mark.parametrize("p", [2, 5, 16, 23])
 def test_forwarded_word_counts_equal_a_recount(p, factor, through_subgroup):
     forwarded = _list_collectives_run(
-        p, TransportEndpoint, factor, through_subgroup)
+        p, CollectiveRequest, factor, through_subgroup)
     recounted = _list_collectives_run(
-        p, _RecountingEndpoint, factor, through_subgroup)
+        p, _RecountingRequest, factor, through_subgroup)
     assert forwarded.results == recounted.results
     assert forwarded.finish_times == recounted.finish_times
     assert forwarded.events_processed == recounted.events_processed
@@ -299,7 +304,7 @@ def test_forwarded_word_counts_equal_a_recount(p, factor, through_subgroup):
 
 
 def test_allgathered_list_is_walked_once_not_once_per_send(monkeypatch):
-    from repro.collectives import endpoint, machines
+    from repro.collectives import machines
     from repro.simulator.network import payload_words
 
     p = 32
@@ -311,7 +316,6 @@ def test_allgathered_list_is_walked_once_not_once_per_send(monkeypatch):
         return payload_words(payload)
 
     monkeypatch.setattr(machines, "payload_words", counting)
-    monkeypatch.setattr(endpoint, "payload_words", counting)
     results = _run(p, lambda ep, env: allgather_schedule(ep, (env.rank, 0)))
     assert results == [[(r, 0) for r in range(p)]] * p
     # The bcast root measures the full list; p - 1 sends carry that count.

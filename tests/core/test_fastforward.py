@@ -15,7 +15,6 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.collectives.endpoint import TransportEndpoint
 from repro.core import spmd
 from repro.messaging import RecvRequest, wait_all
 from repro.mpi import init_mpi
@@ -382,8 +381,8 @@ def _native_exchange(env, feed, times, foreign):
     if foreign is not None and env.rank == _FOREIGN_SENDER:
         port, post_time = foreign
         yield from env.sleep(post_time)
-        handle = env.transport.post_send(_FOREIGN_SENDER, port, 0, "foreign",
-                                         np.ones(3))
+        handle = env.transport.isend(_FOREIGN_SENDER, port, 0, "foreign",
+                                     np.ones(3))
         yield from env.wait_until(handle.test)
         return None
     member = env.rank - GROUP_FIRST
@@ -391,10 +390,9 @@ def _native_exchange(env, feed, times, foreign):
         return None
     pieces, expected, cap_words, charge = feed[member]
     yield from env.sleep(times[member])
-    endpoint = TransportEndpoint(
-        env, env.transport, context="exchange", tag=_EXCHANGE_TAG,
-        rank=member, size=len(feed), to_world=lambda r: GROUP_FIRST + r)
-    sends = [endpoint.isend(np.zeros(words), dest) for dest, words in pieces]
+    sends = [env.transport.isend(env.rank, GROUP_FIRST + dest, _EXCHANGE_TAG,
+                                 "exchange", np.zeros(words))
+             for dest, words in pieces]
     inbound = 0
     if expected:
         request = RecvRequest(env, env.transport, "exchange", ANY_SOURCE,

@@ -90,3 +90,56 @@ def test_status_available_after_completion(run_ranks):
         return None
 
     assert run_ranks(2, program)[0] == (1, 5, 7)
+
+
+def test_repr_does_not_progress_the_request():
+    """Printing a request (a debugger, a failing assertion) must leave the
+    simulation alone: no send posted, no message consumed, no event armed."""
+    from repro.rbc import ibcast, ireduce
+    from repro.simulator import Cluster
+
+    def observe(env):
+        stats = env.transport.tracer.stats
+        return (stats.messages_sent, env.transport.pending_count(env.rank),
+                env.engine.events_processed, len(env.engine._heap))
+
+    def program(env, printing):
+        world = yield from _world(env)
+        shown = []
+
+        def show(*requests):
+            if printing:
+                before = observe(env)
+                shown.extend(repr(request) for request in requests)
+                assert observe(env) == before
+            else:
+                shown.extend(None for _ in requests)
+
+        down = ibcast(world, "payload" if world.rank == 0 else None, 0)
+        up = ireduce(world, world.rank, root=0)
+        receive = irecv(world, (world.rank + 1) % world.size, 7)
+        send = isend(world, world.rank, (world.rank - 1) % world.size, 7)
+        show(down, up, receive, send)
+        # Every message of the first states has arrived, none is matched.
+        yield from env.sleep(50.0)
+        show(down, up, receive, send)
+        yield from wait_all(env, [down, up, receive, send])
+        show(down, up, receive, send)
+        return shown, down.result(), up.result(), receive.result()
+
+    quiet = Cluster(6).run(program, printing=False)
+    shown = Cluster(6).run(program, printing=True)
+    assert [r[1:] for r in shown.results] == [r[1:] for r in quiet.results]
+    assert shown.finish_times == quiet.finish_times
+    assert shown.events_processed == quiet.events_processed
+    assert shown.stats.messages_sent == quiet.stats.messages_sent
+    # What was printed: pending until tested, however long ago the message
+    # arrived; done afterwards.
+    first, late, last = (shown.results[3][0][i:i + 4] for i in (0, 4, 8))
+    assert first[0] == late[0] == "RbcRequest(CollectiveRequest, pending)"
+    assert late[2] == "RbcRequest(_TranslatedRecvRequest, pending)"
+    assert first[3] == "RbcRequest(SendRequest, pending)"
+    assert late[3] == "RbcRequest(SendRequest, done)"
+    assert last == ["RbcRequest(CollectiveRequest, done)"] * 2 + [
+        "RbcRequest(_TranslatedRecvRequest, done)",
+        "RbcRequest(SendRequest, done)"]

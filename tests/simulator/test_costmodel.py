@@ -243,7 +243,7 @@ def _pingpong_program(env, peer_of):
     if peer is None:
         return 0.0
     if env.rank < peer:
-        handle = transport.post_send(env.rank, peer, 0, "t", 1.0)
+        handle = transport.isend(env.rank, peer, 0, "t", 1.0)
         yield from env.wait_until(lambda: handle.done)
     else:
         yield from env.wait_until(
@@ -296,7 +296,7 @@ def test_hierarchical_differs_from_flat_for_same_program():
     def bcast_like(env):
         transport = env.transport
         if env.rank == 0:
-            handles = [transport.post_send(0, dst, 0, "b", [1.0] * 64)
+            handles = [transport.isend(0, dst, 0, "b", [1.0] * 64)
                        for dst in range(1, env.size)]
             yield from env.wait_until(lambda: all(h.done for h in handles))
         else:

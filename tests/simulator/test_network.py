@@ -108,7 +108,7 @@ def test_local_delay_postpones_injection(setup):
 
 def test_send_handle_completion_time(setup):
     engine, transport, params = setup
-    handle = transport.post_send(0, 1, 0, "c", np.zeros(8))
+    handle = transport.isend(0, 1, 0, "c", np.zeros(8))
     assert not handle.done
     engine.run()
     assert handle.done

@@ -32,8 +32,8 @@ def test_completed_request_reports_value_and_status():
 
 def test_send_request_completes_when_buffer_is_free():
     def program(env):
-        handle = env.transport.post_send(0, 1, tag=0, context="c",
-                                         payload=np.zeros(100))
+        handle = env.transport.isend(0, 1, tag=0, context="c",
+                                     payload=np.zeros(100))
         request = SendRequest(env, handle)
         assert not request.test()
         yield from request.wait()
