@@ -3,9 +3,10 @@
 Mailbox matching is the hottest path of every simulated run.  This benchmark
 drives the two mailbox implementations through identical traffic:
 
-* a *differential* run of a real collectives scenario asserting bit-identical
-  simulated times and event counts (the indexed fast path must not change
-  simulation semantics), and
+* a *differential* run of a real collectives scenario, event by event on the
+  default cluster (indexed mailboxes) and on the oracle (linear scan),
+  asserting bit-identical observables and event counts (the indexed fast path
+  must not change simulation semantics), and
 * a many-pending-message microbenchmark — one receiver with thousands of
   arrived-but-unmatched messages, matched in adversarial (reverse) order —
   where the linear scan is O(pending) per match and the index must win by at
@@ -14,32 +15,26 @@ drives the two mailbox implementations through identical traffic:
 
 import time
 
-import pytest
+from oracle import assert_equal_observables, run_both
 
 from repro.bench.harness import collective_program
-from repro.simulator import Cluster, IndexedMailbox, LinearScanMailbox
+from repro.simulator import IndexedMailbox, LinearScanMailbox
 from repro.simulator.engine import Engine
 from repro.simulator.network import NetworkParams, Transport
 
 SCENARIO_RANKS = {"tiny": 64, "small": 256, "paper": 512}
 
 
-def _run_collectives(mailbox_factory, num_ranks):
-    cluster = Cluster(num_ranks, mailbox_factory=mailbox_factory)
-    result = cluster.run(collective_program, operation="gather", impl="rbc",
-                         vendor="generic", words=64)
-    return result
-
-
 def test_indexed_transport_is_bit_identical(scale):
-    """Same scenario, both mailboxes: identical times and event counts."""
-    p = SCENARIO_RANKS[scale]
-    indexed = _run_collectives(IndexedMailbox, p)
-    linear = _run_collectives(LinearScanMailbox, p)
-    assert indexed.total_time == linear.total_time
+    """Same scenario, both mailboxes: identical observables and event
+    counts.  ``lockstep=False`` keeps the default side on the event tier —
+    priced in lockstep it would not touch a mailbox."""
+    indexed, linear = run_both(
+        SCENARIO_RANKS[scale], collective_program, operation="gather",
+        impl="rbc", vendor="generic", words=64, lockstep=False)
+    assert_equal_observables(indexed, linear)
     assert indexed.events_processed == linear.events_processed
-    assert indexed.finish_times == linear.finish_times
-    assert indexed.stats.messages_sent == linear.stats.messages_sent
+    assert indexed.obs["mailboxes_materialized"] > 0
 
 
 def _mailbox_churn_seconds(mailbox_factory, senders, messages_per_sender):

@@ -18,9 +18,16 @@ Where the host time of a run goes, layer by layer, is perfbench's job:
 
 import os
 import re
+import sys
 import time
 
 import pytest
+
+# The one differential pairing (default cluster vs oracle: run_both,
+# assert_equal_observables) lives with the tests; the benches that compare
+# tiers import it from there.
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                                os.pardir, "tests"))
 
 from repro.bench.harness import TELEMETRY, write_bench_json
 from repro.experiments import aggregate_results, figure_spec, run_spec

@@ -79,8 +79,8 @@ their prefix resolution to a zero-delay flush event at the join instant, so
 joins landing in one timestamp batch (barrier-separated phases) become
 visible at once and vectorise; the flush costs one engine event per phase
 and resolves at the same virtual time the scalar frontier would have.
-``env.lockstep_fastforward = False`` disables the tier (differential tests
-compare both pricers); :data:`FASTFORWARD_MIN_SIZE` bounds when it engages.
+:data:`FASTFORWARD_MIN_SIZE` bounds when the tier engages; its reference is
+the oracle cluster's event-by-event run, where no phase is priced here at all.
 
 One pricer per phase
 --------------------
@@ -238,18 +238,27 @@ class LockstepRequest(Request):
 def lockstep_eligible(ep) -> bool:
     """True when collectives on ``ep`` may be priced in lockstep.
 
-    Requires the program's explicit opt-in (``env.lockstep_collectives``),
-    per-rank ports (shared-NIC models serialise traffic on node-level
-    resources the lockstep pricer does not mirror), and a non-trivial group.
-    Tiered link prices are fine: the phases resolve ``params.link`` per edge
-    exactly as ``Transport.post_send`` does.
+    Requires the program's explicit opt-in (``env.lockstep_collectives``), a
+    non-trivial group, the default cluster (the oracle,
+    ``Cluster(reference_engine=True)``, prices every collective event by
+    event) and per-rank ports (shared-NIC models serialise traffic on
+    node-level resources the lockstep pricer does not mirror).  Tiered link
+    prices are fine: the phases resolve ``params.link`` per edge exactly as
+    ``Transport.post_send`` does.
     """
     env = ep.env
     if not getattr(env, "lockstep_collectives", False):
         return False
     if ep.size <= 1:
         return False
-    return ep.transport._node_of is None
+    if env.engine.reference:
+        reason = "the reference engine prices collectives event by event"
+    elif ep.transport._node_of is not None:
+        reason = "shared NIC ports are not mirrored by the pricer"
+    else:
+        return True
+    ep.transport.decline_tier(f"lockstep: {reason}")
+    return False
 
 
 def join_lockstep(ep, kind: str, value: Any = None,
@@ -525,7 +534,6 @@ class _PhaseBase:
             self.world = list(range(first, first + ep.size * stride, stride))
         else:
             self.world = [ep.to_world(i) for i in range(ep.size)]
-        self.fastforward = getattr(env, "lockstep_fastforward", True)
         # Observability: spans are emitted from _publish when a recorder is
         # installed (Cluster(trace=...)); driver-owned sub-phases get
         # _obs nulled by _sub_phase so only the outer phase's span counts.
@@ -1109,8 +1117,7 @@ class _ScanPhase(_PhaseBase):
     def on_join(self, rank: int) -> None:
         if self._flush_armed:
             return
-        if self.fastforward and self.frontier == 0 \
-                and self.size >= FASTFORWARD_MIN_SIZE:
+        if self.frontier == 0 and self.size >= FASTFORWARD_MIN_SIZE:
             # Defer the prefix advance to a flush event at this same
             # instant: joins landing in one timestamp batch (lockstep
             # phases enter from a common barrier) all become visible before
@@ -1170,7 +1177,7 @@ class _ScanPhase(_PhaseBase):
         of by a deferred flush: no engine event is armed, and a vector
         attempt that declines is counted like an armed fast-forward's.
         """
-        if self.fastforward and self.size >= SCAN_VECTOR_CUTOFF:
+        if self.size >= SCAN_VECTOR_CUTOFF:
             if self._vector_resolve():
                 return
             self.coordinator.fastforward_fallbacks += 1
@@ -1855,7 +1862,7 @@ class _BarrierPhase(_PhaseBase):
     def on_join(self, rank: int) -> None:
         if self.joined_count < self.size:
             return
-        if self.fastforward and self.size >= FASTFORWARD_MIN_SIZE:
+        if self.size >= FASTFORWARD_MIN_SIZE:
             if self._vector_resolve():
                 return
             self.coordinator.fastforward_fallbacks += 1

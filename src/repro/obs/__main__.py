@@ -11,7 +11,7 @@ Commands
     percentages, longest segments.
 ``summary TRACE``
     Print per-category span totals, per-rank activity, recorded
-    counters, and point events.
+    counters, the reasons a faster tier was declined, and point events.
 
 A file that is not a complete v2 trace (cut off, hand-edited, written by an
 older version) ends the command with one line naming the file and the
@@ -51,10 +51,16 @@ def _cmd_summary(args, trace) -> int:
     for category in sorted(totals, key=totals.__getitem__, reverse=True):
         print(f"  {category:>15}: {totals[category]:14.6f} us summed "
               f"across ranks")
-    if trace.counters:
+    counters = dict(trace.counters)
+    declined = counters.pop("tier_declined", None)
+    if counters:
         print("  counters:")
-        for key in sorted(trace.counters):
-            print(f"    {key}: {trace.counters[key]}")
+        for key in sorted(counters):
+            print(f"    {key}: {counters[key]}")
+    if declined:
+        print("  faster tiers that were asked for and did not run:")
+        for reason in sorted(declined):
+            print(f"    {declined[reason]} x {reason}")
     kinds: dict[str, int] = {}
     for _time, _rank, kind, _label in trace.events:
         kinds[kind] = kinds.get(kind, 0) + 1

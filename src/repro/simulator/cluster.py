@@ -1,4 +1,5 @@
-"""Cluster façade: run a rank program on ``p`` simulated processes."""
+"""Cluster façade: run a rank program on ``p`` simulated processes, on the
+default cluster or on the oracle (``reference_engine=True``)."""
 
 from __future__ import annotations
 
@@ -9,7 +10,7 @@ from typing import Any, Callable, Optional, Sequence
 
 from .costmodel import CostModel, NetworkParams, Placement
 from .engine import Engine
-from .network import Transport
+from .network import IndexedMailbox, LinearScanMailbox, Transport
 from .process import RankEnv
 from .trace import TraceStats, Tracer
 
@@ -63,9 +64,10 @@ class ClusterResult:
     message_pool: Optional[dict] = None
     #: Unified observability snapshot: tier-attribution counters (phases
     #: priced per execution tier, lockstep refusals, fast-forward
-    #: fallbacks, scalar collectives), message-pool hit rates, and lazy
-    #: mailbox materialisation — one flat dict, always populated by
-    #: :meth:`Cluster.run`.
+    #: fallbacks, scalar collectives), message-pool hit rates, lazy
+    #: mailbox materialisation and ``tier_declined`` (``{reason: count}`` of
+    #: the faster tiers asked for that did not run) — one dict, always
+    #: populated by :meth:`Cluster.run`.
     obs: Optional[dict] = None
     #: The structured trace recorder when the run was started with
     #: ``trace=...`` (a finalized :class:`repro.obs.TraceRecorder`).
@@ -90,10 +92,15 @@ class Cluster:
     (flat: everything on one node; hierarchical: dense block placement of
     the model's machine shape).
 
-    ``reference_engine=True`` runs the simulation on the engine's tuple-heap
-    reference event core instead of the default batched bucket-queue core
-    (:mod:`repro.simulator.batchcore`); differential tests use it to prove
-    both cores are bit-identical.
+    ``reference_engine=True`` is the *oracle*, every original implementation
+    at once: the engine's tuple-heap event core instead of the batched
+    bucket-queue core (:mod:`repro.simulator.batchcore`), linear-scan
+    mailboxes, every collective priced event by event whatever the program
+    opted into (:func:`repro.core.spmd.lockstep_eligible`), Janus Quicksort
+    on the per-rank frontier.  The default cluster is the only other
+    configuration — its fast paths engage from what the code observes — and
+    must equal the oracle bit for bit or refuse; differential tests and
+    ``perfbench pin --oracle`` check that one pairing.
 
     A cluster instance is single-use: build it, call :meth:`run`, inspect the
     result.  (Re-running would need fresh engine state; constructing a new
@@ -110,8 +117,6 @@ class Cluster:
     def __init__(self, num_ranks: int, params: Optional[CostModel] = None,
                  *, placement: Optional[Placement] = None,
                  max_events: int = 200_000_000,
-                 mailbox_factory: Optional[Callable[[], Any]] = None,
-                 lazy_mailboxes: Optional[bool] = None,
                  reference_engine: bool = False,
                  trace: Any = None):
         if num_ranks <= 0:
@@ -122,13 +127,11 @@ class Cluster:
             else self.params.default_placement(num_ranks)
         self.engine = Engine(max_events=max_events, reference=reference_engine)
         self.tracer = Tracer(num_ranks)
-        transport_kwargs = {} if mailbox_factory is None \
-            else {"mailbox_factory": mailbox_factory}
-        if lazy_mailboxes is not None:
-            transport_kwargs["lazy_mailboxes"] = lazy_mailboxes
-        self.transport = Transport(self.engine, num_ranks, self.params,
-                                   self.tracer, placement=self.placement,
-                                   **transport_kwargs)
+        self.transport = Transport(
+            self.engine, num_ranks, self.params, self.tracer,
+            placement=self.placement,
+            mailbox_factory=LinearScanMailbox if reference_engine
+            else IndexedMailbox)
         self.envs = [
             RankEnv(rank, num_ranks, self.engine, self.transport)
             for rank in range(num_ranks)
@@ -160,6 +163,7 @@ class Cluster:
             "lockstep_refusals": 0,
             "fastforward_fallbacks": 0,
             "mailboxes_materialized": transport.mailboxes_materialized(),
+            "tier_declined": dict(transport.tier_declined),
         }
         coordinator = transport._spmd_coordinator
         if coordinator is not None:

@@ -16,16 +16,14 @@ FDR10), but only *relative* behaviour matters for the reproduction.
 Mailboxes are *indexed*: arrived-but-unreceived messages are kept in FIFO
 deques keyed by ``(context, src, tag)``, so exact-envelope matching is O(1)
 and wildcard matching is O(active keys) instead of O(pending messages).
-:class:`LinearScanMailbox` preserves the original O(pending) implementation
-as a reference for differential tests and the transport microbenchmark.
+:class:`LinearScanMailbox` preserves the original O(pending) implementation:
+the oracle cluster runs on it and the transport microbenchmark measures it.
 
 Memory model at scale: per-rank mailboxes are *lazily materialised*
 (:class:`LazyMailboxes`) — a rank's mailbox exists only once a message is
 delivered to it or a receive is posted on it, so a p=2^15 simulation whose
 collectives are priced in lockstep (no per-message traffic at all) allocates
-no mailboxes.  ``lazy_mailboxes=False`` restores the historical dense list;
-differential tests drive both with identical traffic and require identical
-matches and timings.  :class:`Message` objects are pooled on the transport
+no mailboxes.  :class:`Message` objects are pooled on the transport
 (``release_message`` / a free list capped at :data:`MESSAGE_POOL_MAX`), with
 :meth:`~repro.messaging.RecvRequest.take` recycling drained messages
 automatically.
@@ -366,8 +364,8 @@ class LinearScanMailbox:
     """Reference mailbox: one flat list, every match a full scan.
 
     This is the original O(pending-messages) implementation.  It is kept as
-    the behavioural reference: differential tests drive both mailboxes with
-    the same traffic and require identical matches, and the transport
+    the behavioural reference: the oracle cluster
+    (``Cluster(reference_engine=True)``) runs on it, and the transport
     microbenchmark measures the speed-up of :class:`IndexedMailbox` over it.
     """
 
@@ -429,16 +427,14 @@ class LinearScanMailbox:
 class LazyMailboxes:
     """Rank -> mailbox map materialised on first touch.
 
-    Drop-in for the dense ``list`` of per-rank mailboxes: indexing creates
-    the rank's mailbox on demand, so ranks that never receive a message (or
-    post a receive) cost nothing.  At p=2^15 the dense list is tens of
-    thousands of dict-backed mailbox objects allocated up front; a lockstep
-    run (no per-message traffic) materialises zero of them.
+    Indexing creates the rank's mailbox on demand (:meth:`peek` never
+    does), so ranks that never receive a message or post a receive cost
+    nothing: at p=2^15 a lockstep run (no per-message traffic) materialises
+    none of the tens of thousands a dense list would allocate up front.
 
     An existing mailbox must keep its identity forever —
     :class:`~repro.messaging.RecvRequest` caches the object — which the
-    backing dict guarantees.  Indexing is one dict probe, the same cost as
-    the dense list index it replaces.
+    backing dict guarantees.
     """
 
     __slots__ = ("_boxes", "_factory")
@@ -483,14 +479,14 @@ class Transport:
 
     ``params`` is any :class:`~repro.simulator.costmodel.CostModel`;
     ``placement`` is the cluster-owned rank -> (node, island) map hierarchical
-    models price links from (flat models ignore it).
+    models price links from (flat models ignore it); ``mailbox_factory``
+    builds a rank's mailbox on first touch.
     """
 
     def __init__(self, engine: Engine, num_ranks: int, params: CostModel,
                  tracer: Optional[Tracer] = None,
                  placement: Optional[Placement] = None,
-                 mailbox_factory: Callable[[], Any] = IndexedMailbox,
-                 lazy_mailboxes: bool = True):
+                 mailbox_factory: Callable[[], Any] = IndexedMailbox):
         if num_ranks <= 0:
             raise ValueError("num_ranks must be positive")
         self.engine = engine
@@ -503,13 +499,7 @@ class Transport:
                 f"placement covers {self.placement.num_ranks} ranks, "
                 f"but the transport routes {num_ranks}")
         self.tracer = tracer or Tracer(num_ranks)
-        # Lazy (default) or dense per-rank mailboxes; both answer
-        # ``self._mailboxes[dst]``, so every code path below is shared and
-        # the dense mode is the exact historical behaviour.
-        if lazy_mailboxes:
-            self._mailboxes = LazyMailboxes(mailbox_factory)
-        else:
-            self._mailboxes = [mailbox_factory() for _ in range(num_ranks)]
+        self._mailboxes = LazyMailboxes(mailbox_factory)
         self._send_port_free = [0.0] * num_ranks
         self._recv_port_free = [0.0] * num_ranks
         self._seq = itertools.count()
@@ -572,6 +562,8 @@ class Transport:
         # Always-on tier-attribution counter: collectives priced by the
         # scalar state machines (CollectiveRequest) on this transport.
         self.scalar_collectives = 0
+        # {reason: count}, see decline_tier.
+        self.tier_declined: dict = {}
         # Callbacks used to wake rank processes; installed by the cluster.
         hooks = self._notify_hooks = [None] * num_ranks
         # Targets of the engine's allocation-free scheduled entries, built
@@ -624,6 +616,13 @@ class Transport:
             self._sort_plan = None
         self._hierarchy_cache.clear()
         self._split_tables.clear()
+
+    def decline_tier(self, reason: str) -> None:
+        """Count one faster tier that was asked for and did not run (an
+        opted-in collective that is not lockstep-eligible, a sort left on the
+        per-rank frontier): ``ClusterResult.obs["tier_declined"]``."""
+        declined = self.tier_declined
+        declined[reason] = declined.get(reason, 0) + 1
 
     # ---------------------------------------------------------------- sending
 
@@ -802,11 +801,17 @@ class Transport:
         return self._mailboxes[dst]
 
     def any_arrived(self, dst: int) -> Optional[Message]:
-        """Earliest arrived message for ``dst`` regardless of envelope."""
-        return self._mailboxes[dst].earliest()
+        """Earliest arrived message for ``dst`` regardless of envelope
+        (read-only: asking never materialises the rank's mailbox)."""
+        self._check_rank(dst, "destination")
+        mailbox = self._mailboxes.peek(dst)
+        return None if mailbox is None else mailbox.earliest()
 
     def pending_count(self, dst: int) -> int:
-        return len(self._mailboxes[dst])
+        """Arrived-but-unreceived messages of ``dst`` (read-only)."""
+        self._check_rank(dst, "destination")
+        mailbox = self._mailboxes.peek(dst)
+        return 0 if mailbox is None else len(mailbox)
 
     # ---------------------------------------------------------------- pooling
 
@@ -840,15 +845,8 @@ class Transport:
         }
 
     def mailboxes_materialized(self) -> int:
-        """Number of per-rank mailboxes that exist (lazy mode introspection).
-
-        Dense transports report ``num_ranks`` — every mailbox is allocated
-        up front there.
-        """
-        mailboxes = self._mailboxes
-        if isinstance(mailboxes, LazyMailboxes):
-            return mailboxes.materialized_count()
-        return len(mailboxes)
+        """Number of per-rank mailboxes that exist (memory introspection)."""
+        return self._mailboxes.materialized_count()
 
     # ------------------------------------------------------------------ misc
 

@@ -27,7 +27,7 @@ class RankEnv:
     """
 
     __slots__ = ("rank", "size", "engine", "transport", "params", "_proc",
-                 "lockstep_collectives", "lockstep_fastforward")
+                 "lockstep_collectives")
 
     def __init__(self, rank: int, size: int, engine: Engine, transport: Transport):
         self.rank = rank
@@ -39,12 +39,8 @@ class RankEnv:
         # Opt-in for SPMD lockstep collective pricing (repro.core.spmd).
         # Only programs that keep member ports quiet between collectives may
         # enable it; see the module docstring over there for the contract.
+        # A declaration, not a switch: the oracle cluster ignores it.
         self.lockstep_collectives = False
-        # Within lockstep, allow the analytic fast-forward tier (whole-round
-        # numpy vectorisation of barrier/scan phases).  Same bit-identical-or-
-        # refuse contract; differential tests flip this off to compare the
-        # vectorised and scalar pricers.
-        self.lockstep_fastforward = True
 
     # ------------------------------------------------------------------ time
 

@@ -73,9 +73,9 @@ from .tasks import Blocking, Pending, Spawn, run_task_scheduler
 __all__ = ["JQUICK_BATCH_MIN_RANKS", "JQuickConfig", "JQuickStats", "jquick",
            "jquick_rbc", "jquick_native_mpi"]
 
-#: Smallest world size at which ``batch_levels=None`` (auto) engages the
-#: cross-rank batched tier: below this the per-record bookkeeping costs more
-#: than the per-rank Python it replaces.
+#: Smallest world size at which the cross-rank batched tier engages: below
+#: this the per-record bookkeeping costs more than the per-rank Python it
+#: replaces.
 JQUICK_BATCH_MIN_RANKS = 64
 
 
@@ -115,30 +115,19 @@ class JQuickConfig:
         into fewer engine events (identical totals).
     max_levels:
         Safety bound on the recursion depth per task.
-    lockstep_size_agreement:
-        Price the initial world-level size-agreement allreduce with the SPMD
-        lockstep pricer (:mod:`repro.core.spmd`) — every rank reaches it in
-        the same phase, so the pricing is bit-identical to the event-by-event
-        schedule with fewer engine events.  Outside the batched tier the
-        group-level collectives of the recursion are never lockstepped: a
-        janus rank participates in two groups at once and interleaves
-        exchange traffic with them.
-    batch_levels:
-        Cross-rank batched execution of the distributed levels (the
-        paper-scale tier, :mod:`repro.sorting.batched`): the per-rank
-        sampling / partition / assignment work of a level is stacked into
-        ragged NumPy sweeps over every group of a recursion round, the
-        recursion's collectives are priced in SPMD lockstep group by group,
-        and the data exchange analytically.
-        Requires the RBC backend, a flat machine with a
-        uniform link, and the communicator-bound layout ``n == p`` — one
-        element per rank, the regime of the paper's Fig. 8 — where no janus
-        ranks exist and every split lands on a rank boundary.  ``None``
-        (default) engages the tier automatically when eligible and
-        ``p >= JQUICK_BATCH_MIN_RANKS``; ``True`` demands it (``ValueError``
-        if ineligible); ``False`` keeps the per-rank frontier.  Results,
-        stats (modulo the ``batched_levels`` counter) and simulated times
-        are bit-identical either way.
+
+    None of these selects an execution tier.  The cross-rank batched tier
+    (:mod:`repro.sorting.batched`: a level's sampling / partition /
+    assignment stacked into ragged NumPy sweeps over every group of a
+    recursion round, its collectives priced in SPMD lockstep, its exchange
+    analytically) engages by itself where it applies — the RBC backend, a
+    flat machine with a uniform link, the communicator-bound layout
+    ``n == p`` of the paper's Fig. 8 (no janus ranks, every split on a rank
+    boundary) and ``p >= JQUICK_BATCH_MIN_RANKS`` on the default cluster; the
+    sort runs on the per-rank frontier otherwise (always on the oracle) and
+    ``ClusterResult.obs["tier_declined"]`` names the reason.  Results, stats
+    (modulo the ``batched_levels`` counter) and simulated times are
+    bit-identical either way.
     """
 
     pivot: PivotConfig = field(default_factory=PivotConfig)
@@ -147,8 +136,6 @@ class JQuickConfig:
     schedule: str = "alternating"
     charge_local_work: bool = True
     max_levels: int = 300
-    lockstep_size_agreement: bool = True
-    batch_levels: Optional[bool] = None
 
     def __post_init__(self):
         if self.schedule not in ("alternating", "cascaded"):
@@ -241,12 +228,12 @@ class _JQuickRun:
 
         # Agree on the global input size and validate the balanced layout.
         # This is the one world-level collective every rank reaches in the
-        # same phase, so it may be priced in SPMD lockstep; the group-level
+        # same phase, so it opts in to SPMD lockstep pricing; the group-level
         # collectives deeper in the recursion must not (a janus rank serves
         # two groups at once and interleaves exchange point-to-point traffic
         # with them, violating the quiet-ports lockstep contract).
         saved_lockstep = self.env.lockstep_collectives
-        self.env.lockstep_collectives = self.config.lockstep_size_agreement
+        self.env.lockstep_collectives = True
         try:
             request = world.iallreduce(int(data.size), SUM, tag=_TAG_BASE - 1)
             yield from self.env.wait_until(request.test)
@@ -294,7 +281,9 @@ class _JQuickRun:
         return result, self.stats
 
     def _batch_ineligibility(self) -> Optional[str]:
-        """Why the batched tier cannot engage (``None`` when it can)."""
+        """Why the batched tier does not engage (``None`` when it does)."""
+        if self.env.engine.reference:
+            return "the reference engine runs every level event by event"
         if not isinstance(self.backend, RbcBackend):
             return "it requires the RBC backend"
         world = self.backend.world
@@ -307,31 +296,29 @@ class _JQuickRun:
         if self.n != self.p:
             return ("it requires the communicator-bound layout n == p "
                     f"(got n={self.n}, p={self.p})")
+        if self.p < JQUICK_BATCH_MIN_RANKS:
+            return (f"it pays off from {JQUICK_BATCH_MIN_RANKS} ranks "
+                    f"(got p={self.p})")
         return None
 
     def _decide_batched(self) -> None:
-        """Engage the cross-rank batched tier when configured and eligible."""
-        requested = self.config.batch_levels
-        if requested is False:
-            return
+        """Engage the cross-rank batched tier where it applies; otherwise
+        leave the reason on the transport (``obs["tier_declined"]``)."""
+        transport = self.env.transport
         reason = self._batch_ineligibility()
-        if requested is None:
-            self._batched = reason is None and self.p >= JQUICK_BATCH_MIN_RANKS
-        else:
-            if reason is not None:
-                raise ValueError(f"batch_levels=True is unsupported: {reason}")
-            self._batched = True
-        if self._batched:
-            transport = self.env.transport
-            if transport._sort_plan is None:
-                transport._sort_plan = SortPlan()
-            self._plan = transport._sort_plan
-            # Endpoint constants of the fused level phase, hoisted out of
-            # the per-level hot path.
-            world = self.backend.world
-            self._world_context = world.mpi_context()
-            self._world_first = world._world_first
-            self._world_stride = world._world_stride
+        if reason is not None:
+            transport.decline_tier(f"batched sort: {reason}")
+            return
+        self._batched = True
+        if transport._sort_plan is None:
+            transport._sort_plan = SortPlan()
+        self._plan = transport._sort_plan
+        # Endpoint constants of the fused level phase, hoisted out of the
+        # per-level hot path.
+        world = self.backend.world
+        self._world_context = world.mpi_context()
+        self._world_first = world._world_first
+        self._world_stride = world._world_stride
 
     # ------------------------------------------------------- slot arithmetic
 

@@ -3,11 +3,12 @@
 :mod:`repro.core.spmd` carries a second, vectorised pricer for barrier and
 scan phases: instead of advancing a frontier rank by rank, whole collective
 rounds are priced with numpy once every member has joined.  Its contract is
-the same as lockstep's own — *bit-identical or refuse*: with
-``env.lockstep_fastforward`` on or off, every observable of a simulation
-(finish times, results, simulated time, tracer statistics, port logs' effect
-on later phases) must match exactly, and workloads lockstep refuses must be
-refused by both tiers with the same :class:`~repro.core.spmd.LockstepError`.
+the same as lockstep's own — *bit-identical or refuse*: every observable of
+a simulation (finish times, results, simulated time, tracer statistics, port
+logs' effect on later phases) must match the event-by-event run of the same
+program on the oracle (``tests/oracle.py``), and workloads lockstep refuses
+must be refused with the tier armed, with the same
+:class:`~repro.core.spmd.LockstepError`.
 """
 
 import numpy as np
@@ -15,6 +16,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.collectives.endpoint import TransportEndpoint
+from repro.collectives.machines import CollectiveRequest, scan_schedule
 from repro.core import spmd
 from repro.messaging import RecvRequest, wait_all
 from repro.mpi import init_mpi
@@ -24,24 +27,13 @@ from repro.rbc import create_rbc_comm
 from repro.simulator import Cluster
 from repro.simulator.errors import RankFailedError
 
-
-def _observables(result):
-    return (
-        result.total_time,
-        tuple(result.finish_times),
-        tuple(result.results),
-        result.stats.messages_sent,
-        result.stats.words_sent,
-        tuple(result.stats.per_rank_messages_sent),
-        tuple(result.stats.per_rank_messages_received),
-    )
+from oracle import assert_equal_observables, run_both
 
 
-def _collective_program(env, *, op, words, reps, fastforward, skew=0.0,
-                        reduce_op=SUM, float_payload=False):
+def _collective_program(env, *, op, words, reps, skew=0.0, reduce_op=SUM,
+                        float_payload=False):
     """Barrier-separated collectives with optional per-rank join skew."""
     env.lockstep_collectives = True
-    env.lockstep_fastforward = fastforward
     world_mpi = init_mpi(env, vendor="generic")
     world_rbc = yield from create_rbc_comm(world_mpi)
     if float_payload:
@@ -70,58 +62,52 @@ def _collective_program(env, *, op, words, reps, fastforward, skew=0.0,
     return (env.now, tuple(digests))
 
 
-def _run(num_ranks, **kwargs):
-    return Cluster(num_ranks).run(_collective_program, **kwargs)
+def _run_both(num_ranks, **kwargs):
+    return run_both(num_ranks, _collective_program, **kwargs)
 
 
 @pytest.mark.parametrize("op", ["barrier", "scan"])
 @pytest.mark.parametrize("num_ranks", [2, 3, 7, 16, 31, 64])
 def test_fastforward_bit_identical(op, num_ranks):
-    scalar = _run(num_ranks, op=op, words=4, reps=3, fastforward=False)
-    vector = _run(num_ranks, op=op, words=4, reps=3, fastforward=True)
-    assert _observables(scalar) == _observables(vector)
+    vector, native = _run_both(num_ranks, op=op, words=4, reps=3)
+    assert_equal_observables(vector, native)
+    # The three barriers and the three collectives they separate all took
+    # the vector pricer.
+    assert vector.obs["phases_fastforward"] == 6
+    assert vector.obs["phases_lockstep"] == 0
 
 
 @pytest.mark.parametrize("num_ranks", [5, 8, 31, 64])
 def test_fastforward_bit_identical_under_join_skew(num_ranks):
     """Skewed joins force the out-of-order guard: rounds whose posts would
     land behind a port log tail must fall back to the scalar frontier with
-    zero mutation, keeping both tiers exactly equal."""
+    zero mutation, keeping the run exactly equal to the oracle's."""
     for op in ("barrier", "scan"):
-        scalar = _run(num_ranks, op=op, words=2, reps=4, fastforward=False,
-                      skew=0.37)
-        vector = _run(num_ranks, op=op, words=2, reps=4, fastforward=True,
-                      skew=0.37)
-        assert _observables(scalar) == _observables(vector)
+        assert_equal_observables(*_run_both(num_ranks, op=op, words=2,
+                                            reps=4, skew=0.37))
 
 
 @pytest.mark.parametrize("reduce_op", [SUM, PROD, MIN, MAX])
 def test_fastforward_scan_operators(reduce_op):
     """Array scans vectorise per operator; values and timing both match."""
-    scalar = _run(13, op="scan", words=8, reps=2, fastforward=False,
-                  reduce_op=reduce_op)
-    vector = _run(13, op="scan", words=8, reps=2, fastforward=True,
-                  reduce_op=reduce_op)
-    assert _observables(scalar) == _observables(vector)
+    assert_equal_observables(*_run_both(13, op="scan", words=8, reps=2,
+                                        reduce_op=reduce_op))
 
 
 def test_fastforward_float_scan():
     """Plain-float payloads take the float vector plan (SUM/PROD only)."""
     for reduce_op in (SUM, PROD):
-        scalar = _run(9, op="scan", words=0, reps=2, fastforward=False,
-                      reduce_op=reduce_op, float_payload=True)
-        vector = _run(9, op="scan", words=0, reps=2, fastforward=True,
-                      reduce_op=reduce_op, float_payload=True)
-        assert _observables(scalar) == _observables(vector)
+        assert_equal_observables(*_run_both(
+            9, op="scan", words=0, reps=2, reduce_op=reduce_op,
+            float_payload=True))
 
 
 def test_fastforward_scan_results_stay_writable_equivalently():
-    """Ranks whose scalar-path result is a fresh accumulator must not get a
-    frozen (read-only) array from the vector path, and vice versa."""
+    """Ranks whose event-by-event result is a fresh accumulator must not get
+    a frozen (read-only) array from the vector path, and vice versa."""
 
-    def program(env, fastforward):
+    def program(env):
         env.lockstep_collectives = True
-        env.lockstep_fastforward = fastforward
         world_mpi = init_mpi(env, vendor="generic")
         world_rbc = yield from create_rbc_comm(world_mpi)
         yield from rbc.barrier(world_rbc)
@@ -131,19 +117,18 @@ def test_fastforward_scan_results_stay_writable_equivalently():
         return bool(np.asarray(value).flags.writeable)
 
     for p in (2, 3, 4, 8, 11, 16):
-        scalar = Cluster(p).run(program, fastforward=False)
-        vector = Cluster(p).run(program, fastforward=True)
-        assert scalar.results == vector.results, p
+        vector, native = run_both(p, program)
+        assert vector.obs["phases_fastforward"] == 2, p
+        assert vector.results == native.results, p
 
 
 def test_fastforward_preserves_lockstep_refusal():
     """The workload lockstep must refuse (receive-port contention across
-    overlapping gather phases) is refused identically with the fast-forward
-    tier armed — the tier's log entries feed the same contention detector."""
+    overlapping gather phases) is refused with the fast-forward tier armed —
+    the tier's log entries feed the same contention detector."""
 
-    def program(env, fastforward):
+    def program(env):
         env.lockstep_collectives = True
-        env.lockstep_fastforward = fastforward
         world_mpi = init_mpi(env, vendor="generic")
         world_rbc = yield from create_rbc_comm(world_mpi)
         yield from rbc.barrier(world_rbc)
@@ -151,18 +136,18 @@ def test_fastforward_preserves_lockstep_refusal():
             request = rbc.igather(world_rbc, np.ones(8), root=0)
             yield from env.wait_until(request.test)
 
-    for fastforward in (False, True):
-        with pytest.raises(RankFailedError) as info:
-            Cluster(7).run(program, fastforward=fastforward)
-        assert isinstance(info.value.__cause__, spmd.LockstepError)
-        assert "receive-port contention" in str(info.value.__cause__)
+    cluster = Cluster(7)
+    with pytest.raises(RankFailedError) as info:
+        cluster.run(program)
+    assert isinstance(info.value.__cause__, spmd.LockstepError)
+    assert "receive-port contention" in str(info.value.__cause__)
+    assert cluster._obs_snapshot()["phases_fastforward"] == 1  # the barrier
 
 
 def test_fastforward_never_processes_more_events():
     """Flush fusion may reduce the event count but must never inflate it."""
-    scalar = _run(32, op="scan", words=4, reps=3, fastforward=False)
-    vector = _run(32, op="scan", words=4, reps=3, fastforward=True)
-    assert vector.events_processed <= scalar.events_processed
+    vector, native = _run_both(32, op="scan", words=4, reps=3)
+    assert vector.events_processed <= native.events_processed
 
 
 # ---------------------------------------------------------------------------
@@ -183,11 +168,10 @@ GROUP_FIRST = 2  # the group under test starts at this world rank
 class _Bench:
     """One unstarted cluster with a coordinator to price phases on."""
 
-    def __init__(self, fastforward=True):
+    def __init__(self):
         # Room for a group of SCAN_VECTOR_CUTOFF + 1 members at GROUP_FIRST.
         self.cluster = Cluster(WORLD + spmd.SCAN_VECTOR_CUTOFF)
         self.env = self.cluster.envs[0]
-        self.env.lockstep_fastforward = fastforward
         self.coordinator = spmd.SpmdCoordinator()
 
     def phase(self, factory, op, size, first=GROUP_FIRST, stride=1, root=0):
@@ -247,12 +231,12 @@ def _plain(value):
 
 
 def _price_both_ways(factory, op, times, values, *, root=0, order=None,
-                     foreign=None, fastforward=True):
+                     foreign=None):
     """(outcome, observables) of the joined and of the fed pricing."""
     size = len(times)
     outcomes = []
     for fed in (False, True):
-        bench = _Bench(fastforward)
+        bench = _Bench()
         if foreign is not None:
             bench.foreign_write(*foreign)
         phase = bench.phase(factory, op, size, root=root)
@@ -269,6 +253,22 @@ def _price_both_ways(factory, op, times, values, *, root=0, order=None,
         outcomes.append((outcome, bench.observables(),
                          bench.coordinator.fastforward_fallbacks))
     return outcomes
+
+
+def _native_scan(env, times, values):
+    """The group's scan as a rank program: the members sleep to their join
+    times and run the dissemination schedule event by event."""
+    member = env.rank - GROUP_FIRST
+    if not 0 <= member < len(times):
+        return None
+    yield from env.sleep(times[member])
+    endpoint = TransportEndpoint(
+        env, env.transport, context="scan", tag=0, rank=member,
+        size=len(times), to_world=lambda rank: GROUP_FIRST + rank,
+        world_affine=(GROUP_FIRST, 1))
+    request = CollectiveRequest(endpoint, scan_schedule, values[member], SUM)
+    yield from env.wait_until(request.test)
+    return env.now, request.result()
 
 
 def _scan_inputs(size, skew):
@@ -293,26 +293,38 @@ def test_fed_scan_matches_joined_at_cutoff_boundary(size, skew):
         assert joined[2] == fed[2]
     else:
         assert fed[2] == 0  # a small fed scan is never an armed fast-forward
-    # The size cutoff only selects a resolver, never a result.
-    _, scalar = _price_both_ways(spmd._ScanPhase, SUM, times, values,
-                                 fastforward=False)
-    assert scalar[:2] == fed[:2]
+    # The size cutoff only selects a resolver, never a result: on either
+    # side of it the fed pass leaves what the oracle's event-by-event scan
+    # of the same group leaves.
+    cluster = Cluster(WORLD + spmd.SCAN_VECTOR_CUTOFF, reference_engine=True)
+    native = cluster.run(_native_scan, times, values)
+    members = native.results[GROUP_FIRST:GROUP_FIRST + size]
+    (finish, results), observables = fed[:2]
+    assert [float.hex(time) for time in finish] == \
+        [float.hex(time) for time, _ in members]
+    assert results == [_plain(value) for _, value in members]
+    assert observables[0] == cluster.transport._send_port_free
+    assert observables[1] == cluster.transport._recv_port_free
+    assert observables[3:] == (
+        native.stats.messages_sent, native.stats.words_sent,
+        native.stats.per_rank_messages_sent, native.stats.per_rank_words_sent,
+        native.stats.per_rank_messages_received,
+        native.stats.per_rank_words_received)
 
 
 @given(size=st.integers(min_value=2, max_value=WORLD - GROUP_FIRST),
        skew=st.sampled_from([0.0, 0.05, 0.37, 3.0]),
        foreign_port=st.integers(min_value=GROUP_FIRST + 1,
                                 max_value=WORLD - 1),
-       foreign_post=st.one_of(st.none(), st.sampled_from([0.2, 1.5, 40.0])),
-       fastforward=st.booleans())
+       foreign_post=st.one_of(st.none(), st.sampled_from([0.2, 1.5, 40.0])))
 @settings(max_examples=60, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 def test_property_fed_scan_matches_joined(size, skew, foreign_port,
-                                          foreign_post, fastforward):
+                                          foreign_post):
     times, values = _scan_inputs(size, skew)
     foreign = None if foreign_post is None else (foreign_port, foreign_post)
     joined, fed = _price_both_ways(spmd._ScanPhase, SUM, times, values,
-                                   foreign=foreign, fastforward=fastforward)
+                                   foreign=foreign)
     assert joined[:2] == fed[:2]
 
 

@@ -6,7 +6,9 @@ and posts a single fused wake-up per phase timestamp.  Its contract is that
 for collectives entered from a common phase the pricing is *bit-identical*
 to the event-by-event schedules: same finish times, same results, same
 simulated time, same tracer statistics.  These tests prove that by running
-identical programs with lockstep on and off and comparing every observable.
+identical opted-in programs on the default cluster and on the oracle
+(``tests/oracle.py``: ``Cluster(reference_engine=True)`` prices every
+collective event by event) and comparing every observable.
 """
 
 import numpy as np
@@ -21,6 +23,8 @@ from repro.simulator import Cluster
 from repro.simulator.costmodel import HierarchicalParams
 from repro.simulator.errors import RankFailedError
 
+from oracle import assert_equal_observables, run_both
+
 #: Lockstep phase kinds this module covers differentially (scanned by
 #: ``benchmarks/check_lockstep_registry.py``).
 COVERS_KINDS = ("bcast", "reduce", "allreduce", "scan", "gather", "barrier")
@@ -28,14 +32,15 @@ COVERS_KINDS = ("bcast", "reduce", "allreduce", "scan", "gather", "barrier")
 OPS = ("bcast", "reduce", "scan", "gather", "allreduce", "barrier")
 
 
-def _collective_loop(env, *, op, impl, words, reps, lockstep, root=0,
+def _collective_loop(env, *, op, impl, words, reps, root=0,
                      vendor="generic"):
-    """Rank program: barrier, then ``reps`` back-to-back collectives.
+    """Opted-in rank program: barrier, then ``reps`` back-to-back
+    collectives.
 
     Returns (duration, per-repetition result digests) so value equality is
     asserted alongside the timing.
     """
-    env.lockstep_collectives = lockstep
+    env.lockstep_collectives = True
     world_mpi = init_mpi(env, vendor=vendor)
     world_rbc = yield from create_rbc_comm(world_mpi)
     payload = (np.ones(words) * (env.rank + 1)) if words else np.zeros(0)
@@ -74,23 +79,8 @@ def _collective_loop(env, *, op, impl, words, reps, lockstep, root=0,
     return (env.now - start, tuple(digests))
 
 
-def _observables(result):
-    return (
-        result.total_time,
-        tuple(result.finish_times),
-        tuple(result.results),
-        result.stats.messages_sent,
-        result.stats.words_sent,
-        tuple(result.stats.per_rank_messages_sent),
-        tuple(result.stats.per_rank_messages_received),
-        tuple(result.stats.per_rank_words_sent),
-        tuple(result.stats.per_rank_words_received),
-    )
-
-
-def _run(num_ranks, *, reference=False, **kwargs):
-    cluster = Cluster(num_ranks, reference_engine=reference)
-    return cluster.run(_collective_loop, **kwargs)
+def _run_both(num_ranks, **kwargs):
+    return run_both(num_ranks, _collective_loop, **kwargs)
 
 
 @pytest.mark.parametrize("impl", ["rbc", "mpi"])
@@ -111,21 +101,15 @@ def test_lockstep_bit_identical_to_native(impl, op, num_ranks, root, words):
     happens, the single-phase variant of the same configuration must
     still price exactly.
     """
-    native = _run(num_ranks, op=op, impl=impl, words=words, reps=2,
-                  lockstep=False, root=root)
     try:
-        lockstep = _run(num_ranks, op=op, impl=impl, words=words, reps=2,
-                        lockstep=True, root=root)
+        lockstep, native = _run_both(num_ranks, op=op, impl=impl, words=words,
+                                     reps=2, root=root)
     except RankFailedError as failure:
         assert isinstance(failure.__cause__, spmd.LockstepError)
         assert "overlapping collective phases" in str(failure.__cause__)
-        native_one = _run(num_ranks, op=op, impl=impl, words=words, reps=1,
-                          lockstep=False, root=root)
-        lockstep_one = _run(num_ranks, op=op, impl=impl, words=words,
-                            reps=1, lockstep=True, root=root)
-        assert _observables(native_one) == _observables(lockstep_one)
-        return
-    assert _observables(native) == _observables(lockstep)
+        lockstep, native = _run_both(num_ranks, op=op, impl=impl, words=words,
+                                     reps=1, root=root)
+    assert_equal_observables(lockstep, native)
     # Lockstep never processes *more* events than the per-message schedules.
     assert lockstep.events_processed <= native.events_processed
 
@@ -134,28 +118,23 @@ def test_lockstep_bit_identical_to_native(impl, op, num_ranks, root, words):
 @pytest.mark.parametrize("op", ["reduce", "allreduce", "scan"])
 def test_lockstep_with_vendor_cost_factors(impl, op):
     """Vendors with word-cost factors / per-message overheads price equal."""
-    native = _run(9, op=op, impl=impl, words=16, reps=2, lockstep=False,
-                  vendor="intel")
-    lockstep = _run(9, op=op, impl=impl, words=16, reps=2, lockstep=True,
-                    vendor="intel")
-    assert _observables(native) == _observables(lockstep)
+    assert_equal_observables(*_run_both(9, op=op, impl=impl, words=16, reps=2,
+                                        vendor="intel"))
 
 
 @pytest.mark.parametrize("op", OPS)
 def test_lockstep_identical_on_reference_core(op):
-    """The fused wake-ups behave identically on both event cores."""
-    fast = _run(8, reference=False, op=op, impl="rbc", words=4, reps=2,
-                lockstep=True)
-    slow = _run(8, reference=True, op=op, impl="rbc", words=4, reps=2,
-                lockstep=True)
-    assert _observables(fast) == _observables(slow)
-    assert fast.events_processed == slow.events_processed
+    """The fused wake-ups of the batched core land where the reference
+    core's per-message events do."""
+    fast, slow = _run_both(8, op=op, impl="rbc", words=4, reps=2)
+    assert_equal_observables(fast, slow)
+    assert fast.obs["phases_lockstep"] + fast.obs["phases_fastforward"] > 0
+    assert fast.events_processed < slow.events_processed
 
 
 def test_lockstep_reduces_event_count():
-    native = _run(16, op="scan", impl="rbc", words=8, reps=4, lockstep=False)
-    lockstep = _run(16, op="scan", impl="rbc", words=8, reps=4, lockstep=True)
-    assert _observables(native) == _observables(lockstep)
+    lockstep, native = _run_both(16, op="scan", impl="rbc", words=8, reps=4)
+    assert_equal_observables(lockstep, native)
     assert lockstep.events_processed < native.events_processed / 2
 
 
@@ -176,19 +155,16 @@ def test_lockstep_eligible_on_tiered_per_rank_port_machines():
     """Tiered link prices are priced per edge; results match the native run."""
     params = HierarchicalParams.default()
 
-    def program(env, lockstep):
-        if lockstep:
-            env.lockstep_collectives = True
+    def program(env):
+        env.lockstep_collectives = True
         world_mpi = init_mpi(env, vendor="generic")
         request = world_mpi.iallreduce(float(env.rank), SUM)
         yield from env.wait_until(request.test)
-        return (float(request.result()), env.now,
-                getattr(env.transport, "_spmd_coordinator", None) is not None)
+        return float(request.result()), env.now
 
-    fused = Cluster(8, params).run(lambda env: program(env, True))
-    native = Cluster(8, params).run(lambda env: program(env, False))
-    assert [r[:2] for r in fused.results] == [r[:2] for r in native.results]
-    assert all(used for _, _, used in fused.results)
+    fused, native = run_both(8, program, params=params)
+    assert_equal_observables(fused, native)
+    assert fused.obs["phases_lockstep"] > 0
     assert fused.events_processed < native.events_processed
 
 
@@ -234,7 +210,8 @@ def test_lockstep_refuses_overlapping_phase_contention():
     the contention and raise rather than silently diverge.
     """
     with pytest.raises(RankFailedError) as info:
-        _run(7, op="gather", impl="rbc", words=8, reps=2, lockstep=True)
+        Cluster(7).run(_collective_loop, op="gather", impl="rbc", words=8,
+                       reps=2)
     assert isinstance(info.value.__cause__, spmd.LockstepError)
     assert "receive-port contention" in str(info.value.__cause__)
 
@@ -276,30 +253,23 @@ def test_lockstep_request_interface():
 
 
 def test_jquick_size_agreement_lockstep_is_bit_identical():
+    """The sort's opening allreduce opts in by itself: lockstep on the
+    default cluster, event by event on the oracle, same sort."""
     from repro.bench.workloads import generate
     from repro.sorting import JQuickConfig, RbcBackend, jquick
 
     p, n = 8, 256
     parts = generate("uniform", n, p, seed=3)
 
-    def program(env, local_data, lockstep):
+    def program(env, local_data):
         world_mpi = init_mpi(env, vendor="generic")
         world = yield from create_rbc_comm(world_mpi)
-        config = JQuickConfig(seed=3, lockstep_size_agreement=lockstep)
         output, _ = yield from jquick(env, RbcBackend(world), local_data,
-                                      config)
+                                      JQuickConfig(seed=3))
         return output
 
-    runs = {}
-    for lockstep in (False, True):
-        cluster = Cluster(p)
-        runs[lockstep] = cluster.run(
-            program,
-            rank_kwargs=[dict(local_data=parts[r], lockstep=lockstep)
-                         for r in range(p)])
-
-    assert runs[False].total_time == runs[True].total_time
-    assert runs[False].finish_times == runs[True].finish_times
-    for native_out, lockstep_out in zip(runs[False].results,
-                                        runs[True].results):
-        np.testing.assert_array_equal(native_out, lockstep_out)
+    lockstep, native = run_both(
+        p, program, rank_kwargs=[dict(local_data=parts[r]) for r in range(p)])
+    assert_equal_observables(lockstep, native)
+    assert lockstep.obs["phases_lockstep"] == 1
+    assert native.obs["phases_lockstep"] == 0

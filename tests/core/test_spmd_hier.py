@@ -5,9 +5,10 @@ schedules of :mod:`repro.collectives.hierarchical`; under lockstep the same
 schedule IR is replayed analytically by :class:`repro.core.spmd`'s
 ``_SchedulePhase`` (the ``hier_*`` phase kinds).  The contract is the same as
 for the flat kinds: bit-identical to the scalar IR interpreter — same finish
-times, same results, same tracer statistics — and identical again on the
-reference event core.  These tests prove all three tiers agree across
-operation x machine preset x root, plus the ``build_hierarchy``
+times, same results, same tracer statistics.  These tests run one opted-in
+program on the default cluster (IR replay) and on the oracle
+(``tests/oracle.py``: the scalar interpreter on the reference event core)
+across operation x machine preset x root, plus the ``build_hierarchy``
 scalar/vectorised boundary at the ``_HIERARCHY_VECTOR_MIN`` switch.
 """
 
@@ -20,9 +21,11 @@ from repro.core import spmd
 from repro.mpi import init_mpi
 from repro.rbc import collectives as rbc
 from repro.rbc import create_rbc_comm
-from repro.simulator import Cluster, Placement
+from repro.simulator import Placement
 from repro.simulator.costmodel import HierarchicalParams
 from repro.simulator.errors import RankFailedError
+
+from oracle import assert_equal_observables, run_both
 
 #: Lockstep phase kinds this module covers differentially (scanned by
 #: ``benchmarks/check_lockstep_registry.py``).
@@ -50,15 +53,16 @@ CELLS = [("bcast", 0), ("bcast", 5),
          ("allreduce", 0), ("scan", 0), ("barrier", 0)]
 
 
-def _collective_loop(env, *, op, words, reps, lockstep, root=0):
-    """Rank program: barrier, then ``reps`` back-to-back collectives.
+def _collective_loop(env, *, op, words, reps, root=0):
+    """Opted-in rank program: barrier, then ``reps`` back-to-back
+    collectives.
 
     All operations use the default algorithm selection — on these machines
     that is the node-leader schedule — except the barrier, whose default
     stays dissemination on per-rank-port machines, so it asks for
     ``algorithm="hierarchical"`` explicitly.
     """
-    env.lockstep_collectives = lockstep
+    env.lockstep_collectives = True
     world_mpi = init_mpi(env, vendor="generic")
     world_rbc = yield from create_rbc_comm(world_mpi)
     payload = (np.ones(words) * (env.rank + 1)) if words else np.zeros(0)
@@ -87,24 +91,9 @@ def _collective_loop(env, *, op, words, reps, lockstep, root=0):
     return (env.now - start, tuple(digests))
 
 
-def _observables(result):
-    return (
-        result.total_time,
-        tuple(result.finish_times),
-        tuple(result.results),
-        result.stats.messages_sent,
-        result.stats.words_sent,
-        tuple(result.stats.per_rank_messages_sent),
-        tuple(result.stats.per_rank_messages_received),
-        tuple(result.stats.per_rank_words_sent),
-        tuple(result.stats.per_rank_words_received),
-    )
-
-
-def _run(num_ranks, params, *, reference=False, placement=None, **kwargs):
-    cluster = Cluster(num_ranks, params, placement=placement,
-                      reference_engine=reference)
-    return cluster.run(_collective_loop, **kwargs)
+def _run_both(num_ranks, params, *, placement=None, **kwargs):
+    return run_both(num_ranks, _collective_loop, params=params,
+                    placement=placement, **kwargs)
 
 
 @pytest.mark.parametrize("preset", sorted(PRESETS))
@@ -118,48 +107,31 @@ def test_hier_lockstep_bit_identical_to_scalar(preset, op, root):
     still price exactly.
     """
     params = PRESETS[preset]()
-    scalar = _run(16, params, op=op, words=8, reps=2, lockstep=False,
-                  root=root)
     try:
-        lockstep = _run(16, params, op=op, words=8, reps=2, lockstep=True,
-                        root=root)
+        lockstep, scalar = _run_both(16, params, op=op, words=8, reps=2,
+                                     root=root)
     except RankFailedError as failure:
         assert isinstance(failure.__cause__, spmd.LockstepError)
-        scalar_one = _run(16, params, op=op, words=8, reps=1,
-                          lockstep=False, root=root)
-        lockstep_one = _run(16, params, op=op, words=8, reps=1,
-                            lockstep=True, root=root)
-        assert _observables(scalar_one) == _observables(lockstep_one)
-        return
-    assert _observables(scalar) == _observables(lockstep)
+        lockstep, scalar = _run_both(16, params, op=op, words=8, reps=1,
+                                     root=root)
+    assert_equal_observables(lockstep, scalar)
     assert lockstep.events_processed <= scalar.events_processed
 
 
 @pytest.mark.parametrize("op,root", CELLS)
 def test_hier_lockstep_identical_on_reference_core(op, root):
-    """The fused hier wake-ups behave identically on both event cores.
-
-    A refusal (overlapping repetitions tying on a receive port) must be
-    deterministic — both cores refuse — and the single-repetition run must
-    then agree across cores.
-    """
+    """The fused hier wake-ups of the batched core land where the reference
+    core's per-message events do (a second payload size of the matrix
+    above; overlapping repetitions that tie on a receive port refuse, and
+    the single repetition must then agree)."""
     make = PRESETS["supermuc"]
-    reps = 2
     try:
-        fast = _run(16, make(), op=op, words=4, reps=reps, lockstep=True,
-                    root=root)
+        fast, slow = _run_both(16, make(), op=op, words=4, reps=2, root=root)
     except RankFailedError as failure:
         assert isinstance(failure.__cause__, spmd.LockstepError)
-        with pytest.raises(RankFailedError):
-            _run(16, make(), reference=True, op=op, words=4, reps=reps,
-                 lockstep=True, root=root)
-        reps = 1
-        fast = _run(16, make(), op=op, words=4, reps=reps, lockstep=True,
-                    root=root)
-    slow = _run(16, make(), reference=True, op=op, words=4, reps=reps,
-                lockstep=True, root=root)
-    assert _observables(fast) == _observables(slow)
-    assert fast.events_processed == slow.events_processed
+        fast, slow = _run_both(16, make(), op=op, words=4, reps=1, root=root)
+    assert_equal_observables(fast, slow)
+    assert fast.events_processed < slow.events_processed
 
 
 def test_hier_scan_noncontiguous_placement_falls_back():
@@ -170,11 +142,8 @@ def test_hier_scan_noncontiguous_placement_falls_back():
     """
     params = HierarchicalParams.two_tier(ranks_per_node=4)
     placement = Placement.cyclic(16, num_nodes=4)
-    scalar = _run(16, params, placement=placement, op="scan", words=8,
-                  reps=2, lockstep=False)
-    lockstep = _run(16, params, placement=placement, op="scan", words=8,
-                    reps=2, lockstep=True)
-    assert _observables(scalar) == _observables(lockstep)
+    assert_equal_observables(*_run_both(16, params, placement=placement,
+                                        op="scan", words=8, reps=2))
 
 
 @settings(max_examples=20, deadline=None)
@@ -201,17 +170,15 @@ def test_hier_lockstep_property(num_nodes, ranks_per_node, op, root_seed,
             ranks_per_node=ranks_per_node),
     }[preset]()
     root = root_seed % num_ranks if op in ("bcast", "reduce", "gather") else 0
-    scalar = _run(num_ranks, params, op=op, words=words, reps=1,
-                  lockstep=False, root=root)
     try:
-        lockstep = _run(num_ranks, params, op=op, words=words, reps=1,
-                        lockstep=True, root=root)
+        lockstep, scalar = _run_both(num_ranks, params, op=op, words=words,
+                                     reps=1, root=root)
     except RankFailedError as failure:
         # The leading barrier's port writes can tie the collective's at
         # the same instant; the coordinator must refuse, never misprice.
         assert isinstance(failure.__cause__, spmd.LockstepError)
         return
-    assert _observables(scalar) == _observables(lockstep)
+    assert_equal_observables(lockstep, scalar)
 
 
 # ---------------------------------------------------------------------------

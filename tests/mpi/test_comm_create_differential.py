@@ -6,8 +6,8 @@ colors, descending and tied keys, ``color=None``, a non-affine parent whose
 sibling communicators split at the same sequence number, an explicit
 non-contiguous ``create_group``, list payloads under a vendor word factor
 through the node-leader stages — checks the outcome against a brute-force
-expectation, and requires the default engine and
-``Cluster(reference_engine=True)`` to agree byte for byte.
+expectation, and requires the default cluster and the oracle
+(``tests/oracle.py``) to agree byte for byte.
 """
 
 from __future__ import annotations
@@ -15,7 +15,9 @@ from __future__ import annotations
 import pytest
 
 from repro.mpi import MpiGroup, init_mpi
-from repro.simulator import Cluster, HierarchicalParams
+from repro.simulator import HierarchicalParams
+
+from oracle import assert_equal_observables, run_both
 
 P = 12
 
@@ -125,16 +127,9 @@ def test_creation_semantics_identical_across_engine_modes(name):
     program, expected = CASES[name]()
     params = HierarchicalParams.two_tier(ranks_per_node=4) \
         if name == "vendor-lists-two-tier" else None
-    runs = [Cluster(P, params, reference_engine=reference).run(program)
-            for reference in (False, True)]
-    default, reference = runs
+    default, reference = run_both(P, program, params=params)
     assert default.results == expected
-    assert reference.results == expected
-    assert default.finish_times == reference.finish_times
-    assert default.total_time == reference.total_time
+    assert_equal_observables(default, reference)
+    # Nothing here opts in to a faster tier: both sides run the same events.
     assert default.events_processed == reference.events_processed
-    for field in ("messages_sent", "words_sent", "per_rank_messages_sent",
-                  "per_rank_words_sent", "per_rank_messages_received",
-                  "per_rank_words_received"):
-        assert getattr(default.stats, field) == getattr(reference.stats, field)
     assert default.stats.words_sent > 0

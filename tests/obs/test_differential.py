@@ -120,8 +120,7 @@ def test_batched_jquick_tier_bit_identical():
     def run(trace):
         parts = [values[rank:rank + 1].copy() for rank in range(p)]
         cluster = Cluster(p, trace=trace)
-        return cluster.run(program,
-                           config=JQuickConfig(seed=17, batch_levels=True),
+        return cluster.run(program, config=JQuickConfig(seed=17),
                            rank_kwargs=[dict(local_data=part)
                                         for part in parts])
 

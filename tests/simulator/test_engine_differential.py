@@ -1,4 +1,4 @@
-"""Differential tests: run-queue fast path vs. heap-only reference scheduling.
+"""Differential tests: the default cluster vs. the oracle, event by event.
 
 ``Engine(reference=True)`` routes every process wake-up through the event
 heap, exactly like the original scheduler; the default mode uses the
@@ -6,43 +6,31 @@ immediate run queue.  Because run-queue entries draw sequence numbers from
 the same counter as heap events, both modes must produce *bit-identical*
 simulations: same per-rank results, same simulated times, same event counts,
 same message traces.  These tests prove that over representative workloads
-(a fig4-style collective sweep and a fig8-style JQuick sort).
+that stay on the event tier on both sides (a fig4-style collective sweep
+that does not opt in to lockstep, a fig8-style JQuick sort), so the pairing
+of ``tests/oracle.py`` compares the two event cores and the two mailboxes.
 """
 
-import numpy as np
 import pytest
 
 from repro.bench.harness import collective_program
 from repro.bench.workloads import generate
 from repro.mpi import init_mpi
 from repro.rbc import create_rbc_comm
-from repro.simulator import Cluster, Engine, Sleep, WaitNotify
+from repro.simulator import Engine, Sleep, WaitNotify
 from repro.sorting import JQuickConfig, RbcBackend, jquick
 
-
-def _assert_identical_runs(fast, slow):
-    assert fast.total_time == slow.total_time
-    assert fast.events_processed == slow.events_processed
-    assert fast.finish_times == slow.finish_times
-    assert fast.stats.messages_sent == slow.stats.messages_sent
-    assert fast.stats.words_sent == slow.stats.words_sent
-    assert fast.stats.per_rank_messages_sent == slow.stats.per_rank_messages_sent
-    assert fast.stats.per_rank_messages_received == \
-        slow.stats.per_rank_messages_received
-    assert fast.stats.per_rank_words_received == slow.stats.per_rank_words_received
+from oracle import assert_equal_observables, run_both
 
 
 @pytest.mark.parametrize("operation", ["bcast", "reduce", "scan", "gather"])
 def test_collectives_identical_across_engine_modes(operation):
     """Fig4/fig9-style workload: every collective, both engine modes."""
-    results = {}
-    for reference in (False, True):
-        cluster = Cluster(16, reference_engine=reference)
-        results[reference] = cluster.run(
-            collective_program, operation=operation, impl="rbc",
-            vendor="generic", words=64)
-    _assert_identical_runs(results[False], results[True])
-    assert results[False].results == results[True].results
+    fast, slow = run_both(16, collective_program, operation=operation,
+                          impl="rbc", vendor="generic", words=64,
+                          lockstep=False)
+    assert_equal_observables(fast, slow)
+    assert fast.events_processed == slow.events_processed
 
 
 def test_jquick_identical_across_engine_modes():
@@ -57,18 +45,12 @@ def test_jquick_identical_across_engine_modes():
                                           JQuickConfig(seed=7))
         return output, stats.distributed_steps, stats.exchange_messages_received
 
-    runs = {}
-    for reference in (False, True):
-        cluster = Cluster(p, reference_engine=reference)
-        runs[reference] = cluster.run(
-            program, rank_kwargs=[dict(local_data=parts[r]) for r in range(p)])
-
-    _assert_identical_runs(runs[False], runs[True])
-    for (out_f, steps_f, msgs_f), (out_r, steps_r, msgs_r) in zip(
-            runs[False].results, runs[True].results):
-        np.testing.assert_array_equal(out_f, out_r)
-        assert steps_f == steps_r
-        assert msgs_f == msgs_r
+    fast, slow = run_both(
+        p, program, rank_kwargs=[dict(local_data=parts[r]) for r in range(p)])
+    assert_equal_observables(fast, slow)
+    # The one lockstep phase of the default run is the sort's size agreement.
+    assert fast.obs["phases_lockstep"] == 1
+    assert fast.events_processed < slow.events_processed
 
 
 def test_notify_and_timed_events_interleave_by_sequence():
@@ -120,10 +102,7 @@ def test_sleep_zero_and_notify_preserve_program_order():
 def test_events_processed_matches_reference_mode():
     """The run queue replaces heap round-trips one-for-one: the event count
     is identical, not merely close."""
-    counts = {}
-    for reference in (False, True):
-        cluster = Cluster(8, reference_engine=reference)
-        result = cluster.run(collective_program, operation="scan", impl="mpi",
-                             vendor="ibm", words=256)
-        counts[reference] = (result.events_processed, result.total_time)
-    assert counts[False] == counts[True]
+    fast, slow = run_both(8, collective_program, operation="scan", impl="mpi",
+                          vendor="ibm", words=256, lockstep=False)
+    assert (fast.events_processed, fast.total_time) == \
+        (slow.events_processed, slow.total_time)

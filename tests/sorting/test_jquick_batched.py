@@ -1,14 +1,14 @@
 """Differential contract of the cross-rank batched sorting tier.
 
-The batched tier (``JQuickConfig.batch_levels``) prices whole distributed
+The batched tier (:mod:`repro.sorting.batched`) prices whole distributed
 levels in lockstep at ``n == p``; its contract is *bit identity*: simulated
 finish times, sorted outputs and stats (modulo the ``batched_levels``
-counter) must equal both the scalar per-rank frontier and the scalar
-frontier on the reference engine.  Property-based inputs stress the regimes
-where the tiers could plausibly diverge — duplicate-heavy keys (tie
-breaking), pre-sorted inputs (maximally skewed splits) and adversarially
-skewed magnitudes — plus the gate conditions around ``n == p`` and the
-minimum rank count.
+counter) must equal the per-rank frontier run event by event on the oracle
+(``tests/oracle.py``).  Property-based inputs stress the regimes where the
+tiers could plausibly diverge — duplicate-heavy keys (tie breaking),
+pre-sorted inputs (maximally skewed splits) and adversarially skewed
+magnitudes — plus the gate conditions around ``n == p`` and the minimum rank
+count.
 """
 
 import numpy as np
@@ -21,6 +21,8 @@ from repro.rbc import create_rbc_comm
 from repro.simulator import Cluster
 from repro.sorting import JQuickConfig, RbcBackend, jquick
 from repro.sorting.jquick import JQUICK_BATCH_MIN_RANKS
+
+from oracle import assert_equal_observables, run_both
 
 #: Lockstep phase kinds this module covers differentially (scanned by
 #: ``benchmarks/check_lockstep_registry.py``): the fused jquick level phase
@@ -38,14 +40,17 @@ def _sort_program(env, *, local_data, config):
     return env.now, output, stats.as_dict()
 
 
-def _run(values, p, *, batch_levels, seed=17, reference=False):
+def _sort_kwargs(values, p, config):
+    """``Cluster.run`` keywords of one sort of ``values`` on ``p`` ranks."""
     parts = [values[rank:rank + 1].copy() for rank in range(p)] \
         if values.size == p else _balanced(values, p)
-    config = JQuickConfig(seed=seed, batch_levels=batch_levels)
-    cluster = Cluster(p, reference_engine=reference)
-    return cluster.run(
-        _sort_program, config=config,
-        rank_kwargs=[dict(local_data=part) for part in parts])
+    return dict(config=config,
+                rank_kwargs=[dict(local_data=part) for part in parts])
+
+
+def _run(values, p):
+    return Cluster(p).run(_sort_program,
+                          **_sort_kwargs(values, p, JQuickConfig(seed=17)))
 
 
 def _balanced(values, p):
@@ -58,21 +63,20 @@ def _balanced(values, p):
     return parts
 
 
+def _assert_batched_equals_oracle(batched, oracle):
+    """Every observable but the ``batched_levels`` counter, which must be
+    positive on every rank of the default run and zero on the oracle."""
+    for _, _, stats in batched.results:
+        assert stats.pop("batched_levels") > 0
+    for _, _, stats in oracle.results:
+        assert stats.pop("batched_levels") == 0
+    assert_equal_observables(batched, oracle)
+
+
 def _assert_identical(values, p, seed):
-    batched = _run(values, p, batch_levels=True, seed=seed)
-    scalar = _run(values, p, batch_levels=False, seed=seed)
-    reference = _run(values, p, batch_levels=False, seed=seed,
-                     reference=True)
-    for rank in range(p):
-        time_b, out_b, stats_b = batched.results[rank]
-        time_s, out_s, stats_s = scalar.results[rank]
-        time_r, out_r, stats_r = reference.results[rank]
-        assert time_b == time_s == time_r
-        assert np.array_equal(out_b, out_s) and np.array_equal(out_s, out_r)
-        assert stats_b.pop("batched_levels") > 0
-        stats_s.pop("batched_levels")
-        stats_r.pop("batched_levels")
-        assert stats_b == stats_s == stats_r
+    batched, oracle = run_both(
+        p, _sort_program, **_sort_kwargs(values, p, JQuickConfig(seed=seed)))
+    _assert_batched_equals_oracle(batched, oracle)
     merged = np.concatenate([batched.results[r][1] for r in range(p)])
     assert np.all(np.diff(merged) >= 0)
     assert merged.size == values.size
@@ -137,21 +141,18 @@ def test_int64_keys_at_both_world_sizes_bit_identical(p):
 # pivot is its exact lower median whatever the level: with tie breaking no
 # split is ever degenerate, and without it a group whose lower median is its
 # minimum retries the same split until ``max_levels`` fails the sort.  The
-# differential for such rounds therefore compares the failure: all three
-# tiers must give up on the same task at the same simulated instant (which
-# of the task's members reports it is a same-instant tie).
+# differential for such rounds therefore compares the failure: both tiers
+# must give up on the same task at the same simulated instant (which of the
+# task's members reports it is a same-instant tie).
 # ---------------------------------------------------------------------------
 
-def _failure_of(values, p, *, batch_levels, reference=False):
+def _failure_of(values, p, *, reference):
     from repro.simulator.errors import RankFailedError
 
-    config = JQuickConfig(seed=17, batch_levels=batch_levels,
-                          tie_breaking=False, max_levels=6)
+    config = JQuickConfig(seed=17, tie_breaking=False, max_levels=6)
     cluster = Cluster(p, reference_engine=reference)
     with pytest.raises(RankFailedError) as excinfo:
-        cluster.run(_sort_program, config=config,
-                    rank_kwargs=[dict(local_data=values[rank:rank + 1].copy())
-                                 for rank in range(p)])
+        cluster.run(_sort_program, **_sort_kwargs(values, p, config))
     cause = excinfo.value.__cause__
     assert isinstance(cause, RuntimeError)
     assert "exceeded 6 levels" in str(cause)
@@ -174,10 +175,8 @@ def _few_keys_and_a_uniform_tail(p):
 @pytest.mark.parametrize("p", (P, P + 13))
 def test_degenerate_retries_fail_identically_on_every_tier(p, make_values):
     values = make_values(p)
-    batched = _failure_of(values, p, batch_levels=True)
-    assert batched == _failure_of(values, p, batch_levels=False)
-    assert batched == _failure_of(values, p, batch_levels=False,
-                                  reference=True)
+    assert _failure_of(values, p, reference=False) == \
+        _failure_of(values, p, reference=True)
 
 
 def test_rounds_mix_retrying_and_splitting_groups():
@@ -209,7 +208,7 @@ def test_rounds_mix_retrying_and_splitting_groups():
 def test_auto_gate_threshold(p, engaged):
     rng = np.random.default_rng(3)
     values = rng.random(p)
-    result = _run(values, p, batch_levels=None)
+    result = _run(values, p)
     levels = [result.results[rank][2]["batched_levels"] for rank in range(p)]
     if engaged:
         assert all(level > 0 for level in levels)
@@ -223,18 +222,13 @@ def test_auto_gate_declines_when_n_exceeds_p():
     p = P
     rng = np.random.default_rng(4)
     values = rng.random(4 * p)
-    result = _run(values, p, batch_levels=None)
+    result = _run(values, p)
     assert all(result.results[rank][2]["batched_levels"] == 0
                for rank in range(p))
-
-
-def test_forced_batching_rejects_n_not_equal_p():
-    p = P
-    rng = np.random.default_rng(5)
-    values = rng.random(4 * p)
-    with pytest.raises(Exception) as excinfo:
-        _run(values, p, batch_levels=True)
-    assert "batch_levels" in str(excinfo.value)
+    # One decline per rank, with the reason.
+    assert result.obs["tier_declined"] == {
+        "batched sort: it requires the communicator-bound layout n == p "
+        f"(got n={4 * p}, p={p})": p}
 
 
 # ---------------------------------------------------------------------------
@@ -252,21 +246,16 @@ def _sort_twice_program(env, *, local_data, config):
 def test_sorts_in_a_row_reuse_the_emptied_plan():
     """A finished sort leaves the cluster's plan empty, so the next sort on
     the same cluster starts from its own root rows — bit-identical to the
-    scalar frontier doing the same two sorts."""
+    oracle's per-rank frontier doing the same two sorts."""
     p = P + 13
     values = np.random.default_rng(8).random(p)
-    runs = [Cluster(p).run(
-        _sort_twice_program,
-        config=JQuickConfig(seed=3, batch_levels=batch_levels),
-        rank_kwargs=[dict(local_data=values[rank:rank + 1].copy())
-                     for rank in range(p)]) for batch_levels in (True, False)]
-    batched, scalar = (run.results for run in runs)
-    for rank in range(p):
-        assert batched[rank][0] == scalar[rank][0]
-        assert np.array_equal(batched[rank][1], scalar[rank][1])
-        assert batched[rank][2]["batched_levels"] > 0
-    assert np.array_equal(np.concatenate([out for _, out, _ in batched]),
-                          np.sort(-values))
+    batched, oracle = run_both(
+        p, _sort_twice_program,
+        **_sort_kwargs(values, p, JQuickConfig(seed=3)))
+    _assert_batched_equals_oracle(batched, oracle)
+    assert np.array_equal(
+        np.concatenate([out for _, out, _ in batched.results]),
+        np.sort(-values))
 
 
 # ---------------------------------------------------------------------------
@@ -287,7 +276,7 @@ def _run_with_level_hook(monkeypatch, hook):
     monkeypatch.setattr(SortPlan, "level", level)
     values = np.random.default_rng(6).random(P)
     with pytest.raises(RankFailedError) as excinfo:
-        _run(values, P, batch_levels=True)
+        _run(values, P)
     return excinfo.value
 
 
