@@ -116,10 +116,11 @@ def test_paper_scale_hierarchical(request, operation):
     Same ceilings as the flat gate, but on the two-tier preset (8 ranks per
     node, 4096 nodes): the default selection routes bcast to the node-leader
     tree and scan to the segmented node-prefix scan, and the lockstep tier
-    replays the schedule IR analytically (``hier_*`` phase kinds) with
-    per-edge tiered link prices.  Losing either layer — falling back to
-    event-by-event messaging or to scalar per-member pricing — blows the
-    wall ceiling or materializes mailboxes.
+    replays that schedule IR analytically (the ``bcast`` / ``scan`` kinds
+    handed the node-leader schedule) with per-edge tiered link prices.
+    Losing either layer — falling back to event-by-event messaging or to
+    scalar per-member pricing — blows the wall ceiling or materializes
+    mailboxes.
     """
     from repro.simulator.costmodel import HierarchicalParams
 

@@ -1,11 +1,13 @@
 #!/usr/bin/env python
 """Fail CI when a lockstep phase kind ships without a differential test.
 
-Every phase kind in ``SpmdCoordinator._KINDS`` — the six builtin
-collective kinds, the ``hier_*`` schedule-IR kinds registered at import, and
-externally registered kinds like the sorting tier's ``jqlevel`` — is priced
-analytically against the engine's bit-identity contract.  That contract is
-only as strong as the differential suite behind it, so each kind must be
+Every phase kind in ``SpmdCoordinator._KINDS`` — one per collective
+operation (``bcast``, ``reduce``, ``allreduce``, ``scan``, ``gather``,
+``barrier``: its flat phase class, and the schedule-IR replay when a join
+carries a node-leader schedule) plus the sorting tier's externally
+registered ``jqlevel``, seven in all — is priced analytically against the
+engine's bit-identity contract.  That contract is only as strong as the
+differential suite behind it, so each kind must be
 claimed by at least one test module via a module-level ``COVERS_KINDS``
 tuple::
 

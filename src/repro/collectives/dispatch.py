@@ -23,21 +23,20 @@ barrier's ``2 log p``).  An explicit ``algorithm`` names the schedule;
 schedule rather than raising — and ``"auto"`` applies the crossover
 heuristics of :mod:`.large`.
 
-**Tier.**  A default call fuses into the lockstep tier of
-:mod:`repro.core.spmd` when the program opted in
-(``env.lockstep_collectives``) and the endpoint is eligible
-(:func:`repro.core.spmd.lockstep_eligible`): flat schedules through the
-per-op phase kinds, node-leader schedules through the ``hier_*`` kinds that
-replay the same IR — same simulated times bit for bit, far fewer engine
-events.  An explicit ``algorithm`` asks for the event-by-event
-:class:`~.machines.CollectiveRequest`; the one exception is the
-``"hierarchical"`` barrier, whose default never selects the tree on the
-per-rank-port machines lockstep is eligible on, so the explicit name is how
-its ``hier_barrier`` kind is reached.
+**Tier.**  The tier follows the selected schedule.  When the program opted
+in (``env.lockstep_collectives``) and the endpoint is eligible
+(:func:`repro.core.spmd.lockstep_eligible`), a default call's schedule and
+every node-leader schedule are handed to the lockstep tier of
+:mod:`repro.core.spmd` — one phase kind per operation, priced by its flat
+phase class or, for a node-leader schedule, by the replay of that very IR
+object — same simulated times bit for bit, far fewer engine events.  A flat
+schedule named explicitly, the large-input schedules and the ``"auto"``
+broadcast run event by event in the :class:`~.machines.CollectiveRequest`,
+and an opted-in program's ``tier_declined`` counter says why, once per call.
 
-The label a scalar request's traced span carries and the lockstep kind are
-one name: the operation's for the flat schedule, ``hier_<op>`` for the
-node-leader one.
+One name labels a schedule in both tiers (a traced span, a lockstep
+phase): the operation's for the flat schedule,
+:meth:`~.ir.Schedule.ir_token` for the node-leader one.
 """
 
 from __future__ import annotations
@@ -47,8 +46,8 @@ from typing import Any, Callable, Optional
 from ..messaging import Request
 from ..simulator.network import payload_words
 from .endpoint import TransportEndpoint
-from .hierarchical import Hierarchy, hierarchy_of, run_schedule
-from .ir import schedule_for
+from .hierarchical import hierarchy_of, run_schedule
+from .ir import Schedule, schedule_for
 from .large import (
     DEFAULT_SEGMENT_WORDS,
     allreduce_ring_schedule,
@@ -57,35 +56,18 @@ from .large import (
     choose_bcast_algorithm,
     pipeline_bcast_schedule,
 )
-from .machines import (
-    CollectiveRequest,
-    allreduce_schedule,
-    barrier_schedule,
-    bcast_schedule,
-    gather_schedule,
-    reduce_schedule,
-    scan_schedule,
-)
+from .machines import SCHEDULES, CollectiveRequest, bcast_schedule
 
 __all__ = ["start"]
 
-#: op -> (its noun in error messages, the name of its flat algorithm, the
-#: flat schedule behind the uniform ``(port, value, op, root)`` signature).
-_FLAT = {
-    "bcast": ("broadcast", "binomial",
-              lambda port, value, op, root:
-                  bcast_schedule(port, value, root)),
-    "reduce": ("reduce", "binomial", reduce_schedule),
-    "allreduce": ("allreduce", "reduce_bcast",
-                  lambda port, value, op, root:
-                      allreduce_schedule(port, value, op)),
-    "scan": ("scan", "dissemination",
-             lambda port, value, op, root: scan_schedule(port, value, op)),
-    "gather": ("gather", "binomial",
-               lambda port, value, op, root:
-                   gather_schedule(port, value, root)),
-    "barrier": ("barrier", "dissemination",
-                lambda port, value, op, root: barrier_schedule(port)),
+#: op -> (its noun in error messages, the name of its flat algorithm).
+_NAMES = {
+    "bcast": ("broadcast", "binomial"),
+    "reduce": ("reduce", "binomial"),
+    "allreduce": ("allreduce", "reduce_bcast"),
+    "scan": ("scan", "dissemination"),
+    "gather": ("gather", "binomial"),
+    "barrier": ("barrier", "dissemination"),
 }
 
 #: op -> {large-input algorithm: (span label, schedule)}.  These are the
@@ -111,34 +93,30 @@ _LARGE = {
 
 
 def _select(ep: TransportEndpoint, name: str, algorithm: Optional[str],
-            node_aware: bool):
-    """``(label, hierarchy, large)`` of ``algorithm`` for operation ``name``.
+            node_aware: bool, root: int):
+    """``(schedule, large)`` of ``algorithm`` for operation ``name``.
 
-    ``hierarchy`` is what the node-leader schedule runs on (None: the flat
-    schedule runs), ``large`` the large-input schedule when one was named.
+    ``schedule`` is the node-leader :class:`~.ir.Schedule` (None: the flat
+    schedule runs), ``large`` the ``(label, schedule)`` of the large-input
+    algorithm when one was named.
     """
     if algorithm is None or algorithm == "hierarchical":
-        if not node_aware:
-            hierarchy = None
-        elif name == "barrier" and algorithm is None \
-                and not getattr(ep.cost_model, "ports_per_node", None):
+        if not node_aware or (name == "barrier" and algorithm is None
+                              and not getattr(ep.cost_model, "ports_per_node",
+                                              None)):
             # By default the tree barrier is for nodes that share NIC ports.
-            hierarchy = None
-        else:
-            hierarchy = hierarchy_of(ep)
-            if name == "scan" and hierarchy is not None \
-                    and not hierarchy.contiguous:
-                # The segmented scan needs node blocks in rank order.
-                hierarchy = None
-        if hierarchy is None and algorithm is None:
-            return name, None, None
-        return "hier_" + name, hierarchy, None
-    noun, flat_name, _ = _FLAT[name]
+            return None, None
+        hierarchy = hierarchy_of(ep)
+        if hierarchy is None or (name == "scan" and not hierarchy.contiguous):
+            # The segmented scan needs node blocks in rank order.
+            return None, None
+        return schedule_for(hierarchy, name, root), None
+    noun, flat_name = _NAMES[name]
     if algorithm == flat_name:
-        return name, None, None
+        return None, None
     large = _LARGE.get(name, {})
     if algorithm in large:
-        return large[algorithm][0], None, large[algorithm][1]
+        return None, large[algorithm]
     names = (["auto"] if large else []) + [flat_name, "hierarchical", *large]
     raise ValueError(
         f"unknown {noun} algorithm {algorithm!r}; expected one of "
@@ -146,14 +124,13 @@ def _select(ep: TransportEndpoint, name: str, algorithm: Optional[str],
 
 
 def _schedule(port, name: str, value: Any, op, root: int,
-              segment_words: int, hierarchy: Optional[Hierarchy], large):
+              segment_words: int, schedule: Optional[Schedule], large):
     """The schedule generator of one :func:`_select` outcome on ``port``."""
     if large is not None:
-        return large(port, value, op, root, segment_words)
-    if hierarchy is not None:
-        return run_schedule(port, schedule_for(hierarchy, name, root), value,
-                            op)
-    return _FLAT[name][2](port, value, op, root)
+        return large[1](port, value, op, root, segment_words)
+    if schedule is not None:
+        return run_schedule(port, schedule, value, op)
+    return SCHEDULES[name](port, value, op, root)
 
 
 def _auto_bcast(port, value: Any, root: int, segment_words: int):
@@ -170,9 +147,9 @@ def _auto_bcast(port, value: Any, root: int, segment_words: int):
             payload_words(value), ep.size, value, model=ep.cost_model,
             hierarchical=hierarchy_of(ep) is not None)
     choice = yield from bcast_schedule(port, choice, root)
-    _, hierarchy, large = _select(ep, "bcast", choice, True)
+    schedule, large = _select(ep, "bcast", choice, True, root)
     result = yield from _schedule(port, "bcast", value, None, root,
-                                  segment_words, hierarchy, large)
+                                  segment_words, schedule, large)
     return result
 
 
@@ -181,6 +158,25 @@ def _auto_bcast(port, value: Any, root: int, segment_words: int):
 # Imported by the first call that needs it (an import statement per
 # collective call costs ~0.7 us, which shows at p = 4096).
 _spmd = None
+
+
+def _eligible(ep: TransportEndpoint) -> bool:
+    """Whether a call on ``ep`` may run in lockstep
+    (:func:`repro.core.spmd.lockstep_eligible`, which counts the reason
+    when an opted-in call may not)."""
+    if not getattr(ep.env, "lockstep_collectives", False):
+        return False
+    global _spmd
+    if _spmd is None:
+        from ..core import spmd as _spmd
+    return _spmd.lockstep_eligible(ep)
+
+
+def _decline(ep: TransportEndpoint, reason: str) -> None:
+    """Record why a call that lockstep could otherwise price runs event by
+    event, so ``tier_declined`` gives one reason per scalar collective."""
+    if _eligible(ep):
+        ep.transport.decline_tier(f"lockstep: {reason}")
 
 
 def start(ep: TransportEndpoint, name: str, value: Any = None,
@@ -198,20 +194,28 @@ def start(ep: TransportEndpoint, name: str, value: Any = None,
     ``ValueError``.
     """
     if algorithm == "auto" and name == "bcast":
+        _decline(ep, "_auto_bcast has no lockstep pricer")
         return CollectiveRequest(ep, _auto_bcast, value, root, segment_words)
     if algorithm == "auto" and name == "allreduce":
         # Every rank contributes the same amount, so every rank picks alike.
         algorithm = choose_allreduce_algorithm(
             payload_words(value), ep.size, value, model=ep.cost_model,
             hierarchical=hierarchy_of(ep) is not None)
-    label, hierarchy, large = _select(ep, name, algorithm, node_aware)
-    if (algorithm is None or (name == "barrier" and hierarchy is not None)) \
-            and getattr(ep.env, "lockstep_collectives", False):
-        global _spmd
-        if _spmd is None:
-            from ..core import spmd as _spmd
-        if _spmd.lockstep_eligible(ep):
-            return _spmd.join_lockstep(ep, label, value, op, root)
+    schedule, large = _select(ep, name, algorithm, node_aware, root)
+    if large is not None:
+        label = large[0]
+        _decline(ep, f"{label} has no lockstep pricer")
+    elif algorithm is not None and schedule is None:
+        # The flat phase classes fold a port-write tie between two
+        # unsynchronised repetitions in generation order without proving
+        # that it commutes, so a flat schedule named explicitly keeps the
+        # event tier.
+        label = name
+        _decline(ep, f"explicit {algorithm!r} {name} runs event by event")
+    elif _eligible(ep):
+        return _spmd.join_lockstep(ep, name, value, op, root, schedule)
+    else:
+        label = name if schedule is None else schedule.ir_token()
     return CollectiveRequest(
-        ep, _schedule, name, value, op, root, segment_words, hierarchy, large,
+        ep, _schedule, name, value, op, root, segment_words, schedule, large,
         label=label)

@@ -59,12 +59,7 @@ import numpy as np
 
 from .endpoint import TransportEndpoint
 from .ir import Schedule
-from .machines import (
-    bcast_schedule,
-    gather_schedule,
-    reduce_schedule,
-    scan_schedule,
-)
+from .machines import SCHEDULES
 
 __all__ = [
     "Hierarchy",
@@ -340,24 +335,15 @@ def run_schedule(port, schedule: Schedule, value: Any,
                            schedule.ir_token()))
     carry = value
     prefix: Any = None
-    stage_op = schedule.reduce_op(op)
+    stage_op = schedule.stage_op(op)
     for stage, index in schedule.stages_of(rank):
-        sub = SubgroupEndpoint(port, stage.members, index)
-        kind = stage.kind
-        if kind == "bcast":
-            payload = carry if stage.src == "carry" else prefix
-            result = yield from bcast_schedule(sub, payload, stage.root)
-            if stage.dst == "carry":
-                carry = result
-            elif index != stage.root:
-                # A seam root's own prefix register is never clobbered by
-                # the payload it forwards.
-                prefix = result
-        elif kind == "reduce":
-            carry = yield from reduce_schedule(sub, carry, stage_op,
-                                               stage.root)
-        elif kind == "gather":
-            carry = yield from gather_schedule(sub, carry, stage.root)
-        else:  # "scan"
-            carry = yield from scan_schedule(sub, carry, op)
+        result = yield from SCHEDULES[stage.kind](
+            SubgroupEndpoint(port, stage.members, index),
+            prefix if stage.src == "prefix" else carry, stage_op, stage.root)
+        if stage.dst == "carry":
+            carry = result
+        elif index != stage.root:
+            # A seam root's own prefix register is never clobbered by the
+            # payload it forwards.
+            prefix = result
     return schedule.finalize(rank, carry, prefix, op)

@@ -24,8 +24,10 @@ executors consume it unchanged:
   construction (both route the same carries through the same primitives at
   the same member times).
 
-Stages carry *group* ranks; neither executor needs the hierarchy once the
-schedule is built.  Schedules are cached per ``(op, root)`` on the
+:func:`repro.collectives.dispatch.start` selects the schedule and hands the
+same object to whichever executor runs the call.  Stages carry *group*
+ranks; neither executor needs the hierarchy once the schedule is built.
+Schedules are cached per ``(op, root)`` on the
 :class:`~repro.collectives.hierarchical.Hierarchy` they were built from.
 
 Value routing model
@@ -94,7 +96,8 @@ class Schedule:
     ``None`` for every other op.
     """
 
-    __slots__ = ("op_name", "size", "stages", "token", "shape", "_by_rank")
+    __slots__ = ("op_name", "size", "stages", "token", "shape", "_by_rank",
+                 "_token")
 
     def __init__(self, op_name: str, size: int, stages, token: bool = False,
                  shape=None):
@@ -104,14 +107,16 @@ class Schedule:
         self.token = token
         self.shape = shape
         self._by_rank: Optional[dict] = None
+        self._token: Optional[str] = None
 
     def stages_of(self, rank: int):
         """``[(stage, member index), ...]`` of ``rank``'s stages, in order.
 
-        The per-rank executor's walk: a schedule over p ranks has O(p)
-        stages of which a rank takes part in a handful, and every rank of
-        the group interprets the same (cached) schedule — so the index is
-        built once, for all ranks, by the first one that asks.
+        Both executors walk a member through this list: a schedule over p
+        ranks has O(p) stages of which a rank takes part in a handful, and
+        every rank and every lockstep phase of the group reads the same
+        (cached) schedule — so the index is built once, for all ranks, by
+        the first one that asks.
         """
         by_rank = self._by_rank
         if by_rank is None:
@@ -121,20 +126,24 @@ class Schedule:
                     by_rank.setdefault(member, []).append((stage, index))
         return by_rank.get(rank, ())
 
-    def reduce_op(self, op: Optional[Callable]) -> Optional[Callable]:
-        """The operator a ``"reduce"`` stage applies for group operator ``op``."""
+    def stage_op(self, op: Optional[Callable]) -> Optional[Callable]:
+        """The operator every stage applies for group operator ``op`` (the
+        barrier's token wave reduces with :func:`token_op`)."""
         return token_op if self.token else op
 
     def ir_token(self) -> str:
         """Compact identifier of this schedule's stage composition.
 
         E.g. a hierarchical allreduce over 3 stages reads
-        ``"allreduce/p64:reduce+reduce+bcast"``.  Observability labels
-        (traced spans, timelines) carry it so a run shows *which* IR
-        program priced a phase, not just the op name.
+        ``"allreduce/p64:reduce+reduce+bcast"``.  It is the schedule's
+        label in both tiers (traced spans, the interpreter's ``ir`` event),
+        so a run shows *which* IR program priced a phase, not just the op.
         """
-        stages = "+".join(stage.kind for stage in self.stages)
-        return f"{self.op_name}/p{self.size}:{stages}"
+        token = self._token
+        if token is None:
+            stages = "+".join(stage.kind for stage in self.stages)
+            token = self._token = f"{self.op_name}/p{self.size}:{stages}"
+        return token
 
     def finalize(self, rank: int, carry: Any, prefix: Any,
                  op: Optional[Callable]) -> Any:

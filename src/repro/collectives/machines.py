@@ -72,6 +72,7 @@ from .topology import (
 
 __all__ = [
     "CollectiveRequest",
+    "SCHEDULES",
     "bcast_schedule",
     "reduce_schedule",
     "scan_schedule",
@@ -482,3 +483,17 @@ def alltoallv_schedule(port, payloads: Sequence[Any]):
     for src, slot in sources:
         received[src] = msgs[slot].payload
     return received
+
+
+#: Operation (or schedule-IR stage kind) -> its flat schedule behind the
+#: uniform ``(port, value, op, root)`` signature: what dispatch runs for a
+#: flat operation and the IR interpreter for one stage.
+SCHEDULES = {
+    "bcast": lambda port, value, op, root: bcast_schedule(port, value, root),
+    "reduce": reduce_schedule,
+    "allreduce": lambda port, value, op, root:
+        allreduce_schedule(port, value, op),
+    "scan": lambda port, value, op, root: scan_schedule(port, value, op),
+    "gather": lambda port, value, op, root: gather_schedule(port, value, root),
+    "barrier": lambda port, value, op, root: barrier_schedule(port),
+}

@@ -53,13 +53,13 @@ per edge: each mirrored send resolves ``params.link(src, dst, placement)``
 exactly as ``Transport.post_send`` does, so the float expressions stay
 bit-identical to the event engine on non-flat machines too.
 
-Hierarchical collectives run under lockstep through the schedule IR of
-:mod:`repro.collectives.ir`: the ``hier_*`` kinds build the op's
-:class:`~repro.collectives.ir.Schedule` from the endpoint's hierarchy and a
-single generic :class:`_SchedulePhase` replays its stages as compositions of
-the flat phase classes — each member enters a stage at its finish time from
-the previous one, exactly when the scalar interpreter's generator would have
-issued the stage's schedule.
+There is one phase kind per operation.  A join carries the schedule
+:func:`repro.collectives.dispatch.start` selected: None for the flat
+schedule, which the op's phase class prices, or the node-leader
+:class:`~repro.collectives.ir.Schedule`, which :class:`_SchedulePhase`
+replays stage by stage through the same phase classes — each member enters
+a stage at its finish time from the previous one, exactly when the scalar
+interpreter's generator would have issued the stage's schedule.
 
 The fast-forward tier
 ---------------------
@@ -263,14 +263,17 @@ def lockstep_eligible(ep) -> bool:
 
 def join_lockstep(ep, kind: str, value: Any = None,
                   op: Optional[Callable[[Any, Any], Any]] = None,
-                  root: int = 0) -> LockstepRequest:
+                  root: int = 0, schedule=None) -> LockstepRequest:
     """Enter this rank into the lockstep phase ``kind`` on ``ep``'s group.
 
-    Must be called at the instant the native schedule would have been
-    constructed.  Returns a request completing at the rank's native finish
-    time with the native result value.
+    ``schedule`` is the node-leader :class:`~repro.collectives.ir.Schedule`
+    the call runs, None for the op's flat schedule.  Must be called at the
+    instant the native schedule would have been constructed.  Returns a
+    request completing at the rank's native finish time with the native
+    result value.
     """
-    return coordinator_of(ep.transport).join(ep, kind, value, op, root)
+    return coordinator_of(ep.transport).join(ep, kind, value, op, root,
+                                             schedule)
 
 
 def coordinator_of(transport) -> "SpmdCoordinator":
@@ -293,23 +296,20 @@ class SpmdCoordinator:
     across repetitions, and ranks priced early (e.g. leaves of a reduce) may
     start the next repetition before the current phase has resolved every
     member.  Each key therefore holds a list of live *generations* in start
-    order: a joining rank enters the first generation it has not joined yet,
-    matching the SPMD property that every rank passes through repetitions in
-    the same order.  A fully resolved generation is retired during its last
-    join, before any member wakes.
+    order: a joining rank enters the first generation it has not joined yet
+    among those opened for its schedule, matching the SPMD property that
+    every rank passes through repetitions in the same order.  A fully
+    resolved generation is retired during its last join, before any member
+    wakes.
     """
 
     __slots__ = ("_phases", "_recv_logs", "_live_first_joins",
                  "tier_phases", "refusals", "fastforward_fallbacks")
 
-    _KINDS = {
-        "bcast": lambda *a: _BcastPhase(*a),
-        "reduce": lambda *a: _ReducePhase(*a),
-        "allreduce": lambda *a: _AllreducePhase(*a),
-        "scan": lambda *a: _ScanPhase(*a),
-        "gather": lambda *a: _GatherPhase(*a),
-        "barrier": lambda *a: _BarrierPhase(*a),
-    }
+    #: Phase kind -> phase class (or factory) of the flat schedule: one per
+    #: operation, filled in below the classes, plus externally registered
+    #: kinds.  :class:`_SchedulePhase` prices its stages through it too.
+    _KINDS: dict = {}
 
     @classmethod
     def register_kind(cls, kind: str, factory) -> None:
@@ -364,9 +364,10 @@ class SpmdCoordinator:
         self._recv_logs.clear()
         self._live_first_joins.clear()
 
-    def join(self, ep, kind: str, value, op, root) -> LockstepRequest:
+    def join(self, ep, kind: str, value, op, root,
+             schedule=None) -> LockstepRequest:
         try:
-            return self._join(ep, kind, value, op, root)
+            return self._join(ep, kind, value, op, root, schedule)
         except LockstepError as exc:
             self.record_refusal(
                 exc, ep.transport, ep.env.engine._now, ep.env.rank,
@@ -389,22 +390,28 @@ class SpmdCoordinator:
         if obs is not None:
             obs.events.append((now, rank, "refusal", shape))
 
-    def _join(self, ep, kind: str, value, op, root) -> LockstepRequest:
+    def _join(self, ep, kind: str, value, op, root,
+              schedule) -> LockstepRequest:
         key = (ep.context, ep.tag, kind, root)
         generations = self._phases.get(key)
         if generations is None:
             generations = self._phases[key] = []
         phase = None
         for live in generations:
-            if ep.rank < live.size and live.joined[ep.rank] is None:
+            if live.schedule is schedule and ep.rank < live.size \
+                    and live.joined[ep.rank] is None:
                 phase = live
                 break
         if phase is None:
-            try:
-                factory = self._KINDS[kind]
-            except KeyError:
-                raise LockstepError(f"unknown lockstep kind: {kind!r}") from None
-            phase = factory(ep, op, root, self)
+            if schedule is not None:
+                phase = _SchedulePhase(ep, op, root, self, schedule)
+            else:
+                try:
+                    factory = self._KINDS[kind]
+                except KeyError:
+                    raise LockstepError(
+                        f"unknown lockstep kind: {kind!r}") from None
+                phase = factory(ep, op, root, self)
             phase.first_join = ep.env.engine._now
             phase._gen_key = key
             self._live_first_joins.append(phase.first_join)
@@ -446,6 +453,10 @@ class _PhaseBase:
     """
 
     kind = "?"
+
+    #: The node-leader schedule a :class:`_SchedulePhase` replays; None on
+    #: the flat phases.  A join only enters a generation of its own schedule.
+    schedule = None
 
     #: Execution tier this phase's pricing ran on, for the retirement
     #: counters and traced span labels.  The vectorised pricers overwrite
@@ -2219,17 +2230,19 @@ class _StageEndpoint:
 
 
 class _SchedulePhase(_PhaseBase):
-    """Lockstep replay of a schedule-IR program (the ``hier_*`` kinds).
+    """Lockstep replay of a node-leader schedule-IR program.
 
     The generic sibling of :class:`_AllreducePhase`'s two-stage composition:
-    each IR stage becomes one flat sub-phase over the stage's members, fed
-    synthetically with every member's finish time from the previous stage it
-    participated in — exactly the instant the scalar interpreter
+    each IR stage becomes one flat sub-phase over the stage's members (the
+    coordinator's phase class of the stage's kind), fed synthetically with
+    every member's finish time from the previous stage it participated in —
+    exactly the instant the scalar interpreter
     (:func:`repro.collectives.hierarchical.run_schedule`) would have issued
-    the stage's flat schedule.  Value routing follows the IR's
-    carry/prefix register model verbatim, and
+    the stage's flat schedule.  Both executors walk a member through the
+    same :meth:`~repro.collectives.ir.Schedule.stages_of` index and route
+    values through the IR's carry/prefix registers verbatim, and
     :meth:`~repro.collectives.ir.Schedule.finalize` assembles the results,
-    so both executors are bit-identical by construction.
+    so they are bit-identical by construction.
 
     Members advance *eagerly*: a member is fed to its next stage the moment
     its previous stage prices it, so the sub-phases resolve incrementally
@@ -2248,108 +2261,81 @@ class _SchedulePhase(_PhaseBase):
 
     def __init__(self, ep, op, root, coordinator, schedule):
         super().__init__(ep, op, root, coordinator)
-        self.kind = f"hier_{schedule.op_name}"
-        # Traced spans carry the schedule-IR token so a timeline shows
-        # *which* stage composition priced the phase, not just the op.
+        self.kind = schedule.op_name
         self.obs_label = schedule.ir_token()
         if schedule.size != self.size:
             raise LockstepError(
                 f"lockstep {self.kind}: schedule built for group size "
                 f"{schedule.size}, phase opened with {self.size}")
         self.schedule = schedule
-        stages = schedule.stages
-        # member -> [(stage index, member index within the stage), ...] in
-        # stage order: the member's personal program through the IR.
-        plan: list = [[] for _ in range(self.size)]
-        for s, stage in enumerate(stages):
-            for i, g in enumerate(stage.members):
-                plan[g].append((s, i))
-        self._plan = plan
+        self._stage_op = schedule.stage_op(op)
         self._pos = [0] * self.size
         self._times: list = [None] * self.size
         self._carry: list = [None] * self.size
         self._prefix: list = [None] * self.size
-        self._stage_phases: list = [None] * len(stages)
-        self._stage_harvested: list = [None] * len(stages)
-        self._drain_pending = [False] * len(stages)
+        # stage -> its sub-phase, and which of its members were harvested.
+        self._stage_phases: dict = {}
+        self._harvested: dict = {}
+        self._drain_pending: set = set()
 
     def on_join(self, rank: int) -> None:
         self._times[rank] = self.joined[rank]
         self._carry[rank] = self.values[rank]
         self._run([rank])
 
-    def _stage_phase(self, s: int):
-        phase = self._stage_phases[s]
+    def _stage_phase(self, stage):
+        phase = self._stage_phases.get(stage)
         if phase is None:
-            stage = self.schedule.stages[s]
             world = self.world
-            ep = _StageEndpoint(self, [world[g] for g in stage.members])
-            kind = stage.kind
-            if kind == "bcast":
-                phase = self._sub_phase(_BcastPhase, None, stage.root, ep)
-            elif kind == "scan":
-                phase = self._sub_phase(_ScanPhase, self.op, 0, ep)
-            elif kind == "reduce":
-                phase = self._sub_phase(
-                    _ReducePhase, self.schedule.reduce_op(self.op),
-                    stage.root, ep)
-            else:
-                phase = self._sub_phase(_GatherPhase, None, stage.root, ep)
-            self._stage_phases[s] = phase
-            self._stage_harvested[s] = [False] * len(stage.members)
+            phase = self._stage_phases[stage] = self._sub_phase(
+                self.coordinator._KINDS[stage.kind], self._stage_op,
+                stage.root,
+                _StageEndpoint(self, [world[g] for g in stage.members]))
+            self._harvested[stage] = [False] * len(stage.members)
         return phase
 
     def _run(self, worklist: list) -> None:
         """Drain the cascade: feed ready members, harvest, repeat."""
         schedule = self.schedule
-        stages = schedule.stages
-        op = self.op
-        plan = self._plan
         pos = self._pos
         times = self._times
         carry = self._carry
         prefix = self._prefix
         while worklist:
             g = worklist.pop()
-            steps = plan[g]
+            steps = schedule.stages_of(g)
             at = pos[g]
             if at == len(steps):
                 self._finish(g, times[g],
-                             schedule.finalize(g, carry[g], prefix[g], op))
+                             schedule.finalize(g, carry[g], prefix[g],
+                                               self.op))
                 continue
-            s, i = steps[at]
-            stage = stages[s]
-            phase = self._stage_phase(s)
-            if stage.kind == "bcast":
-                value = None
-                if i == stage.root:
-                    value = (carry if stage.src == "carry" else prefix)[g]
-            else:
-                value = carry[g]
-            phase._join_at(i, value, times[g])
+            stage, i = steps[at]
+            phase = self._stage_phase(stage)
+            phase._join_at(i, (prefix if stage.src == "prefix" else carry)[g],
+                           times[g])
             if stage.kind == "scan" and phase._flush_armed:
                 # The sub-scan deferred its vectorised flush to an engine
                 # event at this instant; harvest right behind it.  Same-time
                 # joins still pending in the queue were scheduled earlier,
                 # so they all feed before the flush fires and the whole
                 # stage vectorises.
-                if not self._drain_pending[s]:
-                    self._drain_pending[s] = True
+                if stage not in self._drain_pending:
+                    self._drain_pending.add(stage)
                     self.engine.schedule_call_at(
-                        self.engine._now, self._drain, s)
+                        self.engine._now, self._drain, stage)
                 continue
-            self._harvest(s, worklist)
+            self._harvest(stage, worklist)
 
-    def _harvest(self, s: int, worklist: list) -> None:
+    def _harvest(self, stage, worklist: list) -> None:
         """Advance every member the stage's sub-phase has newly priced."""
-        phase = self._stage_phases[s]
+        phase = self._stage_phases[stage]
         if phase.resolved_count == 0:
             return
-        stage = self.schedule.stages[s]
-        harvested = self._stage_harvested[s]
+        harvested = self._harvested[stage]
         finish = phase.finish
         results = phase.results
-        to_prefix = stage.kind == "bcast" and stage.dst == "prefix"
+        to_prefix = stage.dst == "prefix"
         root = stage.root
         times = self._times
         carry = self._carry
@@ -2370,12 +2356,12 @@ class _SchedulePhase(_PhaseBase):
             pos[g] += 1
             worklist.append(g)
 
-    def _drain(self, s: int) -> None:
+    def _drain(self, stage) -> None:
         """Engine-event continuation behind a sub-scan's deferred flush."""
-        self._drain_pending[s] = False
+        self._drain_pending.discard(stage)
         worklist: list = []
         try:
-            self._harvest(s, worklist)
+            self._harvest(stage, worklist)
             self._run(worklist)
         except LockstepError as exc:
             # Engine-event context (scheduled behind a sub-scan's flush):
@@ -2388,39 +2374,6 @@ class _SchedulePhase(_PhaseBase):
             self.coordinator.retire(self)
 
 
-def _hier_phase(ep, op, root, coordinator, op_name: str):
-    """Factory of the ``hier_*`` kinds: build the schedule from ``ep``'s
-    hierarchy.
-
-    Imported lazily: this low-level module must not pull the collectives
-    package at import time (its init imports the scalar tier, which imports
-    this module).  Raises :class:`LockstepError` — the honest-refusal
-    contract — when the endpoint has no hierarchy or the op's structural
-    requirement (contiguity, for scan) does not hold; callers fall back to
-    the flat kinds.
-    """
-    from ..collectives.hierarchical import hierarchy_of
-    from ..collectives.ir import schedule_for
-    hierarchy = hierarchy_of(ep)
-    if hierarchy is None:
-        raise LockstepError(
-            f"hier_{op_name}: the endpoint's placement has no hierarchy — "
-            f"use the flat {op_name!r} kind")
-    if op_name == "scan" and not hierarchy.contiguous:
-        raise LockstepError(
-            "hier_scan requires a contiguous hierarchy (node blocks in "
-            "group-rank order)")
-    return _SchedulePhase(ep, op, root, coordinator,
-                          schedule_for(hierarchy, op_name, root))
-
-
-def _register_hier_kinds() -> None:
-    for op_name in ("bcast", "reduce", "allreduce", "barrier", "gather",
-                    "scan"):
-        SpmdCoordinator.register_kind(
-            f"hier_{op_name}",
-            lambda ep, op, root, coordinator, _op_name=op_name:
-                _hier_phase(ep, op, root, coordinator, _op_name))
-
-
-_register_hier_kinds()
+SpmdCoordinator._KINDS.update(
+    bcast=_BcastPhase, reduce=_ReducePhase, allreduce=_AllreducePhase,
+    scan=_ScanPhase, gather=_GatherPhase, barrier=_BarrierPhase)

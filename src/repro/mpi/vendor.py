@@ -71,7 +71,7 @@ class VendorModel:
         RBC on hierarchical machines.  Node-aware vendors run the schedule-IR
         paths for bcast/reduce/allreduce/gather and — on node-contiguous
         groups — the segmented-prefix scan; under lockstep the same IR is
-        priced analytically by the ``hier_*`` phase kinds.  On *flat*
+        replayed analytically by the op's phase kind.  On *flat*
         machines the flag is inert: the schedule-selection predicate never
         fires there, so the historical flat code path is taken
         bit-identically.

@@ -1,11 +1,12 @@
-"""Differential tests for the schedule-IR lockstep tier (``hier_*`` kinds).
+"""Differential tests for the schedule-IR replay of the lockstep tier.
 
 On machines with a non-trivial placement the collectives run the node-leader
-schedules of :mod:`repro.collectives.hierarchical`; under lockstep the same
-schedule IR is replayed analytically by :class:`repro.core.spmd`'s
-``_SchedulePhase`` (the ``hier_*`` phase kinds).  The contract is the same as
-for the flat kinds: bit-identical to the scalar IR interpreter — same finish
-times, same results, same tracer statistics.  These tests run one opted-in
+schedules of :mod:`repro.collectives.hierarchical`; under lockstep the op's
+phase kind receives the same schedule-IR object from the dispatcher and
+:class:`repro.core.spmd`'s ``_SchedulePhase`` replays it analytically.  The
+contract is the same as for a flat schedule: bit-identical to the scalar IR
+interpreter — same finish times, same results, same tracer statistics.
+These tests run one opted-in
 program on the default cluster (IR replay) and on the oracle
 (``tests/oracle.py``: the scalar interpreter on the reference event core)
 across operation x machine preset x root, plus the ``build_hierarchy``
@@ -27,10 +28,9 @@ from repro.simulator.errors import RankFailedError
 
 from oracle import assert_equal_observables, run_both
 
-#: Lockstep phase kinds this module covers differentially (scanned by
-#: ``benchmarks/check_lockstep_registry.py``).
-COVERS_KINDS = ("hier_bcast", "hier_reduce", "hier_allreduce", "hier_scan",
-                "hier_gather", "hier_barrier")
+#: Lockstep phase kinds this module covers differentially through the IR
+#: replay (scanned by ``benchmarks/check_lockstep_registry.py``).
+COVERS_KINDS = ("bcast", "reduce", "allreduce", "scan", "gather", "barrier")
 
 #: Small instances of every hierarchical machine preset.  16 ranks at 4
 #: ranks/node gives 4 nodes; the three-tier presets split them 2 nodes per
@@ -60,7 +60,8 @@ def _collective_loop(env, *, op, words, reps, root=0):
     All operations use the default algorithm selection — on these machines
     that is the node-leader schedule — except the barrier, whose default
     stays dissemination on per-rank-port machines, so it asks for
-    ``algorithm="hierarchical"`` explicitly.
+    ``algorithm="hierarchical"`` explicitly; the dispatcher hands that
+    schedule to the ``barrier`` kind like any other.
     """
     env.lockstep_collectives = True
     world_mpi = init_mpi(env, vendor="generic")
