@@ -63,24 +63,27 @@ interpreter's generator would have issued the stage's schedule.
 
 The fast-forward tier
 ---------------------
-On top of per-phase fusion, the dissemination phases (barrier, scan) carry a
-*vectorised* pricer: when every member has joined, a whole round's sender and
-receiver halves are computed as NumPy float64 array expressions whose
-per-element operand order mirrors the scalar mirror exactly — elementwise
-IEEE-754 arithmetic over independent ranks is bit-identical to the per-rank
-Python loops.  The vector pricer only covers the *in-order* receive-port fold
-(the overwhelmingly common case); before committing anything it checks, round
-by round, that every port write would have taken the scalar in-order branch,
-and otherwise falls back to the scalar pricer wholesale — so port state,
-write logs (entries, caps, prune points), statistics, timestamps and result
-values are identical by construction, and the cross-phase overtaking
-machinery above keeps working unchanged.  Scan phases additionally defer
-their prefix resolution to a zero-delay flush event at the join instant, so
-joins landing in one timestamp batch (barrier-separated phases) become
-visible at once and vectorise; the flush costs one engine event per phase
-and resolves at the same virtual time the scalar frontier would have.
-:data:`FASTFORWARD_MIN_SIZE` bounds when the tier engages; its reference is
-the oracle cluster's event-by-event run, where no phase is priced here at all.
+Scan and barrier are one schedule — dissemination rounds at distances 1, 2,
+4, ..., with or without wraparound — and one phase class prices both
+(:class:`_DisseminationPhase`) with one vector and one scalar round pass.
+The *vector* pass computes a whole round's sender and receiver halves as
+NumPy float64 array expressions whose per-element operand order mirrors the
+scalar pass exactly — elementwise IEEE-754 arithmetic over independent ranks
+is bit-identical to the per-rank Python loops.  It only covers the *in-order*
+receive-port fold (the overwhelmingly common case); before committing
+anything it checks, round by round, that every port write would have taken
+the scalar in-order branch, and otherwise falls back to the scalar pass
+wholesale — so port state, write logs (entries, caps, prune points),
+statistics, timestamps and result values are identical by construction, and
+the cross-phase overtaking machinery above keeps working unchanged.  One
+rule picks the pass, for joined and fed phases alike: the vector pass when
+every member has joined and the group has at least :data:`VECTOR_CUTOFF`
+members, the scalar pass otherwise.  A scan that can vectorise defers
+member 0's join to a zero-delay flush event at the join instant, so joins
+landing in one timestamp batch (barrier-separated phases) become visible at
+once; the flush costs one engine event per phase and resolves at the same
+virtual time the scalar frontier would have.  The tier's reference is the
+oracle cluster's event-by-event run, where no phase is priced here at all.
 
 One pricer per phase
 --------------------
@@ -93,10 +96,10 @@ prefix) and ``_publish`` gives each its request and wake-up; a driver that
 knows every join up front (``_feed_all``: the allreduce composition, the
 jquick level phase — its data exchange is only ever priced this way) runs
 the same pass over all members and reads the lists, without requests or
-wake events.  Scan and barrier keep a vector and a scalar resolver on
-purpose: which applies follows from what the phase observes (group size — a
-fed scan needs no flush and picks by :data:`SCAN_VECTOR_CUTOFF` — in-order
-port writes, value dtype), not from who called.
+wake events.  The dissemination phase's vector pass is the one exception, a
+fast path for the whole phase: which pass applies follows from what the
+phase observes (every member joined, group size, in-order port writes,
+value dtype), not from who called.
 """
 
 from __future__ import annotations
@@ -119,25 +122,21 @@ __all__ = [
     "ExchangeEndpoint",
     "SpmdCoordinator",
     "coordinator_of",
-    "FASTFORWARD_MIN_SIZE",
+    "VECTOR_CUTOFF",
 ]
 
 
 #: Sort key for (post, leave, wire, payload) edge tuples.
 _EDGE_POST = itemgetter(0)
 
-#: Smallest group size the vectorised fast-forward tier engages for.  The
-#: vector pricer is bit-identical at any size, so this is purely a constant-
-#: overhead knob: below it, building the NumPy round expressions costs more
-#: than the scalar loops they replace.
-FASTFORWARD_MIN_SIZE = 2
-
-#: Smallest group a *fed* scan (``_ScanPhase._price_all``) prices with the
-#: vector resolver; smaller groups take the scalar prefix loop.  The two are
-#: pinned bit-identical, so this is the measured crossover, not a knob —
-#: two-word SUM scan, scalar vs vector: 73 vs 120 us at 8 members, 126 vs
-#: 140 at 12, 185 vs 151 at 16, 428 vs 222 at 32.
-SCAN_VECTOR_CUTOFF = 16
+#: Smallest group the dissemination phases (scan, barrier) price with the
+#: vector pass, joined or fed; smaller groups take the scalar round pass.  The
+#: two are pinned bit-identical, so this is the measured crossover, not a
+#: knob — per phase, scalar vs vector on a 2-core Xeon, two-word SUM scan:
+#: 60 vs 108 us at 8 members, 112 vs 153 at 12, 171 vs 180 at 16, 520 vs 283
+#: at 32; barrier: 42 vs 100 at 8, 80 vs 140 at 12, 106 vs 149 at 16, 230 vs
+#: 232 at 24, 334 vs 254 at 32 (its crossover sits near 24).
+VECTOR_CUTOFF = 16
 
 _ARRAY_UFUNCS: Optional[dict] = None
 _FLOAT_UFUNCS: Optional[dict] = None
@@ -203,8 +202,8 @@ class LockstepError(RuntimeError):
 
     Raised when participants disagree on the phase shape or when the native
     port-write order is ambiguous (e.g. two messages posted to one receive
-    port at the same instant).  The fix is to run the offending collective
-    with ``lockstep=False``.
+    port at the same instant).  The fix is to run the offending program
+    without opting in (``env.lockstep_collectives = False``).
     """
 
 
@@ -459,9 +458,9 @@ class _PhaseBase:
     schedule = None
 
     #: Execution tier this phase's pricing ran on, for the retirement
-    #: counters and traced span labels.  The vectorised pricers overwrite
-    #: it with "fastforward" on commit; the batched sorting tier's fused
-    #: level phase declares "batched".
+    #: counters and traced span labels.  The dissemination vector pass
+    #: overwrites it with "fastforward" on commit; the batched sorting
+    #: tier's fused level phase declares "batched".
     tier = "lockstep"
 
     #: True on schedule-IR replay phases and the sub-phases they drive.
@@ -534,7 +533,6 @@ class _PhaseBase:
             self._tiered = True
         self._link_params = transport.params
         self._link_placement = transport.placement
-        self._tier_arrays = None
         self.factor = ep.word_cost_factor
         self.pmd = ep.per_message_delay
         self.compute_cost = env.params.compute_cost
@@ -829,7 +827,7 @@ class _PhaseBase:
                         f"phases (a write posted at {post_time} changes the "
                         f"arrival of a later write posted at {later[0]} "
                         f"beyond what its phase observed); run this "
-                        f"workload with lockstep disabled")
+                        f"workload with env.lockstep_collectives off")
                 later[4] = refold
                 free = refold
             if changed_to_end:
@@ -903,8 +901,8 @@ class _PhaseBase:
                 f"lockstep {self.kind}: receive-port contention on world "
                 f"rank {world} — writes from overlapping collective phases "
                 f"posted at exactly {post_time} and their fold depends on "
-                f"the native tie order; run this workload with lockstep "
-                f"disabled")
+                f"the native tie order; run this workload with "
+                f"env.lockstep_collectives off")
         return True
 
     def _prune(self, log: list) -> None:
@@ -944,7 +942,371 @@ class _PhaseBase:
             entry[5] = cap
         del pending[:]
 
-    # ------------------------------------------------- fast-forward helpers
+
+# ---------------------------------------------------------------------------
+# Scan and barrier: the dissemination schedule.
+# ---------------------------------------------------------------------------
+
+class _DisseminationPhase(_PhaseBase):
+    """Scan and barrier: ``log p`` rounds at distances 1, 2, 4, ...
+
+    In round ``d`` member ``i`` sends to ``i + d``.  The scan (Hillis-Steele)
+    has no wraparound: member ``i``'s cone is ``{0..i}``, so members resolve
+    as a growing consecutive prefix, and each receive folds
+    ``op(received, acc)`` after the operator's compute delay.  The barrier
+    (:class:`_DisseminationBarrier`, ``wrap``) sends to ``(i + d) mod p``,
+    carries no values, sends 0 words and has no operator delay; its cone is
+    everyone, so it is priced at the last join.
+
+    Two passes price it, bit-identical to each other: the vector pass when
+    every member has joined and the group has at least
+    :data:`VECTOR_CUTOFF` members, the scalar pass otherwise — over the
+    members a join made resolvable, or over everyone when fed.  A scan that
+    can vectorise defers member 0's join (before it nothing is resolvable)
+    to a flush event at the same instant, so joins landing in one timestamp
+    batch all become visible first.
+    """
+
+    kind = "scan"
+    wrap = False
+    #: Per-group ``(alphas, betas, node_id, island_id)`` link arrays, built
+    #: on first use by :meth:`_tier_link_arrays` (False: no tier table).
+    _tier_arrays = None
+
+    def __init__(self, ep, op, root, coordinator):
+        super().__init__(ep, op, root, coordinator)
+        self.rounds = dissemination_rounds(self.size)
+        # The scalar pass's round table, built by its first call: per round
+        # the distance, senders below ``limit``, receivers from ``floor``,
+        # and member -> its priced (leave, wire, payload, post, beta) send,
+        # read by the receivers.
+        self.sends: Optional[list] = None
+        self.frontier = 0
+        self._flush_armed = False
+
+    def on_join(self, rank: int) -> None:
+        if self._flush_armed:
+            return
+        if self.wrap:
+            if self.joined_count == self.size:
+                self._price_all()
+        elif rank == 0 and self.size >= VECTOR_CUTOFF:
+            # Defer the prefix advance to a flush event at this same
+            # instant: joins landing in member 0's timestamp batch (lockstep
+            # phases enter from a common barrier) all become visible before
+            # any pricing runs, so the whole phase vectorises instead of
+            # resolving rank-by-rank as the joins stream in.  The flush
+            # fires before virtual time moves, so every rank still resolves
+            # at the exact time the scalar frontier would have reached it;
+            # the cost is one extra engine event per phase.
+            self._flush_armed = True
+            self.engine.schedule_call_at(self.engine._now, self._flush_event,
+                                         None)
+        else:
+            self._advance()
+
+    def _flush_event(self, _arg) -> None:
+        """Engine-event entry of :meth:`_flush`.
+
+        A refusal raised here unwinds through ``Engine.run`` directly —
+        no rank generator is on the stack to wrap it — so this shim
+        restores the honest-refusal contract (``RankFailedError`` with
+        the :class:`LockstepError` as ``__cause__``) that every
+        join-path refusal already satisfies via ``Engine._step``.
+        """
+        try:
+            self._flush(None)
+        except LockstepError as exc:
+            raise RankFailedError(self.world[0], exc) from exc
+
+    def _flush(self, _arg) -> None:
+        self._flush_armed = False
+        try:
+            self._advance()
+        except LockstepError as exc:
+            self._record_refusal(exc)
+            raise
+        self._flush_wakes()
+        if self.resolved_count == self.size:
+            self.coordinator.retire(self)
+
+    def _advance(self) -> None:
+        # Messages only flow from lower to higher members, so the scan's
+        # resolvable set is the joined prefix beyond the frontier.
+        lo = hi = self.frontier
+        joined = self.joined
+        while hi < self.size and joined[hi] is not None:
+            hi += 1
+        if hi > lo:
+            self._price(lo, hi)
+            self.frontier = hi
+
+    def _price_all(self) -> None:
+        self._price(0, self.size)
+
+    def _price(self, lo: int, hi: int) -> None:
+        """Price members ``[lo, hi)``; every member below ``lo`` is priced.
+
+        The one selection rule: the vector pass for the whole phase of a
+        group of at least :data:`VECTOR_CUTOFF` members, else the scalar
+        pass.  A vector attempt that declines (non-vectorisable values, an
+        out-of-order port write) counts as a fast-forward fallback.
+        """
+        size = self.size
+        if lo == 0 and hi == size >= VECTOR_CUTOFF:
+            if self._vector_pass():
+                return
+            self.coordinator.fastforward_fallbacks += 1
+            obs = self._obs
+            if obs is not None:
+                obs.events.append((self.engine._now, self.world[0],
+                                   "fallback", f"{self.kind} p={size}"))
+        self._scalar_pass(lo, hi)
+
+    def _scalar_pass(self, lo: int, hi: int) -> None:
+        """Mirror ``post_send`` round by round over members ``[lo, hi)``.
+
+        Round-major: all of a round's sends, then all of its receives.  Each
+        send port is written by its own member and each receive port by its
+        one source per round, both in round order — the per-port write
+        sequences of the native schedule.  A receiver whose source lies
+        below ``lo`` reads that source's send from an earlier pass.
+        """
+        size = self.size
+        wrap = self.wrap
+        op = self.op
+        pmd = self.pmd
+        factor = self.factor
+        tiered = self._tiered
+        alpha = self.alpha
+        beta = self.beta
+        world = self.world
+        send_free = self.transport._send_port_free
+        stats = self.stats
+        sent_by_rank = stats.per_rank_messages_sent
+        sent_words_by_rank = stats.per_rank_words_sent
+        recv_side = self._recv_side
+        commit_caps = self._commit_caps
+        compute_cost = self.compute_cost
+        table = self.sends
+        if table is None:
+            table = self.sends = [
+                (d, size, 0, [None] * size) if wrap
+                else (d, size - d, d, [None] * size) for d in self.rounds]
+        values = self.values
+        resume = self.joined[lo:hi]
+        acc = values[lo:hi]
+        pending = [0.0] * (hi - lo)
+        payload = None  # the barrier's: no value, 0 words
+        wire = 0
+        nsent = 0
+        wsent = 0
+        for distance, limit, floor, sent in table:
+            for member in range(lo, limit if limit < hi else hi):
+                k = member - lo
+                src = world[member]
+                if not wrap:
+                    payload = acc[k]
+                    if payload is not values[member]:
+                        payload = acc[k] = freeze_payload(payload)
+                    words = payload_words(payload)
+                    wire = words if factor == 1.0 \
+                        else int(round(words * factor))
+                    sent_words_by_rank[src] += wire
+                    wsent += wire
+                # Sender half of post_send, same float operand order.
+                if tiered:
+                    alpha, beta = self._edge_link(member,
+                                                  (member + distance) % size)
+                post = resume[k]
+                start = post + (pending[k] + pmd)
+                # Consumed: without a receive this round, the member's next
+                # send has no operator delay.
+                pending[k] = 0.0
+                port_free = send_free[src]
+                if port_free > start:
+                    start = port_free
+                leave = start + alpha + wire * beta
+                send_free[src] = leave
+                sent_by_rank[src] += 1
+                nsent += 1
+                sent[member] = (leave, wire, payload, post, beta)
+                if leave > post:
+                    resume[k] = leave
+            for member in range(floor if floor > lo else lo, hi):
+                k = member - lo
+                # A negative index is the barrier's wraparound source.
+                s_leave, s_wire, s_value, s_post, s_beta = \
+                    sent[member - distance]
+                arrival = recv_side(member, s_leave, s_wire, s_post, s_beta)
+                if arrival > resume[k]:
+                    resume[k] = arrival
+                if not wrap:
+                    pending[k] = compute_cost(payload_words(s_value))
+                    acc[k] = op(s_value, acc[k])
+                commit_caps(resume[k])
+        stats.messages_sent += nsent
+        stats.words_sent += wsent
+        finish = self._finish
+        for member, at, result in zip(range(lo, hi), resume,
+                                      [None] * (hi - lo) if wrap else acc):
+            finish(member, at, result)
+
+    def _vector_pass(self) -> bool:
+        """Price every round as float64 array expressions; all have joined.
+
+        One row of the round table per distance: ``senders[k]`` sends to
+        ``dests[k]`` and ``receivers[k]`` hears ``sources[k]``.  The scan's
+        rows are basic slices; the barrier's destinations and sources are
+        index arrays (read only — ``senders`` and ``receivers`` are slices
+        the pass writes through).  Senders start at member 0, so a
+        sender-indexed array read at ``sources`` lines up with the
+        receivers.  Per-member float operand order is the scalar pass's and
+        member ports are disjoint within a round, so elementwise IEEE-754
+        arithmetic reproduces it bit for bit.  The scan's accumulator matrix
+        folds ``op(row[source], row[receiver])`` for a whole round at once
+        (senders are read before receivers are written, as values only flow
+        upward within a round).  Returns False — before touching any
+        transport or engine state — when the values do not vectorise or a
+        port write would leave the scalar in-order branch.
+        """
+        size = self.size
+        values = self.values
+        fold = not self.wrap
+        wire = 0
+        cost = 0.0
+        if fold:
+            plan = _scan_vector_plan(self.op, values)
+            if plan is None:
+                return False
+            mode, ufunc = plan
+            if mode == "array":
+                matrix = np.stack(values)
+                words = int(matrix[0].size)
+            else:
+                matrix = np.array(values, dtype=np.float64)
+                words = 1
+            factor = self.factor
+            wire = words if factor == 1.0 else int(round(words * factor))
+            cost = self.compute_cost(words)
+        if self._tiered:
+            tier_arrays = self._tier_link_arrays()
+            if tier_arrays is None:
+                return False
+            tier_alphas, tier_betas, node_id, island_id = tier_arrays
+            wire_beta = None
+        else:
+            alpha = self.alpha
+            wire_beta = wire * self.beta
+        if fold:
+            table = ((slice(0, size - d), slice(d, size), slice(d, size),
+                      slice(0, size - d)) for d in self.rounds)
+        else:
+            index = np.arange(size)
+            everyone = slice(0, size)
+            table = ((everyone, (index + d) % size, everyone,
+                      (index - d) % size) for d in self.rounds)
+        send_free = self._gather_port_array(self.transport._send_port_free)
+        recv_free = self._gather_port_array(self._recv_free)
+        tails, hazards = self._log_tails()
+        resume = np.array(self.joined, dtype=np.float64)
+        pending = np.zeros(size)
+        pmd = self.pmd
+        nsent = np.zeros(size, dtype=np.intp)
+        nrecv = np.zeros(size, dtype=np.intp)
+        entries_by_round: list = []
+        for senders, dests, receivers, sources in table:
+            # Sender half (scalar: start = post + (pending + pmd), max
+            # port, + alpha + wire*beta).
+            start = resume[senders] + (pending[senders] + pmd)
+            np.maximum(start, send_free[senders], out=start)
+            if wire_beta is None:
+                # Per-edge links: the elementwise Placement.tier_of, and
+                # parameter gathers that reproduce params.link exactly.
+                tier = np.where(
+                    island_id[senders] != island_id[dests], 2,
+                    np.where(node_id[senders] != node_id[dests], 1, 0))
+                e_alpha = tier_alphas[tier]
+                e_wb = wire * tier_betas[tier]
+                r_wb = e_wb[sources]
+            else:
+                e_alpha = alpha
+                e_wb = r_wb = wire_beta
+            leaves = start + e_alpha + e_wb
+            send_free[senders] = leaves
+            nsent[senders] += 1
+            # Receiver half.
+            posts = resume[sources]
+            if np.any(posts < tails[receivers]) \
+                    or np.any(posts == hazards[receivers]):
+                return False
+            tails[receivers] = posts
+            r_leaves = leaves[sources]
+            frees = recv_free[receivers].tolist()
+            arrival = recv_free[receivers] + r_wb
+            np.maximum(arrival, r_leaves, out=arrival)
+            recv_free[receivers] = arrival
+            nrecv[receivers] += 1
+            if fold:
+                matrix[receivers] = ufunc(matrix[sources], matrix[receivers])
+                pending = np.zeros(size)
+                pending[receivers] = cost
+            new_resume = resume.copy()
+            segment = new_resume[senders]
+            np.maximum(segment, leaves, out=segment)
+            segment = new_resume[receivers]
+            np.maximum(segment, arrival, out=segment)
+            entries_by_round.append(
+                (receivers.start, posts.tolist(), r_leaves.tolist(),
+                 r_wb if r_wb.__class__ is float else r_wb.tolist(), frees,
+                 arrival.tolist(), segment.tolist()))
+            resume = new_resume
+        # ---- all rounds verified in-order: commit. -----------------------
+        self.tier = "fastforward"
+        self._scatter_port_array(self.transport._send_port_free, send_free)
+        self._scatter_port_array(self._recv_free, recv_free)
+        self._commit_round_logs(entries_by_round)
+        stats = self.stats
+        sent_by_rank = stats.per_rank_messages_sent
+        sent_words_by_rank = stats.per_rank_words_sent
+        recvd_by_rank = self._recvd_by_rank
+        recvd_words_by_rank = self._recvd_words_by_rank
+        nsent = nsent.tolist()
+        nrecv = nrecv.tolist()
+        for member, dst in enumerate(self.world):
+            sent_by_rank[dst] += nsent[member]
+            recvd_by_rank[dst] += nrecv[member]
+            if wire:
+                sent_words_by_rank[dst] += nsent[member] * wire
+                recvd_words_by_rank[dst] += nrecv[member] * wire
+        total_sent = sum(nsent)
+        stats.messages_sent += total_sent
+        stats.words_sent += total_sent * wire
+        finish = self._finish
+        times = resume.tolist()
+        if not fold:
+            for member, time in enumerate(times):
+                finish(member, time, None)
+            return True
+        # ---- scan results: object/freeze parity with the scalar pass. ----
+        # Rank 0 never receives, so its accumulator stays the original
+        # value object.  A rank > 0 returns a frozen accumulator iff it
+        # sends again after its last receive (the scalar freezes on such
+        # sends); its last receive is at the largest round <= member, so it
+        # freezes iff the next round still has a peer: member + 2L < size.
+        finish(0, times[0], values[0])
+        if mode == "float":
+            results = matrix.tolist()
+            for member in range(1, size):
+                finish(member, times[member], results[member])
+        else:
+            matrix.flags.writeable = False
+            for member in range(1, size):
+                result = matrix[member]
+                if member + (2 << (member.bit_length() - 1)) >= size:
+                    result = result.copy()
+                finish(member, times[member], result)
+        return True
 
     def _gather_port_array(self, port_list: list) -> np.ndarray:
         """This group's slice of a per-world-rank port list, as float64."""
@@ -956,33 +1318,11 @@ class _PhaseBase:
         return np.fromiter(map(port_list.__getitem__, self.world),
                            dtype=np.float64, count=self.size)
 
-    def _vector_ports(self) -> tuple:
-        """Group port slices plus tie state for a vector resolver.
-
-        Returns ``(send_free, recv_free, tails, hazard_tails, resume)``:
-        float64 copies of this group's send/receive port frees, the
-        port-log tail posts with their tie-hazard subset, and the members'
-        join times.  Shared by every round-vectorised phase.
-        """
-        send_free = self._gather_port_array(self.transport._send_port_free)
-        recv_free = self._gather_port_array(self._recv_free)
-        tails, hazard_tails = self._log_tails()
-        resume = np.array(self.joined, dtype=np.float64)
-        return send_free, recv_free, tails, hazard_tails, resume
-
-    def _commit_vector_ports(self, send_free: np.ndarray,
-                             recv_free: np.ndarray, entries_by_round: list,
-                             first_member: int = 0) -> None:
-        """Write a verified vector round-set back: ports, then log entries."""
-        self._scatter_port_array(self.transport._send_port_free, send_free)
-        self._scatter_port_array(self._recv_free, recv_free)
-        self._commit_round_logs(entries_by_round, first_member)
-
     def _scatter_port_array(self, port_list: list, values: np.ndarray) -> None:
         """Write a member-indexed array back into a per-world port list.
 
         ``ndarray.tolist`` yields the exact Python floats, so the list ends
-        up bit-identical to what the scalar pricer's per-rank stores leave.
+        up bit-identical to what the scalar pass's per-rank stores leave.
         """
         affine = self.affine
         items = values.tolist()
@@ -997,18 +1337,18 @@ class _PhaseBase:
         """``(tails, hazards)`` per member port, both -inf when no entries.
 
         ``tails`` is the post time of the port's last log entry.  The
-        vector pricers stay on the scalar in-order fold exactly when every
-        write they would apply posts *at or after* this tail and their own
+        vector pass stays on the scalar in-order fold exactly when every
+        write it would apply posts *at or after* this tail and its own
         per-round writes stay post-monotone per port; one violation aborts
         the vector attempt before any state is touched and the phase
-        reruns through the scalar pricer, whose out-of-order re-insertion
+        reruns through the scalar pass, whose out-of-order re-insertion
         handles (or honestly refuses) the overtake.
 
         ``hazards`` repeats the tail post time only where a write tied
         exactly to it would be order-ambiguous — this phase or an owner in
         the tail's tied run is a schedule replay (see ``_tie_commutes``).
-        The vector path cannot run the commute proof, so it aborts to the
-        scalar pricer on those ties too; flat-vs-flat ties keep the plain
+        The vector pass cannot run the commute proof, so it aborts to the
+        scalar pass on those ties too; flat-vs-flat ties keep the plain
         in-order fold, which is the engine's own tie order.
         """
         tails = np.full(self.size, -np.inf)
@@ -1028,13 +1368,13 @@ class _PhaseBase:
     def _tier_link_arrays(self) -> Optional[tuple]:
         """``(alphas, betas, node_id, island_id)`` member arrays, or None.
 
-        The vector pricers use these to resolve per-edge link parameters as
+        The vector pass uses these to resolve per-edge link parameters as
         array lookups: ``tier = 2 if islands differ else 1 if nodes differ
         else 0`` mirrors ``Placement.tier_of`` elementwise, and indexing the
         tier-parameter arrays reproduces ``params.link`` exactly (the values
         are the very same Python floats).  None when the cost model does not
         expose the three-tier table (``_tiers``) — the caller falls back to
-        the scalar pricer, which goes through ``params.link`` per edge.
+        the scalar pass, which goes through ``params.link`` per edge.
         """
         cached = self._tier_arrays
         if cached is not None:
@@ -1057,27 +1397,26 @@ class _PhaseBase:
             ids[0][world], ids[1][world])
         return cached
 
-    def _commit_round_logs(self, entries_by_round: list,
-                           first_member: int = 0) -> None:
-        """Append a vector-priced phase's port writes as real log entries.
+    def _commit_round_logs(self, entries_by_round: list) -> None:
+        """Append the vector pass's port writes as real log entries.
 
         ``entries_by_round`` holds per-round ``(offset, posts, leaves,
         transfer, frees, arrivals, caps)`` tuples whose lists are indexed by
         ``member - offset`` (members below ``offset`` did not receive that
         round); ``transfer`` is the entry's ``wire * beta`` product — one
         scalar float when the round's edges share a link, else a list.
-        Entries, caps, and prune points match what the scalar
-        pricer's ``_recv_side``/``_commit_caps`` would have produced — the
-        append order per port is round-ascending, the prune check runs
-        before each append with the same bound — so cross-phase overtaking
-        keeps working unchanged on top of a vectorised phase.
+        Entries, caps, and prune points match what the scalar pass's
+        ``_recv_side``/``_commit_caps`` would have produced — the append
+        order per port is round-ascending, the prune check runs before each
+        append with the same bound — so cross-phase overtaking keeps
+        working unchanged on top of a vectorised phase.
         """
         logs = self._recv_logs
         world = self.world
         prune = self._prune
         hier = self._hier_sub
         owner = self._owner
-        for member in range(first_member, self.size):
+        for member in range(entries_by_round[0][0], self.size):
             dst = world[member]
             log = logs.get(dst)
             if log is None:
@@ -1099,309 +1438,9 @@ class _PhaseBase:
                                      and log[-1][7])])
 
 
-def _edge_tiers(node_src, node_dst, island_src, island_dst) -> np.ndarray:
-    """Per-edge tier indices (0 node, 1 island, 2 machine) for one round.
-
-    Elementwise mirror of ``Placement.tier_of``; shared by every
-    round-vectorised phase on tiered machines.
-    """
-    return np.where(island_src != island_dst, 2,
-                    np.where(node_src != node_dst, 1, 0))
-
-
-# ---------------------------------------------------------------------------
-# Scan (dissemination / Hillis-Steele): resolve the consecutive prefix.
-# ---------------------------------------------------------------------------
-
-class _ScanPhase(_PhaseBase):
-    kind = "scan"
-
-    def __init__(self, ep, op, root, coordinator):
-        super().__init__(ep, op, root, coordinator)
-        self.rounds = dissemination_rounds(self.size)
-        # rank -> {distance: (leave, wire, sent_value, post_time)} of its
-        # priced sends, consumed by the receivers at rank + distance.
-        self.sends: list = [None] * self.size
-        self.frontier = 0
-        self._flush_armed = False
-
-    def on_join(self, rank: int) -> None:
-        if self._flush_armed:
-            return
-        if self.frontier == 0 and self.size >= FASTFORWARD_MIN_SIZE:
-            # Defer the prefix advance to a flush event at this same
-            # instant: joins landing in one timestamp batch (lockstep
-            # phases enter from a common barrier) all become visible before
-            # any pricing runs, so the whole phase vectorises instead of
-            # resolving rank-by-rank as the joins stream in.  The flush
-            # fires before virtual time moves, so every rank still resolves
-            # at the exact time the scalar frontier would have reached it;
-            # the cost is one extra engine event per armed phase.
-            self._flush_armed = True
-            self.engine.schedule_call_at(self.engine._now, self._flush_event,
-                                         None)
-            return
-        self._advance()
-
-    def _flush_event(self, _arg) -> None:
-        """Engine-event entry of :meth:`_flush`.
-
-        A refusal raised here unwinds through ``Engine.run`` directly —
-        no rank generator is on the stack to wrap it — so this shim
-        restores the honest-refusal contract (``RankFailedError`` with
-        the :class:`LockstepError` as ``__cause__``) that every
-        join-path refusal already satisfies via ``Engine._step``.
-        """
-        try:
-            self._flush(None)
-        except LockstepError as exc:
-            raise RankFailedError(self.world[0], exc) from exc
-
-    def _flush(self, _arg) -> None:
-        self._flush_armed = False
-        try:
-            if self.joined_count == self.size and self.frontier == 0:
-                if not self._vector_resolve():
-                    # An armed fast-forward declined (non-vectorisable
-                    # values or an out-of-order port write): scalar
-                    # lockstep pricing takes over.
-                    self.coordinator.fastforward_fallbacks += 1
-                    obs = self._obs
-                    if obs is not None:
-                        obs.events.append(
-                            (self.engine._now, self.world[0], "fallback",
-                             f"{self.kind} p={self.size}"))
-                    self._advance()
-            else:
-                self._advance()
-        except LockstepError as exc:
-            self._record_refusal(exc)
-            raise
-        self._flush_wakes()
-        if self.resolved_count == self.size:
-            self.coordinator.retire(self)
-
-    def _price_all(self) -> None:
-        """Every member is joined: vector rounds, or the scalar prefix loop.
-
-        Same two resolvers as the join path, selected by group size instead
-        of by a deferred flush: no engine event is armed, and a vector
-        attempt that declines is counted like an armed fast-forward's.
-        """
-        if self.size >= SCAN_VECTOR_CUTOFF:
-            if self._vector_resolve():
-                return
-            self.coordinator.fastforward_fallbacks += 1
-        resolve = self._resolve
-        for rank in range(self.size):
-            resolve(rank)
-
-    def _advance(self) -> None:
-        # Rank i depends on ranks 0..i-1 only (messages always flow from
-        # lower to higher ranks), so the resolved set is always a prefix.
-        while self.frontier < self.size and \
-                self.joined[self.frontier] is not None:
-            self._resolve(self.frontier)
-            self.frontier += 1
-
-    def _vector_resolve(self) -> bool:
-        """Price the whole scan as per-round float64 array expressions.
-
-        Mirrors ``_resolve`` elementwise: the per-member float operand order
-        is identical and member ports are disjoint within a round, so
-        elementwise IEEE-754 array arithmetic reproduces the scalar loops
-        bit for bit.  The accumulator matrix folds ``op(row[r-d], row[r])``
-        for every receiver of round ``d`` at once — sender rows are read
-        before receiver rows are written, matching the scalar's
-        rank-by-rank fold because values only flow from lower to higher
-        ranks within a round.  Returns False — before touching any
-        transport or engine state — when the values do not vectorise or a
-        port write would leave the scalar in-order branch.
-        """
-        size = self.size
-        plan = _scan_vector_plan(self.op, self.values)
-        if plan is None:
-            return False
-        mode, ufunc = plan
-        if mode == "array":
-            matrix = np.stack(self.values)
-            words = int(matrix[0].size)
-        else:
-            matrix = np.array(self.values, dtype=np.float64)
-            words = 1
-        factor = self.factor
-        wire = words if factor == 1.0 else int(round(words * factor))
-        if self._tiered:
-            tier_arrays = self._tier_link_arrays()
-            if tier_arrays is None:
-                return False
-            tier_alphas, tier_betas, node_id, island_id = tier_arrays
-            alpha = wire_beta = None
-        else:
-            wire_beta = wire * self.beta
-            alpha = self.alpha
-        pmd = self.pmd
-        cost = self.compute_cost(words)
-        send_free, recv_free, tails, hazard_tails, resume = \
-            self._vector_ports()
-        pending = np.zeros(size)
-        entries_by_round: list = []
-        for distance in self.rounds:
-            senders = size - distance
-            # Sender half (scalar: local_delay = pending + pmd, then
-            # start = resume + local_delay, max port, + alpha + wire*beta).
-            local_delay = pending[:senders] + pmd
-            start = resume[:senders] + local_delay
-            np.maximum(start, send_free[:senders], out=start)
-            if wire_beta is None:
-                # Per-edge links, sender s -> receiver s + distance: the
-                # parameter gathers reproduce params.link value-for-value.
-                tier = _edge_tiers(node_id[:senders], node_id[distance:],
-                                   island_id[:senders], island_id[distance:])
-                e_alpha = tier_alphas[tier]
-                e_wb = wire * tier_betas[tier]
-            else:
-                e_alpha = alpha
-                e_wb = wire_beta
-            leaves = start + e_alpha + e_wb
-            send_free[:senders] = leaves
-            # Receiver half: member m >= distance hears member m - distance.
-            posts = resume[:senders]
-            if np.any(posts < tails[distance:]) \
-                    or np.any(posts == hazard_tails[distance:]):
-                return False
-            tails[distance:] = posts
-            frees = recv_free[distance:].tolist()
-            arrival = recv_free[distance:] + e_wb
-            np.maximum(arrival, leaves, out=arrival)
-            recv_free[distance:] = arrival
-            upd = ufunc(matrix[:senders], matrix[distance:])
-            matrix[distance:] = upd
-            new_pending = np.zeros(size)
-            new_pending[distance:] = cost
-            pending = new_pending
-            new_resume = resume.copy()
-            segment = new_resume[:senders]
-            np.maximum(segment, leaves, out=segment)
-            segment = new_resume[distance:]
-            np.maximum(segment, arrival, out=segment)
-            entries_by_round.append(
-                (distance, posts.tolist(), leaves.tolist(),
-                 e_wb if e_wb.__class__ is float else e_wb.tolist(), frees,
-                 arrival.tolist(), new_resume[distance:].tolist()))
-            resume = new_resume
-        # ---- all rounds verified in-order: commit. -----------------------
-        self.tier = "fastforward"
-        self._commit_vector_ports(send_free, recv_free, entries_by_round,
-                                  first_member=1)
-        stats = self.stats
-        sent_by_rank = stats.per_rank_messages_sent
-        sent_words_by_rank = stats.per_rank_words_sent
-        recvd_by_rank = self._recvd_by_rank
-        recvd_words_by_rank = self._recvd_words_by_rank
-        # Round d is sent by members [0, size-d) and heard by [d, size).
-        member_idx = np.arange(size)[:, None]
-        rounds_arr = np.asarray(self.rounds)
-        nsent = (member_idx < size - rounds_arr).sum(axis=1).tolist()
-        nrecv = (member_idx >= rounds_arr).sum(axis=1).tolist()
-        total_sent = 0
-        for member, dst in enumerate(self.world):
-            ns = nsent[member]
-            nr = nrecv[member]
-            if ns:
-                sent_by_rank[dst] += ns
-                sent_words_by_rank[dst] += ns * wire
-                total_sent += ns
-            if nr:
-                recvd_by_rank[dst] += nr
-                recvd_words_by_rank[dst] += nr * wire
-        stats.messages_sent += total_sent
-        stats.words_sent += total_sent * wire
-        # ---- results: object/freeze parity with the scalar pricer. -------
-        # Rank 0 never receives, so its accumulator stays the original
-        # value object.  A rank > 0 returns a frozen accumulator iff it
-        # sends again after its last receive (the scalar freezes on such
-        # sends); its last receive is at the largest round <= member, so it
-        # freezes iff the next round still has a peer: member + 2L < size.
-        finish = self._finish
-        times = resume.tolist()
-        finish(0, times[0], self.values[0])
-        if mode == "float":
-            results = matrix.tolist()
-            for member in range(1, size):
-                finish(member, times[member], results[member])
-        else:
-            matrix.flags.writeable = False
-            for member in range(1, size):
-                result = matrix[member]
-                if member + (2 << (member.bit_length() - 1)) >= size:
-                    result = result.copy()
-                finish(member, times[member], result)
-        self.frontier = size
-        return True
-
-    def _resolve(self, rank: int) -> None:
-        size = self.size
-        op = self.op
-        pmd = self.pmd
-        factor = self.factor
-        tiered = self._tiered
-        alpha = self.alpha
-        beta = self.beta
-        world_rank = self.world[rank]
-        send_free = self.transport._send_port_free
-        stats = self.stats
-        recv_side = self._recv_side
-        commit_caps = self._commit_caps
-        compute_cost = self.compute_cost
-        sends = self.sends
-        resume = self.joined[rank]
-        value = self.values[rank]
-        acc = value
-        pending_delay = 0.0
-        my_sends: dict = {}
-        nsent = 0
-        wsent = 0
-        for distance in self.rounds:
-            leave = None
-            arrival = None
-            if rank + distance < size:
-                if acc is not value:
-                    acc = freeze_payload(acc)
-                words = payload_words(acc)
-                wire = words if factor == 1.0 else int(round(words * factor))
-                # Sender half of post_send, same float operand order.
-                if tiered:
-                    alpha, beta = self._edge_link(rank, rank + distance)
-                local_delay = pending_delay + pmd
-                start = resume + local_delay
-                port_free = send_free[world_rank]
-                if port_free > start:
-                    start = port_free
-                leave = start + alpha + wire * beta
-                send_free[world_rank] = leave
-                nsent += 1
-                wsent += wire
-                my_sends[distance] = (leave, wire, acc, resume, beta)
-            pending_delay = 0.0
-            if rank - distance >= 0:
-                s_leave, s_wire, s_value, s_post, s_beta = \
-                    sends[rank - distance][distance]
-                arrival = recv_side(rank, s_leave, s_wire, s_post, s_beta)
-                pending_delay = compute_cost(payload_words(s_value))
-                acc = op(s_value, acc)
-            if leave is not None or arrival is not None:
-                if leave is not None and leave > resume:
-                    resume = leave
-                if arrival is not None and arrival > resume:
-                    resume = arrival
-            commit_caps(resume)
-        stats.messages_sent += nsent
-        stats.words_sent += wsent
-        stats.per_rank_messages_sent[world_rank] += nsent
-        stats.per_rank_words_sent[world_rank] += wsent
-        sends[rank] = my_sends
-        self._finish(rank, resume, acc)
+class _DisseminationBarrier(_DisseminationPhase):
+    kind = "barrier"
+    wrap = True
 
 
 # ---------------------------------------------------------------------------
@@ -1864,150 +1903,6 @@ class _AllreducePhase(_PhaseBase):
 
 
 # ---------------------------------------------------------------------------
-# Barrier (dissemination with wraparound): priced at the last join.
-# ---------------------------------------------------------------------------
-
-class _BarrierPhase(_PhaseBase):
-    kind = "barrier"
-
-    def on_join(self, rank: int) -> None:
-        if self.joined_count < self.size:
-            return
-        if self.size >= FASTFORWARD_MIN_SIZE:
-            if self._vector_resolve():
-                return
-            self.coordinator.fastforward_fallbacks += 1
-            obs = self._obs
-            if obs is not None:
-                obs.events.append((self.engine._now, self.world[0],
-                                   "fallback", f"{self.kind} p={self.size}"))
-        self._scalar_resolve()
-
-    def _vector_resolve(self) -> bool:
-        """Price every dissemination round as float64 array expressions.
-
-        Same bit-identity argument as the scan's vector pricer, with
-        wire = 0 throughout (``free + 0 * beta`` folds to ``free + 0.0``).
-        Every member sends and receives every round, with wraparound:
-        member ``m`` hears member ``(m - distance) mod size``.  Returns
-        False — before touching any state — when a port write would leave
-        the scalar in-order branch.
-        """
-        size = self.size
-        if self._tiered:
-            tier_arrays = self._tier_link_arrays()
-            if tier_arrays is None:
-                return False
-            tier_alphas, _tier_betas, node_id, island_id = tier_arrays
-            alpha = None
-        else:
-            alpha = self.alpha
-        send_free, recv_free, tails, hazard_tails, resume = \
-            self._vector_ports()
-        local_delay = 0.0 + self.pmd  # isend(None): local_delay defaults 0.0
-        rounds = dissemination_rounds(size)
-        index = np.arange(size)
-        entries_by_round: list = []
-        for distance in rounds:
-            start = resume + local_delay
-            np.maximum(start, send_free, out=start)
-            if alpha is None:
-                # Per-edge alphas, member m -> (m + distance) mod size; the
-                # zero-word transfer term folds away bit-exactly.
-                tier = _edge_tiers(node_id, np.roll(node_id, -distance),
-                                   island_id, np.roll(island_id, -distance))
-                leaves = start + tier_alphas[tier]
-            else:
-                leaves = start + alpha
-            send_free = leaves
-            source = np.roll(index, distance)
-            posts = resume[source]
-            if np.any(posts < tails) or np.any(posts == hazard_tails):
-                return False
-            tails = posts
-            frees = recv_free.tolist()
-            arrival = recv_free + 0.0
-            np.maximum(arrival, leaves[source], out=arrival)
-            recv_free = arrival
-            new_resume = np.maximum(resume, leaves)
-            np.maximum(new_resume, arrival, out=new_resume)
-            entries_by_round.append(
-                (0, posts.tolist(), leaves[source].tolist(), 0.0, frees,
-                 arrival.tolist(), new_resume.tolist()))
-            resume = new_resume
-        # ---- all rounds verified in-order: commit. -----------------------
-        self.tier = "fastforward"
-        self._commit_vector_ports(send_free, recv_free, entries_by_round)
-        stats = self.stats
-        num_rounds = len(rounds)
-        stats.messages_sent += size * num_rounds
-        sent_by_rank = stats.per_rank_messages_sent
-        recvd_by_rank = self._recvd_by_rank
-        for world in self.world:
-            sent_by_rank[world] += num_rounds
-            recvd_by_rank[world] += num_rounds
-        finish = self._finish
-        for member, time in enumerate(resume.tolist()):
-            finish(member, time, None)
-        return True
-
-    def _scalar_resolve(self) -> None:
-        size = self.size
-        world = self.world
-        tiered = self._tiered
-        alpha = self.alpha
-        send_free = self.transport._send_port_free
-        stats = self.stats
-        sent_by_rank = stats.per_rank_messages_sent
-        recv_side = self._recv_side
-        commit_caps = self._commit_caps
-        finish = self._finish
-        resume = list(self.joined)
-        local_delay = 0.0 + self.pmd  # isend(None): local_delay defaults 0.0
-        nsent = 0
-        for distance in dissemination_rounds(size):
-            # Sender half of post_send inlined for the all-zero-word round
-            # (same float operand order as post_send with wire = 0:
-            # ``start + alpha + 0 * beta`` folds to ``start + alpha + 0.0``,
-            # and ``x + 0.0 == x`` for the non-negative times here).
-            leaves = []
-            append = leaves.append
-            for rank_ in range(size):
-                start = resume[rank_] + local_delay
-                src = world[rank_]
-                port_free = send_free[src]
-                if port_free > start:
-                    start = port_free
-                if tiered:
-                    dest = rank_ + distance
-                    if dest >= size:
-                        dest -= size
-                    alpha = self._edge_link(rank_, dest)[0]
-                leave = start + alpha
-                send_free[src] = leave
-                nsent += 1
-                sent_by_rank[src] += 1
-                append(leave)
-            posts = list(resume)
-            for rank_ in range(size):
-                source = rank_ - distance
-                if source < 0:
-                    source += size
-                arrival = recv_side(rank_, leaves[source], 0, posts[source],
-                                    0.0 if tiered else None)
-                new_resume = resume[rank_]
-                if leaves[rank_] > new_resume:
-                    new_resume = leaves[rank_]
-                if arrival > new_resume:
-                    new_resume = arrival
-                resume[rank_] = new_resume
-                commit_caps(new_resume)
-        stats.messages_sent += nsent
-        for rank_ in range(size):
-            finish(rank_, resume[rank_], None)
-
-
-# ---------------------------------------------------------------------------
 # Exchange: analytic pricing of an irregular point-to-point data exchange.
 # ---------------------------------------------------------------------------
 
@@ -2252,9 +2147,10 @@ class _SchedulePhase(_PhaseBase):
     fast member (a reduce leaf, the first node's scan prefix) must wake at
     a finish time that predates slower members' joins; deferring the whole
     program to the last join would try to schedule those wakes in the past.
-    Scan stages keep their deferred vectorised fast-forward: a fed sub-scan
-    arms its flush event, and the parent schedules a drain event right
-    behind it to harvest the vectorised finishes and continue the cascade.
+    Scan stages of at least :data:`VECTOR_CUTOFF` members keep their
+    deferred vectorised fast-forward: the sub-scan arms its flush event on
+    member 0's join, and the parent schedules a drain event right behind it
+    to harvest the vectorised finishes and continue the cascade.
     """
 
     _hier_sub = True
@@ -2376,4 +2272,5 @@ class _SchedulePhase(_PhaseBase):
 
 SpmdCoordinator._KINDS.update(
     bcast=_BcastPhase, reduce=_ReducePhase, allreduce=_AllreducePhase,
-    scan=_ScanPhase, gather=_GatherPhase, barrier=_BarrierPhase)
+    scan=_DisseminationPhase, gather=_GatherPhase,
+    barrier=_DisseminationBarrier)

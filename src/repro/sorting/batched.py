@@ -53,8 +53,8 @@ from ..core.spmd import (
     _BcastPhase,
     _ExchangePhase,
     _GatherPhase,
+    _DisseminationPhase,
     _PhaseBase,
-    _ScanPhase,
     coordinator_of,
 )
 from ..mpi.datatypes import SUM
@@ -453,8 +453,8 @@ class _JQLevelPhase(_PhaseBase):
       sub-step's pricer (the pass a join would hand a worklist) runs once
       over all members, leaving plain finish/result lists.  No per-member
       joins, request objects, readiness re-tests or wake flushes are
-      involved, and the scan takes its vector or scalar resolver by group
-      size (``SCAN_VECTOR_CUTOFF``) without arming a flush event.  Port
+      involved, and the scan takes its vector or scalar round pass by group
+      size (``VECTOR_CUTOFF``) without arming a flush event.  Port
       folds, payload snapshots, tracer counters and float operand order
       are those of the unfused tier, bit for bit;
     * the member wakes once, at its native end-of-level time, with
@@ -546,7 +546,7 @@ class _JQLevelPhase(_PhaseBase):
         times, _ = sub(_BcastPhase, None, 0)._feed_all(times, values)
 
         # --- 3. prefix scan of the (small, large) counts ------------------
-        times, values = sub(_ScanPhase, SUM, 0)._feed_all(
+        times, values = sub(_DisseminationPhase, SUM, 0)._feed_all(
             times, list(current.counts[rows]))
 
         # --- 4. totals broadcast from the last member ---------------------

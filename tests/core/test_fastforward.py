@@ -17,7 +17,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.collectives.endpoint import TransportEndpoint
-from repro.collectives.machines import CollectiveRequest, scan_schedule
+from repro.collectives.machines import SCHEDULES, CollectiveRequest
 from repro.core import spmd
 from repro.messaging import RecvRequest, wait_all
 from repro.mpi import init_mpi
@@ -66,40 +66,61 @@ def _run_both(num_ranks, **kwargs):
     return run_both(num_ranks, _collective_program, **kwargs)
 
 
+def _passes(result, num_ranks, phases, vector=None):
+    """Assert which pass priced a run's ``phases`` dissemination phases:
+    ``vector`` of them (default: all) took the vector pass from
+    VECTOR_CUTOFF members, none below it, the rest the scalar pass, and no
+    vector attempt declined."""
+    if num_ranks < spmd.VECTOR_CUTOFF:
+        vector = 0
+    elif vector is None:
+        vector = phases
+    assert (result.obs["phases_fastforward"], result.obs["phases_lockstep"],
+            result.obs["fastforward_fallbacks"]) == \
+        (vector, phases - vector, 0)
+
+
 @pytest.mark.parametrize("op", ["barrier", "scan"])
-@pytest.mark.parametrize("num_ranks", [2, 3, 7, 16, 31, 64])
+@pytest.mark.parametrize("num_ranks", [16, 17, 24, 31, 33, 64])
 def test_fastforward_bit_identical(op, num_ranks):
     vector, native = _run_both(num_ranks, op=op, words=4, reps=3)
     assert_equal_observables(vector, native)
     # The three barriers and the three collectives they separate all took
-    # the vector pricer.
-    assert vector.obs["phases_fastforward"] == 6
-    assert vector.obs["phases_lockstep"] == 0
+    # the vector pass (every group is at least VECTOR_CUTOFF members).
+    _passes(vector, num_ranks, 6)
 
 
-@pytest.mark.parametrize("num_ranks", [5, 8, 31, 64])
-def test_fastforward_bit_identical_under_join_skew(num_ranks):
-    """Skewed joins force the out-of-order guard: rounds whose posts would
-    land behind a port log tail must fall back to the scalar frontier with
-    zero mutation, keeping the run exactly equal to the oracle's."""
-    for op in ("barrier", "scan"):
-        assert_equal_observables(*_run_both(num_ranks, op=op, words=2,
-                                            reps=4, skew=0.37))
+@pytest.mark.parametrize("num_ranks", [5, 8, 16, 17, 31, 64])
+@pytest.mark.parametrize("op", ["barrier", "scan"])
+def test_fastforward_bit_identical_under_join_skew(op, num_ranks):
+    """Skewed joins give the vector pass non-uniform resume and port state:
+    the barriers take it once the last member joins; a skewed scan streams
+    its prefix through the scalar pass, as member 0 joins ahead of the
+    rest.  Either way the run equals the oracle's exactly."""
+    default, native = _run_both(num_ranks, op=op, words=2, reps=4, skew=0.37)
+    assert_equal_observables(default, native)
+    _passes(default, num_ranks, 8, vector=8 if op == "barrier" else 4)
 
 
+@pytest.mark.parametrize("num_ranks", [13, 17])
 @pytest.mark.parametrize("reduce_op", [SUM, PROD, MIN, MAX])
-def test_fastforward_scan_operators(reduce_op):
-    """Array scans vectorise per operator; values and timing both match."""
-    assert_equal_observables(*_run_both(13, op="scan", words=8, reps=2,
-                                        reduce_op=reduce_op))
+def test_fastforward_scan_operators(reduce_op, num_ranks):
+    """Array scans vectorise per operator (the array plan); values and
+    timing match below and above the cutoff."""
+    default, native = _run_both(num_ranks, op="scan", words=8, reps=2,
+                                reduce_op=reduce_op)
+    assert_equal_observables(default, native)
+    _passes(default, num_ranks, 4)
 
 
-def test_fastforward_float_scan():
+@pytest.mark.parametrize("num_ranks", [9, 17])
+@pytest.mark.parametrize("reduce_op", [SUM, PROD])
+def test_fastforward_float_scan(reduce_op, num_ranks):
     """Plain-float payloads take the float vector plan (SUM/PROD only)."""
-    for reduce_op in (SUM, PROD):
-        assert_equal_observables(*_run_both(
-            9, op="scan", words=0, reps=2, reduce_op=reduce_op,
-            float_payload=True))
+    default, native = _run_both(num_ranks, op="scan", words=0, reps=2,
+                                reduce_op=reduce_op, float_payload=True)
+    assert_equal_observables(default, native)
+    _passes(default, num_ranks, 4)
 
 
 def test_fastforward_scan_results_stay_writable_equivalently():
@@ -116,7 +137,7 @@ def test_fastforward_scan_results_stay_writable_equivalently():
         value = request.result()
         return bool(np.asarray(value).flags.writeable)
 
-    for p in (2, 3, 4, 8, 11, 16):
+    for p in (16, 17, 19, 23, 27, 32):
         vector, native = run_both(p, program)
         assert vector.obs["phases_fastforward"] == 2, p
         assert vector.results == native.results, p
@@ -136,7 +157,7 @@ def test_fastforward_preserves_lockstep_refusal():
             request = rbc.igather(world_rbc, np.ones(8), root=0)
             yield from env.wait_until(request.test)
 
-    cluster = Cluster(7)
+    cluster = Cluster(28)
     with pytest.raises(RankFailedError) as info:
         cluster.run(program)
     assert isinstance(info.value.__cause__, spmd.LockstepError)
@@ -169,8 +190,8 @@ class _Bench:
     """One unstarted cluster with a coordinator to price phases on."""
 
     def __init__(self):
-        # Room for a group of SCAN_VECTOR_CUTOFF + 1 members at GROUP_FIRST.
-        self.cluster = Cluster(WORLD + spmd.SCAN_VECTOR_CUTOFF)
+        # Room for a group of VECTOR_CUTOFF + 1 members at GROUP_FIRST.
+        self.cluster = Cluster(WORLD + spmd.VECTOR_CUTOFF)
         self.env = self.cluster.envs[0]
         self.coordinator = spmd.SpmdCoordinator()
 
@@ -231,8 +252,10 @@ def _plain(value):
 
 
 def _price_both_ways(factory, op, times, values, *, root=0, order=None,
-                     foreign=None):
-    """(outcome, observables) of the joined and of the fed pricing."""
+                     foreign=None, cutoffs=None):
+    """(outcome, observables, fallbacks, tier) of the joined and of the fed
+    pricing; ``cutoffs``, if given, is the VECTOR_CUTOFF each of the two
+    runs under."""
     size = len(times)
     outcomes = []
     for fed in (False, True):
@@ -241,32 +264,42 @@ def _price_both_ways(factory, op, times, values, *, root=0, order=None,
             bench.foreign_write(*foreign)
         phase = bench.phase(factory, op, size, root=root)
         try:
-            if fed:
-                finish, results = phase._feed_all(times, values)
-            else:
-                finish, results = bench.joined(
-                    phase, times, values, order or range(size))
+            with pytest.MonkeyPatch.context() as patch:
+                if cutoffs is not None:
+                    patch.setattr(spmd, "VECTOR_CUTOFF", cutoffs[fed])
+                if fed:
+                    finish, results = phase._feed_all(times, values)
+                else:
+                    finish, results = bench.joined(
+                        phase, times, values, order or range(size))
             outcome = (list(finish), _plain(results))
         except spmd.LockstepError:
-            outcomes.append(("refused", None, None))
+            outcomes.append(("refused", None, None, None))
             continue
         outcomes.append((outcome, bench.observables(),
-                         bench.coordinator.fastforward_fallbacks))
+                         bench.coordinator.fastforward_fallbacks, phase.tier))
     return outcomes
 
 
-def _native_scan(env, times, values):
-    """The group's scan as a rank program: the members sleep to their join
-    times and run the dissemination schedule event by event."""
+_DISSEMINATION = {"scan": (spmd._DisseminationPhase, SUM),
+                  "barrier": (spmd._DisseminationBarrier, None)}
+CUTOFF_SIZES = [spmd.VECTOR_CUTOFF - 1, spmd.VECTOR_CUTOFF,
+                spmd.VECTOR_CUTOFF + 1]
+
+
+def _native_dissemination(env, kind, times, values):
+    """The group's scan or barrier as a rank program: the members sleep to
+    their join times and run the dissemination schedule event by event."""
     member = env.rank - GROUP_FIRST
     if not 0 <= member < len(times):
         return None
     yield from env.sleep(times[member])
     endpoint = TransportEndpoint(
-        env, env.transport, context="scan", tag=0, rank=member,
+        env, env.transport, context=kind, tag=0, rank=member,
         size=len(times), to_world=lambda rank: GROUP_FIRST + rank,
         world_affine=(GROUP_FIRST, 1))
-    request = CollectiveRequest(endpoint, scan_schedule, values[member], SUM)
+    request = CollectiveRequest(endpoint, SCHEDULES[kind], values[member],
+                                _DISSEMINATION[kind][1], 0)
     yield from env.wait_until(request.test)
     return env.now, request.result()
 
@@ -278,26 +311,28 @@ def _scan_inputs(size, skew):
     return times, values
 
 
-@pytest.mark.parametrize("size", [spmd.SCAN_VECTOR_CUTOFF - 1,
-                                  spmd.SCAN_VECTOR_CUTOFF,
-                                  spmd.SCAN_VECTOR_CUTOFF + 1])
+@pytest.mark.parametrize("size", CUTOFF_SIZES)
 @pytest.mark.parametrize("skew", [0.0, 0.37])
-def test_fed_scan_matches_joined_at_cutoff_boundary(size, skew):
-    """The last scalar size, the first vector size and their neighbours."""
+@pytest.mark.parametrize("kind", ["scan", "barrier"])
+def test_fed_dissemination_matches_joined_at_cutoff_boundary(kind, size,
+                                                             skew):
+    """The last scalar size, the first vector size and their neighbours: fed
+    and joined take the same pass by the one selection rule."""
     times, values = _scan_inputs(size, skew)
-    joined, fed = _price_both_ways(spmd._ScanPhase, SUM, times, values)
+    if kind == "barrier":
+        values = [None] * size
+    factory, op = _DISSEMINATION[kind]
+    joined, fed = _price_both_ways(factory, op, times, values)
     assert joined[:2] == fed[:2]
-    if size >= spmd.SCAN_VECTOR_CUTOFF:
-        # Both entries attempted the vector resolver: a decline is counted
-        # as a fast-forward fallback either way.
-        assert joined[2] == fed[2]
-    else:
-        assert fed[2] == 0  # a small fed scan is never an armed fast-forward
-    # The size cutoff only selects a resolver, never a result: on either
-    # side of it the fed pass leaves what the oracle's event-by-event scan
-    # of the same group leaves.
-    cluster = Cluster(WORLD + spmd.SCAN_VECTOR_CUTOFF, reference_engine=True)
-    native = cluster.run(_native_scan, times, values)
+    # The rule reads only the group size (every member has joined here),
+    # and the vector pass takes these in-order rounds without a fallback.
+    tier = "fastforward" if size >= spmd.VECTOR_CUTOFF else "lockstep"
+    assert joined[2:] == fed[2:] == (0, tier)
+    # The size cutoff only selects a pass, never a result: on either side
+    # of it the fed pass leaves what the oracle's event-by-event run of the
+    # same group leaves.
+    cluster = Cluster(WORLD + spmd.VECTOR_CUTOFF, reference_engine=True)
+    native = cluster.run(_native_dissemination, kind, times, values)
     members = native.results[GROUP_FIRST:GROUP_FIRST + size]
     (finish, results), observables = fed[:2]
     assert [float.hex(time) for time in finish] == \
@@ -312,20 +347,85 @@ def test_fed_scan_matches_joined_at_cutoff_boundary(size, skew):
         native.stats.per_rank_words_received)
 
 
-@given(size=st.integers(min_value=2, max_value=WORLD - GROUP_FIRST),
+@pytest.mark.parametrize("size", CUTOFF_SIZES)
+@pytest.mark.parametrize("op", ["scan", "barrier"])
+def test_joined_dissemination_tier_at_cutoff_boundary(op, size):
+    """Through the engine's joins: the scalar pass below the cutoff, the
+    vector pass from it, for the barriers and the collectives alike."""
+    default, oracle = _run_both(size, op=op, words=4, reps=2)
+    assert_equal_observables(default, oracle)
+    _passes(default, size, 4)
+
+
+@pytest.mark.parametrize("num_ranks, events", [(32, 136), (256, 1033)])
+def test_staggered_scan_arms_one_flush(num_ranks, events):
+    """Members join in descending rank order, so rank 0 joins last.  The
+    phase arms one flush event, on rank 0's join, and prices the whole
+    phase there — not one flush per join that finds the frontier empty
+    (167 and 1288 events before)."""
+
+    def program(env):
+        env.lockstep_collectives = True
+        world = yield from create_rbc_comm(init_mpi(env, vendor="generic"))
+        yield from env.compute_time(0.5 * (num_ranks - env.rank))
+        request = rbc.iscan(world, np.ones(4) * env.rank)
+        yield from env.wait_until(request.test)
+        return env.now, request.result()
+
+    default, oracle = run_both(num_ranks, program)
+    assert_equal_observables(default, oracle)
+    assert default.obs["phases_fastforward"] == 1
+    assert default.events_processed == events
+
+
+@pytest.mark.parametrize("early", [1, 31])
+def test_scan_vectorises_behind_an_early_joiner(early):
+    """One member other than rank 0 joins ahead of everyone else: nothing
+    is resolvable before rank 0 joins, so the flush waits for rank 0's
+    batch and the whole scan still takes the vector pass."""
+
+    def program(env):
+        env.lockstep_collectives = True
+        world = yield from create_rbc_comm(init_mpi(env, vendor="generic"))
+        if env.rank != early:
+            yield from env.compute_time(1.0)
+        request = rbc.iscan(world, np.ones(4) * env.rank)
+        yield from env.wait_until(request.test)
+        return env.now, request.result()
+
+    default, oracle = run_both(32, program)
+    assert_equal_observables(default, oracle)
+    assert default.obs["phases_fastforward"] == 1
+    assert default.obs["phases_lockstep"] == 0
+
+
+@given(kind=st.sampled_from(sorted(_DISSEMINATION)),
+       size=st.integers(min_value=2, max_value=WORLD - GROUP_FIRST),
        skew=st.sampled_from([0.0, 0.05, 0.37, 3.0]),
        foreign_port=st.integers(min_value=GROUP_FIRST + 1,
                                 max_value=WORLD - 1),
        foreign_post=st.one_of(st.none(), st.sampled_from([0.2, 1.5, 40.0])))
 @settings(max_examples=60, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
-def test_property_fed_scan_matches_joined(size, skew, foreign_port,
+def test_property_fed_scan_matches_joined(kind, size, skew, foreign_port,
                                           foreign_post):
+    """Scan and barrier, vector pass against scalar pass: the joined phase
+    runs with the cutoff lowered to 2, so it takes the vector pass at every
+    size; the fed one with the cutoff past the group, so it takes the
+    scalar pass.  A foreign write posted after the phase's own posts trips
+    the vector pass's out-of-order guard, which must decline before
+    touching any state."""
     times, values = _scan_inputs(size, skew)
+    factory, op = _DISSEMINATION[kind]
+    if kind == "barrier":
+        values = [None] * size
     foreign = None if foreign_post is None else (foreign_port, foreign_post)
-    joined, fed = _price_both_ways(spmd._ScanPhase, SUM, times, values,
-                                   foreign=foreign)
+    joined, fed = _price_both_ways(factory, op, times, values,
+                                   foreign=foreign, cutoffs=(2, size + 1))
     assert joined[:2] == fed[:2]
+    if fed[0] != "refused":
+        assert fed[2:] == (0, "lockstep")
+        assert joined[3] == ("lockstep" if joined[2] else "fastforward")
 
 
 _TREES = {"bcast": (spmd._BcastPhase, None),

@@ -58,17 +58,17 @@ def _one_key_per_rank(p):
 
 
 def test_oracle_prices_an_opted_in_collective_loop_event_by_event():
-    default, oracle = run_both(12, _opted_in_loop)
+    default, oracle = run_both(16, _opted_in_loop)
     assert_equal_observables(default, oracle)
     assert default.obs["phases_fastforward"] > 0     # barriers and scans
     assert default.obs["phases_lockstep"] > 0        # the reduce
     assert default.obs["scalar_collectives"] == 0
     assert default.obs["tier_declined"] == {}
     assert [oracle.obs[name] for name in ANALYTIC] == [0, 0, 0]
-    # 3 barriers + 3 scans + 1 reduce on each of the 12 ranks, each turned
+    # 3 barriers + 3 scans + 1 reduce on each of the 16 ranks, each turned
     # away once and run by its state machine instead.
-    assert oracle.obs["scalar_collectives"] == 7 * 12
-    assert oracle.obs["tier_declined"] == {LOCKSTEP_ON_ORACLE: 7 * 12}
+    assert oracle.obs["scalar_collectives"] == 7 * 16
+    assert oracle.obs["tier_declined"] == {LOCKSTEP_ON_ORACLE: 7 * 16}
     assert default.events_processed < oracle.events_processed
 
 
@@ -138,9 +138,49 @@ def test_small_sorts_and_shared_nic_machines_say_why_they_stay_scalar(
 
 
 def test_a_mismatch_names_the_tiers_that_ran():
-    default, oracle = run_both(12, _opted_in_loop)
+    default, oracle = run_both(16, _opted_in_loop)
     oracle.finish_times[3] += 1e-9
     with pytest.raises(AssertionError) as info:
         assert_equal_observables(default, oracle)
     message = str(info.value)
     assert "phases_fastforward" in message and "tier_declined" in message
+
+
+# ---------------------------------------------------------------------------
+# Known silent misprices of the default cluster, pinned until fixed: each
+# test passes the day the default cluster matches the oracle (strict xfail).
+# ---------------------------------------------------------------------------
+
+def _two_gathers(env, barrier_first, algorithm):
+    """Two back-to-back gathers of ``float(rank)`` to rank 0, opted in."""
+    env.lockstep_collectives = True
+    world = init_mpi(env, vendor="generic")
+    if barrier_first:
+        world = yield from create_rbc_comm(world)
+        yield from rbc.barrier(world)
+    for _ in range(2):
+        if barrier_first:
+            request = rbc.igather(world, float(env.rank), root=0,
+                                  algorithm=algorithm)
+        else:
+            request = world.igather(float(env.rank), root=0)
+        yield from env.wait_until(request.test)
+    return env.now
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "flat lockstep phases fold a same-instant port tie between two "
+    "generations in generation order; the engine posts the later one first "
+    "(ranks 0 and 4 read 20.044 against the oracle's 20.048)"))
+def test_back_to_back_flat_gathers_match_the_oracle():
+    assert_equal_observables(*run_both(8, _two_gathers, barrier_first=False,
+                                       algorithm=None))
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "a lockstep barrier wakes its same-instant finishers in rank order, the "
+    "event tier in completion order, so the event-tier gathers after it win "
+    "a port tie the other way (ranks 0 and 4 read 35.128 against 35.124)"))
+def test_event_tier_gathers_after_a_lockstep_barrier_match_the_oracle():
+    assert_equal_observables(*run_both(8, _two_gathers, barrier_first=True,
+                                       algorithm="binomial"))
