@@ -69,13 +69,18 @@ Scan and barrier are one schedule — dissemination rounds at distances 1, 2,
 The *vector* pass computes a whole round's sender and receiver halves as
 NumPy float64 array expressions whose per-element operand order mirrors the
 scalar pass exactly — elementwise IEEE-754 arithmetic over independent ranks
-is bit-identical to the per-rank Python loops.  It only covers the *in-order*
-receive-port fold (the overwhelmingly common case); before committing
-anything it checks, round by round, that every port write would have taken
-the scalar in-order branch, and otherwise falls back to the scalar pass
-wholesale — so port state, write logs (entries, caps, prune points),
-statistics, timestamps and result values are identical by construction, and
-the cross-phase overtaking machinery above keeps working unchanged.  One
+is bit-identical to the per-rank Python loops.  It covers the in-order
+receive-port fold and the one out-of-order case a single phase produces on
+tiered links, where members leave a round at different times: a round's
+write posted before the port's previous write, which it folds one entry
+back as ``_recv_side`` does.  Before committing anything it checks, round
+by round, that every port write takes one of those two branches, and
+otherwise falls back to the scalar pass wholesale — so port state, write
+logs (entries, caps), statistics, timestamps and result values are
+identical by construction.  Its writes go to the port logs as one
+:class:`_RoundBlock` of arrays, not a list per message; a port's list is
+built from the blocks the first time another pricer touches it, so the
+cross-phase overtaking machinery above keeps working unchanged.  One
 rule picks the pass, for joined and fed phases alike: the vector pass when
 every member has joined and the group has at least :data:`VECTOR_CUTOFF`
 members, the scalar pass otherwise.  A scan that can vectorise defers
@@ -302,7 +307,8 @@ class SpmdCoordinator:
     wakes.
     """
 
-    __slots__ = ("_phases", "_recv_logs", "_live_first_joins",
+    __slots__ = ("_phases", "_recv_logs", "_blocks", "_port_blocks",
+                 "_next_block", "_live_first_joins", "_bound",
                  "tier_phases", "refusals", "fastforward_fallbacks")
 
     #: Phase kind -> phase class (or factory) of the flat schedule: one per
@@ -336,12 +342,22 @@ class SpmdCoordinator:
         # see ``_PhaseBase._recv_side``, ``_PhaseBase._tie_commutes`` and
         # ``_PhaseBase._commit_caps``.
         self._recv_logs: dict = {}
+        # Writes a dissemination vector pass logged as a round block
+        # (serial -> _RoundBlock, commit order) and, per world rank, the
+        # serial of the newest block holding writes not yet unpacked into
+        # that port's list (-1: none; a numpy array once a block exists).
+        # A port has a list or pending blocks, never both; see port_log.
+        self._blocks: dict = {}
+        self._port_blocks: Optional[np.ndarray] = None
+        self._next_block = 0
         # First-join times of live (unresolved) phases: every write a live
         # phase can still produce posts at or after its first join, and
         # future phases post at or after the current virtual time — so
         # min(now, *live_first_joins) bounds how far back a port log can
         # still be overtaken, and older entries are pruned.
         self._live_first_joins: list = []
+        # (now, prune bound) as last computed; see _PhaseBase._prune_bound.
+        self._bound = None
         # Always-on tier-attribution counters, surfaced through
         # ClusterResult.obs: how many phases each execution tier priced
         # (counted at retirement, once per real phase — driver-owned
@@ -361,7 +377,37 @@ class SpmdCoordinator:
         """
         self._phases.clear()
         self._recv_logs.clear()
+        self._blocks.clear()
+        self._port_blocks = None
         self._live_first_joins.clear()
+
+    def port_log(self, world: int, bound: float = -np.inf) -> list:
+        """World rank ``world``'s receive-port log, created on first use.
+
+        Creating it unpacks the writes pending in round blocks, oldest
+        block first, leaving out those posted below ``bound`` (a prune
+        bound: no write to come can be overtaken by them).  A dropped
+        block's writes, and every older block's, all posted below it.
+        """
+        log = self._recv_logs.get(world)
+        if log is not None:
+            return log
+        log = self._recv_logs[world] = []
+        ports = self._port_blocks
+        serial = -1 if ports is None else ports.item(world)
+        if serial >= 0:
+            ports[world] = -1
+            chain = []
+            while serial >= 0:
+                block = self._blocks.get(serial)
+                if block is None:
+                    break
+                member = block.member(world)
+                chain.append((block, member))
+                serial = block.below.item(member)
+            for block, member in reversed(chain):
+                block.unpack(member, log, bound)
+        return log
 
     def join(self, ep, kind: str, value, op, root,
              schedule=None) -> LockstepRequest:
@@ -725,6 +771,16 @@ class _PhaseBase:
     def to_world(self, rank: int) -> int:
         return self.world[rank]
 
+    def _port_log(self, world: int) -> list:
+        """A new receive-port log for world rank ``world`` (it has none);
+        writes pending in round blocks are unpacked into it, pruned."""
+        coordinator = self.coordinator
+        ports = coordinator._port_blocks
+        if ports is not None and ports.item(world) >= 0:
+            return coordinator.port_log(world, self._prune_bound())
+        log = self._recv_logs[world] = []
+        return log
+
     def _recv_side(self, dst: int, leave: float, wire: int,
                    post_time: float, beta: Optional[float] = None) -> float:
         """Mirror the receiver half of ``post_send``; returns the arrival.
@@ -756,10 +812,9 @@ class _PhaseBase:
         must refuse.
         """
         world = self.world[dst]
-        logs = self._recv_logs
-        log = logs.get(world)
+        log = self._recv_logs.get(world)
         if log is None:
-            log = logs[world] = []
+            log = self._port_log(world)
         transfer = wire * (self.beta if beta is None else beta)
         hier = self._hier_sub
         tail = log[-1] if log else None
@@ -905,21 +960,38 @@ class _PhaseBase:
                 f"env.lockstep_collectives off")
         return True
 
-    def _prune(self, log: list) -> None:
-        """Drop log entries that can no longer be overtaken.
+    def _prune_bound(self) -> float:
+        """The post time below which no log entry can be overtaken.
 
         A live phase only produces writes posted at or after its first
         join, and any future phase posts at or after the current virtual
         time — so ``min(now, *live_first_joins)`` bounds how far back a
-        port log can still see an out-of-order insertion.  Called off the
-        hot path (only once a log grows past a small threshold).
+        port log can still see an out-of-order insertion.  A bound
+        computed earlier at the same instant stays valid — a phase opened
+        since first joined now, and a retired one only raises the minimum
+        — so it is reused (the sort keeps thousands of phases live).
         """
-        bound = self.engine._now
-        live = self.coordinator._live_first_joins
+        coordinator = self.coordinator
+        now = self.engine._now
+        cached = coordinator._bound
+        if cached is not None and cached[0] == now:
+            return cached[1]
+        bound = now
+        live = coordinator._live_first_joins
         if live:
             earliest = min(live)
             if earliest < bound:
                 bound = earliest
+        coordinator._bound = (now, bound)
+        return bound
+
+    def _prune(self, log: list) -> None:
+        """Drop log entries posted below :meth:`_prune_bound`.
+
+        Called off the hot path (only once a log grows past a small
+        threshold).
+        """
+        bound = self._prune_bound()
         drop = 0
         for entry in log:
             if entry[0] >= bound:
@@ -972,6 +1044,9 @@ class _DisseminationPhase(_PhaseBase):
     #: Per-group ``(alphas, betas, node_id, island_id)`` link arrays, built
     #: on first use by :meth:`_tier_link_arrays` (False: no tier table).
     _tier_arrays = None
+    #: ``world`` as an index array, built on first use by
+    #: :meth:`_world_array`.
+    _world_arr = None
 
     def __init__(self, ep, op, root, coordinator):
         super().__init__(ep, op, root, coordinator)
@@ -1166,9 +1241,13 @@ class _DisseminationPhase(_PhaseBase):
         arithmetic reproduces it bit for bit.  The scan's accumulator matrix
         folds ``op(row[source], row[receiver])`` for a whole round at once
         (senders are read before receivers are written, as values only flow
-        upward within a round).  Returns False — before touching any
-        transport or engine state — when the values do not vectorise or a
-        port write would leave the scalar in-order branch.
+        upward within a round).  Port writes fold in order, or — on tiered
+        links a round's write can post before the port's previous-round
+        write — one entry back, as ``_recv_side`` re-inserts them; the
+        writes go to the port logs as one :class:`_RoundBlock`.  Returns
+        False — before touching any transport or engine state — when the
+        values do not vectorise or a port write would take a branch of
+        ``_recv_side`` this pass does not mirror.
         """
         size = self.size
         values = self.values
@@ -1208,14 +1287,22 @@ class _DisseminationPhase(_PhaseBase):
                       (index - d) % size) for d in self.rounds)
         send_free = self._gather_port_array(self.transport._send_port_free)
         recv_free = self._gather_port_array(self._recv_free)
-        tails, hazards = self._log_tails()
+        tails, hazards, listed = self._log_tails()
         resume = np.array(self.joined, dtype=np.float64)
         pending = np.zeros(size)
         pmd = self.pmd
         nsent = np.zeros(size, dtype=np.intp)
         nrecv = np.zeros(size, dtype=np.intp)
-        entries_by_round: list = []
-        for senders, dests, receivers, sources in table:
+        # The round block: member x round x log-entry field (post, leave,
+        # transfer, free before, arrival, cap), filled through one
+        # round x member view per field.
+        block = np.empty((size, len(self.rounds), 6))
+        posts_t, leaves_t, transfers_t, frees_t, arrivals_t, caps_t = block.T
+        posts_t.fill(-np.inf)
+        # Per port: post time of its last write in log order.
+        last = tails.copy()
+        reordered = False
+        for row, (senders, dests, receivers, sources) in enumerate(table):
             # Sender half (scalar: start = post + (pending + pmd), max
             # port, + alpha + wire*beta).
             start = resume[senders] + (pending[senders] + pmd)
@@ -1235,17 +1322,58 @@ class _DisseminationPhase(_PhaseBase):
             leaves = start + e_alpha + e_wb
             send_free[senders] = leaves
             nsent[senders] += 1
-            # Receiver half.
+            # Receiver half: the in-order fold onto every port.
             posts = resume[sources]
-            if np.any(posts < tails[receivers]) \
-                    or np.any(posts == hazards[receivers]):
+            if np.any(posts == hazards[receivers]):
                 return False
-            tails[receivers] = posts
             r_leaves = leaves[sources]
-            frees = recv_free[receivers].tolist()
-            arrival = recv_free[receivers] + r_wb
+            posts_t[row, receivers] = posts
+            leaves_t[row, receivers] = r_leaves
+            transfers_t[row, receivers] = r_wb
+            frees = frees_t[row, receivers]
+            frees[:] = recv_free[receivers]
+            arrival = frees + r_wb
             np.maximum(arrival, r_leaves, out=arrival)
-            recv_free[receivers] = arrival
+            port = arrival
+            tail = last[receivers]   # a view: receivers is a slice
+            late = np.flatnonzero(posts < tail)
+            if late.size:
+                # Posted before the port's last write: _recv_side inserts
+                # it one entry back and re-folds that write, which stays
+                # bit-identical up to its cap.  Absorbed when the last write
+                # is this phase's own and the one before it was posted
+                # strictly earlier; any other overtake declines.  A log is
+                # sorted by post time (ties in write order), so the last
+                # write is the latest-posted one of the latest round.
+                if not row:
+                    return False
+                members = late + receivers.start
+                earlier = posts_t[:row, members]
+                top = earlier.max(axis=0)
+                back = row - 1 - np.argmax(earlier[::-1] == top, axis=0)
+                earlier[back, np.arange(late.size)] = -np.inf
+                before = np.maximum(earlier.max(axis=0), tails[members])
+                if np.any(top < tail[late]) or np.any(before >= posts[late]):
+                    return False
+                front = frees_t[back, members]
+                inserted = front + (r_wb if r_wb.__class__ is float
+                                    else r_wb[late])
+                np.maximum(inserted, r_leaves[late], out=inserted)
+                refold = inserted + transfers_t[back, members]
+                np.maximum(refold, leaves_t[back, members], out=refold)
+                if np.any((refold != arrivals_t[back, members])
+                          & (refold > caps_t[back, members])):
+                    return False
+                frees_t[back, members] = inserted
+                arrivals_t[back, members] = refold
+                frees[late] = front
+                arrival[late] = inserted
+                port = arrival.copy()
+                port[late] = refold
+                reordered = True
+            arrivals_t[row, receivers] = arrival
+            recv_free[receivers] = port
+            np.maximum(tail, posts, out=tail)
             nrecv[receivers] += 1
             if fold:
                 matrix[receivers] = ufunc(matrix[sources], matrix[receivers])
@@ -1256,16 +1384,13 @@ class _DisseminationPhase(_PhaseBase):
             np.maximum(segment, leaves, out=segment)
             segment = new_resume[receivers]
             np.maximum(segment, arrival, out=segment)
-            entries_by_round.append(
-                (receivers.start, posts.tolist(), r_leaves.tolist(),
-                 r_wb if r_wb.__class__ is float else r_wb.tolist(), frees,
-                 arrival.tolist(), segment.tolist()))
+            caps_t[row, receivers] = segment
             resume = new_resume
-        # ---- all rounds verified in-order: commit. -----------------------
+        # ---- every write folds as _recv_side would: commit. --------------
         self.tier = "fastforward"
         self._scatter_port_array(self.transport._send_port_free, send_free)
         self._scatter_port_array(self._recv_free, recv_free)
-        self._commit_round_logs(entries_by_round)
+        self._commit_block(block, reordered, listed)
         stats = self.stats
         sent_by_rank = stats.per_rank_messages_sent
         sent_words_by_rank = stats.per_rank_words_sent
@@ -1334,15 +1459,14 @@ class _DisseminationPhase(_PhaseBase):
                 port_list[world] = item
 
     def _log_tails(self) -> tuple:
-        """``(tails, hazards)`` per member port, both -inf when no entries.
+        """``(tails, hazards, listed)`` of the member ports' logs.
 
-        ``tails`` is the post time of the port's last log entry.  The
-        vector pass stays on the scalar in-order fold exactly when every
-        write it would apply posts *at or after* this tail and its own
-        per-round writes stay post-monotone per port; one violation aborts
-        the vector attempt before any state is touched and the phase
-        reruns through the scalar pass, whose out-of-order re-insertion
-        handles (or honestly refuses) the overtake.
+        ``tails`` is the post time of each port's last logged write, -inf
+        when it has none: from its list log, or from the newest round block
+        still holding writes for it (a port has one or the other).  A
+        write posted before it (before another phase's write) makes the
+        vector pass decline to the scalar pass, whose out-of-order
+        re-insertion handles (or honestly refuses) the overtake.
 
         ``hazards`` repeats the tail post time only where a write tied
         exactly to it would be order-ambiguous — this phase or an owner in
@@ -1350,20 +1474,40 @@ class _DisseminationPhase(_PhaseBase):
         The vector pass cannot run the commute proof, so it aborts to the
         scalar pass on those ties too; flat-vs-flat ties keep the plain
         in-order fold, which is the engine's own tie order.
+
+        ``listed`` are the members whose port has a list log.
         """
-        tails = np.full(self.size, -np.inf)
-        hazards = np.full(self.size, -np.inf)
+        size = self.size
+        tails = np.full(size, -np.inf)
+        hazards = np.full(size, -np.inf)
+        hier = self._hier_sub
+        listed = []
         logs = self._recv_logs
         if logs:
-            hier = self._hier_sub
-            for index, world in enumerate(self.world):
+            for member, world in enumerate(self.world):
                 log = logs.get(world)
-                if log:
-                    tail = log[-1]
-                    tails[index] = tail[0]
-                    if hier or tail[7]:
-                        hazards[index] = tail[0]
-        return tails, hazards
+                if log is not None:
+                    listed.append(member)
+                    if log:
+                        tail = log[-1]
+                        tails[member] = tail[0]
+                        if hier or tail[7]:
+                            hazards[member] = tail[0]
+        ports = self.coordinator._port_blocks
+        if ports is not None:
+            worlds = self._world_array()
+            serials = ports[worlds]
+            blocks = self.coordinator._blocks
+            for serial in np.unique(serials[serials >= 0]).tolist():
+                block = blocks.get(serial)
+                if block is None:
+                    continue   # dropped: all posted below every write to come
+                where = serials == serial
+                posts = block.tail_posts[block.members(worlds[where])]
+                tails[where] = posts
+                if hier or block.hier:
+                    hazards[where] = posts
+        return tails, hazards, listed
 
     def _tier_link_arrays(self) -> Optional[tuple]:
         """``(alphas, betas, node_id, island_id)`` member arrays, or None.
@@ -1390,57 +1534,135 @@ class _DisseminationPhase(_PhaseBase):
             ids = transport._tier_ids = (
                 np.asarray(placement.nodes, dtype=np.intp),
                 np.asarray(placement.islands, dtype=np.intp))
-        world = np.asarray(self.world, dtype=np.intp)
+        world = self._world_array()
         cached = self._tier_arrays = (
             np.array([pair[0] for pair in tiers], dtype=np.float64),
             np.array([pair[1] for pair in tiers], dtype=np.float64),
             ids[0][world], ids[1][world])
         return cached
 
-    def _commit_round_logs(self, entries_by_round: list) -> None:
-        """Append the vector pass's port writes as real log entries.
+    def _world_array(self) -> np.ndarray:
+        """The member -> world rank map as an index array (built once)."""
+        worlds = self._world_arr
+        if worlds is None:
+            worlds = self._world_arr = np.asarray(self.world, dtype=np.intp)
+        return worlds
 
-        ``entries_by_round`` holds per-round ``(offset, posts, leaves,
-        transfer, frees, arrivals, caps)`` tuples whose lists are indexed by
-        ``member - offset`` (members below ``offset`` did not receive that
-        round); ``transfer`` is the entry's ``wire * beta`` product — one
-        scalar float when the round's edges share a link, else a list.
-        Entries, caps, and prune points match what the scalar pass's
-        ``_recv_side``/``_commit_caps`` would have produced — the append
-        order per port is round-ascending, the prune check runs before each
-        append with the same bound — so cross-phase overtaking keeps
-        working unchanged on top of a vectorised phase.
+    def _commit_block(self, table: np.ndarray, reordered: bool,
+                      listed: list) -> None:
+        """Log the vector pass's port writes as one :class:`_RoundBlock`.
+
+        A port that has a list log gets its writes appended now; every
+        other receiving port only records the block as its newest pending
+        one, and its writes are unpacked the first time a pricer touches
+        the port (:meth:`SpmdCoordinator.port_log`) — a port nothing
+        touches again costs no Python object per write.  Entries, caps
+        and per-port order are those the scalar pass's ``_recv_side``
+        calls leave; only prune timing differs, and a prune drops nothing
+        a write still to come can overtake.  Registering a block drops
+        those whose writes all posted below the prune bound.
         """
-        logs = self._recv_logs
-        world = self.world
-        prune = self._prune
-        hier = self._hier_sub
-        owner = self._owner
-        for member in range(entries_by_round[0][0], self.size):
-            dst = world[member]
-            log = logs.get(dst)
-            if log is None:
-                log = logs[dst] = []
-            for offset, posts, leaves, transfer, frees, arrivals, caps \
-                    in entries_by_round:
-                index = member - offset
-                if index < 0:
-                    continue
+        block = _RoundBlock(
+            table, [0] * len(self.rounds) if self.wrap else self.rounds,
+            self.world, self.affine, self._owner, self._hier_sub, reordered)
+        bound = self._prune_bound()
+        if listed:
+            logs = self._recv_logs
+            world = self.world
+            for member in listed:
+                log = logs[world[member]]
                 if len(log) >= 24:
-                    prune(log)
-                post = posts[index]
-                log.append([post, leaves[index],
-                            transfer[index] if transfer.__class__ is list
-                            else transfer,
-                            frees[index], arrivals[index], caps[index],
-                            owner,
-                            hier or (bool(log) and log[-1][0] == post
-                                     and log[-1][7])])
+                    self._prune(log)
+                block.unpack(member, log, bound)
+        pending = np.ones(self.size, dtype=bool)
+        pending[:block.offsets[0]] = False   # members that never receive
+        pending[listed] = False
+        if not pending.any():
+            return
+        coordinator = self.coordinator
+        blocks = coordinator._blocks
+        for serial in [serial for serial, old in blocks.items()
+                       if old.max_post < bound]:
+            del blocks[serial]
+        ports = coordinator._port_blocks
+        if ports is None:
+            ports = coordinator._port_blocks = np.full(
+                len(self._recv_free), -1, dtype=np.intp)
+        serial = coordinator._next_block
+        coordinator._next_block = serial + 1
+        receiving = self._world_array()[pending]
+        block.below = np.full(self.size, -1, dtype=np.intp)
+        block.below[pending] = ports[receiving]
+        ports[receiving] = serial
+        blocks[serial] = block
 
 
 class _DisseminationBarrier(_DisseminationPhase):
     kind = "barrier"
     wrap = True
+
+
+class _RoundBlock:
+    """A dissemination vector pass's receive-port writes, as arrays.
+
+    ``table[member, round]`` holds fields 0-5 of the log entry (post,
+    leave, transfer, free before, arrival, cap) of the write a member
+    received in a round — member-major, so unpacking one port reads one
+    contiguous stretch; members below ``offsets[round]`` received none.
+    Fields 6 and 7 are the phase's owner token and replay flag.
+    ``below[member]`` is the serial of the port's newest pending block
+    before this one (-1: none), so a port's pending blocks form a chain.
+    """
+
+    __slots__ = ("table", "offsets", "world", "affine", "owner", "hier",
+                 "reordered", "tail_posts", "max_post", "below", "_index")
+
+    def __init__(self, table, offsets, world, affine, owner, hier,
+                 reordered):
+        self.table = table
+        self.offsets = offsets
+        self.world = world
+        self.affine = affine
+        self.owner = owner
+        self.hier = hier
+        # An absorbed overtake leaves a port's writes out of round order;
+        # post order is log order (ties keep round order).
+        self.reordered = reordered
+        self.tail_posts = self.table[:, :, 0].max(axis=1)
+        self.max_post = float(self.tail_posts.max())
+        self.below = None
+        self._index = None
+
+    def member(self, world: int) -> int:
+        affine = self.affine
+        if affine is not None:
+            return (world - affine[0]) // affine[1]
+        index = self._index
+        if index is None:
+            index = self._index = {rank: member
+                                   for member, rank in enumerate(self.world)}
+        return index[world]
+
+    def members(self, worlds: np.ndarray) -> np.ndarray:
+        affine = self.affine
+        if affine is not None:
+            return (worlds - affine[0]) // affine[1]
+        return np.fromiter(map(self.member, worlds.tolist()), dtype=np.intp,
+                           count=len(worlds))
+
+    def unpack(self, member: int, log: list, bound: float) -> None:
+        """Append ``member``'s writes posted at or after ``bound`` to its
+        port's list ``log``, as entries in log order."""
+        owner = self.owner
+        hier = self.hier
+        entries = [
+            [post, leave, transfer, free, arrival, cap, owner, hier]
+            for (post, leave, transfer, free, arrival, cap), offset in zip(
+                self.table[member].tolist(), self.offsets)
+            if member >= offset and post >= bound]
+        if self.reordered:
+            entries.sort(key=_EDGE_POST)
+        log.extend(entries)
 
 
 # ---------------------------------------------------------------------------
@@ -1582,7 +1804,7 @@ class _BcastPhase(_PhaseBase):
                 dst = world[child]
                 log = logs.get(dst)
                 if log is None:
-                    log = logs[dst] = []
+                    log = self._port_log(dst)
                 tail = log[-1] if log else None
                 if tail is None or entry > tail[0]:
                     # In-order untied: the in-order branch of
@@ -1730,7 +1952,7 @@ class _TreeUpPhase(_PhaseBase):
                 dst = world[rank]
                 log = logs.get(dst)
                 if log is None:
-                    log = logs[dst] = []
+                    log = self._port_log(dst)
                 for post_time, leave, wire, _payload, ebeta in edges:
                     tail = log[-1] if log else None
                     if tail is None or post_time > tail[0]:
@@ -2039,7 +2261,7 @@ class _ExchangePhase(_PhaseBase):
                 dst = world[dest]
                 log = logs.get(dst)
                 if log is None:
-                    log = logs[dst] = []
+                    log = self._port_log(dst)
                 tail = log[-1] if log else None
                 if tail is None or post > tail[0] \
                         or (post == tail[0] and not hier and not tail[7]):

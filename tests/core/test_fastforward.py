@@ -16,6 +16,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.bench.harness import collective_program
 from repro.collectives.endpoint import TransportEndpoint
 from repro.collectives.machines import SCHEDULES, CollectiveRequest
 from repro.core import spmd
@@ -24,7 +25,7 @@ from repro.mpi import init_mpi
 from repro.mpi.datatypes import ANY_SOURCE, MAX, MIN, PROD, SUM
 from repro.rbc import collectives as rbc
 from repro.rbc import create_rbc_comm
-from repro.simulator import Cluster
+from repro.simulator import Cluster, HierarchicalParams
 from repro.simulator.errors import RankFailedError
 
 from oracle import assert_equal_observables, run_both
@@ -229,10 +230,14 @@ class _Bench:
         transport = self.cluster.transport
         stats = self.cluster.tracer.stats
         owners: dict = {}
-        logs = {
-            port: [entry[:6] + [owners.setdefault(id(entry[6]), len(owners)),
-                                entry[7]] for entry in log]
-            for port, log in sorted(self.coordinator._recv_logs.items())}
+        logs = {}
+        for port in range(self.cluster.num_ranks):
+            # Building a port's list unpacks what round blocks hold for it.
+            log = self.coordinator.port_log(port)
+            if log:
+                logs[port] = [
+                    entry[:6] + [owners.setdefault(id(entry[6]), len(owners)),
+                                 entry[7]] for entry in log]
         return (list(transport._send_port_free),
                 list(transport._recv_port_free), logs,
                 stats.messages_sent, stats.words_sent,
@@ -426,6 +431,86 @@ def test_property_fed_scan_matches_joined(kind, size, skew, foreign_port,
     if fed[0] != "refused":
         assert fed[2:] == (0, "lockstep")
         assert joined[3] == ("lockstep" if joined[2] else "fastforward")
+
+
+@pytest.mark.parametrize("kind, words, late_join", [
+    ("scan", 2, 0.0), ("barrier", 0, 0.0),
+    # 2048-word messages: the re-fold moves the later write's arrival,
+    # inside its cap (member 2's own late join).
+    ("scan", 2048, 30.0)])
+def test_vector_pass_absorbs_in_phase_overtakes(kind, words, late_join):
+    """Member 1 joins late, so member 0's round-2 write reaches port 2
+    before member 1's round-1 write to it was posted: ``_recv_side`` inserts
+    it one entry back and re-folds the later write.  The vector pass does
+    the same without falling back, logs the phase as one round block out
+    of round order, and leaves what the scalar pass and the oracle's
+    event-by-event run leave."""
+    size = spmd.VECTOR_CUTOFF
+    times = [0.0] * size
+    times[1] = 10.0
+    times[2] = late_join
+    factory, op = _DISSEMINATION[kind]
+    values = [np.full(words, member % 3, dtype=np.int64)
+              for member in range(size)] if kind == "scan" else [None] * size
+    scalar, vector = _price_both_ways(factory, op, times, values,
+                                      cutoffs=(size + 1, size))
+    assert scalar[:2] == vector[:2]
+    assert (scalar[2:], vector[2:]) == ((0, "lockstep"), (0, "fastforward"))
+
+    bench = _Bench()
+    bench.phase(factory, op, size)._feed_all(times, values)
+    (block,) = bench.coordinator._blocks.values()
+    assert block.reordered
+    assert not bench.coordinator._recv_logs   # no list until a port is read
+    cluster = Cluster(WORLD + spmd.VECTOR_CUTOFF, reference_engine=True)
+    native = cluster.run(_native_dissemination, kind, times, values)
+    members = native.results[GROUP_FIRST:GROUP_FIRST + size]
+    assert [float.hex(time) for time in vector[0][0]] == \
+        [float.hex(time) for time, _ in members]
+    assert vector[0][1] == [_plain(value) for _, value in members]
+    assert vector[1][1] == cluster.transport._recv_port_free
+
+
+def test_round_blocks_chain_and_unpack_in_log_order():
+    """A barrier then a scan on one group leave two pending blocks per
+    port; a foreign write afterwards unpacks both into the port's list in
+    post order, and the fed pricing equals the scalar pass's, lists and
+    all."""
+    size = spmd.VECTOR_CUTOFF + 1
+    times, values = _scan_inputs(size, 0.05)
+    outcomes = []
+    for cutoff in (2, size + 1):
+        bench = _Bench()
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(spmd, "VECTOR_CUTOFF", cutoff)
+            barrier = bench.phase(spmd._DisseminationBarrier, None, size)
+            finish, _ = barrier._feed_all(times, [None] * size)
+            scan = bench.phase(spmd._DisseminationPhase, SUM, size)
+            finish, results = scan._feed_all(list(finish), values)
+        if cutoff == 2:
+            assert len(bench.coordinator._blocks) == 2
+        bench.foreign_write(GROUP_FIRST + 5, 40.0)
+        port = bench.coordinator._recv_logs[GROUP_FIRST + 5]
+        assert [entry[0] for entry in port] == \
+            sorted(entry[0] for entry in port)
+        outcomes.append((list(finish), _plain(results), bench.observables()))
+    assert outcomes[0] == outcomes[1]
+
+
+@pytest.mark.parametrize("operation", ["scan", "gather"])
+@pytest.mark.parametrize("num_ranks", [32, 64, 128])
+def test_tiered_opening_barrier_takes_the_vector_pass(operation, num_ranks):
+    """The figure cells' opening barrier on a two-tier machine: members
+    leave a round at different times, so a round's write reaches some
+    ports before the previous round's write to them was posted.  The
+    vector pass absorbs those overtakes (it used to fall back to the
+    scalar pass on every such cell), and the run equals the oracle's."""
+    default, oracle = run_both(
+        num_ranks, collective_program, params=HierarchicalParams.two_tier(),
+        operation=operation, impl="rbc", vendor="intel", words=16)
+    assert_equal_observables(default, oracle)
+    assert default.obs["fastforward_fallbacks"] == 0
+    assert default.obs["phases_fastforward"] == 1    # the barrier
 
 
 _TREES = {"bcast": (spmd._BcastPhase, None),
