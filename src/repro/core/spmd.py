@@ -308,7 +308,7 @@ class SpmdCoordinator:
     """
 
     __slots__ = ("_phases", "_recv_logs", "_blocks", "_port_blocks",
-                 "_next_block", "_live_first_joins", "_bound",
+                 "_next_block", "_live_first_joins", "_bound", "frontier",
                  "tier_phases", "refusals", "fastforward_fallbacks")
 
     #: Phase kind -> phase class (or factory) of the flat schedule: one per
@@ -358,6 +358,11 @@ class SpmdCoordinator:
         self._live_first_joins: list = []
         # (now, prune bound) as last computed; see _PhaseBase._prune_bound.
         self._bound = None
+        # Set while a driver prices phases ahead of the engine clock (the
+        # batched sort's plan): the earliest instant a write still to come
+        # can post, which stands in for the current virtual time in the
+        # prune bound.  None otherwise.
+        self.frontier = None
         # Always-on tier-attribution counters, surfaced through
         # ClusterResult.obs: how many phases each execution tier priced
         # (counted at retirement, once per real phase — driver-owned
@@ -380,6 +385,7 @@ class SpmdCoordinator:
         self._blocks.clear()
         self._port_blocks = None
         self._live_first_joins.clear()
+        self.frontier = None
 
     def port_log(self, world: int, bound: float = -np.inf) -> list:
         """World rank ``world``'s receive-port log, created on first use.
@@ -969,9 +975,19 @@ class _PhaseBase:
         port log can still see an out-of-order insertion.  A bound
         computed earlier at the same instant stays valid — a phase opened
         since first joined now, and a retired one only raises the minimum
-        — so it is reused (the sort keeps thousands of phases live).
+        — so it is reused.  While a driver prices ahead of the clock, its
+        ``frontier`` takes the place of ``now`` (uncached: it moves while
+        the clock stands still).
         """
         coordinator = self.coordinator
+        frontier = coordinator.frontier
+        if frontier is not None:
+            live = coordinator._live_first_joins
+            if live:
+                earliest = min(live)
+                if earliest < frontier:
+                    return earliest
+            return frontier
         now = self.engine._now
         cached = coordinator._bound
         if cached is not None and cached[0] == now:
@@ -2139,9 +2155,10 @@ class ExchangeEndpoint:
     parameters; ``context`` must be unique per phase instance — the caller
     (the jquick batched tier) keys it by the task interval and level, which
     every member derives identically, so one generation ever exists per key.
-    That tier builds one endpoint per level and stamps each joining member's
-    ``env`` and ``rank`` onto it: the coordinator reads both only during the
-    join call.
+    That tier builds one endpoint for a sort's root level and stamps each
+    joining member's ``env`` and ``rank`` onto it (the coordinator reads
+    both only during the join call), and one per later level, which only
+    carries the group into a phase it prices without joins.
     """
 
     __slots__ = ("env", "transport", "context", "tag", "rank", "size",

@@ -16,20 +16,33 @@ splits a level into what depends on simulated time and what does not:
   one partition and one greedy assignment (the ``*_rows`` kernels of
   :mod:`repro.core.rand`, :mod:`repro.sorting.kernels` and
   :mod:`repro.sorting.assignment`, with one pivot, tie cut and task
-  interval per group), then derives the next round's tasks and values.  A
-  round is computed when its first group resolves and dropped when its last
-  group has been consumed, so the plan holds O(p) per live round.
-* **Pricing, once per group** (:class:`_JQLevelPhase`).  One lockstep phase
-  per (group, task interval, level) prices the level's charges, its five
-  collective sub-steps and the exchange at once, when the group's last
-  member has joined.  Its :class:`_LevelRecord` is a window onto the round:
-  the group's rows ``[start, start + size)`` of the round's arrays feed the
-  gather, scan and exchange sub-steps and hand the members their slot views.
+  interval per group), then derives the next round's tasks and values.  It
+  holds one round at a time, O(p).
+* **Pricing, once per group, round by round** (:class:`_JQLevelPhase`).
+  Each rank joins the sort once (:func:`join_jq_level`, on entering the
+  root level, with its row).  When the root level's last member has joined,
+  :meth:`SortPlan.price` prices every round right there, breadth-first: at
+  ``n == p`` a round's groups are disjoint rank sets, and a group's level
+  depends only on its members' finish times of the previous round (plus
+  the creation and sampling charges), so round ``r`` is fed round
+  ``r - 1``'s finish times.  One level phase per (group, task interval,
+  level) prices the level's charges, its five collective sub-steps and the
+  exchange at once, from the group's rows ``[start, start + size)`` of the
+  round's arrays.  Every rank is then woken once, at its last level's
+  finish, with its outcome (:meth:`SortPlan.price`): the task it enters
+  next, its slot view and its level counters, from which it replays its
+  :class:`~repro.sorting.jquick.JQuickStats`: one join per rank per sort.
+  A p = 1024 sort processes 7 650 engine events instead of the 17 159 of
+  one join and one wake per rank and level.
 
 The plan lives on the simulation's transport (all simulated ranks share one
 interpreter; :meth:`~repro.simulator.network.Transport.close` empties it) and
-serves one sort at a time.  Each member joins its level once
-(:func:`join_jq_level`); only the members of the root level deposit a row.
+serves one sort at a time.  Pricing runs ahead of the engine clock, so the receive-port logs are pruned
+against the plan's frontier instead (:attr:`SpmdCoordinator.frontier
+<repro.core.spmd.SpmdCoordinator>`): the earliest instant any write still to
+come can post — the earliest entry into the round being priced, or the
+earliest finish of a rank that already left the sort (it may join other
+phases from then on), whichever is first.
 
 Bit-identity: every batched kernel is the bit-exact row-stacked form of the
 scalar call it replaces (pinned segment by segment in
@@ -48,6 +61,7 @@ import numpy as np
 
 from ..core import rand
 from ..core.spmd import (
+    ExchangeEndpoint,
     LockstepError,
     SpmdCoordinator,
     _BcastPhase,
@@ -79,25 +93,29 @@ class _Round:
     """The data work of one recursion round, for all of its groups at once.
 
     The round's tasks are the disjoint slot intervals ``[lo[g], hi[g])`` in
-    slot order; task ``g``'s group is the ranks owning those slots, and the
-    round's *rows* are the groups' members back to back — group ``g`` is the
-    rows ``row_bounds[g]:row_bounds[g + 1]``, a row holding its rank's slots
-    inside the task.  Everything a level phase feeds its sub-steps with is
-    kept per row (plain lists where the phase reads scalars), so a group's
-    share is a slice.
+    slot order; task ``g``'s group is the ranks ``first[g]`` onwards owning
+    those slots, and the round's *rows* are the groups' members back to
+    back — group ``g`` is the rows ``row_bounds[g]:row_bounds[g + 1]``, a row
+    holding its rank's slots inside the task.  Everything a level phase
+    feeds its sub-steps with is kept per row (plain lists where the phase
+    reads scalars), so a group's share is a slice.  ``fresh[g]`` is false
+    on a task that retries its predecessor's degenerate split (the group
+    keeps its communicator).
     """
 
     __slots__ = (
-        "level", "live", "index", "hi", "row_bounds", "row_sizes",
-        "view_bounds", "local_counts", "sample_values", "sample_slots",
+        "level", "lo", "hi", "first", "fresh", "ranks", "group_of",
+        "row_bounds",
+        "row_sizes", "local_counts", "sample_values", "sample_slots",
         "sample_bounds", "pivots", "counts", "buffer", "pieces",
-        "piece_bounds", "expected", "successor",
+        "piece_bounds", "expected", "retry", "next_lo", "next_hi",
+        "continuing", "successor",
     )
 
     def __init__(self, config, n: int, p: int, level: int, lo: np.ndarray,
-                 hi: np.ndarray, values: np.ndarray):
+                 hi: np.ndarray, values: np.ndarray, fresh: np.ndarray):
         self.level = level
-        num_groups = self.live = lo.size
+        num_groups = lo.size
         q, r, _boundary = layout_constants(n, p)
 
         # Row layout (owner intervals clipped to the task interval) — same
@@ -185,11 +203,14 @@ class _Round:
         source_row = source_row[remote]
         num_rows = ranks.size
 
-        self.index = {task_lo: g for g, task_lo in enumerate(lo.tolist())}
+        self.lo = lo.tolist()
         self.hi = hi.tolist()
+        self.first = first.tolist()
+        self.fresh = fresh
+        self.ranks = ranks
+        self.group_of = group_of
         self.row_bounds = row_bounds.tolist()
         self.row_sizes = row_sizes.tolist()
-        self.view_bounds = offsets.tolist()
         self.local_counts = local_counts.tolist()
         self.sample_values = sample_values
         self.sample_slots = sample_slots
@@ -203,11 +224,20 @@ class _Round:
             np.bincount(source_row, minlength=num_rows)).tolist()
         self.expected = np.bincount(dest_row, minlength=num_rows).tolist()
 
-        # The next round's tasks: a degenerate split (an empty side) retries
-        # its interval with fresh samples, any other leaves its two sides;
-        # a side spanning at most two ranks is a base case and drops out.
+        # Each row's next task: a degenerate split (an empty side) retries
+        # its interval with fresh samples, any other leaves the row in the
+        # side holding its slots; a task spanning at most two ranks is a
+        # base case, which the row continues in outside the plan.
         split = lo + total_small
-        retry = (total_small == 0) | (split == hi)
+        retry = self.retry = (total_small == 0) | (split == hi)
+        stays = retry[group_of] | (row_lo < split[group_of])
+        goes = retry[group_of] | (row_lo >= split[group_of])
+        self.next_lo = np.where(stays, lo[group_of], split[group_of])
+        self.next_hi = np.where(goes, hi[group_of], split[group_of])
+        self.continuing = owners_of(self.next_hi - 1, n, p) - \
+            owners_of(self.next_lo, n, p) > 1
+
+        # The next round's tasks, in slot order.
         next_lo = np.stack((lo, split), axis=1).ravel()
         next_hi = np.stack((np.where(retry, hi, split), hi), axis=1).ravel()
         keep = owners_of(next_hi - 1, n, p) - owners_of(next_lo, n, p) > 1
@@ -222,204 +252,226 @@ class _Round:
             self.successor = (
                 level + 1, next_lo, next_hi,
                 buffer[np.arange(position[-1], dtype=np.int64) + np.repeat(
-                    next_lo + to_buffer - position[:-1], lengths)])
+                    next_lo + to_buffer - position[:-1], lengths)],
+                np.stack((~retry, np.ones_like(retry)), axis=1).ravel()[keep])
         else:
             self.successor = None
 
+    def sample_chunks(self, start: int, size: int) -> list:
+        """Every member's drawn ``(values, slots)`` of the group at rows
+        ``[start, start + size)``, the gather's values."""
+        values, slots = self.sample_values, self.sample_slots
+        bounds = self.sample_bounds[start:start + size + 1]
+        return [(values[a:b], slots[a:b]) for a, b in zip(bounds, bounds[1:])]
 
-class _LevelRecord:
-    """One group's window onto its round: what a level phase reads.
+    def exchange_feed(self, start: int, size: int, charge: bool) -> list:
+        """Every member's ``(pieces, expected, cap_words, charge)`` of the
+        group at rows ``[start, start + size)`` (see
+        :class:`repro.core.spmd._ExchangePhase`)."""
+        pieces, bounds = self.pieces, self.piece_bounds
+        expected, row_sizes = self.expected, self.row_sizes
+        return [(pieces[bounds[row]:bounds[row + 1]], expected[row],
+                 row_sizes[row], charge)
+                for row in range(start, start + size)]
 
-    Created by the first member that reaches the level (before the round's
-    data need exist) with what the join needs — the group and its endpoint.
-    The sort's root level additionally collects its members' rows, the
-    plan's input.  :meth:`bind` attaches the round when the phase resolves.
+
+class _RootRecord:
+    """The sort's root level as its members reach it: the world group's
+    endpoint, the members' rows (the plan's input) and the sort's layout.
+
+    Created by the first member that reaches the root level
+    (:meth:`SortPlan.root`); every member joins the root level phase with
+    it, and the phase hands it to :meth:`SortPlan.price` once all rows are
+    in.
     """
 
-    __slots__ = ("plan", "size", "lo", "hi", "level", "endpoint", "rows",
-                 "sort", "round", "group", "start", "consumed")
+    __slots__ = ("plan", "endpoint", "rows", "sort")
 
-    def __init__(self, plan, run, first: int, last: int, lo: int, hi: int,
-                 level: int):
+    def __init__(self, plan, run):
         self.plan = plan
-        self.lo = lo
-        self.hi = hi
-        self.level = level
-        size = self.size = last - first + 1
-        # The group endpoint every member joins the fused level phase
+        # The group endpoint every member joins the root level phase
         # through (join_jq_level stamps the joining member onto it).
-        self.endpoint = run._level_endpoint(first, size, lo, hi, level)
-        if level == 0:
-            self.rows: list = [None] * size
-            self.sort = (run.config, run.n, run.p)
-        else:
-            self.rows = self.sort = None
-        self.round = None
-        self.group = self.start = 0
-        self.consumed = 0
+        self.endpoint = run._root_endpoint()
+        self.rows: list = [None] * run.p
+        self.sort = (run.config, run.n, run.p)
 
     def deposit(self, group_rank: int, data: np.ndarray) -> None:
-        """Store a root member's row; a second deposit into one row refuses."""
+        """Store a member's row; a second deposit into one row refuses."""
         rows = self.rows
         if rows is None or rows[group_rank] is not None:
             raise LockstepError(
-                f"jquick batched level [{self.lo}, {self.hi}) at level "
-                f"{self.level}: member {group_rank} deposited its row "
-                f"twice — concurrent sorts on one cluster cannot share the "
-                f"batched tier")
+                f"jquick batched root level: member {group_rank} deposited "
+                f"its row twice — concurrent sorts on one cluster cannot "
+                f"share the batched tier")
         rows[group_rank] = data
-
-    def bind(self) -> _Round:
-        """Attach the round (computed now if this is its first group)."""
-        plan = self.plan
-        if self.rows is not None:
-            plan.open(*self.sort, self.rows)
-            self.rows = None
-        current = self.round = plan.round(self.level)
-        group = self.group = current.index.get(self.lo, -1)
-        bounds = current.row_bounds
-        if group < 0 or current.hi[group] != self.hi or \
-                bounds[group + 1] - bounds[group] != self.size:
-            raise LockstepError(
-                f"jquick batched level [{self.lo}, {self.hi}) at level "
-                f"{self.level} is no task of the sort the plan holds — "
-                f"concurrent sorts on one cluster cannot share the batched "
-                f"tier")
-        self.start = bounds[group]
-        return current
-
-    def sample_chunks(self) -> list:
-        """Every member's drawn ``(values, slots)``, the gather's values."""
-        current = self.round
-        values, slots = current.sample_values, current.sample_slots
-        bounds = current.sample_bounds[self.start:self.start + self.size + 1]
-        return [(values[a:b], slots[a:b]) for a, b in zip(bounds, bounds[1:])]
-
-    def exchange_feed(self, cap_words: list, charge: bool) -> list:
-        """Every member's ``(pieces, expected, cap_words[g], charge)`` (see
-        :class:`repro.core.spmd._ExchangePhase`)."""
-        current = self.round
-        pieces, bounds = current.pieces, current.piece_bounds
-        expected = current.expected
-        start = self.start
-        return [(pieces[bounds[row]:bounds[row + 1]], expected[row],
-                 cap_words[row - start], charge)
-                for row in range(start, start + self.size)]
 
 
 class SortPlan:
-    """The per-round data plan of one batched sort, and its live records.
+    """The per-round data plan of one batched sort.
 
-    Records are keyed by ``(lo, hi, level)`` — unique among simultaneously
-    active levels (task intervals of concurrent tasks are disjoint, and a
-    group retries a degenerate interval at ``level + 1``) — and dropped as
-    soon as the last member consumes them; a round is dropped with its last
-    record, so neither registry grows with the recursion depth.  Rounds are
-    computed in level order, each from the tasks and values its predecessor
-    left in ``_pending``.  One plan serves one sort at a time per transport;
-    a second sort running concurrently on the cluster is refused
-    (:class:`~repro.core.spmd.LockstepError`) when its root level reaches a
-    record or a plan the first one holds.
+    Holds the root record while the sort's members reach the root level,
+    then — inside the root level's last join — computes and prices the
+    rounds in level order (:meth:`price`), each from the tasks and values
+    its predecessor left in ``_pending``, holding one round at a time.  One
+    plan serves one sort at a time per transport; a second sort running
+    concurrently on the cluster is refused
+    (:class:`~repro.core.spmd.LockstepError`) when its members reach the
+    first one's root record or its root level resolves while the plan holds
+    another sort's rounds.
     """
 
-    __slots__ = ("_records", "_rounds", "_pending", "config", "n", "p")
+    __slots__ = ("_root", "_pending")
 
     def __init__(self):
-        self._records: dict = {}
-        self._rounds: dict = {}
-        # (level, lo, hi, values) of the round to compute next.
+        self._root = None
+        # (level, lo, hi, values, fresh) of the round to compute next.
         self._pending = None
-        # The live sort's configuration and layout, set by open().
-        self.config = None
-        self.n = self.p = 0
 
     def close(self) -> None:
-        """Drop everything a sort that did not finish left behind (records
-        reference their members' environments, and through them the
-        transport that owns this plan)."""
-        self._records.clear()
-        self._rounds.clear()
+        """Drop everything a sort that did not finish left behind (the
+        root record references its members' rows and the run's endpoint)."""
+        self._root = None
         self._pending = None
 
-    def level(self, run, first: int, last: int, lo: int, hi: int,
-              level: int) -> _LevelRecord:
-        """The group's shared record for this level (created by first caller)."""
-        key = (lo, hi, level)
-        record = self._records.get(key)
+    def root(self, run) -> _RootRecord:
+        """The sort's root record (created by the first caller)."""
+        record = self._root
         if record is None:
-            record = self._records[key] = _LevelRecord(
-                self, run, first, last, lo, hi, level)
+            record = self._root = _RootRecord(self, run)
         return record
 
-    def open(self, config, n: int, p: int, rows: list) -> None:
-        """Start a sort from its root level's rows (the n values in slot
+    def open(self, record: _RootRecord) -> None:
+        """Start the sort from its root level's rows (the n values in slot
         order); refuses while another sort's rounds are live."""
-        if self._rounds or self._pending is not None:
+        if self._pending is not None:
             raise LockstepError(
                 "jquick batched tier: a sort's root level resolved while "
                 "the plan holds another sort's rounds — concurrent sorts on "
                 "one cluster cannot share the batched tier")
-        self.config = config
-        self.n = n
-        self.p = p
+        if self._root is record:
+            self._root = None
+        _config, n, _p = record.sort
         self._pending = (0, np.zeros(1, dtype=np.int64),
-                         np.full(1, n, dtype=np.int64), np.concatenate(rows))
+                         np.full(1, n, dtype=np.int64),
+                         np.concatenate(record.rows), np.ones(1, dtype=bool))
+        record.rows = None
 
-    def round(self, level: int) -> _Round:
-        """The round of ``level``, computed from its predecessor's leavings
-        when its first group asks."""
-        current = self._rounds.get(level)
-        if current is None:
-            pending = self._pending
-            if pending is None or pending[0] != level:
-                raise LockstepError(
-                    f"jquick batched tier: round {level} is neither live "
-                    f"nor next in the plan — concurrent sorts on one "
-                    f"cluster cannot share the batched tier")
-            current = self._rounds[level] = _Round(
-                self.config, self.n, self.p, *pending)
-            self._pending = current.successor
-        return current
+    def price(self, root: "_JQLevelPhase") -> list:
+        """Price the whole sort whose root level ``root`` just resolved.
 
-    def take_view(self, record: _LevelRecord, group_rank: int) -> np.ndarray:
-        """The member's post-exchange slot region (a frozen view of the
-        round's buffer); consumes the member's claim on the record."""
-        current = record.round
-        row = record.start + group_rank
-        bounds = current.view_bounds
-        view = current.buffer[bounds[row]:bounds[row + 1]]
-        self.release(record)
-        return view
+        Rounds are computed and priced in level order up to the sort's
+        ``max_levels`` bound, each group of round ``r`` entered at its
+        members' finish times of round ``r - 1`` (the root level at its
+        members' joins).  Returns every member's ``(finish, outcome)``:
+        the finish time of its last level and ``(lo, hi, level, data,
+        degenerate_splits, comm_creations, messages, max_messages)`` — the
+        task it enters next (a base case, or a task past ``max_levels``),
+        its slot view there, and its counters over the levels it ran.
 
-    def release(self, record: _LevelRecord) -> None:
-        """Drop a member's claim on the record (after its view is taken, or
-        without an exchange on a degenerate split)."""
-        record.consumed += 1
-        if record.consumed == record.size:
-            del self._records[(record.lo, record.hi, record.level)]
-            current = record.round
-            current.live -= 1
-            if not current.live:
-                del self._rounds[current.level]
+        ``root`` is retired first: every later write belongs to the plan,
+        whose frontier bounds the port-log prune while it prices ahead of
+        the engine clock.
+        """
+        record = root.record
+        self.open(record)
+        config, n, p = record.sort
+        max_levels = config.max_levels
+        charge = config.charge_local_work
+        coordinator = root.coordinator
+        coordinator.retire(root)
+        env, context, tag, world = root.env, root.context, root.tag, root.world
+        stride = root.affine[1]
+        # Per member: the entry time of its next level (its last finish).
+        clock = list(root.joined)
+        # Ranks outside the sort can open phases at any instant from now.
+        ended = root.engine._now if root.transport.num_ranks > p \
+            else float("inf")
+        data = self._pending[3].copy()
+        next_lo = np.empty(p, dtype=np.int64)
+        next_hi = np.empty(p, dtype=np.int64)
+        next_level = np.empty(p, dtype=np.int64)
+        degenerate = np.zeros(p, dtype=np.int64)
+        creations = np.zeros(p, dtype=np.int64)
+        messages = np.zeros(p, dtype=np.int64)
+        most = np.zeros(p, dtype=np.int64)
+        try:
+            while self._pending is not None and \
+                    self._pending[0] <= max_levels:
+                current = _Round(config, n, p, *self._pending)
+                self._pending = current.successor
+                level = current.level
+                bounds = current.row_bounds
+                groups = list(zip(current.first, current.fresh.tolist(),
+                                  bounds, bounds[1:]))
+                frontier = min(min(clock[first:first + end - start])
+                               for first, _, start, end in groups)
+                coordinator.frontier = min(frontier, ended)
+                inbound = [0] * bounds[-1]
+                for group, (first, fresh, start, end) in enumerate(groups):
+                    size = end - start
+                    if level:
+                        phase = _JQLevelPhase(
+                            ExchangeEndpoint(env, context, tag, 0, size,
+                                             world[first], stride),
+                            None, 0, coordinator)
+                        # Never registered; its sub-phases inherit this.
+                        phase.first_join = frontier
+                    else:
+                        phase = root
+                    # The whole-world group reuses the backend's prebuilt
+                    # world channel: no creation charge.
+                    times, received = phase.price(
+                        current, group, clock[first:first + size],
+                        fresh and (first > 0 or first + size < p), charge)
+                    clock[first:first + size] = times
+                    if received is not None:
+                        inbound[start:end] = received
+                if level:
+                    coordinator.tier_phases["batched"] += len(groups)
+
+                ranks = current.ranks
+                group_of = current.group_of
+                retry = current.retry[group_of]
+                inbound = np.array(inbound, dtype=np.int64)
+                next_lo[ranks] = current.next_lo
+                next_hi[ranks] = current.next_hi
+                next_level[ranks] = level + 1
+                degenerate[ranks] += retry
+                creations[ranks] += current.fresh[group_of]
+                messages[ranks] += inbound
+                most[ranks] = np.maximum(most[ranks], inbound)
+                # At n == p a row is one slot, so row i of the buffer is
+                # the value its rank holds after the exchange.
+                moved = ~retry
+                data[ranks[moved]] = current.buffer[moved]
+                leaving = ranks[~current.continuing].tolist()
+                if leaving:
+                    ended = min(ended, min(clock[rank] for rank in leaving))
+        finally:
+            coordinator.frontier = None
+            self._pending = None
+        # Frozen, so base-case messages sent from a member's view skip the
+        # transport snapshot.
+        data.flags.writeable = False
+        views = [data[rank:rank + 1] for rank in range(p)]
+        return list(zip(clock, zip(
+            next_lo.tolist(), next_hi.tolist(), next_level.tolist(), views,
+            degenerate.tolist(), creations.tolist(), messages.tolist(),
+            most.tolist())))
 
 
 # ---------------------------------------------------------------------------
-# The fused level phase: one lockstep join prices a whole distributed level.
+# The fused level phase: one lockstep join per rank prices the whole sort.
 # ---------------------------------------------------------------------------
 
-def join_jq_level(env, record: _LevelRecord, group_rank: int,
-                  data: np.ndarray, create: bool):
-    """Enter this rank, with its row ``data``, into ``record``'s level phase.
+def join_jq_level(env, record: _RootRecord, group_rank: int,
+                  data: np.ndarray):
+    """Enter this rank, with its row ``data``, into the sort's root level.
 
-    Must be called at the instant the member enters the level (where the
-    native frontier would have started the group-communicator creation).
-    ``data`` is the member's row, which only the sort's root level reads
-    (below it the plan already holds every value).  ``create`` says whether
-    this level creates a fresh communicator (false on a degenerate retry,
-    which reuses the group's communicator).  The request completes at the
-    member's native end-of-level time with ``(total_small, messages)`` as
-    its result — everything else the member needs (its slot view, the
-    degenerate verdict) derives from those via the plan.
+    Must be called at the instant the member enters the root level (where
+    the native frontier would have started its first level).  The request
+    completes at the member's native finish time of its *last* distributed
+    level, with the outcome :meth:`SortPlan.price` describes as its result.
     """
     coordinator = coordinator_of(env.transport)
     # One endpoint (and coordinator key) per record: the coordinator only
@@ -427,23 +479,26 @@ def join_jq_level(env, record: _LevelRecord, group_rank: int,
     endpoint = record.endpoint
     endpoint.env = env
     endpoint.rank = group_rank
-    return coordinator.join(endpoint, "jqlevel", (record, data, create),
-                            None, 0)
+    return coordinator.join(endpoint, "jqlevel", (record, data), None, 0)
 
 
 class _JQLevelPhase(_PhaseBase):
-    """One lockstep join per member prices an entire distributed level.
+    """One distributed level of one group, priced at once; the registered
+    instance (the root level) also drives the whole sort.
 
     The native batched frontier suspends each member several times per
     level: the communicator-creation charge, the fused sample/partition
     charge, and the five lockstep joins (sample gather, pivot bcast, count
-    scan, totals bcast, data exchange).  Every one of those resumes carries
-    a full engine wake-up and a generator chain — pure dispatch at paper
-    scale.  This phase collapses them: each member joins once on entering
-    the level and the last join prices the whole level at once, from the
-    group's window onto the round's data (:meth:`_LevelRecord.bind`) —
+    scan, totals bcast, data exchange), and once more per level to enter
+    the next one.  Every one of those resumes carries a full engine wake-up
+    and a generator chain — pure dispatch at paper scale.  This phase
+    collapses them: each member joins the root level once, and its last
+    join hands the record to :meth:`SortPlan.price`, which prices every
+    level of every group with :meth:`price` — on this phase for the root
+    level, on an unregistered instance per later (group, level) — and
+    wakes each member once, at its last level's finish.  One level:
 
-    * the two compute charges are added onto the member's join time (with
+    * the two compute charges are added onto the member's entry time (with
       the tracer updated exactly as ``env.compute`` would);
     * the five sub-steps run as the *existing* phase classes of
       :mod:`repro.core.spmd` over this phase's own group context, each
@@ -454,18 +509,17 @@ class _JQLevelPhase(_PhaseBase):
       over all members, leaving plain finish/result lists.  No per-member
       joins, request objects, readiness re-tests or wake flushes are
       involved, and the scan takes its vector or scalar round pass by group
-      size (``VECTOR_CUTOFF``) without arming a flush event.  Port
-      folds, payload snapshots, tracer counters and float operand order
-      are those of the unfused tier, bit for bit;
-    * the member wakes once, at its native end-of-level time, with
-      ``(total_small, messages)``.
+      size (``VECTOR_CUTOFF``) without arming a flush event.  Port folds,
+      payload snapshots, tracer counters and float operand order are those
+      of the unfused tier, bit for bit;
+    * the level's members end at their native end-of-level times, which
+      are their entry times into their next level.
 
     Sub-phases are never registered with the coordinator (their generation
-    is this phase); the level's own ``first_join`` keeps the receive-port
-    prune bound conservative for every synthetic write, which all post at or
-    after it.  A member's final finish always trails the last join — the
-    gather funnels every join into member 0, whose broadcast feeds every
-    later sub-step — so the wake batch never schedules into the past.
+    is this phase).  A member's final finish always trails the root level's
+    last join — the gather funnels every join into member 0, whose
+    broadcast feeds every later sub-step — so the wake batch never
+    schedules into the past.
     """
 
     kind = "jqlevel"
@@ -473,11 +527,10 @@ class _JQLevelPhase(_PhaseBase):
 
     def __init__(self, ep, op, root, coordinator):
         super().__init__(ep, op, root, coordinator)
-        self.record: _LevelRecord = None
-        self.creates: list = [False] * self.size
+        self.record: _RootRecord = None
 
     def on_join(self, rank: int) -> None:
-        record, data, create = self.values[rank]
+        record, data = self.values[rank]
         self.values[rank] = None
         if self.record is None:
             self.record = record
@@ -486,21 +539,27 @@ class _JQLevelPhase(_PhaseBase):
                 f"jquick batched level: member {rank} joined with a "
                 f"different level record than the phase holds — concurrent "
                 f"sorts on one cluster cannot share the batched tier")
-        if record.rows is not None:
-            record.deposit(rank, data)
-        self.creates[rank] = create
+        record.deposit(rank, data)
         if self.joined_count == self.size:
-            self._resolve_all()
+            outcomes = record.plan.price(self)
+            # Every level's span is out already; the wake-up adds none.
+            self._obs = None
+            finish = self._finish
+            for m, (time, outcome) in enumerate(outcomes):
+                finish(m, time, outcome)
 
-    def _resolve_all(self) -> None:
-        record = self.record
-        current = record.bind()
+    def price(self, current: _Round, group: int, times: list, create: bool,
+              charge: bool) -> tuple:
+        """Price this group's level of ``current`` (its task ``group``)
+        from the members' entry ``times``; ``create`` says whether the
+        level creates a fresh communicator.  Returns the members' finish
+        times and inbound message counts (None on a degenerate split)."""
         size = self.size
-        rows = slice(record.start, record.start + size)
+        start = current.row_bounds[group]
+        rows = slice(start, start + size)
         compute_cost = self.compute_cost
         compute_time = self.stats.compute_time
         world = self.world
-        charge = record.plan.config.charge_local_work
         local_counts = current.local_counts[rows]
         row_sizes = current.row_sizes[rows]
 
@@ -508,13 +567,12 @@ class _JQLevelPhase(_PhaseBase):
         # sampling + partitioning charge, added in the order the native
         # frontier sleeps through them (floats add left to right).
         create_cost = compute_cost(RBC_CREATE_OPS)
-        times = []
-        joined = self.joined
+        starts = []
         obs = self._obs
         for m in range(size):
-            t = joined[m]
+            t = times[m]
             w = world[m]
-            if self.creates[m]:
+            if create:
                 compute_time[w] += create_cost
                 if obs is not None and create_cost > 0:
                     obs.spans.append((w, t, t + create_cost,
@@ -527,22 +585,18 @@ class _JQLevelPhase(_PhaseBase):
                     obs.spans.append((w, t, t + cost, "compute",
                                       "jq_sample_partition"))
                 t += cost
-            times.append(t)
-        # The level's collective span starts after the entry charges, so a
-        # traced timeline shows creation/partition work separately from
-        # the five fused collective sub-steps.
-        self._span_starts = times
+            starts.append(t)
         sub = self._sub_phase
 
         # --- 1. sample gather to member 0 --------------------------------
         times, _ = sub(_GatherPhase, None, 0)._feed_all(
-            times, record.sample_chunks())
+            starts, current.sample_chunks(start, size))
 
         # --- 2. pivot broadcast from member 0 ----------------------------
         # (The median of the root's gathered list, the members' chunks in
         # member order; the partition around it costs no simulated time.)
         values = [None] * size
-        values[0] = current.pivots[record.group]
+        values[0] = current.pivots[group]
         times, _ = sub(_BcastPhase, None, 0)._feed_all(times, values)
 
         # --- 3. prefix scan of the (small, large) counts ------------------
@@ -556,19 +610,25 @@ class _JQLevelPhase(_PhaseBase):
         times, _ = sub(_BcastPhase, None, size - 1)._feed_all(times, values)
         total_small = int(inclusive[0])
 
-        finish = self._finish
-        if total_small == 0 or total_small == record.hi - record.lo:
+        if total_small == 0 or \
+                total_small == current.hi[group] - current.lo[group]:
             # Degenerate split: the level ends at the totals broadcast and
             # the members retry with fresh samples.
+            received = None
+        else:
+            # --- 5. analytic data exchange --------------------------------
+            times, received = sub(_ExchangePhase, None, 0)._feed_all(
+                times, current.exchange_feed(start, size, charge))
+        if obs is not None:
+            # The level's collective span starts after the entry charges,
+            # so a traced timeline shows creation/partition work separately
+            # from the five fused collective sub-steps.
+            label = f"{self.obs_label}@{self.tier}"
+            spans = obs.spans
             for m in range(size):
-                finish(m, times[m], (total_small, 0))
-            return
-
-        # --- 5. analytic data exchange ------------------------------------
-        times, values = sub(_ExchangePhase, None, 0)._feed_all(
-            times, record.exchange_feed(row_sizes, charge))
-        for m in range(size):
-            finish(m, times[m], (total_small, values[m]))
+                spans.append((world[m], starts[m], times[m], "collective",
+                              label))
+        return times, received
 
 
 SpmdCoordinator.register_kind("jqlevel", lambda *args: _JQLevelPhase(*args))

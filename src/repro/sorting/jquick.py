@@ -260,22 +260,11 @@ class _JQuickRun:
 
         self._decide_batched()
 
-        if self._my_end > self._my_start:
-            coroutines = [self.distributed_task(0, self.n, data, depth=0)]
-            if self._batched:
-                # The batched tier prices the recursion's collectives in SPMD
-                # lockstep: with n == p there are no janus ranks, so every
-                # group's members pass through its collectives in the same
-                # phase and the quiet-ports contract holds (the analytic
-                # exchange folds into the same port logs).
-                saved_lockstep = self.env.lockstep_collectives
-                self.env.lockstep_collectives = True
-                try:
-                    yield from run_task_scheduler(self.env, coroutines)
-                finally:
-                    self.env.lockstep_collectives = saved_lockstep
-            else:
-                yield from run_task_scheduler(self.env, coroutines)
+        if self._batched:
+            yield from self._batched_sort(data)
+        elif self._my_end > self._my_start:
+            yield from run_task_scheduler(
+                self.env, [self.distributed_task(0, self.n, data, depth=0)])
         yield from self.run_base_cases()
         result = self.finalize()
         return result, self.stats
@@ -313,12 +302,6 @@ class _JQuickRun:
         if transport._sort_plan is None:
             transport._sort_plan = SortPlan()
         self._plan = transport._sort_plan
-        # Endpoint constants of the fused level phase, hoisted out of the
-        # per-level hot path.
-        world = self.backend.world
-        self._world_context = world.mpi_context()
-        self._world_first = world._world_first
-        self._world_stride = world._world_stride
 
     # ------------------------------------------------------- slot arithmetic
 
@@ -329,6 +312,37 @@ class _JQuickRun:
         return self._r + (slot - self._owner_boundary) // self._q
 
     # -------------------------------------------------------- distributed phase
+
+    def _batched_sort(self, data: np.ndarray):
+        """Env-level generator: the distributed phase on the batched tier.
+
+        One join for the whole sort: the rank enters the root level with
+        its row and wakes once, at its native finish time of its last
+        distributed level, with what the per-rank loop would hold then —
+        the task it enters next, its slot view there and its counters over
+        the levels it ran (:meth:`.batched.SortPlan.price`) — and replays
+        its stats and that loop's entry checks from them.  No group
+        communicator is materialised (the plan prices the creation charge
+        of every fresh interval), and at ``n == p`` every split lands on a
+        rank boundary: no janus rank, no second task.
+        """
+        request = join_jq_level(self.env, self._plan.root(self), self.rank,
+                                data)
+        yield from self.env.wait_until(request.test)
+        lo, hi, level, data, degenerate, creations, messages, most = \
+            request.result()
+        stats = self.stats
+        stats.levels = stats.distributed_steps = stats.batched_levels = level
+        stats.degenerate_splits = degenerate
+        stats.comm_creations = creations
+        stats.exchange_messages_received = messages
+        stats.max_exchange_messages_per_step = most
+        first, last = self._owner(lo), self._owner(hi - 1)
+        if last - first > 1:
+            raise RuntimeError(
+                f"rank {self.rank}: exceeded {self.config.max_levels} levels "
+                f"on task [{lo}, {hi})")
+        self._defer_base_case(lo, hi, data, first, last)
 
     def distributed_task(self, lo: int, hi: int, data: np.ndarray, depth: int):
         """Task coroutine for one subtask over global slots ``[lo, hi)``.
@@ -367,83 +381,49 @@ class _JQuickRun:
             my_lo = lo if lo > self._my_start else self._my_start
             my_hi = hi if hi < self._my_end else self._my_end
 
-            if self._batched:
-                # ---- fused batched level: one lockstep join prices the
-                # whole level (comm-create and compute charges, the five
-                # collective sub-steps, the analytic exchange) and wakes
-                # this member once, at its native end-of-level time.  The
-                # group communicator is never materialised — its creation
-                # charge is priced inside the phase when the interval is
-                # fresh (a degenerate retry reuses the communicator).
-                batched_level = True
-                create = comm_interval != (lo, hi)
-                if create:
-                    comm_interval = (lo, hi)
-                    self.stats.comm_creations += 1
-                record = self._plan.level(self, first, last, lo, hi, level)
-                self.stats.batched_levels += 1
-                # The whole-world group reuses the backend's prebuilt world
-                # channel — no creation charge, mirroring make_group_comm.
-                request = join_jq_level(
-                    self.env, record, group_rank, data,
-                    create and (first > 0 or last < self.p - 1))
-                yield request
-                total_small, messages = request.result()
-                if total_small == 0 or total_small == hi - lo:
-                    self._plan.release(record)
-                    self.stats.degenerate_splits += 1
-                    level += 1
-                    continue
-                buffer = self._plan.take_view(record, group_rank)
-                split = lo + total_small
-                cut = min(max(split, my_lo), my_hi) - my_lo
-                left_data, right_data = buffer[:cut], buffer[cut:]
-            else:
-                batched_level = False
-                if comm_interval != (lo, hi):
-                    comm = yield Blocking(
-                        self.backend.make_group_comm(first, last))
-                    comm_interval = (lo, hi)
-                    self.stats.comm_creations += 1
+            if comm_interval != (lo, hi):
+                comm = yield Blocking(
+                    self.backend.make_group_comm(first, last))
+                comm_interval = (lo, hi)
+                self.stats.comm_creations += 1
 
-                # --- 1. pivot selection --------------------------------------
-                pivot_value, pivot_slot = yield from self._select_pivot(
-                    comm, lo, hi, data, my_lo, level, group_rank, group_size)
+            # --- 1. pivot selection ------------------------------------------
+            pivot_value, pivot_slot = yield from self._select_pivot(
+                comm, lo, hi, data, my_lo, level, group_rank, group_size)
 
-                # --- 2. local partitioning (charged with the sampling) -------
-                small_vals, large_vals, small_n = fused_partition(
-                    data, my_lo, pivot_value, pivot_slot,
-                    tie_breaking=config.tie_breaking)
-                counts = np.array([small_n, data.size - small_n],
-                                  dtype=np.int64)
+            # --- 2. local partitioning (charged with the sampling) -----------
+            small_vals, large_vals, small_n = fused_partition(
+                data, my_lo, pivot_value, pivot_slot,
+                tie_breaking=config.tie_breaking)
+            counts = np.array([small_n, data.size - small_n], dtype=np.int64)
 
-                # --- 3. prefix sums and totals -------------------------------
-                request = comm.iscan(counts, SUM,
-                                     tag=self._tag(lo, _PURPOSE_SCAN))
-                yield request
-                inclusive = request.result()
-                small_prefix = int(inclusive[0]) - small_n
-                large_prefix = int(inclusive[1]) - (data.size - small_n)
+            # --- 3. prefix sums and totals -----------------------------------
+            request = comm.iscan(counts, SUM,
+                                 tag=self._tag(lo, _PURPOSE_SCAN))
+            yield request
+            inclusive = request.result()
+            small_prefix = int(inclusive[0]) - small_n
+            large_prefix = int(inclusive[1]) - (data.size - small_n)
 
-                totals_payload = (inclusive if group_rank == group_size - 1
-                                  else None)
-                request = comm.ibcast(totals_payload, root=group_size - 1,
-                                      tag=self._tag(lo, _PURPOSE_TOTAL))
-                yield request
-                total_small = int(request.result()[0])
+            totals_payload = (inclusive if group_rank == group_size - 1
+                              else None)
+            request = comm.ibcast(totals_payload, root=group_size - 1,
+                                  tag=self._tag(lo, _PURPOSE_TOTAL))
+            yield request
+            total_small = int(request.result()[0])
 
-                if total_small == 0 or total_small == hi - lo:
-                    # Degenerate split (pivot was an extreme element): retry
-                    # the level with fresh samples; the group stays the same,
-                    # so the communicator is reused.
-                    self.stats.degenerate_splits += 1
-                    level += 1
-                    continue
+            if total_small == 0 or total_small == hi - lo:
+                # Degenerate split (pivot was an extreme element): retry the
+                # level with fresh samples; the group stays the same, so the
+                # communicator is reused.
+                self.stats.degenerate_splits += 1
+                level += 1
+                continue
 
-                # --- 4./5. data assignment and exchange ----------------------
-                left_data, right_data, messages = yield from self._exchange(
-                    comm, lo, my_lo, my_hi, total_small, small_prefix,
-                    large_prefix, small_vals, large_vals)
+            # --- 4./5. data assignment and exchange --------------------------
+            left_data, right_data, messages = yield from self._exchange(
+                comm, lo, my_lo, my_hi, total_small, small_prefix,
+                large_prefix, small_vals, large_vals)
 
             self.stats.exchange_messages_received += messages
             if messages > self.stats.max_exchange_messages_per_step:
@@ -452,20 +432,6 @@ class _JQuickRun:
             # --- 6. recurse ----------------------------------------------------
             split = lo + total_small
             level += 1
-            if batched_level and \
-                    self._owner(split - 1) == self._owner(split):
-                # Defensive guard, unreachable at n == p (every split lands
-                # on a rank boundary when each rank owns one slot): a janus
-                # rank would serve two groups at once, which the lockstep
-                # contract cannot price.  Drop the whole subtree to the
-                # per-rank frontier — every member of the group takes the
-                # same branch, so the decision is group-consistent.  The
-                # communicator was never materialised on the batched tier,
-                # so the next level must create one.
-                self._batched = False
-                self.env.lockstep_collectives = False
-                comm = None
-                comm_interval = None
             in_left = my_lo < split
             in_right = my_hi > split
 
@@ -600,22 +566,15 @@ class _JQuickRun:
         buffer.flags.writeable = False
         return buffer[:cut], buffer[cut:], messages
 
-    def _level_endpoint(self, first: int, size: int, lo: int, hi: int,
-                        level: int) -> ExchangeEndpoint:
-        """Group endpoint of one fused batched level (see :mod:`.batched`).
-
-        Built once per level record; the context is unique per phase
-        instance (task interval and level).  The data movement of the level
-        happens inside the round-wide partition (the group's range of the
-        round's buffer *is* the slot region after the exchange); the phase
-        replays the level's native charge/collective/exchange sequence
-        analytically through the lockstep port machinery.
-        """
+    def _root_endpoint(self) -> ExchangeEndpoint:
+        """Group endpoint of the batched sort's root level (see
+        :mod:`.batched`): the whole world, keyed by its context and the root
+        task, so one generation ever exists per sort."""
+        world = self.backend.world
         return ExchangeEndpoint(
-            self.env, ("jql", self._world_context, lo, hi, level),
-            self._tag(lo, _PURPOSE_DATA), 0, size,
-            self._world_first + first * self._world_stride,
-            self._world_stride)
+            self.env, ("jql", world.mpi_context(), 0, self.n, 0),
+            self._tag(0, _PURPOSE_DATA), 0, self.p, world._world_first,
+            world._world_stride)
 
     # -------------------------------------------------------------- base cases
 

@@ -118,9 +118,9 @@ def run_task_scheduler(env: RankEnv, coroutines: Iterable[Generator]):
 
     if len(entries) == 1:
         # Single-chain fast path: a run that never spawns a janus subtask
-        # (always the case in the batched n == p regime) is one coroutine
-        # driven straight — no sweep generator, no window bookkeeping, and
-        # one stack frame less per engine resume.  The directive handling
+        # (always the case at n == p) is one coroutine driven straight — no
+        # sweep generator, no window bookkeeping, and one stack frame less
+        # per engine resume.  The directive handling
         # and the test()-call sequence are identical to the generic loop
         # below, so request state machines progress exactly the same; on the
         # first Spawn the entry falls through to the generic scheduler in

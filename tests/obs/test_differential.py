@@ -15,6 +15,7 @@ the per-record build it replaced on traces full of ties.
 
 from __future__ import annotations
 
+import hashlib
 import io
 from bisect import insort
 
@@ -134,6 +135,12 @@ def test_batched_jquick_tier_bit_identical():
     _assert_critpath_exact(on)
     labels = {span[4] for span in on.trace.spans}
     assert "jqlevel@batched" in labels
+    # The spans and the exact makespan, as recorded when every rank joined
+    # and woke once per level (the order of the spans may differ).
+    spans = sorted(map(tuple, on.trace.spans))
+    assert hashlib.sha256(repr(spans).encode()).hexdigest() == \
+        "f7bf59c3533908c4fdf5cdc2b638f463c28caa287e4451019caeecdf90841e24"
+    assert critical_path(on.trace).total.hex() == "0x1.27d5c28f5c295p+9"
 
 
 def test_honest_refusal_bit_identical_and_recorded():

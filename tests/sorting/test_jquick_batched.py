@@ -11,6 +11,8 @@ magnitudes — plus the gate conditions around ``n == p`` and the minimum rank
 count.
 """
 
+import importlib
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -30,6 +32,9 @@ from oracle import assert_equal_observables, run_both
 COVERS_KINDS = ("jqlevel",)
 
 P = JQUICK_BATCH_MIN_RANKS  # smallest auto-engaged group: every level batched
+
+#: Engine events of the p = 1024 sort in test_sort_at_p_1024_wakes_each_rank_once.
+EVENTS_AT_P_1024 = 7650
 
 
 def _sort_program(env, *, local_data, config):
@@ -187,7 +192,7 @@ def test_rounds_mix_retrying_and_splitting_groups():
     p = P
     config = JQuickConfig(seed=17, tie_breaking=False)
     pending = (0, np.zeros(1, dtype=np.int64), np.full(1, p, dtype=np.int64),
-               _few_keys_and_a_uniform_tail(p))
+               _few_keys_and_a_uniform_tail(p), np.ones(1, dtype=bool))
     mixed = False
     while pending is not None and pending[0] < 6:
         current = _Round(config, p, p, *pending)
@@ -259,21 +264,68 @@ def test_sorts_in_a_row_reuse_the_emptied_plan():
 
 
 # ---------------------------------------------------------------------------
-# Honest refusal when two sorts would share a level record.
+# One join and one wake per rank per sort.
 # ---------------------------------------------------------------------------
 
-def _run_with_level_hook(monkeypatch, hook):
-    """Sort at ``P`` ranks with ``hook(run, record, key)`` replacing every
-    record a member fetches; returns the raised RankFailedError."""
+@pytest.mark.parametrize("p", (P, P + 13))
+def test_one_join_per_rank_per_sort(monkeypatch, p):
+    """Every rank enters the batched sort once, at its root level; the plan
+    prices every later level without the rank rejoining."""
+    jquick_module = importlib.import_module("repro.sorting.jquick")
+    original = jquick_module.join_jq_level
+    joins = []
+
+    def counting(env, *args):
+        joins.append(env.rank)
+        return original(env, *args)
+
+    monkeypatch.setattr(jquick_module, "join_jq_level", counting)
+    result = _run(np.random.default_rng(p).random(p), p)
+    assert sorted(joins) == list(range(p))
+    assert min(stats["batched_levels"] for _, _, stats in result.results) > 1
+
+
+def test_sort_at_p_1024_wakes_each_rank_once(monkeypatch):
+    """The engine events of a p = 1024 sort: one wake per rank for the
+    whole distributed phase (17 159 events when every rank woke once per
+    level).  The plan prices every round at one engine instant, so the
+    receive-port logs are pruned against its frontier, not the clock: once
+    it is done they hold under one prune threshold (24 entries) per port,
+    where a bound stuck at the clock leaves 81 per port."""
+    from repro.sorting.batched import SortPlan
+
+    original = SortPlan.price
+    entries = []
+
+    def price(self, root):
+        outcomes = original(self, root)
+        entries.append(sum(map(len, root.coordinator._recv_logs.values())))
+        return outcomes
+
+    monkeypatch.setattr(SortPlan, "price", price)
+    p = 1024
+    result = _run(np.random.default_rng(p).random(p), p)
+    assert result.events_processed == EVENTS_AT_P_1024
+    assert result.obs["phases_batched"] == 682
+    assert len(entries) == 1 and entries[0] < 24 * p
+
+
+# ---------------------------------------------------------------------------
+# Honest refusal when two sorts would share a root record.
+# ---------------------------------------------------------------------------
+
+def _run_with_root_hook(monkeypatch, hook):
+    """Sort at ``P`` ranks with ``hook(run, record)`` replacing the root
+    record every member fetches; returns the raised RankFailedError."""
     from repro.simulator.errors import RankFailedError
     from repro.sorting.batched import SortPlan
 
-    original = SortPlan.level
+    original = SortPlan.root
 
-    def level(self, run, *key):
-        return hook(run, original(self, run, *key), key)
+    def root(self, run):
+        return hook(run, original(self, run))
 
-    monkeypatch.setattr(SortPlan, "level", level)
+    monkeypatch.setattr(SortPlan, "root", root)
     values = np.random.default_rng(6).random(P)
     with pytest.raises(RankFailedError) as excinfo:
         _run(values, P)
@@ -285,28 +337,28 @@ def test_row_deposited_twice_is_refused(monkeypatch):
     record must refuse instead of silently keeping the first deposit."""
     from repro.core.spmd import LockstepError
 
-    def occupy_row(run, record, key):
-        if run.rank == 0 and record.level == 0:
+    def occupy_row(run, record):
+        if run.rank == 0:
             record.deposit(0, np.zeros(1))  # "the other sort" got here first
         return record
 
-    failure = _run_with_level_hook(monkeypatch, occupy_row)
+    failure = _run_with_root_hook(monkeypatch, occupy_row)
     assert isinstance(failure.__cause__, LockstepError)
     assert "deposited its row twice" in str(failure.__cause__)
 
 
 def test_member_joining_with_a_foreign_record_is_refused(monkeypatch):
-    """All members of a level phase must hold the same record object."""
+    """All members of the root level phase must hold the same record."""
     from repro.core.spmd import LockstepError
-    from repro.sorting.batched import _LevelRecord
+    from repro.sorting.batched import _RootRecord
 
-    def foreign_record(run, record, key):
-        if run.rank == 3 and record.level == 0:
-            # Same key, not the shared one.
-            return _LevelRecord(record.plan, run, *key)
+    def foreign_record(run, record):
+        if run.rank == 3:
+            # Same sort, not the shared record.
+            return _RootRecord(record.plan, run)
         return record
 
-    failure = _run_with_level_hook(monkeypatch, foreign_record)
+    failure = _run_with_root_hook(monkeypatch, foreign_record)
     assert isinstance(failure.__cause__, LockstepError)
     assert "different level record" in str(failure.__cause__)
 
@@ -316,11 +368,12 @@ def test_second_sort_reaching_a_live_plan_is_refused(monkeypatch):
     rounds must refuse instead of computing rounds over mixed-up values."""
     from repro.core.spmd import LockstepError
 
-    def leave_a_round_behind(run, record, key):
-        if run.rank == 0 and record.level == 0:
-            record.plan._pending = (5, None, None, None)  # "the other sort"
+    def leave_a_round_behind(run, record):
+        if run.rank == 0:
+            # "The other sort"'s next round.
+            record.plan._pending = (5, None, None, None, None)
         return record
 
-    failure = _run_with_level_hook(monkeypatch, leave_a_round_behind)
+    failure = _run_with_root_hook(monkeypatch, leave_a_round_behind)
     assert isinstance(failure.__cause__, LockstepError)
     assert "holds another sort's rounds" in str(failure.__cause__)
