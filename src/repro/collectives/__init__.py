@@ -9,8 +9,9 @@ translation, context, tag discipline) and the vendor cost model applied to
 native MPI.
 
 * :mod:`repro.collectives.topology` — binomial-tree and dissemination helpers.
-* :mod:`repro.collectives.endpoint` — the frozen description of a collective
-  instance: communicator, tag, rank translation and vendor cost factors.
+* :mod:`repro.collectives.endpoint` — the frozen, rank-free description of a
+  collective instance, shared by its members: communicator, tag, rank
+  translation and vendor cost factors.
 * :mod:`repro.collectives.machines` — the collective request (progressed by
   ``test()``; it is the port its schedule posts sends and receives on) and
   the flat schedules.

@@ -1,7 +1,8 @@
 """The one place a collective picks its schedule and its execution tier.
 
 Both API layers — :mod:`repro.rbc.collectives` and the simulated native MPI
-of :mod:`repro.mpi.comm` — build an endpoint and call :func:`start`; nothing
+of :mod:`repro.mpi.comm` — look up the (rank-free, shared) endpoint and call
+:func:`start` with the caller's ``env``; nothing
 else chooses between the point-to-point schedules of Section V-D or between
 the tiers that price them.
 
@@ -142,7 +143,7 @@ def _auto_bcast(port, value: Any, root: int, segment_words: int):
     """
     ep = port.ep
     choice = None
-    if ep.rank == root:
+    if port.rank == root:
         choice = choose_bcast_algorithm(
             payload_words(value), ep.size, value, model=ep.cost_model,
             hierarchical=hierarchy_of(ep) is not None)
@@ -160,31 +161,32 @@ def _auto_bcast(port, value: Any, root: int, segment_words: int):
 _spmd = None
 
 
-def _eligible(ep: TransportEndpoint) -> bool:
-    """Whether a call on ``ep`` may run in lockstep
+def _eligible(env, ep: TransportEndpoint) -> bool:
+    """Whether ``env``'s call on ``ep`` may run in lockstep
     (:func:`repro.core.spmd.lockstep_eligible`, which counts the reason
     when an opted-in call may not)."""
-    if not getattr(ep.env, "lockstep_collectives", False):
+    if not getattr(env, "lockstep_collectives", False):
         return False
     global _spmd
     if _spmd is None:
         from ..core import spmd as _spmd
-    return _spmd.lockstep_eligible(ep)
+    return _spmd.lockstep_eligible(env, ep)
 
 
-def _decline(ep: TransportEndpoint, reason: str) -> None:
+def _decline(env, ep: TransportEndpoint, reason: str) -> None:
     """Record why a call that lockstep could otherwise price runs event by
     event, so ``tier_declined`` gives one reason per scalar collective."""
-    if _eligible(ep):
+    if _eligible(env, ep):
         ep.transport.decline_tier(f"lockstep: {reason}")
 
 
-def start(ep: TransportEndpoint, name: str, value: Any = None,
+def start(env, ep: TransportEndpoint, name: str, value: Any = None,
           op: Optional[Callable[[Any, Any], Any]] = None, root: int = 0, *,
           algorithm: Optional[str] = None, node_aware: bool = True,
           segment_words: int = DEFAULT_SEGMENT_WORDS) -> Request:
     """Start collective ``name`` (one of ``bcast``, ``reduce``,
-    ``allreduce``, ``scan``, ``gather``, ``barrier``) on ``ep``.
+    ``allreduce``, ``scan``, ``gather``, ``barrier``) for the rank of ``env``
+    on ``ep``.
 
     Returns this rank's request: a lockstep join or a
     :class:`~.machines.CollectiveRequest` driving the selected schedule
@@ -194,8 +196,9 @@ def start(ep: TransportEndpoint, name: str, value: Any = None,
     ``ValueError``.
     """
     if algorithm == "auto" and name == "bcast":
-        _decline(ep, "_auto_bcast has no lockstep pricer")
-        return CollectiveRequest(ep, _auto_bcast, value, root, segment_words)
+        _decline(env, ep, "_auto_bcast has no lockstep pricer")
+        return CollectiveRequest(env, ep, _auto_bcast, value, root,
+                                 segment_words)
     if algorithm == "auto" and name == "allreduce":
         # Every rank contributes the same amount, so every rank picks alike.
         algorithm = choose_allreduce_algorithm(
@@ -204,18 +207,19 @@ def start(ep: TransportEndpoint, name: str, value: Any = None,
     schedule, large = _select(ep, name, algorithm, node_aware, root)
     if large is not None:
         label = large[0]
-        _decline(ep, f"{label} has no lockstep pricer")
+        _decline(env, ep, f"{label} has no lockstep pricer")
     elif algorithm is not None and schedule is None:
         # The flat phase classes fold a port-write tie between two
         # unsynchronised repetitions in generation order without proving
         # that it commutes, so a flat schedule named explicitly keeps the
         # event tier.
         label = name
-        _decline(ep, f"explicit {algorithm!r} {name} runs event by event")
-    elif _eligible(ep):
-        return _spmd.join_lockstep(ep, name, value, op, root, schedule)
+        _decline(env, ep, f"explicit {algorithm!r} {name} runs event by event")
+    elif _eligible(env, ep):
+        return _spmd.join_lockstep(env, ep, name, value, op, root, schedule)
     else:
         label = name if schedule is None else schedule.ir_token()
     return CollectiveRequest(
-        ep, _schedule, name, value, op, root, segment_words, schedule, large,
+        env, ep, _schedule, name, value, op, root, segment_words, schedule,
+        large,
         label=label)

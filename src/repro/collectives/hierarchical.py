@@ -247,14 +247,20 @@ def hierarchy_of(ep: TransportEndpoint) -> Optional[Hierarchy]:
     Flat machines (any cost model with a uniform link price) return None
     immediately — their collectives must stay on the historical code path
     bit-identically.  On hierarchical machines the structure is cached on the
-    transport per ``(affine map, size)``, so repeated collectives on the same
-    communicator pay one dictionary probe.
+    transport per ``(affine map, size)`` or member tuple, and the answer on
+    the endpoint: every member of a collective shares its endpoint, so a
+    non-affine group's member tuple is built once per collective instance,
+    not once per member.
     """
+    hierarchy = ep._hierarchy
+    if hierarchy is not False:
+        return hierarchy
     # getattr: duck-typed cost models predating uniform_link keep working
     # (the transport preserves the same compatibility); a model without the
     # method stays on the historical flat code path.
     uniform_link = getattr(ep.cost_model, "uniform_link", None)
     if uniform_link is None or uniform_link() is not None:
+        ep._hierarchy = None
         return None
     transport = ep.transport
     cache = transport._hierarchy_cache
@@ -274,7 +280,8 @@ def hierarchy_of(ep: TransportEndpoint) -> Optional[Hierarchy]:
             first, stride = affine
             world_ranks = range(first, first + stride * ep.size, stride)
         hierarchy = cache[key] = build_hierarchy(ep.placement, world_ranks)
-    return hierarchy if hierarchy.nontrivial else None
+    hierarchy = ep._hierarchy = hierarchy if hierarchy.nontrivial else None
+    return hierarchy
 
 
 class SubgroupEndpoint:

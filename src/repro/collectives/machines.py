@@ -14,7 +14,11 @@ The request is also the *port* its schedule talks to — the schedule function
 is called as ``schedule_fn(port, *args)`` and may use
 
 * ``port.rank`` / ``port.size`` — this process and the group, in the
-  group-local ranks the schedule speaks;
+  group-local ranks the schedule speaks.  The endpoint is rank-free and
+  shared by every member, so ``port.rank`` is derived once, when the request
+  is built, from the caller's ``env``
+  (:meth:`~repro.collectives.endpoint.TransportEndpoint.rank_of`);
+* ``port.env`` — the calling rank's environment;
 * ``port.isend(payload, dest, local_delay=0.0, words=None)`` — post a message
   to group rank ``dest`` (rank translation and the vendor's word / overhead
   scaling happen here, the message crosses ``Transport.post_send``);
@@ -86,8 +90,8 @@ __all__ = [
 
 
 class CollectiveRequest(Request):
-    """Drives ``schedule_fn(self, *args)`` on ``ep``; completes when the
-    schedule returns.
+    """Drives ``schedule_fn(self, *args)`` for the rank of ``env`` on ``ep``;
+    completes when the schedule returns.
 
     The first state is executed eagerly on construction (the paper: "RBC
     creates a request object which contains a local state machine, executes
@@ -108,11 +112,11 @@ class CollectiveRequest(Request):
                  "_value", "_slots", "_waiting", "_leave", "_mailbox",
                  "_obs", "_obs_t0", "_obs_label")
 
-    def __init__(self, ep: TransportEndpoint, schedule_fn, *args,
+    def __init__(self, env, ep: TransportEndpoint, schedule_fn, *args,
                  label: Optional[str] = None):
-        env = self.env = ep.env
+        self.env = env
         self.ep = ep
-        self.rank = ep.rank
+        self.rank = ep.rank_of(env.rank)
         self.size = ep.size
         self.msgs: Optional[list] = None
         self._done = False

@@ -114,6 +114,7 @@ from typing import Any, Callable, Optional
 
 import numpy as np
 
+from ..collectives.endpoint import TransportEndpoint
 from ..collectives.topology import binomial_children, dissemination_rounds
 from ..messaging import Request
 from ..simulator.errors import RankFailedError
@@ -124,7 +125,6 @@ __all__ = [
     "LockstepRequest",
     "lockstep_eligible",
     "join_lockstep",
-    "ExchangeEndpoint",
     "SpmdCoordinator",
     "coordinator_of",
     "VECTOR_CUTOFF",
@@ -239,8 +239,8 @@ class LockstepRequest(Request):
         return self._value
 
 
-def lockstep_eligible(ep) -> bool:
-    """True when collectives on ``ep`` may be priced in lockstep.
+def lockstep_eligible(env, ep) -> bool:
+    """True when ``env``'s collectives on ``ep`` may be priced in lockstep.
 
     Requires the program's explicit opt-in (``env.lockstep_collectives``), a
     non-trivial group, the default cluster (the oracle,
@@ -250,7 +250,6 @@ def lockstep_eligible(ep) -> bool:
     prices are fine: the phases resolve ``params.link`` per edge exactly as
     ``Transport.post_send`` does.
     """
-    env = ep.env
     if not getattr(env, "lockstep_collectives", False):
         return False
     if ep.size <= 1:
@@ -265,10 +264,11 @@ def lockstep_eligible(ep) -> bool:
     return False
 
 
-def join_lockstep(ep, kind: str, value: Any = None,
+def join_lockstep(env, ep, kind: str, value: Any = None,
                   op: Optional[Callable[[Any, Any], Any]] = None,
                   root: int = 0, schedule=None) -> LockstepRequest:
-    """Enter this rank into the lockstep phase ``kind`` on ``ep``'s group.
+    """Enter the rank of ``env`` into the lockstep phase ``kind`` on
+    ``ep``'s group.
 
     ``schedule`` is the node-leader :class:`~repro.collectives.ir.Schedule`
     the call runs, None for the op's flat schedule.  Must be called at the
@@ -276,7 +276,7 @@ def join_lockstep(ep, kind: str, value: Any = None,
     request completing at the rank's native finish time with the native
     result value.
     """
-    return coordinator_of(ep.transport).join(ep, kind, value, op, root,
+    return coordinator_of(ep.transport).join(ep, kind, env, value, op, root,
                                              schedule)
 
 
@@ -415,13 +415,15 @@ class SpmdCoordinator:
                 block.unpack(member, log, bound)
         return log
 
-    def join(self, ep, kind: str, value, op, root,
+    def join(self, ep, kind: str, env, value, op, root,
              schedule=None) -> LockstepRequest:
+        """Enter the rank of ``env`` into phase ``kind`` on the (rank-free)
+        endpoint ``ep``; its group rank follows from the endpoint."""
         try:
-            return self._join(ep, kind, value, op, root, schedule)
+            return self._join(ep, kind, env, value, op, root, schedule)
         except LockstepError as exc:
             self.record_refusal(
-                exc, ep.transport, ep.env.engine._now, ep.env.rank,
+                exc, ep.transport, env.engine._now, env.rank,
                 f"{kind} p={ep.size} root={root}: {exc}")
             raise
 
@@ -441,16 +443,17 @@ class SpmdCoordinator:
         if obs is not None:
             obs.events.append((now, rank, "refusal", shape))
 
-    def _join(self, ep, kind: str, value, op, root,
+    def _join(self, ep, kind: str, env, value, op, root,
               schedule) -> LockstepRequest:
+        rank = ep.rank_of(env.rank)
         key = (ep.context, ep.tag, kind, root)
         generations = self._phases.get(key)
         if generations is None:
             generations = self._phases[key] = []
         phase = None
         for live in generations:
-            if live.schedule is schedule and ep.rank < live.size \
-                    and live.joined[ep.rank] is None:
+            if live.schedule is schedule and rank < live.size \
+                    and live.joined[rank] is None:
                 phase = live
                 break
         if phase is None:
@@ -463,11 +466,11 @@ class SpmdCoordinator:
                     raise LockstepError(
                         f"unknown lockstep kind: {kind!r}") from None
                 phase = factory(ep, op, root, self)
-            phase.first_join = ep.env.engine._now
+            phase.first_join = env.engine._now
             phase._gen_key = key
             self._live_first_joins.append(phase.first_join)
             generations.append(phase)
-        request = phase.join(ep, value, op)
+        request = phase.join(env, rank, ep, value, op)
         if phase.resolved_count == phase.size:
             self.retire(phase)
         return request
@@ -559,10 +562,8 @@ class _PhaseBase:
     def _derive_group(self, ep, coordinator) -> None:
         """Bind what depends only on the group and its machine; the
         attributes are snapshotted into ``_group`` for sub-phases to adopt."""
-        env = ep.env
         transport = ep.transport
-        self.env = env
-        self.engine = env.engine
+        self.engine = transport.engine
         self.transport = transport
         self.context = ep.context
         self.tag = ep.tag
@@ -587,7 +588,7 @@ class _PhaseBase:
         self._link_placement = transport.placement
         self.factor = ep.word_cost_factor
         self.pmd = ep.per_message_delay
-        self.compute_cost = env.params.compute_cost
+        self.compute_cost = transport.params.compute_cost
         affine = ep._affine
         self.affine = affine
         if affine is not None:
@@ -614,8 +615,8 @@ class _PhaseBase:
 
     # ------------------------------------------------------------------ joins
 
-    def join(self, ep, value, op) -> LockstepRequest:
-        rank = ep.rank
+    def join(self, env, rank: int, ep, value, op) -> LockstepRequest:
+        """Record the join of ``env``'s rank, group rank ``rank`` of ``ep``."""
         if ep.size != self.size:
             raise LockstepError(
                 f"lockstep {self.kind}: rank {rank} joined with group size "
@@ -628,9 +629,9 @@ class _PhaseBase:
             raise LockstepError(
                 f"lockstep {self.kind}: rank {rank} joined with different "
                 f"vendor cost parameters")
-        if ep.env.rank != self.world[rank]:
+        if env.rank != self.world[rank]:
             raise LockstepError(
-                f"lockstep {self.kind}: world rank {ep.env.rank} joined as "
+                f"lockstep {self.kind}: world rank {env.rank} joined as "
                 f"group rank {rank}, but the phase maps it to world rank "
                 f"{self.world[rank]} — two groups are sharing one "
                 f"(context, tag)")
@@ -638,7 +639,7 @@ class _PhaseBase:
             raise LockstepError(
                 f"lockstep {self.kind}: rank {rank} joined twice — interleaved "
                 f"collectives on one (context, tag) are not lockstep-safe")
-        return self._join_at(rank, value, self.engine._now, ep.env)
+        return self._join_at(rank, value, self.engine._now, env)
 
     def _join_at(self, rank: int, value, now: float,
                  env=None) -> Optional[LockstepRequest]:
@@ -742,7 +743,7 @@ class _PhaseBase:
         so the receive-port prune bound stays conservative for every
         synthetic write (they all post at or after it).  ``ep`` defaults to
         this phase itself, which quacks like an endpoint for its own group
-        (``_StageEndpoint`` narrows it to a stage's members).
+        (:class:`_SchedulePhase` narrows it to a stage's members).
         """
         phase = factory(self if ep is None else ep, op, root, self.coordinator)
         phase._retired = True
@@ -2147,40 +2148,6 @@ class _AllreducePhase(_PhaseBase):
 _INF = float("inf")
 
 
-class ExchangeEndpoint:
-    """Minimal endpoint of a phase that prices a data exchange.
-
-    Data-exchange messages are plain point-to-point sends (no vendor word
-    factor, no per-message delay), so the endpoint carries neutral cost
-    parameters; ``context`` must be unique per phase instance — the caller
-    (the jquick batched tier) keys it by the task interval and level, which
-    every member derives identically, so one generation ever exists per key.
-    That tier builds one endpoint for a sort's root level and stamps each
-    joining member's ``env`` and ``rank`` onto it (the coordinator reads
-    both only during the join call), and one per later level, which only
-    carries the group into a phase it prices without joins.
-    """
-
-    __slots__ = ("env", "transport", "context", "tag", "rank", "size",
-                 "_affine", "word_cost_factor", "per_message_delay")
-
-    def __init__(self, env, context, tag, rank, size, world_first,
-                 world_stride=1):
-        self.env = env
-        self.transport = env.transport
-        self.context = context
-        self.tag = tag
-        self.rank = rank
-        self.size = size
-        self._affine = (world_first, world_stride)
-        self.word_cost_factor = 1.0
-        self.per_message_delay = 0.0
-
-    def to_world(self, rank: int) -> int:
-        first, stride = self._affine
-        return first + rank * stride
-
-
 class _ExchangePhase(_PhaseBase):
     """Mirror of the native drain-then-charge-then-wait exchange loop.
 
@@ -2336,33 +2303,6 @@ class _ExchangePhase(_PhaseBase):
 # Hierarchical collectives: one generic phase replaying the schedule IR.
 # ---------------------------------------------------------------------------
 
-class _StageEndpoint:
-    """Endpoint view of one IR stage's members, for ``_sub_phase``.
-
-    Narrows a parent phase's group to a stage's participants: member ``i``
-    of the sub-phase is world rank ``world[i]``.  Cost parameters are
-    inherited from the parent phase (they were endpoint-agreed at join).
-    """
-
-    __slots__ = ("env", "transport", "context", "tag", "rank", "size",
-                 "_affine", "word_cost_factor", "per_message_delay", "_world")
-
-    def __init__(self, parent, world):
-        self.env = parent.env
-        self.transport = parent.transport
-        self.context = parent.context
-        self.tag = parent.tag
-        self.rank = 0
-        self.size = len(world)
-        self._affine = None
-        self.word_cost_factor = parent.factor
-        self.per_message_delay = parent.pmd
-        self._world = world
-
-    def to_world(self, member: int) -> int:
-        return self._world[member]
-
-
 class _SchedulePhase(_PhaseBase):
     """Lockstep replay of a node-leader schedule-IR program.
 
@@ -2425,7 +2365,12 @@ class _SchedulePhase(_PhaseBase):
             phase = self._stage_phases[stage] = self._sub_phase(
                 self.coordinator._KINDS[stage.kind], self._stage_op,
                 stage.root,
-                _StageEndpoint(self, [world[g] for g in stage.members]))
+                TransportEndpoint(
+                    self.transport, context=self.context, tag=self.tag,
+                    size=len(stage.members),
+                    to_world=[world[g] for g in stage.members].__getitem__,
+                    word_cost_factor=self.factor,
+                    per_message_delay=self.pmd))
             self._harvested[stage] = [False] * len(stage.members)
         return phase
 

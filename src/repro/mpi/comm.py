@@ -35,6 +35,9 @@ __all__ = ["MpiCommunicator"]
 class MpiCommunicator:
     """A simulated MPI communicator (group + context id) as seen by one rank."""
 
+    __slots__ = ("runtime", "group", "context_id", "_env", "_rank", "_size",
+                 "_coll_seq", "_p2p_ctx")
+
     def __init__(self, runtime, group: MpiGroup, context_id):
         self.runtime = runtime
         self.group = group
@@ -191,25 +194,37 @@ class MpiCommunicator:
         communicator cannot interfere — the synchronous "tag counter" approach
         the paper cites from Hoefler & Lumsdaine.  It stays synchronous
         because MPI requires every member to call collectives in the same
-        order.
+        order, so the members of one invocation look up — and share — one
+        endpoint interned on the transport.
         """
         seq = self._coll_seq
         self._coll_seq += 1
-        vendor = self.vendor
-        word_factor = vendor.word_factor(operation) if apply_vendor else 1.0
-        per_message = vendor.collective_message_overhead if apply_vendor else 0.0
-        return TransportEndpoint(
-            self._env,
-            self._env.transport,
-            context=(self.context_id, "coll", seq),
-            tag=0,
-            rank=self._rank,
-            size=self._size,
-            to_world=self.group.translate,
-            word_cost_factor=word_factor,
-            per_message_delay=per_message,
-            world_affine=self.group.affine_world_map(),
-        )
+        if apply_vendor:
+            vendor = self.runtime.vendor
+            word_factor = vendor.word_factor(operation)
+            per_message = vendor.collective_message_overhead
+        else:
+            word_factor, per_message = 1.0, 0.0
+        group = self.group
+        transport = self._env.transport
+        key = ("coll", self.context_id, seq, group.world_key(), word_factor,
+               per_message)
+        ep = transport._interned.get(key)
+        if ep is None:
+            # The endpoint's to_world keeps the group alive while the entry
+            # exists, which its world_key may require.
+            ep = transport.intern(key, TransportEndpoint(
+                transport,
+                context=(self.context_id, "coll", seq),
+                tag=0,
+                size=self._size,
+                to_world=group.translate,
+                word_cost_factor=word_factor,
+                per_message_delay=per_message,
+                world_affine=group.affine_world_map(),
+                from_world=group.rank_of,
+            ))
+        return ep
 
     def _start(self, name: str, value: Any = None, op=None,
                root: int = 0) -> Request:
@@ -220,8 +235,16 @@ class MpiCommunicator:
         model declares ``VendorModel.node_aware`` (Intel, IBM) get the
         node-leader schedules there, the generic vendor never does.
         """
-        return start(self._collective_endpoint(name), name, value, op, root,
-                     node_aware=self.vendor.node_aware)
+        return start(self._env, self._collective_endpoint(name), name, value,
+                     op, root, node_aware=self.vendor.node_aware)
+
+    def _request(self, operation: str, schedule_fn,
+                 *args) -> CollectiveRequest:
+        """The request driving ``schedule_fn(port, *args)`` for
+        ``operation`` event by event (the undispatched collectives)."""
+        return CollectiveRequest(self._env,
+                                 self._collective_endpoint(operation),
+                                 schedule_fn, *args)
 
     # --- nonblocking ---------------------------------------------------------
 
@@ -238,8 +261,7 @@ class MpiCommunicator:
         return self._start("scan", value, op)
 
     def iexscan(self, value: Any, op=SUM) -> CollectiveRequest:
-        return CollectiveRequest(self._collective_endpoint("exscan"),
-                                 exscan_schedule, value, op)
+        return self._request("exscan", exscan_schedule, value, op)
 
     def igather(self, value: Any, root: int = 0) -> Request:
         return self._start("gather", value, None, root)
@@ -249,24 +271,21 @@ class MpiCommunicator:
         return self.igather(value, root)
 
     def iallgather(self, value: Any) -> CollectiveRequest:
-        return CollectiveRequest(self._collective_endpoint("allgather"),
-                                 allgather_schedule, value)
+        return self._request("allgather", allgather_schedule, value)
 
     def ialltoallv(self, payloads: Sequence[Any]) -> CollectiveRequest:
-        return CollectiveRequest(self._collective_endpoint("alltoallv"),
-                                 alltoallv_schedule, payloads)
+        return self._request("alltoallv", alltoallv_schedule, payloads)
 
     def iscatter(self, values: Optional[Sequence[Any]], root: int = 0) -> CollectiveRequest:
-        return CollectiveRequest(self._collective_endpoint("scatter"),
-                                 scatter_schedule, values, root)
+        return self._request("scatter", scatter_schedule, values, root)
 
     def iscatterv(self, values: Optional[Sequence[Any]], root: int = 0) -> CollectiveRequest:
         # Variable-size scatter shares the implementation of iscatter.
         return self.iscatter(values, root)
 
     def ireduce_scatter(self, value: Any, op=SUM) -> CollectiveRequest:
-        return CollectiveRequest(self._collective_endpoint("reduce_scatter"),
-                                 reduce_scatter_ring_schedule, value, op)
+        return self._request("reduce_scatter", reduce_scatter_ring_schedule,
+                             value, op)
 
     def ibarrier(self) -> Request:
         return self._start("barrier")

@@ -47,35 +47,47 @@ def _creation_endpoint(parent: MpiCommunicator, *, channel: str, tag: int,
                        members: Optional[Sequence[int]] = None) -> TransportEndpoint:
     """Endpoint for the context-ID agreement collective.
 
-    ``members`` is the list of parent ranks taking part (defaults to all of
-    them); the endpoint's group-local rank space is the index into that list.
-    The user-provided ``tag`` keeps concurrent creations on overlapping groups
-    apart, exactly as the real ``MPI_Comm_create_group`` interface requires.
+    ``members`` is the ascending list of parent ranks taking part (defaults
+    to all of them); the endpoint's group-local rank space is the index into
+    that list.  The user-provided ``tag`` keeps concurrent creations on
+    overlapping groups apart, exactly as the real ``MPI_Comm_create_group``
+    interface requires.
+
+    Translation goes through the parent's group (an immutable value), never
+    the parent: an endpoint must not keep a communicator alive.  An affine
+    parent with a ``range`` of members composes into one affine map.  Every
+    endpoint but a per-rank member list's is interned on the transport and
+    shared by the participants.
     """
-    env = parent.env
-    # Translate through the parent's group (an immutable value), not the
-    # parent: an endpoint must never keep a communicator alive.
-    translate = parent.group.translate
+    transport = parent.env.transport
+    group = parent.group
+    context = (parent.context_id, channel)
     if members is None:
-        rank = parent.rank
-        size = parent.size
-        to_world = translate
+        key = ("create", context, tag, group.world_key())
+        fields = dict(size=parent.size, to_world=group.translate,
+                      world_affine=group.affine_world_map(),
+                      from_world=group.rank_of)
     else:
-        rank = members.index(parent.rank)
-        size = len(members)
+        affine = group.affine_world_map()
+        if affine is not None and isinstance(members, range):
+            first, stride = affine
+            affine = (first + members.start * stride, members.step * stride)
+            key = ("create", context, tag, affine, len(members))
+            fields = dict(size=len(members), world_affine=affine)
+        else:
+            # A member list is built per rank: no identity to share it by.
+            translate = group.translate
 
-        def to_world(index: int) -> int:
-            return translate(members[index])
+            def to_world(index: int) -> int:
+                return translate(members[index])
 
-    return TransportEndpoint(
-        env,
-        env.transport,
-        context=(parent.context_id, channel),
-        tag=tag,
-        rank=rank,
-        size=size,
-        to_world=to_world,
-    )
+            return TransportEndpoint(transport, context=context, tag=tag,
+                                     size=len(members), to_world=to_world)
+    endpoint = transport._interned.get(key)
+    if endpoint is None:
+        endpoint = transport.intern(key, TransportEndpoint(
+            transport, context=context, tag=tag, **fields))
+    return endpoint
 
 
 def _agree_on_context_id(parent: MpiCommunicator, endpoint: TransportEndpoint):
@@ -87,7 +99,7 @@ def _agree_on_context_id(parent: MpiCommunicator, endpoint: TransportEndpoint):
     pool = parent.runtime.context_pool
     my_mask = pool.mask_array()
     request = CollectiveRequest(
-        endpoint, allreduce_schedule, my_mask, _band_masks)
+        parent.env, endpoint, allreduce_schedule, my_mask, _band_masks)
     reduced = yield from request.wait()
     context_id = ContextIdPool.common_lowest_free(
         ContextIdPool.mask_from_array(reduced))
@@ -181,7 +193,8 @@ def comm_split(parent: MpiCommunicator, color: Optional[int], key: int = 0):
     endpoint = _creation_endpoint(parent, channel="split", tag=split_seq)
     parent._coll_seq += 1
     contribution = (color, key, parent.rank)
-    request = CollectiveRequest(endpoint, allgather_schedule, contribution)
+    request = CollectiveRequest(env, endpoint, allgather_schedule,
+                                contribution)
     entries = yield from request.wait()
 
     # 2. Group locally (charged per the vendor model).

@@ -16,6 +16,7 @@ those are represented by :class:`TupleContextId`.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -35,12 +36,19 @@ class ContextIdPool:
     different communicators, which is why the agreement allreduce is needed.
     """
 
-    def __init__(self, bits: int = DEFAULT_CONTEXT_BITS):
+    __slots__ = ("bits", "_mask", "_array_cache")
+
+    def __init__(self, bits: int = DEFAULT_CONTEXT_BITS,
+                 reserved: tuple = ()):
         if bits <= 1:
             raise ValueError("need at least 2 context ids")
         self.bits = bits
-        # Python ints are arbitrary precision: a mask with all `bits` bits set.
-        self._mask = (1 << bits) - 1
+        for context_id in reserved:
+            self._check(context_id)
+        # Python ints are arbitrary precision: a mask with all `bits` bits
+        # set but the ``reserved`` ones.  Ints are immutable, so every pool
+        # starting alike shares one mask object.
+        self._mask = _initial_mask(bits, reserved)
         # (mask value, wire array) of the last mask_array() call — communicator
         # creations ask for the same mask repeatedly between allocations.
         self._array_cache: tuple[int, "np.ndarray"] | None = None
@@ -115,6 +123,14 @@ class ContextIdPool:
     def _check(self, context_id: int) -> None:
         if not 0 <= context_id < self.bits:
             raise ValueError(f"context id {context_id} out of range [0, {self.bits})")
+
+
+@lru_cache(maxsize=8)
+def _initial_mask(bits: int, reserved: tuple) -> int:
+    mask = (1 << bits) - 1
+    for context_id in reserved:
+        mask &= ~(1 << context_id)
+    return mask
 
 
 def lowest_set_bit(mask: int) -> int:

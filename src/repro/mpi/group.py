@@ -17,7 +17,6 @@ range-based proposal of Section VI never does.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 from .datatypes import UNDEFINED
@@ -30,17 +29,19 @@ class GroupFormat:
     RANGE = "range"
 
 
-@dataclass(frozen=True)
 class _RangeTriple:
-    first: int
-    last: int
-    stride: int
+    """One ``(first, last, stride)`` range of world ranks (never mutated)."""
 
-    def __post_init__(self):
-        if self.stride <= 0:
+    __slots__ = ("first", "last", "stride")
+
+    def __init__(self, first: int, last: int, stride: int):
+        if stride <= 0:
             raise ValueError("stride must be positive")
-        if self.last < self.first:
-            raise ValueError(f"empty range {self.first}..{self.last}")
+        if last < first:
+            raise ValueError(f"empty range {first}..{last}")
+        self.first = first
+        self.last = last
+        self.stride = stride
 
     @property
     def count(self) -> int:
@@ -171,6 +172,17 @@ class MpiGroup:
         if self._single is None:
             return None
         return self._single[0], self._single[1]
+
+    def world_key(self):
+        """A hashable name of this group's rank map, in constant time.
+
+        ``(first, stride, size)`` when translation is affine — equal for
+        every group with that map — else the group's identity, which names
+        it only while the group is alive: whoever keys a table by it must
+        keep the group referenced from the entry.
+        """
+        single = self._single
+        return single if single is not None else id(self)
 
     def rank_of(self, world_rank: int) -> int:
         """World rank -> group-local rank, or ``UNDEFINED`` if not a member."""

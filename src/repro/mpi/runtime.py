@@ -24,13 +24,14 @@ class MpiRuntime:
     :func:`init_mpi` returns.
     """
 
+    __slots__ = ("env", "vendor", "context_pool", "creation_counter")
+
     WORLD_CONTEXT_ID = 0
 
     def __init__(self, env: RankEnv, vendor: Union[str, VendorModel] = "generic"):
         self.env = env
         self.vendor = get_vendor(vendor)
-        self.context_pool = ContextIdPool()
-        self.context_pool.acquire(self.WORLD_CONTEXT_ID)
+        self.context_pool = ContextIdPool(reserved=(self.WORLD_CONTEXT_ID,))
         #: Counter `b` of the Section VI proposal (per-process creation counter).
         self.creation_counter = 0
 
@@ -65,6 +66,14 @@ def init_mpi(env: RankEnv, vendor: Union[str, VendorModel] = "generic") -> MpiCo
         def program(env):
             world = init_mpi(env, vendor="intel")
             ...
+
+    The world group is immutable and the same on every rank, so the ranks
+    of one transport share one, interned on it (``Transport.intern``).
     """
+    transport = env.transport
+    key = ("mpi world group", env.size)
+    group = transport._interned.get(key)
+    if group is None:
+        group = transport.intern(key, MpiGroup.contiguous(0, env.size - 1))
     return MpiRuntime(env, vendor).make_communicator(
-        MpiGroup.contiguous(0, env.size - 1), MpiRuntime.WORLD_CONTEXT_ID)
+        group, MpiRuntime.WORLD_CONTEXT_ID)

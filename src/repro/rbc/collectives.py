@@ -63,37 +63,6 @@ __all__ = [
 ]
 
 
-#: Per-communicator endpoint-cache bound.  Programs that derive a fresh tag
-#: per collective instance (pipelined schedules, tag-sequenced phases) would
-#: otherwise grow the cache without limit over a long run; 64 comfortably
-#: covers every tag a repetition loop cycles through while keeping the
-#: worst case O(1) memory per communicator.
-_EP_CACHE_MAX = 64
-
-
-class _RangeToWorld:
-    """``RbcComm.to_world`` of one range, without the communicator.
-
-    The communicator caches its endpoints, so an endpoint must not refer
-    back to it (the bound ``comm.to_world`` would): this translates through
-    the MPI communicator and the range's ints instead.
-    """
-
-    __slots__ = ("mpi_comm", "first", "stride", "size")
-
-    def __init__(self, comm: RbcComm):
-        self.mpi_comm = comm.mpi_comm
-        self.first = comm.first
-        self.stride = comm.stride
-        self.size = comm.size
-
-    def __call__(self, rbc_rank: int) -> int:
-        if not 0 <= rbc_rank < self.size:
-            raise ValueError(
-                f"RBC rank {rbc_rank} out of range [0, {self.size})")
-        return self.mpi_comm.to_world(self.first + rbc_rank * self.stride)
-
-
 def _endpoint(comm: RbcComm, tag: int) -> TransportEndpoint:
     """Endpoint for one collective instance on an RBC communicator.
 
@@ -102,43 +71,47 @@ def _endpoint(comm: RbcComm, tag: int) -> TransportEndpoint:
     traffic purely by ``tag`` — which is why overlapping RBC communicators
     must use distinct tags for simultaneous collectives.
 
-    Endpoints are immutable, so each communicator caches one per tag —
-    repetition loops hit the cache instead of rebuilding the adapter (and
-    re-resolving the context/rank translation) on every collective call.
-    The cache is FIFO-bounded at ``_EP_CACHE_MAX`` entries so tag-per-
-    instance traffic cannot grow it without limit.
+    The endpoint depends only on the communicator's shared
+    :class:`~repro.rbc.comm.RbcRange` and the tag, so it is interned on the
+    transport under that pair: the members of the range, and repetition
+    loops, look one up instead of rebuilding the adapter (and re-resolving
+    the context/rank translation) on every collective call.
     """
-    try:
-        cache = comm._ep_cache
-    except AttributeError:
-        cache = comm._ep_cache = {}
-    ep = cache.get(tag)
-    if ep is not None:
-        return ep
-    if comm.rank is None:
+    if comm._my_rank is None:
         raise ValueError("calling process is not a member of this RBC communicator")
-    world_first = comm._world_first
-    ep = TransportEndpoint(
-        comm.env,
-        comm.env.transport,
-        context=comm.mpi_context(),
-        tag=tag,
-        rank=comm.rank,
-        size=comm.size,
-        to_world=_RangeToWorld(comm),
-        world_affine=(None if world_first is None
-                      else (world_first, comm._world_stride)),
-    )
-    if len(cache) >= _EP_CACHE_MAX:
-        del cache[next(iter(cache))]
-    cache[tag] = ep
+    described = comm.range
+    key = (described, tag)
+    transport = comm.mpi_comm._env.transport
+    ep = transport._interned.get(key)
+    if ep is None:
+        world_first = described.world_first
+        ep = transport.intern(key, TransportEndpoint(
+            transport,
+            context=described.context,
+            tag=tag,
+            size=described.size,
+            to_world=None if world_first is not None else described.to_world,
+            world_affine=(None if world_first is None
+                          else (world_first, described.world_stride)),
+            from_world=described.from_world,
+        ))
     return ep
+
+
+def _start(comm: RbcComm, tag: int, name: str, *args,
+           **options) -> RbcRequest:
+    """Dispatch collective ``name`` on ``comm`` and ``tag``
+    (:func:`~repro.collectives.dispatch.start`)."""
+    env = comm.mpi_comm._env
+    return RbcRequest(env, start(env, _endpoint(comm, tag), name, *args,
+                                 **options))
 
 
 def _request(comm: RbcComm, tag: int, schedule_fn, *args) -> RbcRequest:
     """The request driving ``schedule_fn(port, *args)`` on ``comm`` and ``tag``."""
+    env = comm.mpi_comm._env
     return RbcRequest(
-        comm.env, CollectiveRequest(_endpoint(comm, tag), schedule_fn, *args))
+        env, CollectiveRequest(env, _endpoint(comm, tag), schedule_fn, *args))
 
 
 # ---------------------------------------------------------------------------
@@ -159,10 +132,9 @@ def ibcast(comm: RbcComm, value: Any, root: int = 0,
     everywhere else (flat machines keep their historical schedules
     bit-identically).
     """
-    ep = _endpoint(comm, _tags.BCAST_TAG if tag is None else tag)
-    return RbcRequest(comm.env, start(ep, "bcast", value, None, root,
-                                      algorithm=algorithm,
-                                      segment_words=segment_words))
+    return _start(comm, _tags.BCAST_TAG if tag is None else tag, "bcast",
+                  value, None, root, algorithm=algorithm,
+                  segment_words=segment_words)
 
 
 def bcast(comm: RbcComm, value: Any, root: int = 0, tag: Optional[int] = None,
@@ -188,9 +160,8 @@ def ireduce(comm: RbcComm, value: Any, op=None, root: int = 0,
     the node-leader tree on machines with a non-trivial placement and the
     binomial tree (bit-identically) everywhere else.
     """
-    ep = _endpoint(comm, _tags.REDUCE_TAG if tag is None else tag)
-    return RbcRequest(comm.env, start(ep, "reduce", value, op or SUM, root,
-                                      algorithm=algorithm))
+    return _start(comm, _tags.REDUCE_TAG if tag is None else tag, "reduce",
+                  value, op or SUM, root, algorithm=algorithm)
 
 
 def reduce(comm: RbcComm, value: Any, op=None, root: int = 0,
@@ -216,9 +187,8 @@ def iscan(comm: RbcComm, value: Any, op=None, tag: Optional[int] = None, *,
     *contiguous* placement (node blocks in rank order; the segmented
     recombination needs it) and the dissemination scan everywhere else.
     """
-    ep = _endpoint(comm, _tags.SCAN_TAG if tag is None else tag)
-    return RbcRequest(comm.env, start(ep, "scan", value, op or SUM,
-                                      algorithm=algorithm))
+    return _start(comm, _tags.SCAN_TAG if tag is None else tag, "scan",
+                  value, op or SUM, algorithm=algorithm)
 
 
 def scan(comm: RbcComm, value: Any, op=None, tag: Optional[int] = None, *,
@@ -256,9 +226,8 @@ def igather(comm: RbcComm, value: Any, root: int = 0,
     funnel on machines with a non-trivial placement and the binomial tree
     (bit-identically) everywhere else.
     """
-    ep = _endpoint(comm, _tags.GATHER_TAG if tag is None else tag)
-    return RbcRequest(comm.env, start(ep, "gather", value, None, root,
-                                      algorithm=algorithm))
+    return _start(comm, _tags.GATHER_TAG if tag is None else tag, "gather",
+                  value, None, root, algorithm=algorithm)
 
 
 def gather(comm: RbcComm, value: Any, root: int = 0, tag: Optional[int] = None,
@@ -274,9 +243,8 @@ def igatherv(comm: RbcComm, value: Any, root: int = 0,
              algorithm: Optional[str] = None) -> RbcRequest:
     """``rbc::Igatherv``: like igather but contributions may differ in size
     (the gather schedules are size-agnostic, so only the tag differs)."""
-    ep = _endpoint(comm, _tags.GATHERV_TAG if tag is None else tag)
-    return RbcRequest(comm.env, start(ep, "gather", value, None, root,
-                                      algorithm=algorithm))
+    return _start(comm, _tags.GATHERV_TAG if tag is None else tag, "gather",
+                  value, None, root, algorithm=algorithm)
 
 
 def gatherv(comm: RbcComm, value: Any, root: int = 0, tag: Optional[int] = None,
@@ -303,8 +271,8 @@ def ibarrier(comm: RbcComm, tag: Optional[int] = None, *,
     private per-rank ports the dissemination barrier's ``log p`` rounds beat
     the tree barrier's ``2 log p`` and remain the default.
     """
-    ep = _endpoint(comm, _tags.BARRIER_TAG if tag is None else tag)
-    return RbcRequest(comm.env, start(ep, "barrier", algorithm=algorithm))
+    return _start(comm, _tags.BARRIER_TAG if tag is None else tag, "barrier",
+                  algorithm=algorithm)
 
 
 def barrier(comm: RbcComm, tag: Optional[int] = None, *,
@@ -330,9 +298,8 @@ def iallreduce(comm: RbcComm, value: Any, op=None, tag: Optional[int] = None,
     machines with a non-trivial placement and to ``"reduce_bcast"``
     (bit-identically) everywhere else.
     """
-    ep = _endpoint(comm, _tags.ALLREDUCE_TAG if tag is None else tag)
-    return RbcRequest(comm.env, start(ep, "allreduce", value, op or SUM,
-                                      algorithm=algorithm))
+    return _start(comm, _tags.ALLREDUCE_TAG if tag is None else tag,
+                  "allreduce", value, op or SUM, algorithm=algorithm)
 
 
 def allreduce(comm: RbcComm, value: Any, op=None, tag: Optional[int] = None,

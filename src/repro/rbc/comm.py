@@ -44,62 +44,64 @@ def charge_create(env: RankEnv, label: str):
     yield from env.compute(RBC_CREATE_OPS)
 
 
-class RbcComm:
-    """A range ``first..last`` (optionally strided) of an MPI communicator.
+class RbcRange:
+    """The rank-invariant half of an RBC communicator, shared by its members.
 
-    All rank arguments of RBC operations are *RBC ranks*: process ``i`` of the
-    RBC communicator is the MPI process ``first + i * stride`` of the
-    underlying MPI communicator.
+    A range ``first..last`` (MPI ranks, optionally strided) of one MPI
+    communicator's group and point-to-point context, with everything derived
+    from it: the size, the composed world map (``world_first`` /
+    ``world_stride`` when the MPI group translates affinely, else None / 0),
+    the world-rank member predicate range-restricted wildcards probe with,
+    and the translators both ways.  Nothing in it depends on the member
+    asking, so :func:`rbc_range` interns one per (context, group, range) on
+    the transport and every member's :class:`RbcComm` points to it.  It
+    refers to the MPI group (an immutable value), never to a communicator.
     """
 
-    __slots__ = ("mpi_comm", "first", "last", "stride", "_size", "_my_rank",
-                 "_world_first", "_world_stride", "_member_pred", "_ep_cache")
+    __slots__ = ("group", "context", "first", "last", "stride", "size",
+                 "world_first", "world_stride", "member")
 
-    def __init__(self, mpi_comm: MpiCommunicator, first: int, last: int, stride: int = 1):
+    def __init__(self, mpi_comm: MpiCommunicator, first: int, last: int,
+                 stride: int):
         if stride <= 0:
             raise ValueError("stride must be positive")
         if first < 0 or last >= mpi_comm.size:
             raise ValueError(
-                f"range {first}..{last} outside MPI communicator of size {mpi_comm.size}")
+                f"range {first}..{last} outside MPI communicator of size "
+                f"{mpi_comm.size}")
         if last < first:
             raise ValueError(f"empty RBC range {first}..{last}")
-        self.mpi_comm = mpi_comm
+        group = self.group = mpi_comm.group
+        self.context = mpi_comm._p2p_context()
         self.first = first
         self.last = last
         self.stride = stride
-        self._size = (last - first) // stride + 1
-        self._my_rank = self.from_mpi(mpi_comm.rank)
-        # When the MPI communicator's group translates affinely (single
-        # contiguous/strided range — the common case), compose the two rank
-        # maps so ``to_world`` is one multiply-add instead of a call chain.
-        affine = mpi_comm.group.affine_world_map()
+        size = self.size = (last - first) // stride + 1
+        # When the MPI group translates affinely (single contiguous/strided
+        # range — the common case), compose the two rank maps so
+        # ``to_world`` is one multiply-add instead of a call chain.
+        affine = group.affine_world_map()
         if affine is None:
-            self._world_first = None
-            self._world_stride = 0
+            self.world_first = None
+            self.world_stride = 0
+            # The same test as ``from_mpi``, over captured ints: a closure
+            # over the range stored on the range would be a reference cycle.
+            from_world = group.rank_of
+
+            def member(world_rank: int) -> bool:
+                mpi_rank = from_world(world_rank)
+                return (first <= mpi_rank <= last
+                        and (mpi_rank - first) % stride == 0)
         else:
             group_first, group_stride = affine
-            self._world_first = group_first + first * group_stride
-            self._world_stride = stride * group_stride
+            world_first = self.world_first = group_first + first * group_stride
+            world_stride = self.world_stride = stride * group_stride
 
-    # ------------------------------------------------------------------ basics
-
-    @property
-    def env(self) -> RankEnv:
-        return self.mpi_comm.env
-
-    @property
-    def size(self) -> int:
-        """Number of processes in the RBC communicator."""
-        return (self.last - self.first) // self.stride + 1
-
-    @property
-    def rank(self) -> Optional[int]:
-        """RBC rank of the calling process (None if it is not a member)."""
-        return self._my_rank
-
-    @property
-    def is_member(self) -> bool:
-        return self.rank is not None
+            def member(world_rank: int) -> bool:
+                offset = world_rank - world_first
+                return (offset >= 0 and offset % world_stride == 0
+                        and offset // world_stride < size)
+        self.member = member
 
     def to_mpi(self, rbc_rank: int) -> int:
         """RBC rank -> rank in the underlying MPI communicator."""
@@ -118,52 +120,109 @@ class RbcComm:
 
     def to_world(self, rbc_rank: int) -> int:
         """RBC rank -> world rank of the simulated cluster."""
-        world_first = self._world_first
-        if world_first is not None and 0 <= rbc_rank < self._size:
-            return world_first + rbc_rank * self._world_stride
-        return self.mpi_comm.to_world(self.to_mpi(rbc_rank))
+        world_first = self.world_first
+        if world_first is not None and 0 <= rbc_rank < self.size:
+            return world_first + rbc_rank * self.world_stride
+        return self.group.translate(self.to_mpi(rbc_rank))
+
+    def from_world(self, world_rank: int) -> Optional[int]:
+        """World rank of the cluster -> RBC rank (None if not a member)."""
+        return self.from_mpi(self.group.rank_of(world_rank))
+
+
+def rbc_range(mpi_comm: MpiCommunicator, first: int, last: int,
+              stride: int = 1) -> RbcRange:
+    """The :class:`RbcRange` ``first..last`` (stride ``stride``) of
+    ``mpi_comm``, interned on the transport so all members share one."""
+    transport = mpi_comm._env.transport
+    group = mpi_comm.group
+    # The range refers to the group, so the group's world key stays valid
+    # while the entry exists.
+    key = ("rbc range", mpi_comm.context_id, group.world_key(), first, last,
+           stride)
+    described = transport._interned.get(key)
+    if described is None:
+        described = transport.intern(
+            key, RbcRange(mpi_comm, first, last, stride))
+    return described
+
+
+class RbcComm:
+    """A range ``first..last`` (optionally strided) of an MPI communicator.
+
+    All rank arguments of RBC operations are *RBC ranks*: process ``i`` of the
+    RBC communicator is the MPI process ``first + i * stride`` of the
+    underlying MPI communicator.  A member's communicator is its MPI
+    communicator, the shared :class:`RbcRange` and its own RBC rank.
+    """
+
+    __slots__ = ("mpi_comm", "range", "_my_rank")
+
+    def __init__(self, mpi_comm: MpiCommunicator, first: int, last: int, stride: int = 1):
+        self.mpi_comm = mpi_comm
+        described = self.range = rbc_range(mpi_comm, first, last, stride)
+        self._my_rank = described.from_mpi(mpi_comm._rank)
+
+    # ------------------------------------------------------------------ basics
+
+    @property
+    def env(self) -> RankEnv:
+        return self.mpi_comm.env
+
+    @property
+    def first(self) -> int:
+        return self.range.first
+
+    @property
+    def last(self) -> int:
+        return self.range.last
+
+    @property
+    def stride(self) -> int:
+        return self.range.stride
+
+    @property
+    def size(self) -> int:
+        """Number of processes in the RBC communicator."""
+        return self.range.size
+
+    @property
+    def rank(self) -> Optional[int]:
+        """RBC rank of the calling process (None if it is not a member)."""
+        return self._my_rank
+
+    @property
+    def is_member(self) -> bool:
+        return self.rank is not None
+
+    def to_mpi(self, rbc_rank: int) -> int:
+        """RBC rank -> rank in the underlying MPI communicator."""
+        return self.range.to_mpi(rbc_rank)
+
+    def from_mpi(self, mpi_rank: int) -> Optional[int]:
+        """Rank in the underlying MPI communicator -> RBC rank (None if outside)."""
+        return self.range.from_mpi(mpi_rank)
+
+    def to_world(self, rbc_rank: int) -> int:
+        """RBC rank -> world rank of the simulated cluster."""
+        return self.range.to_world(rbc_rank)
 
     def contains_mpi_rank(self, mpi_rank: int) -> bool:
         return self.from_mpi(mpi_rank) is not None
 
     def from_world(self, world_rank: int) -> Optional[int]:
         """World rank of the cluster -> RBC rank (None if not a member)."""
-        return self.from_mpi(self.mpi_comm.from_world(world_rank))
+        return self.range.from_world(world_rank)
 
     def world_member_predicate(self):
-        """Cached ``world_rank -> is member`` test for range-restricted wildcards.
+        """Shared ``world_rank -> is member`` test for range-restricted wildcards.
 
         Probing with ``ANY_SOURCE`` evaluates membership once per pending
-        mailbox key per poll; this shared closure (pure arithmetic when the
-        rank translation is affine) replaces a per-probe lambda over the
+        mailbox key per poll; the range's one closure (pure arithmetic when
+        the rank translation is affine) replaces a per-probe lambda over the
         ``from_world`` -> ``from_mpi`` call chain.
         """
-        try:
-            return self._member_pred
-        except AttributeError:
-            pass
-        world_first = self._world_first
-        if world_first is not None:
-            stride = self._world_stride
-            size = self._size
-
-            def member(world_rank: int) -> bool:
-                offset = world_rank - world_first
-                return (offset >= 0 and offset % stride == 0
-                        and offset // stride < size)
-        else:
-            # Explicit-group parent: the same test as ``from_mpi``, over
-            # captured ints — a closure over ``self`` cached on ``self``
-            # would be a reference cycle.
-            from_world = self.mpi_comm.from_world
-            first, last, stride = self.first, self.last, self.stride
-
-            def member(world_rank: int) -> bool:
-                mpi_rank = from_world(world_rank)
-                return (first <= mpi_rank <= last
-                        and (mpi_rank - first) % stride == 0)
-        self._member_pred = member
-        return member
+        return self.range.member
 
     def mpi_context(self):
         """Context the underlying MPI communicator uses for point-to-point traffic.
@@ -172,7 +231,7 @@ class RbcComm:
         traffic — including collective operations — travels in the parent MPI
         communicator's point-to-point context and is separated by tags only.
         """
-        return self.mpi_comm._p2p_context()
+        return self.range.context
 
     # ------------------------------------------------------- creation / split
 

@@ -21,9 +21,9 @@ from __future__ import annotations
 
 from typing import Optional
 
-from ..collectives.endpoint import TransportEndpoint
 from ..collectives.machines import CollectiveRequest, bcast_schedule
 from ..mpi.comm import MpiCommunicator
+from ..mpi.comm_create import _creation_endpoint
 from ..mpi.context import TupleContextId
 from ..mpi.group import MpiGroup
 from ..mpi.request import CompletedRequest, Request
@@ -51,10 +51,9 @@ def ensure_tuple_context(parent: MpiCommunicator) -> TupleContextId:
     return TupleContextId(a=-(int(ctx) + 1), b=0, f=0, l=parent.size - 1, c=0)
 
 
-def _group_as_parent_range(parent: MpiCommunicator,
-                           group: MpiGroup) -> Optional[tuple[int, int]]:
-    """(f', l') in parent ranks if ``group`` is a contiguous parent range."""
-    parent_ranks = parent.group.ranks_of_subgroup(group)
+def _group_as_parent_range(parent_ranks) -> Optional[tuple[int, int]]:
+    """(f', l') if the group's ascending ``parent_ranks`` are a contiguous
+    range of the parent."""
     first, last = parent_ranks[0], parent_ranks[-1]
     # Ascending and distinct, so spanning exactly their count means gap-free.
     if last - first + 1 != len(parent_ranks):
@@ -104,7 +103,8 @@ def icomm_create_group(parent: MpiCommunicator, group: MpiGroup,
             f"rank {world_rank} invoked icomm_create_group but is not in the group")
 
     parent_ctx = ensure_tuple_context(parent)
-    span = _group_as_parent_range(parent, group)
+    parent_ranks = parent.group.ranks_of_subgroup(group)
+    span = _group_as_parent_range(parent_ranks)
 
     if span is not None:
         # Constant-time local case: <a, b, f + f', f + l', c + 1>.
@@ -115,10 +115,11 @@ def icomm_create_group(parent: MpiCommunicator, group: MpiGroup,
         return RbcRequest(env, CompletedRequest(env, value=comm))
 
     # General case: the first process of the group creates the context ID and
-    # broadcasts it to the remaining members.
-    members = sorted(group.world_ranks(), key=lambda w: parent.from_world(w))
-    my_index = members.index(world_rank)
-    if my_index == 0:
+    # broadcasts it to the remaining members, in the parent's point-to-point
+    # context.  Group rank i is the member of the i-th lowest parent rank.
+    endpoint = _creation_endpoint(parent, channel="pt2pt", tag=tag,
+                                  members=parent_ranks)
+    if endpoint.rank_of(world_rank) == 0:
         runtime = parent.runtime
         new_ctx = TupleContextId(
             a=world_rank,
@@ -130,16 +131,7 @@ def icomm_create_group(parent: MpiCommunicator, group: MpiGroup,
     else:
         new_ctx = None
 
-    endpoint = TransportEndpoint(
-        env,
-        env.transport,
-        context=(parent.context_id, "pt2pt"),
-        tag=tag,
-        rank=my_index,
-        size=len(members),
-        to_world=lambda index: members[index],
-    )
-    inner = CollectiveRequest(endpoint, bcast_schedule, new_ctx, 0)
+    inner = CollectiveRequest(env, endpoint, bcast_schedule, new_ctx, 0)
     return RbcRequest(env, _IcommCreateRequest(parent, group, inner))
 
 
@@ -152,7 +144,7 @@ def icomm_create(parent: MpiCommunicator, group: MpiGroup) -> RbcRequest:
     """
     env = parent.env
     parent_ctx = ensure_tuple_context(parent)
-    span = _group_as_parent_range(parent, group)
+    span = _group_as_parent_range(parent.group.ranks_of_subgroup(group))
     is_member = group.contains(env.rank)
 
     if span is not None:

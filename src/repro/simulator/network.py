@@ -467,6 +467,14 @@ class LazyMailboxes:
 #: cap released messages are simply garbage as before.
 MESSAGE_POOL_MAX = 4096
 
+#: Upper bound of the transport's table of interned communicator descriptions
+#: (:meth:`Transport.intern`), evicted oldest first.  A description is shared
+#: by the members of one communicator (or one collective instance) for as long
+#: as they use it; an evicted key is simply rebuilt by its next user.  Bounded
+#: so tag-per-instance traffic and per-call MPI sequence numbers cannot grow
+#: it without limit over a long run.
+INTERN_MAX = 4096
+
 
 class Transport:
     """Routes messages between simulated ranks under a pluggable cost model.
@@ -549,6 +557,10 @@ class Transport:
         # Per-color groups of the MPI_Comm_split calls in flight, filled and
         # emptied by repro.mpi.comm_create._split_group.
         self._split_tables: dict = {}
+        # Rank-invariant descriptions shared by all members of a
+        # communicator (the world group, RBC ranges, collective endpoints);
+        # see intern.
+        self._interned: dict = {}
         # Lockstep phase coordinator, created on first use by
         # repro.core.spmd.coordinator_of.
         self._spmd_coordinator = None
@@ -603,9 +615,11 @@ class Transport:
         """Drop what only a running simulation needs.
 
         Wake-up hooks, the lockstep coordinator's phases and port logs, the
-        sort plan, the hierarchy views and the split tables go; port state,
-        counters and mailboxes stay readable.  Called by :meth:`Cluster.run`
-        once the run is over.
+        sort plan, the hierarchy views, the split tables and the interned
+        descriptions go; port state, counters and mailboxes stay readable.
+        Called by :meth:`Cluster.run` once the run is over.  Interned
+        endpoints refer to this transport, so a table that outlived the run
+        would tie the cluster into a reference cycle.
         """
         hooks = self._notify_hooks
         hooks[:] = [None] * len(hooks)
@@ -616,6 +630,21 @@ class Transport:
             self._sort_plan = None
         self._hierarchy_cache.clear()
         self._split_tables.clear()
+        self._interned.clear()
+
+    def intern(self, key, value):
+        """Store the description ``value`` under ``key``; returns ``value``.
+
+        Readers look descriptions up in ``_interned`` directly (one dict
+        probe) and call this only on a miss.  The table keeps at most
+        :data:`INTERN_MAX` entries: the oldest one makes room.  A key may
+        name an object by ``id`` only if ``value`` keeps that object alive.
+        """
+        table = self._interned
+        if len(table) >= INTERN_MAX:
+            del table[next(iter(table))]
+        table[key] = value
+        return value
 
     def decline_tier(self, reason: str) -> None:
         """Count one faster tier that was asked for and did not run (an

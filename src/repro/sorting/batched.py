@@ -59,9 +59,9 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..collectives.endpoint import TransportEndpoint
 from ..core import rand
 from ..core.spmd import (
-    ExchangeEndpoint,
     LockstepError,
     SpmdCoordinator,
     _BcastPhase,
@@ -289,8 +289,8 @@ class _RootRecord:
 
     def __init__(self, plan, run):
         self.plan = plan
-        # The group endpoint every member joins the root level phase
-        # through (join_jq_level stamps the joining member onto it).
+        # The (rank-free) group endpoint every member joins the root level
+        # phase through.
         self.endpoint = run._root_endpoint()
         self.rows: list = [None] * run.p
         self.sort = (run.config, run.n, run.p)
@@ -379,7 +379,8 @@ class SortPlan:
         charge = config.charge_local_work
         coordinator = root.coordinator
         coordinator.retire(root)
-        env, context, tag, world = root.env, root.context, root.tag, root.world
+        transport, context, tag, world = \
+            root.transport, root.context, root.tag, root.world
         stride = root.affine[1]
         # Per member: the entry time of its next level (its last finish).
         clock = list(root.joined)
@@ -411,8 +412,10 @@ class SortPlan:
                     size = end - start
                     if level:
                         phase = _JQLevelPhase(
-                            ExchangeEndpoint(env, context, tag, 0, size,
-                                             world[first], stride),
+                            TransportEndpoint(
+                                transport, context=context, tag=tag,
+                                size=size,
+                                world_affine=(world[first], stride)),
                             None, 0, coordinator)
                         # Never registered; its sub-phases inherit this.
                         phase.first_join = frontier
@@ -464,8 +467,7 @@ class SortPlan:
 # The fused level phase: one lockstep join per rank prices the whole sort.
 # ---------------------------------------------------------------------------
 
-def join_jq_level(env, record: _RootRecord, group_rank: int,
-                  data: np.ndarray):
+def join_jq_level(env, record: _RootRecord, data: np.ndarray):
     """Enter this rank, with its row ``data``, into the sort's root level.
 
     Must be called at the instant the member enters the root level (where
@@ -473,13 +475,9 @@ def join_jq_level(env, record: _RootRecord, group_rank: int,
     completes at the member's native finish time of its *last* distributed
     level, with the outcome :meth:`SortPlan.price` describes as its result.
     """
-    coordinator = coordinator_of(env.transport)
-    # One endpoint (and coordinator key) per record: the coordinator only
-    # reads the member fields during the join call itself.
-    endpoint = record.endpoint
-    endpoint.env = env
-    endpoint.rank = group_rank
-    return coordinator.join(endpoint, "jqlevel", (record, data), None, 0)
+    # One endpoint (and coordinator key) per record, shared by the members.
+    return coordinator_of(env.transport).join(
+        record.endpoint, "jqlevel", env, (record, data), None, 0)
 
 
 class _JQLevelPhase(_PhaseBase):

@@ -48,8 +48,8 @@ from typing import Optional
 
 import numpy as np
 
+from ..collectives.endpoint import TransportEndpoint
 from ..core import rand
-from ..core.spmd import ExchangeEndpoint
 from ..messaging import RequestSet
 from ..mpi.datatypes import SUM
 from ..rbc.tags import RESERVED_TAG_BASE
@@ -276,7 +276,7 @@ class _JQuickRun:
         if not isinstance(self.backend, RbcBackend):
             return "it requires the RBC backend"
         world = self.backend.world
-        if world._world_first is None:
+        if world.range.world_first is None:
             return "it requires a rank-affine world communicator"
         transport = self.env.transport
         if getattr(transport, "_uniform_link", None) is None or \
@@ -326,8 +326,7 @@ class _JQuickRun:
         of every fresh interval), and at ``n == p`` every split lands on a
         rank boundary: no janus rank, no second task.
         """
-        request = join_jq_level(self.env, self._plan.root(self), self.rank,
-                                data)
+        request = join_jq_level(self.env, self._plan.root(self), data)
         yield from self.env.wait_until(request.test)
         lo, hi, level, data, degenerate, creations, messages, most = \
             request.result()
@@ -566,15 +565,16 @@ class _JQuickRun:
         buffer.flags.writeable = False
         return buffer[:cut], buffer[cut:], messages
 
-    def _root_endpoint(self) -> ExchangeEndpoint:
+    def _root_endpoint(self) -> TransportEndpoint:
         """Group endpoint of the batched sort's root level (see
         :mod:`.batched`): the whole world, keyed by its context and the root
         task, so one generation ever exists per sort."""
         world = self.backend.world
-        return ExchangeEndpoint(
-            self.env, ("jql", world.mpi_context(), 0, self.n, 0),
-            self._tag(0, _PURPOSE_DATA), 0, self.p, world._world_first,
-            world._world_stride)
+        return TransportEndpoint(
+            self.env.transport,
+            context=("jql", world.mpi_context(), 0, self.n, 0),
+            tag=self._tag(0, _PURPOSE_DATA), size=self.p,
+            world_affine=(world.range.world_first, world.range.world_stride))
 
     # -------------------------------------------------------------- base cases
 

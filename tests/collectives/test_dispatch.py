@@ -109,9 +109,9 @@ def decide(monkeypatch, op, impl, algorithm, machine) -> tuple:
     """One cell's decisions, lockstep off then on (all ranks must agree)."""
     joins = {}
 
-    def record_join(self, ep, kind, value, op, root, schedule=None):
-        joins[ep.env.rank] = kind if schedule is None else schedule.ir_token()
-        return spmd.LockstepRequest(ep.env)
+    def record_join(self, ep, kind, env, value, op, root, schedule=None):
+        joins[env.rank] = kind if schedule is None else schedule.ir_token()
+        return spmd.LockstepRequest(env)
 
     monkeypatch.setattr(spmd.SpmdCoordinator, "join", record_join)
     preset, placement = MACHINES[machine]
@@ -365,7 +365,7 @@ def _loop(env, *, op, algorithms, skew=0.0):
     results = []
     for algorithm in algorithms:
         if algorithm == TOPOLOGY_BLIND:
-            request = dispatch.start(rbc._endpoint(world, tags.BCAST_TAG),
+            request = dispatch.start(env, rbc._endpoint(world, tags.BCAST_TAG),
                                      "bcast", value, node_aware=False)
         else:
             request = _call(op, "rbc", None, world, value, algorithm)

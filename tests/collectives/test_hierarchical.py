@@ -8,13 +8,15 @@ and the shared-NIC (``ports_per_node``) transport serialisation.
 
 import numpy as np
 import pytest
+from oracle import assert_equal_observables, run_both
 
 from repro.collectives.hierarchical import build_hierarchy, hierarchy_of
-from repro.mpi import init_mpi
+from repro.mpi import MpiGroup, init_mpi
 from repro.rbc import collectives as rbc_collectives
 from repro.rbc import create_rbc_comm
 from repro.rbc.comm import RbcComm
 from repro.simulator import (
+    MACHINE_PRESETS,
     Cluster,
     HierarchicalParams,
     NetworkParams,
@@ -165,11 +167,10 @@ def test_hierarchy_cache_distinguishes_affine_from_member_tuples():
 
     placement = Placement.regular(6, ranks_per_node=2, nodes_per_island=8)
     cluster = Cluster(6, TWO_TIER, placement=placement)
-    env = cluster.envs[0]
 
     def endpoint(members, affine):
         return TransportEndpoint(
-            env, cluster.transport, context="ctx", tag=1, rank=0,
+            cluster.transport, context="ctx", tag=1,
             size=len(members), to_world=lambda g: members[g],
             world_affine=affine)
 
@@ -183,10 +184,51 @@ def test_hierarchy_cache_distinguishes_affine_from_member_tuples():
     h = hierarchy_of(tuple_ep)
     assert h is not None and h.node_members == ((0,), (1, 2))
 
+    # Fresh endpoints: each caches its answer, the transport its key.
     cluster.transport._hierarchy_cache.clear()
+    affine_ep = endpoint((0, 2, 4), (0, 2))
+    tuple_ep = endpoint((0, 2, 3), None)
     h = hierarchy_of(tuple_ep)
     assert h is not None and h.node_members == ((0,), (1, 2))
     assert hierarchy_of(affine_ep) is None
+
+
+def _split_collective_program(env, name, lockstep):
+    """One node-aware MPI collective on a ``comm_split`` communicator, whose
+    explicit group has no affine world map."""
+    env.lockstep_collectives = lockstep
+    world = init_mpi(env, vendor="intel")
+    sub = yield from world.split(color=0, key=world.rank)
+    assert sub.group.affine_world_map() is None
+    result = yield from getattr(sub, name)(np.arange(3.0) + env.rank)
+    return result
+
+
+@pytest.mark.parametrize("lockstep", [False, True])
+@pytest.mark.parametrize("name", ["bcast", "reduce", "allreduce", "gather",
+                                  "scan"])
+def test_split_group_collective_translates_linearly(monkeypatch, name,
+                                                     lockstep):
+    """Every member of a collective shares its endpoint, so a non-affine
+    group's member tuple (the hierarchy key) is built once per collective:
+    at p = 128 on ``two_tier`` the split group translates O(p) ranks per
+    collective, not O(p^2).  Both tiers agree with the oracle."""
+    p = 128
+    translated = []
+    translate = MpiGroup.translate
+
+    def counting(group, rank):
+        if group.format == "explicit":
+            translated.append(rank)
+        return translate(group, rank)
+
+    monkeypatch.setattr(MpiGroup, "translate", counting)
+    default, oracle = run_both(p, _split_collective_program,
+                               params=MACHINE_PRESETS["two_tier"](),
+                               name=name, lockstep=lockstep)
+    assert_equal_observables(default, oracle)
+    # One collective on each of two clusters (default and oracle).
+    assert len(translated) <= 2 * 8 * p
 
 
 # ---------------------------------------------------------------------------

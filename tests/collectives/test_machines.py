@@ -25,8 +25,8 @@ from repro.simulator import Cluster
 
 def _endpoint(env, tag=0, word_cost_factor=1.0, per_message_delay=0.0):
     return TransportEndpoint(
-        env, env.transport, context="coll-test", tag=tag,
-        rank=env.rank, size=env.size, to_world=lambda r: r,
+        env.transport, context="coll-test", tag=tag,
+        size=env.size, to_world=lambda r: r,
         word_cost_factor=word_cost_factor, per_message_delay=per_message_delay,
     )
 
@@ -36,7 +36,7 @@ def _run(p, schedule_factory):
 
     def program(env):
         request = CollectiveRequest(
-            _endpoint(env), lambda port: schedule_factory(port, env))
+            env, _endpoint(env), lambda port: schedule_factory(port, env))
         yield from env.wait_until(request.test)
         return request.result()
 
@@ -124,7 +124,7 @@ def test_barrier_synchronises_late_arrivals():
     def program(env):
         if env.rank == 3:
             yield from env.sleep(entry_time)
-        request = CollectiveRequest(_endpoint(env), barrier_schedule)
+        request = CollectiveRequest(env, _endpoint(env), barrier_schedule)
         yield from env.wait_until(request.test)
         return env.now
 
@@ -165,7 +165,7 @@ def test_alltoallv_wrong_payload_count_rejected():
     def program(env):
         ep = _endpoint(env)
         with pytest.raises(ValueError):
-            CollectiveRequest(ep, alltoallv_schedule, ["only-one"])
+            CollectiveRequest(env, ep, alltoallv_schedule, ["only-one"])
         yield from env.sleep(0.0)
 
     Cluster(3).run(program)
@@ -177,12 +177,12 @@ def test_first_state_executes_eagerly():
     def program(env):
         ep = _endpoint(env)
         if env.rank == 0:
-            CollectiveRequest(ep, bcast_schedule, "x", 0)
+            CollectiveRequest(env, ep, bcast_schedule, "x", 0)
             # Without any further test() calls the message should already be
             # on the wire: rank 1 can receive it.
             yield from env.sleep(100.0)
             return None
-        request = CollectiveRequest(ep, bcast_schedule, None, 0)
+        request = CollectiveRequest(env, ep, bcast_schedule, None, 0)
         yield from env.wait_until(request.test)
         return request.result()
 
@@ -195,10 +195,10 @@ def test_consecutive_collectives_on_same_tag_do_not_mix():
 
     def program(env):
         ep = _endpoint(env, tag=4)
-        first = CollectiveRequest(ep, scan_schedule, env.rank, SUM)
+        first = CollectiveRequest(env, ep, scan_schedule, env.rank, SUM)
         yield from env.wait_until(first.test)
         ep2 = _endpoint(env, tag=4)
-        second = CollectiveRequest(ep2, scan_schedule, 100 * env.rank, SUM)
+        second = CollectiveRequest(env, ep2, scan_schedule, 100 * env.rank, SUM)
         yield from env.wait_until(second.test)
         return first.result(), second.result()
 
@@ -214,7 +214,7 @@ def test_word_cost_factor_slows_down_but_keeps_result():
         def program(env):
             ep = _endpoint(env, word_cost_factor=factor)
             request = CollectiveRequest(
-                ep, bcast_schedule, np.zeros(1000) if env.rank == 0 else None, 0)
+                env, ep, bcast_schedule, np.zeros(1000) if env.rank == 0 else None, 0)
             yield from env.wait_until(request.test)
             return env.now
 
@@ -227,7 +227,7 @@ def test_per_message_delay_increases_runtime():
     def run_with(delay):
         def program(env):
             ep = _endpoint(env, per_message_delay=delay)
-            request = CollectiveRequest(ep, barrier_schedule)
+            request = CollectiveRequest(env, ep, barrier_schedule)
             yield from env.wait_until(request.test)
             return env.now
 
@@ -276,9 +276,9 @@ def _list_collectives_run(p, request_class, factor, through_subgroup):
             return schedule(port, *args)
 
         gathered = yield from request_class(
-            ep, on_view, allgather_schedule, _ragged(env.rank)).wait()
+            env, ep, on_view, allgather_schedule, _ragged(env.rank)).wait()
         nested = yield from request_class(
-            ep, on_view, bcast_schedule, [gathered, {"k": gathered}],
+            env, ep, on_view, bcast_schedule, [gathered, {"k": gathered}],
             1 % p).wait()
         return gathered, nested
 

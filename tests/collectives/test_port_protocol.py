@@ -80,8 +80,9 @@ def _start(op, impl, world_mpi, comm, root):
     if name == "bcast" and rank != root:
         value = None
     if native:
-        return start(world_mpi._collective_endpoint(name), name, value, SUM,
-                     root, algorithm=algorithm, segment_words=SEGMENT_WORDS,
+        return start(world_mpi.env, world_mpi._collective_endpoint(name), name,
+                     value, SUM, root, algorithm=algorithm,
+                     segment_words=SEGMENT_WORDS,
                      node_aware=world_mpi.vendor.node_aware)
     if name == "bcast":
         return rbc.ibcast(comm, value, root, algorithm=algorithm,

@@ -197,8 +197,9 @@ class _Bench:
         self.coordinator = spmd.SpmdCoordinator()
 
     def phase(self, factory, op, size, first=GROUP_FIRST, stride=1, root=0):
-        endpoint = spmd.ExchangeEndpoint(self.env, ("fed", factory.kind), 0,
-                                         0, size, first, stride)
+        endpoint = TransportEndpoint(
+            self.env.transport, context=("fed", factory.kind), tag=0,
+            size=size, world_affine=(first, stride))
         phase = factory(endpoint, op, root, self.coordinator)
         # Driver-owned, like ``_PhaseBase._sub_phase`` sets a sub-phase up.
         phase._retired = True
@@ -300,10 +301,9 @@ def _native_dissemination(env, kind, times, values):
         return None
     yield from env.sleep(times[member])
     endpoint = TransportEndpoint(
-        env, env.transport, context=kind, tag=0, rank=member,
-        size=len(times), to_world=lambda rank: GROUP_FIRST + rank,
+        env.transport, context=kind, tag=0, size=len(times),
         world_affine=(GROUP_FIRST, 1))
-    request = CollectiveRequest(endpoint, SCHEDULES[kind], values[member],
+    request = CollectiveRequest(env, endpoint, SCHEDULES[kind], values[member],
                                 _DISSEMINATION[kind][1], 0)
     yield from env.wait_until(request.test)
     return env.now, request.result()

@@ -193,26 +193,30 @@ def test_collective_on_comm_without_membership_raises(run_ranks):
 
 
 def test_endpoint_cache_is_bounded(run_ranks):
-    """Tag-per-instance traffic cannot grow the per-comm endpoint cache
-    without limit; it is FIFO-bounded and still serves repeated tags."""
-    from repro.rbc.collectives import _EP_CACHE_MAX, _endpoint
+    """Tag-per-instance traffic cannot grow the transport's table of interned
+    endpoints without limit: it is FIFO-bounded, serves a present key as the
+    same object and rebuilds an evicted one."""
+    from repro.rbc.collectives import _endpoint
+    from repro.simulator.network import INTERN_MAX
 
     def program(env):
         world = yield from _world(env)
-        for tag in range(3 * _EP_CACHE_MAX):
+        table = env.transport._interned
+        for tag in range(3 * INTERN_MAX):
             _endpoint(world, tag)
-        assert len(world._ep_cache) == _EP_CACHE_MAX
+        assert len(table) == INTERN_MAX
         # FIFO: the newest tags survive, the oldest were evicted.
-        newest = 3 * _EP_CACHE_MAX - 1
-        assert newest in world._ep_cache
-        assert 0 not in world._ep_cache
-        # A cached tag is served as the same object (no rebuild).
-        assert _endpoint(world, newest) is world._ep_cache[newest]
-        # Re-requesting an evicted tag still works (rebuilt, re-cached).
-        assert _endpoint(world, 0).tag == 0
-        return len(world._ep_cache)
+        newest = 3 * INTERN_MAX - 1
+        assert (world.range, newest) in table
+        assert (world.range, 0) not in table
+        # A present key is served as the same object (no rebuild).
+        assert _endpoint(world, newest) is table[(world.range, newest)]
+        # Re-requesting an evicted tag still works (rebuilt, re-interned).
+        rebuilt = _endpoint(world, 0)
+        assert rebuilt.tag == 0 and table[(world.range, 0)] is rebuilt
+        return len(table)
 
-    assert run_ranks(2, program) == [_EP_CACHE_MAX, _EP_CACHE_MAX]
+    assert run_ranks(2, program) == [INTERN_MAX, INTERN_MAX]
 
 
 def test_rbc_barrier_synchronises(run_cluster):

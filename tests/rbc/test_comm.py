@@ -4,8 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.mpi import init_mpi
+from repro.mpi import MpiGroup, init_mpi
 from repro.rbc import RBC_CREATE_OPS, RbcComm, comm_rank, comm_size, create_rbc_comm
+from repro.rbc.comm import RbcRange
 from repro.simulator import Cluster
 
 
@@ -113,13 +114,17 @@ def test_rank_translation_errors():
     class FakeMpi:
         size = 8
         rank = 0
+        group = MpiGroup.contiguous(0, 7)
 
         class env:  # noqa: N801 - minimal stub
             pass
 
+        def _p2p_context(self):
+            return (0, "pt2pt")
+
     comm = RbcComm.__new__(RbcComm)
     comm.mpi_comm = FakeMpi()
-    comm.first, comm.last, comm.stride = 2, 6, 2
+    comm.range = RbcRange(comm.mpi_comm, 2, 6, 2)
     assert comm.size == 3
     assert comm.to_mpi(1) == 4
     assert comm.from_mpi(6) == 2

@@ -24,7 +24,7 @@ from repro.experiments import Scenario, execute_scenario
 from repro.mpi import MpiGroup, init_mpi
 from repro.mpi.datatypes import ANY_SOURCE
 from repro.rbc import collectives as rbc_collectives
-from repro.rbc import create_rbc_comm
+from repro.rbc import create_rbc_comm, split_rbc_comm
 from repro.rbc.comm import RbcComm
 from repro.simulator import Cluster, HierarchicalParams
 from repro.simulator.cluster import add_run_observer, remove_run_observer
@@ -129,6 +129,42 @@ def _split_twice_program(env):
     return None if first is None else first.size, second.size
 
 
+def _descriptions_program(env):
+    """Every kind of interned description on one transport: the world group,
+    MPI collective and creation endpoints, RBC ranges and their collective
+    endpoints, an affine and an explicit ``create_group``."""
+    world = init_mpi(env, vendor="intel")
+    rbc = yield from create_rbc_comm(world)
+    total = yield from world.allreduce(env.rank)
+    half = rbc.size // 2
+    lower = yield from split_rbc_comm(rbc, 0, half - 1)
+    upper = yield from split_rbc_comm(rbc, half, rbc.size - 1)
+    mine = lower if lower.rank is not None else upper
+    prefix = yield from rbc_collectives.scan(mine, 1)
+    parity = world.rank % 2
+    strided = yield from world.create_group(
+        MpiGroup.range_incl([(parity, world.size - 2 + parity, 2)]), tag=1)
+    yield from strided.barrier()
+    explicit = yield from world.create_group(
+        MpiGroup.incl(sorted(range(parity, world.size, 2), reverse=True)),
+        tag=2)
+    inner = yield from explicit.allreduce(1)
+    return total, prefix, strided.size, inner
+
+
+def _descriptions():
+    def case():
+        cluster = Cluster(16)
+        result = cluster.run(_descriptions_program)
+        for rank, (total, prefix, strided, inner) in enumerate(result.results):
+            assert total == sum(range(16))
+            assert prefix == rank % 8 + 1
+            assert strided == inner == 8
+        assert cluster.transport._interned == {}  # emptied by close
+        return [(cluster, result)]
+    return case
+
+
 _LOOP = dict(operation="gather", words=8, repetitions=3, lockstep=False)
 
 CASES = {
@@ -153,6 +189,7 @@ CASES = {
                       vendor="intel"),
     "split-twice-some-none": _cluster(12, _split_twice_program),
     "explicit-group": _explicit_group(),
+    "interned-descriptions": _descriptions(),
     "traced": _scenario("two_tier", trace=True),
 }
 
@@ -263,6 +300,7 @@ def test_everything_public_stays_readable_after_teardown(case):
             result.obs["mailboxes_materialized"]
         assert max(transport._send_port_free) > 0.0
         assert transport._split_tables == {}
+        assert transport._interned == {}
         assert cluster._obs_snapshot() == result.obs
         assert [env.rank for env in cluster.envs] == \
             list(range(cluster.num_ranks))
