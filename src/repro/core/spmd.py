@@ -71,16 +71,11 @@ NumPy float64 array expressions whose per-element operand order mirrors the
 scalar pass exactly — elementwise IEEE-754 arithmetic over independent ranks
 is bit-identical to the per-rank Python loops.  It covers the in-order
 receive-port fold and the one out-of-order case a single phase produces on
-tiered links, where members leave a round at different times: a round's
-write posted before the port's previous write, which it folds one entry
-back as ``_recv_side`` does.  Before committing anything it checks, round
-by round, that every port write takes one of those two branches, and
-otherwise falls back to the scalar pass wholesale — so port state, write
-logs (entries, caps), statistics, timestamps and result values are
-identical by construction.  Its writes go to the port logs as one
-:class:`_RoundBlock` of arrays, not a list per message; a port's list is
-built from the blocks the first time another pricer touches it, so the
-cross-phase overtaking machinery above keeps working unchanged.  One
+tiered links (:meth:`PortLog.absorb <repro.core.portlog.PortLog.absorb>`);
+before committing anything it checks, round by round, that every port write
+takes one of those two branches, and otherwise falls back to the scalar pass
+wholesale.  Its writes go to the port log as one round block of arrays,
+unpacked into a port's list the first time another write touches it.  One
 rule picks the pass, for joined and fed phases alike: the vector pass when
 every member has joined and the group has at least :data:`VECTOR_CUTOFF`
 members, the scalar pass otherwise.  A scan that can vectorise defers
@@ -92,24 +87,26 @@ oracle cluster's event-by-event run, where no phase is priced here at all.
 
 One pricer per phase
 --------------------
-Each phase class mirrors ``post_send`` in exactly one pass, which stores
-finish times and results in the phase's ``finish`` / ``results`` lists.  A
-join prices a worklist, a driver prices everyone: a member joining through
-the engine hands the pass the members its join made resolvable (a bcast's
-joined descendants, a reduce/gather's ready chain toward the root, a scan's
-prefix) and ``_publish`` gives each its request and wake-up; a driver that
-knows every join up front (``_feed_all``: the allreduce composition, the
-jquick level phase — its data exchange is only ever priced this way) runs
-the same pass over all members and reads the lists, without requests or
-wake events.  The dissemination phase's vector pass is the one exception, a
-fast path for the whole phase: which pass applies follows from what the
-phase observes (every member joined, group size, in-order port writes,
-value dtype), not from who called.
+Each phase class mirrors the sender half of ``post_send`` in exactly one
+pass and folds every receive through the coordinator's
+:class:`~repro.core.portlog.PortLog` (:meth:`~repro.core.portlog.PortLog.write`
+returns the entry, whose cap the pricer sets where it commits the arrival);
+the pass stores finish times and results in the phase's ``finish`` /
+``results`` lists.  A join prices a worklist, a driver prices everyone: a
+member joining through the engine hands the pass the members its join made
+resolvable (a bcast's joined descendants, a reduce/gather's ready chain
+toward the root, a scan's prefix) and ``_publish`` gives each its request
+and wake-up; a driver that knows every join up front (``_feed_all``: the
+allreduce composition, the jquick level phase — its data exchange is only
+ever priced this way) runs the same pass over all members and reads the
+lists, without requests or wake events.  The dissemination phase's vector
+pass is the one exception, a fast path for the whole phase: which pass
+applies follows from what the phase observes (every member joined, group
+size, in-order port writes, value dtype), not from who called.
 """
 
 from __future__ import annotations
 
-from operator import itemgetter
 from typing import Any, Callable, Optional
 
 import numpy as np
@@ -119,6 +116,7 @@ from ..collectives.topology import binomial_children, dissemination_rounds
 from ..messaging import Request
 from ..simulator.errors import RankFailedError
 from ..simulator.network import freeze_payload, is_frozen_payload, payload_words
+from .portlog import POST, LockstepError, PortLog
 
 __all__ = [
     "LockstepError",
@@ -130,9 +128,6 @@ __all__ = [
     "VECTOR_CUTOFF",
 ]
 
-
-#: Sort key for (post, leave, wire, payload) edge tuples.
-_EDGE_POST = itemgetter(0)
 
 #: Smallest group the dissemination phases (scan, barrier) price with the
 #: vector pass, joined or fed; smaller groups take the scalar round pass.  The
@@ -200,16 +195,6 @@ def _scan_vector_plan(op, values) -> Optional[tuple[str, Any]]:
                 return None
         return "float", ufunc
     return None
-
-
-class LockstepError(RuntimeError):
-    """A lockstep phase cannot mirror the native execution exactly.
-
-    Raised when participants disagree on the phase shape or when the native
-    port-write order is ambiguous (e.g. two messages posted to one receive
-    port at the same instant).  The fix is to run the offending program
-    without opting in (``env.lockstep_collectives = False``).
-    """
 
 
 class LockstepRequest(Request):
@@ -288,7 +273,7 @@ def coordinator_of(transport) -> "SpmdCoordinator":
     """
     coordinator = transport._spmd_coordinator
     if coordinator is None:
-        coordinator = transport._spmd_coordinator = SpmdCoordinator()
+        coordinator = transport._spmd_coordinator = SpmdCoordinator(transport)
     return coordinator
 
 
@@ -307,9 +292,8 @@ class SpmdCoordinator:
     wakes.
     """
 
-    __slots__ = ("_phases", "_recv_logs", "_blocks", "_port_blocks",
-                 "_next_block", "_live_first_joins", "_bound", "frontier",
-                 "tier_phases", "refusals", "fastforward_fallbacks")
+    __slots__ = ("_phases", "ports", "tier_phases", "refusals",
+                 "fastforward_fallbacks")
 
     #: Phase kind -> phase class (or factory) of the flat schedule: one per
     #: operation, filled in below the classes, plus externally registered
@@ -326,43 +310,12 @@ class SpmdCoordinator:
         """
         cls._KINDS[kind] = factory
 
-    def __init__(self):
+    def __init__(self, transport):
         self._phases: dict = {}
-        # Per receive port (world rank): log of recently applied mirrored
-        # writes, shared across *all* phases and generations of this
-        # transport.  Native port writes fold in global chronological post
-        # order; phases that overlap in time on one port (unsynchronised
-        # repetitions whose transfer times outlast a leaf's turnaround)
-        # apply writes out of that order.  The log lets such a write be
-        # priced at its correct insertion point — and verified not to
-        # change any already-applied later write — so benign overtakes
-        # stay bit-identical and genuinely diverging ones raise instead of
-        # silently mispricing.  Entries are [post, leave, transfer,
-        # free_before, arrival, cap, owner token, run-has-replay flag];
-        # see ``_PhaseBase._recv_side``, ``_PhaseBase._tie_commutes`` and
-        # ``_PhaseBase._commit_caps``.
-        self._recv_logs: dict = {}
-        # Writes a dissemination vector pass logged as a round block
-        # (serial -> _RoundBlock, commit order) and, per world rank, the
-        # serial of the newest block holding writes not yet unpacked into
-        # that port's list (-1: none; a numpy array once a block exists).
-        # A port has a list or pending blocks, never both; see port_log.
-        self._blocks: dict = {}
-        self._port_blocks: Optional[np.ndarray] = None
-        self._next_block = 0
-        # First-join times of live (unresolved) phases: every write a live
-        # phase can still produce posts at or after its first join, and
-        # future phases post at or after the current virtual time — so
-        # min(now, *live_first_joins) bounds how far back a port log can
-        # still be overtaken, and older entries are pruned.
-        self._live_first_joins: list = []
-        # (now, prune bound) as last computed; see _PhaseBase._prune_bound.
-        self._bound = None
-        # Set while a driver prices phases ahead of the engine clock (the
-        # batched sort's plan): the earliest instant a write still to come
-        # can post, which stands in for the current virtual time in the
-        # prune bound.  None otherwise.
-        self.frontier = None
+        # The receive-port log every phase of this transport folds its
+        # writes through, with the live phases' first joins that bound its
+        # prune (see repro.core.portlog).
+        self.ports = PortLog(transport._recv_port_free, transport.engine)
         # Always-on tier-attribution counters, surfaced through
         # ClusterResult.obs: how many phases each execution tier priced
         # (counted at retirement, once per real phase — driver-owned
@@ -381,39 +334,7 @@ class SpmdCoordinator:
         would otherwise leave that loop to the cyclic collector.
         """
         self._phases.clear()
-        self._recv_logs.clear()
-        self._blocks.clear()
-        self._port_blocks = None
-        self._live_first_joins.clear()
-        self.frontier = None
-
-    def port_log(self, world: int, bound: float = -np.inf) -> list:
-        """World rank ``world``'s receive-port log, created on first use.
-
-        Creating it unpacks the writes pending in round blocks, oldest
-        block first, leaving out those posted below ``bound`` (a prune
-        bound: no write to come can be overtaken by them).  A dropped
-        block's writes, and every older block's, all posted below it.
-        """
-        log = self._recv_logs.get(world)
-        if log is not None:
-            return log
-        log = self._recv_logs[world] = []
-        ports = self._port_blocks
-        serial = -1 if ports is None else ports.item(world)
-        if serial >= 0:
-            ports[world] = -1
-            chain = []
-            while serial >= 0:
-                block = self._blocks.get(serial)
-                if block is None:
-                    break
-                member = block.member(world)
-                chain.append((block, member))
-                serial = block.below.item(member)
-            for block, member in reversed(chain):
-                block.unpack(member, log, bound)
-        return log
+        self.ports.clear()
 
     def join(self, ep, kind: str, env, value, op, root,
              schedule=None) -> LockstepRequest:
@@ -468,7 +389,7 @@ class SpmdCoordinator:
                 phase = factory(ep, op, root, self)
             phase.first_join = env.engine._now
             phase._gen_key = key
-            self._live_first_joins.append(phase.first_join)
+            self.ports.live.append(phase.first_join)
             generations.append(phase)
         request = phase.join(env, rank, ep, value, op)
         if phase.resolved_count == phase.size:
@@ -487,7 +408,7 @@ class SpmdCoordinator:
         phase._retired = True
         tier = phase.tier
         self.tier_phases[tier] = self.tier_phases.get(tier, 0) + 1
-        self._live_first_joins.remove(phase.first_join)
+        self.ports.live.remove(phase.first_join)
         generations = self._phases.get(phase._gen_key)
         if generations is not None:
             generations.remove(phase)
@@ -500,7 +421,8 @@ class SpmdCoordinator:
 # ---------------------------------------------------------------------------
 
 class _PhaseBase:
-    """Shared state and the exact ``post_send`` float mirror.
+    """Shared state of a phase: joins, wakes and the sender-half context
+    (link prices, ports, statistics); receives fold through ``self.ports``.
 
     All pricing happens in *group* ranks; ``self.world`` maps them to world
     ranks for the transport's port and tracer arrays.
@@ -520,8 +442,9 @@ class _PhaseBase:
 
     #: True on schedule-IR replay phases and the sub-phases they drive.
     #: Their stages interleave across generations, so a same-instant tie
-    #: against another phase's port write must prove it commutes; flat
-    #: phases post in generation order, which matches the engine's tie
+    #: against another phase's port write must prove it commutes
+    #: (:meth:`PortLog._prove_tie <repro.core.portlog.PortLog._prove_tie>`);
+    #: flat phases post in generation order, which matches the engine's tie
     #: order (pinned by the differential seed suite).
     _hier_sub = False
 
@@ -555,9 +478,6 @@ class _PhaseBase:
         self.joined_count = 0
         self.resolved_count = 0
         self._wakes: list = []
-        # Log entries appended by _recv_side that still need their cap (the
-        # committed value their arrival folded into) via _commit_caps.
-        self._cap_pending: list = []
 
     def _derive_group(self, ep, coordinator) -> None:
         """Bind what depends only on the group and its machine; the
@@ -600,15 +520,9 @@ class _PhaseBase:
         # installed (Cluster(trace=...)); driver-owned sub-phases get
         # _obs nulled by _sub_phase so only the outer phase's span counts.
         self._obs = transport._obs
-        # Coordinator-shared receive-port write logs (see SpmdCoordinator).
-        # Posts tied at the same instant are serialised in application
-        # order; _tie_commutes documents when that is provably (or
-        # empirically) the engine's own tie order and when the phase must
-        # refuse instead.
         self.coordinator = coordinator
-        # Hot-path caches (bound once; _recv_side runs per tree edge).
-        self._recv_logs = coordinator._recv_logs
-        self._recv_free = transport._recv_port_free
+        # Every receive goes through the coordinator's port log.
+        self.ports = coordinator.ports
         self._recvd_by_rank = self.stats.per_rank_messages_received
         self._recvd_words_by_rank = self.stats.per_rank_words_received
         self._group = dict(self.__dict__)
@@ -778,259 +692,6 @@ class _PhaseBase:
     def to_world(self, rank: int) -> int:
         return self.world[rank]
 
-    def _port_log(self, world: int) -> list:
-        """A new receive-port log for world rank ``world`` (it has none);
-        writes pending in round blocks are unpacked into it, pruned."""
-        coordinator = self.coordinator
-        ports = coordinator._port_blocks
-        if ports is not None and ports.item(world) >= 0:
-            return coordinator.port_log(world, self._prune_bound())
-        log = self._recv_logs[world] = []
-        return log
-
-    def _recv_side(self, dst: int, leave: float, wire: int,
-                   post_time: float, beta: Optional[float] = None) -> float:
-        """Mirror the receiver half of ``post_send``; returns the arrival.
-
-        Native receive-port writes fold in chronological *post* order
-        across all traffic sharing the port.  Eagerly priced phases can
-        apply writes out of that order (a later phase's early leaf posts
-        before an earlier phase's deep-subtree send); the per-port log
-        re-inserts such a write at its native position and verifies the
-        fold of every already-applied later write is unchanged — raising
-        :class:`LockstepError` when the native interleaving cannot be
-        reproduced.
-
-        ``beta`` is the message's per-edge link beta on tiered machines
-        (None selects the uniform link).  Log entries store the transfer
-        term ``wire * beta`` — one port can see writes from different link
-        tiers, so the product must travel with the entry for refolds
-        (``free + wire*beta`` and ``free + (wire*beta)`` are the same float
-        expression, so this changes nothing on flat machines).
-
-        Writes posted at *exactly* the same time are a special hazard: the
-        native engine breaks the tie by event insertion order, which one
-        phase's writes reproduce (they are emitted in native post order)
-        but two different phases' writes may not — the interleaving
-        depends on scheduling history the pricer cannot see.  Each entry
-        records its owning phase's identity token (a bare object, so a
-        logged write never keeps a resolved phase's state alive);
-        ``_tie_commutes`` decides which foreign ties are safe and which
-        must refuse.
-        """
-        world = self.world[dst]
-        log = self._recv_logs.get(world)
-        if log is None:
-            log = self._port_log(world)
-        transfer = wire * (self.beta if beta is None else beta)
-        hier = self._hier_sub
-        tail = log[-1] if log else None
-        tied = tail is not None and post_time == tail[0]
-        if tail is None or post_time > tail[0] \
-                or (tied and ((not hier and not tail[7])
-                              or self._tie_commutes(log, len(log), post_time,
-                                                    leave, transfer, world))):
-            # In native post order: fold onto the live port state.
-            recv_free = self._recv_free
-            free_before = recv_free[world]
-            arrival = free_before + transfer
-            if leave > arrival:
-                arrival = leave
-            recv_free[world] = arrival
-            entry = [post_time, leave, transfer, free_before, arrival, None,
-                     self._owner, hier or (tied and tail[7])]
-            if len(log) >= 24:
-                self._prune(log)
-            log.append(entry)
-        else:
-            # Out of native order: re-insert at the native position and
-            # re-fold the already-applied later writes.  A later write's
-            # arrival may *grow* without diverging as long as it stays at
-            # or below its cap — the committed value its consumer folded
-            # it into (always a ``max``), recorded by ``_commit_caps``.
-            index = len(log)
-            while index > 0 and log[index - 1][0] > post_time:
-                index -= 1
-            if index > 0 and log[index - 1][0] == post_time \
-                    and (hier or log[index - 1][7]):
-                self._tie_commutes(log, index, post_time, leave, transfer,
-                                   world)
-            free_before = log[index][3]
-            arrival = free_before + transfer
-            if leave > arrival:
-                arrival = leave
-            entry = [post_time, leave, transfer, free_before, arrival, None,
-                     self._owner,
-                     hier or (index > 0 and log[index - 1][0] == post_time
-                              and log[index - 1][7])]
-            if hier:
-                # Keep the cumulative run flag true on every tied entry
-                # the new write now precedes.
-                for later in log[index:]:
-                    if later[0] != post_time:
-                        break
-                    later[7] = True
-            free = arrival
-            changed_to_end = True
-            for later in log[index:]:
-                later[3] = free
-                refold = free + later[2]
-                if later[1] > refold:
-                    refold = later[1]
-                if refold == later[4]:
-                    # Fold re-converged; everything downstream is untouched.
-                    changed_to_end = False
-                    break
-                cap = later[5]
-                if cap is None or refold > cap:
-                    raise LockstepError(
-                        f"lockstep {self.kind}: receive-port contention on "
-                        f"world rank {world} spans overlapping collective "
-                        f"phases (a write posted at {post_time} changes the "
-                        f"arrival of a later write posted at {later[0]} "
-                        f"beyond what its phase observed); run this "
-                        f"workload with env.lockstep_collectives off")
-                later[4] = refold
-                free = refold
-            if changed_to_end:
-                self._recv_free[world] = free
-            log.insert(index, entry)
-        self._cap_pending.append(entry)
-        self._recvd_by_rank[world] += 1
-        self._recvd_words_by_rank[world] += wire
-        return arrival
-
-    def _tie_commutes(self, log: list, end: int, post_time: float,
-                      leave: float, transfer: float, world: int) -> bool:
-        """Verify a write tying earlier entries' post time is order-safe.
-
-        ``log[run_start:end]`` is the maximal run of entries posted at
-        exactly ``post_time``.  Three cases are safe outright:
-
-        * every entry in the run belongs to this phase — the emission
-          order *is* the native order;
-        * neither this phase nor any owner in the run is a schedule-IR
-          replay (``_hier_sub``) — flat phases of one coordinator post in
-          generation order per port, which matches the engine's
-          insertion-order tie break (pinned bit-exactly by the flat
-          differential suite, including staggered repeats);
-        * the fold provably commutes — folding the write at the *front*
-          of the run leaves every tied arrival unchanged and yields the
-          same arrival it gets at the *back*; the fold is monotone in the
-          port-free time, so agreement at both extremes covers every
-          position in between.
-
-        A schedule replay interleaves its stages across generations (a
-        later repetition's leaf send can tie an earlier repetition's
-        subtree send), where the engine's tie order depends on event
-        insertion history the pricer cannot see — a non-commuting tie
-        there raises :class:`LockstepError` instead of silently picking
-        an order.  Returns True when the tie is safe, raises otherwise.
-        """
-        run_start = end
-        while run_start > 0 and log[run_start - 1][0] == post_time:
-            run_start -= 1
-        if run_start == end:
-            return True
-        if not self._hier_sub and not log[end - 1][7]:
-            return True
-        if all(log[k][6] is self._owner for k in range(run_start, end)):
-            return True
-        front_free = log[run_start][3]
-        front_arrival = front_free + transfer
-        if leave > front_arrival:
-            front_arrival = leave
-        free = front_arrival
-        commutes = True
-        for k in range(run_start, end):
-            entry = log[k]
-            refold = free + entry[2]
-            if entry[1] > refold:
-                refold = entry[1]
-            if refold != entry[4]:
-                commutes = False
-                break
-            free = refold
-        if commutes:
-            back_free = log[end][3] if end < len(log) \
-                else self._recv_free[world]
-            back_arrival = back_free + transfer
-            if leave > back_arrival:
-                back_arrival = leave
-            commutes = front_arrival == back_arrival
-        if not commutes:
-            raise LockstepError(
-                f"lockstep {self.kind}: receive-port contention on world "
-                f"rank {world} — writes from overlapping collective phases "
-                f"posted at exactly {post_time} and their fold depends on "
-                f"the native tie order; run this workload with "
-                f"env.lockstep_collectives off")
-        return True
-
-    def _prune_bound(self) -> float:
-        """The post time below which no log entry can be overtaken.
-
-        A live phase only produces writes posted at or after its first
-        join, and any future phase posts at or after the current virtual
-        time — so ``min(now, *live_first_joins)`` bounds how far back a
-        port log can still see an out-of-order insertion.  A bound
-        computed earlier at the same instant stays valid — a phase opened
-        since first joined now, and a retired one only raises the minimum
-        — so it is reused.  While a driver prices ahead of the clock, its
-        ``frontier`` takes the place of ``now`` (uncached: it moves while
-        the clock stands still).
-        """
-        coordinator = self.coordinator
-        frontier = coordinator.frontier
-        if frontier is not None:
-            live = coordinator._live_first_joins
-            if live:
-                earliest = min(live)
-                if earliest < frontier:
-                    return earliest
-            return frontier
-        now = self.engine._now
-        cached = coordinator._bound
-        if cached is not None and cached[0] == now:
-            return cached[1]
-        bound = now
-        live = coordinator._live_first_joins
-        if live:
-            earliest = min(live)
-            if earliest < bound:
-                bound = earliest
-        coordinator._bound = (now, bound)
-        return bound
-
-    def _prune(self, log: list) -> None:
-        """Drop log entries posted below :meth:`_prune_bound`.
-
-        Called off the hot path (only once a log grows past a small
-        threshold).
-        """
-        bound = self._prune_bound()
-        drop = 0
-        for entry in log:
-            if entry[0] >= bound:
-                break
-            drop += 1
-        if drop:
-            del log[:drop]
-
-    def _commit_caps(self, cap: float) -> None:
-        """Record the committed value the pending arrivals folded into.
-
-        Every ``_recv_side`` arrival is consumed through a ``max`` by its
-        phase (a tree entry, a round resume, or the arrival itself); the
-        cap is that committed result.  A later out-of-order insertion may
-        re-fold the arrival upward bit-identically iff it stays at or
-        below the cap.
-        """
-        pending = self._cap_pending
-        for entry in pending:
-            entry[5] = cap
-        del pending[:]
-
 
 # ---------------------------------------------------------------------------
 # Scan and barrier: the dissemination schedule.
@@ -1177,8 +838,11 @@ class _DisseminationPhase(_PhaseBase):
         stats = self.stats
         sent_by_rank = stats.per_rank_messages_sent
         sent_words_by_rank = stats.per_rank_words_sent
-        recv_side = self._recv_side
-        commit_caps = self._commit_caps
+        recvd = self._recvd_by_rank
+        recvd_words = self._recvd_words_by_rank
+        write = self.ports.write
+        owner = self._owner
+        hier = self._hier_sub
         compute_cost = self.compute_cost
         table = self.sends
         if table is None:
@@ -1230,13 +894,18 @@ class _DisseminationPhase(_PhaseBase):
                 # A negative index is the barrier's wraparound source.
                 s_leave, s_wire, s_value, s_post, s_beta = \
                     sent[member - distance]
-                arrival = recv_side(member, s_leave, s_wire, s_post, s_beta)
+                dst = world[member]
+                entry = write(dst, s_post, s_leave, s_wire * s_beta, owner,
+                              hier)
+                recvd[dst] += 1
+                recvd_words[dst] += s_wire
+                arrival = entry[4]
                 if arrival > resume[k]:
                     resume[k] = arrival
                 if not wrap:
                     pending[k] = compute_cost(payload_words(s_value))
                     acc[k] = op(s_value, acc[k])
-                commit_caps(resume[k])
+                entry[5] = resume[k]
         stats.messages_sent += nsent
         stats.words_sent += wsent
         finish = self._finish
@@ -1260,11 +929,11 @@ class _DisseminationPhase(_PhaseBase):
         (senders are read before receivers are written, as values only flow
         upward within a round).  Port writes fold in order, or — on tiered
         links a round's write can post before the port's previous-round
-        write — one entry back, as ``_recv_side`` re-inserts them; the
-        writes go to the port logs as one :class:`_RoundBlock`.  Returns
-        False — before touching any transport or engine state — when the
-        values do not vectorise or a port write would take a branch of
-        ``_recv_side`` this pass does not mirror.
+        write — one entry back (:meth:`PortLog.absorb`); the writes go to
+        the port log as one round block.  Returns False — before touching
+        any transport or engine state — when the values do not vectorise or
+        a port write would take a branch of the fold this pass does not
+        mirror.
         """
         size = self.size
         values = self.values
@@ -1303,8 +972,10 @@ class _DisseminationPhase(_PhaseBase):
             table = ((everyone, (index + d) % size, everyone,
                       (index - d) % size) for d in self.rounds)
         send_free = self._gather_port_array(self.transport._send_port_free)
-        recv_free = self._gather_port_array(self._recv_free)
-        tails, hazards, listed = self._log_tails()
+        recv_free = self._gather_port_array(self.transport._recv_port_free)
+        ports = self.ports
+        tails, hazards, listed = ports.tails(self.world, self._world_array(),
+                                             self._hier_sub)
         resume = np.array(self.joined, dtype=np.float64)
         pending = np.zeros(size)
         pmd = self.pmd
@@ -1355,38 +1026,11 @@ class _DisseminationPhase(_PhaseBase):
             tail = last[receivers]   # a view: receivers is a slice
             late = np.flatnonzero(posts < tail)
             if late.size:
-                # Posted before the port's last write: _recv_side inserts
-                # it one entry back and re-folds that write, which stays
-                # bit-identical up to its cap.  Absorbed when the last write
-                # is this phase's own and the one before it was posted
-                # strictly earlier; any other overtake declines.  A log is
-                # sorted by post time (ties in write order), so the last
-                # write is the latest-posted one of the latest round.
-                if not row:
+                port = ports.absorb(block, row, receivers, late, posts,
+                                    r_leaves, r_wb, frees, arrival, tails,
+                                    tail)
+                if port is None:
                     return False
-                members = late + receivers.start
-                earlier = posts_t[:row, members]
-                top = earlier.max(axis=0)
-                back = row - 1 - np.argmax(earlier[::-1] == top, axis=0)
-                earlier[back, np.arange(late.size)] = -np.inf
-                before = np.maximum(earlier.max(axis=0), tails[members])
-                if np.any(top < tail[late]) or np.any(before >= posts[late]):
-                    return False
-                front = frees_t[back, members]
-                inserted = front + (r_wb if r_wb.__class__ is float
-                                    else r_wb[late])
-                np.maximum(inserted, r_leaves[late], out=inserted)
-                refold = inserted + transfers_t[back, members]
-                np.maximum(refold, leaves_t[back, members], out=refold)
-                if np.any((refold != arrivals_t[back, members])
-                          & (refold > caps_t[back, members])):
-                    return False
-                frees_t[back, members] = inserted
-                arrivals_t[back, members] = refold
-                frees[late] = front
-                arrival[late] = inserted
-                port = arrival.copy()
-                port[late] = refold
                 reordered = True
             arrivals_t[row, receivers] = arrival
             recv_free[receivers] = port
@@ -1403,11 +1047,13 @@ class _DisseminationPhase(_PhaseBase):
             np.maximum(segment, arrival, out=segment)
             caps_t[row, receivers] = segment
             resume = new_resume
-        # ---- every write folds as _recv_side would: commit. --------------
+        # ---- every write folds as the scalar fold would: commit. --------
         self.tier = "fastforward"
         self._scatter_port_array(self.transport._send_port_free, send_free)
-        self._scatter_port_array(self._recv_free, recv_free)
-        self._commit_block(block, reordered, listed)
+        self._scatter_port_array(self.transport._recv_port_free, recv_free)
+        ports.add_block(block, [0] * len(self.rounds) if self.wrap
+                        else self.rounds, self.world, self._world_array(),
+                        self._owner, self._hier_sub, reordered, listed)
         stats = self.stats
         sent_by_rank = stats.per_rank_messages_sent
         sent_words_by_rank = stats.per_rank_words_sent
@@ -1475,57 +1121,6 @@ class _DisseminationPhase(_PhaseBase):
             for world, item in zip(self.world, items):
                 port_list[world] = item
 
-    def _log_tails(self) -> tuple:
-        """``(tails, hazards, listed)`` of the member ports' logs.
-
-        ``tails`` is the post time of each port's last logged write, -inf
-        when it has none: from its list log, or from the newest round block
-        still holding writes for it (a port has one or the other).  A
-        write posted before it (before another phase's write) makes the
-        vector pass decline to the scalar pass, whose out-of-order
-        re-insertion handles (or honestly refuses) the overtake.
-
-        ``hazards`` repeats the tail post time only where a write tied
-        exactly to it would be order-ambiguous — this phase or an owner in
-        the tail's tied run is a schedule replay (see ``_tie_commutes``).
-        The vector pass cannot run the commute proof, so it aborts to the
-        scalar pass on those ties too; flat-vs-flat ties keep the plain
-        in-order fold, which is the engine's own tie order.
-
-        ``listed`` are the members whose port has a list log.
-        """
-        size = self.size
-        tails = np.full(size, -np.inf)
-        hazards = np.full(size, -np.inf)
-        hier = self._hier_sub
-        listed = []
-        logs = self._recv_logs
-        if logs:
-            for member, world in enumerate(self.world):
-                log = logs.get(world)
-                if log is not None:
-                    listed.append(member)
-                    if log:
-                        tail = log[-1]
-                        tails[member] = tail[0]
-                        if hier or tail[7]:
-                            hazards[member] = tail[0]
-        ports = self.coordinator._port_blocks
-        if ports is not None:
-            worlds = self._world_array()
-            serials = ports[worlds]
-            blocks = self.coordinator._blocks
-            for serial in np.unique(serials[serials >= 0]).tolist():
-                block = blocks.get(serial)
-                if block is None:
-                    continue   # dropped: all posted below every write to come
-                where = serials == serial
-                posts = block.tail_posts[block.members(worlds[where])]
-                tails[where] = posts
-                if hier or block.hier:
-                    hazards[where] = posts
-        return tails, hazards, listed
-
     def _tier_link_arrays(self) -> Optional[tuple]:
         """``(alphas, betas, node_id, island_id)`` member arrays, or None.
 
@@ -1565,121 +1160,10 @@ class _DisseminationPhase(_PhaseBase):
             worlds = self._world_arr = np.asarray(self.world, dtype=np.intp)
         return worlds
 
-    def _commit_block(self, table: np.ndarray, reordered: bool,
-                      listed: list) -> None:
-        """Log the vector pass's port writes as one :class:`_RoundBlock`.
-
-        A port that has a list log gets its writes appended now; every
-        other receiving port only records the block as its newest pending
-        one, and its writes are unpacked the first time a pricer touches
-        the port (:meth:`SpmdCoordinator.port_log`) — a port nothing
-        touches again costs no Python object per write.  Entries, caps
-        and per-port order are those the scalar pass's ``_recv_side``
-        calls leave; only prune timing differs, and a prune drops nothing
-        a write still to come can overtake.  Registering a block drops
-        those whose writes all posted below the prune bound.
-        """
-        block = _RoundBlock(
-            table, [0] * len(self.rounds) if self.wrap else self.rounds,
-            self.world, self.affine, self._owner, self._hier_sub, reordered)
-        bound = self._prune_bound()
-        if listed:
-            logs = self._recv_logs
-            world = self.world
-            for member in listed:
-                log = logs[world[member]]
-                if len(log) >= 24:
-                    self._prune(log)
-                block.unpack(member, log, bound)
-        pending = np.ones(self.size, dtype=bool)
-        pending[:block.offsets[0]] = False   # members that never receive
-        pending[listed] = False
-        if not pending.any():
-            return
-        coordinator = self.coordinator
-        blocks = coordinator._blocks
-        for serial in [serial for serial, old in blocks.items()
-                       if old.max_post < bound]:
-            del blocks[serial]
-        ports = coordinator._port_blocks
-        if ports is None:
-            ports = coordinator._port_blocks = np.full(
-                len(self._recv_free), -1, dtype=np.intp)
-        serial = coordinator._next_block
-        coordinator._next_block = serial + 1
-        receiving = self._world_array()[pending]
-        block.below = np.full(self.size, -1, dtype=np.intp)
-        block.below[pending] = ports[receiving]
-        ports[receiving] = serial
-        blocks[serial] = block
-
 
 class _DisseminationBarrier(_DisseminationPhase):
     kind = "barrier"
     wrap = True
-
-
-class _RoundBlock:
-    """A dissemination vector pass's receive-port writes, as arrays.
-
-    ``table[member, round]`` holds fields 0-5 of the log entry (post,
-    leave, transfer, free before, arrival, cap) of the write a member
-    received in a round — member-major, so unpacking one port reads one
-    contiguous stretch; members below ``offsets[round]`` received none.
-    Fields 6 and 7 are the phase's owner token and replay flag.
-    ``below[member]`` is the serial of the port's newest pending block
-    before this one (-1: none), so a port's pending blocks form a chain.
-    """
-
-    __slots__ = ("table", "offsets", "world", "affine", "owner", "hier",
-                 "reordered", "tail_posts", "max_post", "below", "_index")
-
-    def __init__(self, table, offsets, world, affine, owner, hier,
-                 reordered):
-        self.table = table
-        self.offsets = offsets
-        self.world = world
-        self.affine = affine
-        self.owner = owner
-        self.hier = hier
-        # An absorbed overtake leaves a port's writes out of round order;
-        # post order is log order (ties keep round order).
-        self.reordered = reordered
-        self.tail_posts = self.table[:, :, 0].max(axis=1)
-        self.max_post = float(self.tail_posts.max())
-        self.below = None
-        self._index = None
-
-    def member(self, world: int) -> int:
-        affine = self.affine
-        if affine is not None:
-            return (world - affine[0]) // affine[1]
-        index = self._index
-        if index is None:
-            index = self._index = {rank: member
-                                   for member, rank in enumerate(self.world)}
-        return index[world]
-
-    def members(self, worlds: np.ndarray) -> np.ndarray:
-        affine = self.affine
-        if affine is not None:
-            return (worlds - affine[0]) // affine[1]
-        return np.fromiter(map(self.member, worlds.tolist()), dtype=np.intp,
-                           count=len(worlds))
-
-    def unpack(self, member: int, log: list, bound: float) -> None:
-        """Append ``member``'s writes posted at or after ``bound`` to its
-        port's list ``log``, as entries in log order."""
-        owner = self.owner
-        hier = self.hier
-        entries = [
-            [post, leave, transfer, free, arrival, cap, owner, hier]
-            for (post, leave, transfer, free, arrival, cap), offset in zip(
-                self.table[member].tolist(), self.offsets)
-            if member >= offset and post >= bound]
-        if self.reordered:
-            entries.sort(key=_EDGE_POST)
-        log.extend(entries)
 
 
 # ---------------------------------------------------------------------------
@@ -1736,11 +1220,10 @@ class _BcastPhase(_PhaseBase):
         sequences depend on: every send port is written by its own member
         alone and every receive port by the member's one parent.  Children
         are enumerated inline, largest subtree first (a memoised child
-        table thrashes once a run's (vrank, size) pairs outgrow it), the
-        sender half of ``post_send`` is inlined with its float operand
-        order and the in-order untied receive fold skips the
-        ``_recv_side`` call; tied or out-of-order folds take the full
-        logged path.
+        table thrashes once a run's (vrank, size) pairs outgrow it), and
+        the sender half of ``post_send`` is inlined with its float operand
+        order.  A child's arrival is consumed verbatim as its entry floor,
+        so it is its write's cap.
         """
         size = self.size
         root = self.root
@@ -1754,10 +1237,8 @@ class _BcastPhase(_PhaseBase):
         finishes = self.finish
         results = self.results
         arrivals = self.arrivals
-        logs = self._recv_logs
-        recv_free = self._recv_free
-        recv_side = self._recv_side
-        commit_caps = self._commit_caps
+        write = self.ports.write
+        owner = self._owner
         recvd = self._recvd_by_rank
         recvd_words = self._recvd_words_by_rank
         send_free = self.transport._send_port_free
@@ -1819,30 +1300,10 @@ class _BcastPhase(_PhaseBase):
                 sent_by_rank[src] += 1
                 sent_words_by_rank[src] += wire
                 dst = world[child]
-                log = logs.get(dst)
-                if log is None:
-                    log = self._port_log(dst)
-                tail = log[-1] if log else None
-                if tail is None or entry > tail[0]:
-                    # In-order untied: the in-order branch of
-                    # ``_recv_side``, verbatim; the arrival is consumed
-                    # verbatim as the child's entry floor, so cap = arrival.
-                    transfer = wire * ebeta
-                    free_before = recv_free[dst]
-                    arrival = free_before + transfer
-                    if leave > arrival:
-                        arrival = leave
-                    recv_free[dst] = arrival
-                    row = [entry, leave, transfer, free_before, arrival,
-                           arrival, self._owner, hier]
-                    if len(log) >= 24:
-                        self._prune(log)
-                    log.append(row)
-                    recvd[dst] += 1
-                    recvd_words[dst] += wire
-                else:
-                    arrival = recv_side(child, leave, wire, entry, ebeta)
-                    commit_caps(arrival)
+                row = write(dst, entry, leave, wire * ebeta, owner, hier)
+                recvd[dst] += 1
+                recvd_words[dst] += wire
+                arrival = row[5] = row[4]
                 arrivals[child_vrank] = arrival
                 if leave > finish:
                     finish = leave
@@ -1915,9 +1376,9 @@ class _TreeUpPhase(_PhaseBase):
         Children before parents is the only ordering the per-port write
         sequences depend on (each member's pricing touches only its own
         ports).  The sender half of ``post_send`` is inlined with its
-        float operand order, and the in-order untied receive fold bypasses
-        the ``_recv_side`` call (this pass dominates the composed-allreduce
-        gate); tied or out-of-order folds take the full logged path.
+        float operand order; a member's receives fold in post order, and
+        only the max of its join and their arrivals is committed (their
+        cap).
         """
         size = self.size
         root = self.root
@@ -1931,10 +1392,8 @@ class _TreeUpPhase(_PhaseBase):
         hier = self._hier_sub
         finishes = self.finish
         results = self.results
-        logs = self._recv_logs
-        recv_free = self._recv_free
-        recv_side = self._recv_side
-        cap_pending = self._cap_pending
+        write = self.ports.write
+        owner = self._owner
         recvd = self._recvd_by_rank
         recvd_words = self._recvd_words_by_rank
         send_free = self.transport._send_port_free
@@ -1964,47 +1423,20 @@ class _TreeUpPhase(_PhaseBase):
             if children:
                 edges = [up_send[child] for child in children]
                 if len(edges) > 1:
-                    edges.sort(key=_EDGE_POST)
-                rows = None
+                    edges.sort(key=POST)
                 dst = world[rank]
-                log = logs.get(dst)
-                if log is None:
-                    log = self._port_log(dst)
+                rows = []
                 for post_time, leave, wire, _payload, ebeta in edges:
-                    tail = log[-1] if log else None
-                    if tail is None or post_time > tail[0]:
-                        # In-order untied: the in-order branch of
-                        # ``_recv_side``, verbatim.
-                        transfer = wire * ebeta
-                        free_before = recv_free[dst]
-                        arrival = free_before + transfer
-                        if leave > arrival:
-                            arrival = leave
-                        recv_free[dst] = arrival
-                        row = [post_time, leave, transfer, free_before,
-                               arrival, None, self._owner, hier]
-                        if len(log) >= 24:
-                            self._prune(log)
-                        log.append(row)
-                        recvd[dst] += 1
-                        recvd_words[dst] += wire
-                        if rows is None:
-                            rows = [row]
-                        else:
-                            rows.append(row)
-                    else:
-                        arrival = recv_side(rank, leave, wire, post_time,
-                                            ebeta)
+                    row = write(dst, post_time, leave, wire * ebeta, owner,
+                                hier)
+                    recvd[dst] += 1
+                    recvd_words[dst] += wire
+                    rows.append(row)
+                    arrival = row[4]
                     if arrival > entry:
                         entry = arrival
-                # Only the max of (join, arrivals) is committed downstream.
-                if rows is not None:
-                    for row in rows:
-                        row[5] = entry
-                if cap_pending:
-                    for row in cap_pending:
-                        row[5] = entry
-                    del cap_pending[:]
+                for row in rows:
+                    row[5] = entry
             if vrank == 0:
                 finishes[rank] = entry
                 results[rank] = self._root_result(rank, children)
@@ -2184,13 +1616,10 @@ class _ExchangePhase(_PhaseBase):
 
         Each receive port must fold the phase's writes sorted by post time,
         ties in member order.  Visiting the members in that order (stable
-        sort by join time) puts every write on the in-order branch of
-        ``_recv_side``, applied inline like the sender half of
-        ``post_send`` (same float operand order); only a port another phase
-        already wrote at a later or order-ambiguous post takes the full
-        logged path.  Inbound counts are checked once, after all sends are
-        folded, and arrivals are read then (a logged re-insertion may have
-        re-folded them upward).
+        sort by join time) folds every write in order, unless another phase
+        already wrote the port at a later or order-ambiguous post.  Inbound
+        counts are checked once, after all sends are folded, and arrivals
+        are read then (a re-insertion may have re-folded them upward).
         """
         size = self.size
         joined = self.joined
@@ -2201,10 +1630,8 @@ class _ExchangePhase(_PhaseBase):
         factor = self.factor
         tiered = self._tiered
         hier = self._hier_sub
-        logs = self._recv_logs
-        recv_free = self._recv_free
-        recv_side = self._recv_side
-        cap_pending = self._cap_pending
+        write = self.ports.write
+        owner = self._owner
         recvd = self._recvd_by_rank
         recvd_words = self._recvd_words_by_rank
         send_free = self.transport._send_port_free
@@ -2243,31 +1670,11 @@ class _ExchangePhase(_PhaseBase):
                 if leave > best_leave:
                     best_leave = leave
                 dst = world[dest]
-                log = logs.get(dst)
-                if log is None:
-                    log = self._port_log(dst)
-                tail = log[-1] if log else None
-                if tail is None or post > tail[0] \
-                        or (post == tail[0] and not hier and not tail[7]):
-                    # The in-order branch of ``_recv_side``, verbatim (a
-                    # flat tie folds in application order, like there).
-                    transfer = wire * ebeta
-                    free_before = recv_free[dst]
-                    arrival = free_before + transfer
-                    if leave > arrival:
-                        arrival = leave
-                    recv_free[dst] = arrival
-                    entry = [post, leave, transfer, free_before, arrival,
-                             _INF, self._owner, hier]
-                    if len(log) >= 24:
-                        self._prune(log)
-                    log.append(entry)
-                    recvd[dst] += 1
-                    recvd_words[dst] += wire
-                else:
-                    recv_side(dest, leave, wire, post, ebeta)
-                    entry = cap_pending.pop()
-                    entry[5] = _INF
+                entry = write(dst, post, leave, wire * ebeta, owner, hier)
+                recvd[dst] += 1
+                recvd_words[dst] += wire
+                # Re-foldable at will until the drain is known.
+                entry[5] = _INF
                 inbound[dest].append(entry)
             max_leave[rank] = best_leave
         stats.messages_sent += nsent

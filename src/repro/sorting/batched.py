@@ -37,10 +37,10 @@ splits a level into what depends on simulated time and what does not:
 
 The plan lives on the simulation's transport (all simulated ranks share one
 interpreter; :meth:`~repro.simulator.network.Transport.close` empties it) and
-serves one sort at a time.  Pricing runs ahead of the engine clock, so the receive-port logs are pruned
-against the plan's frontier instead (:attr:`SpmdCoordinator.frontier
-<repro.core.spmd.SpmdCoordinator>`): the earliest instant any write still to
-come can post — the earliest entry into the round being priced, or the
+serves one sort at a time.  Pricing runs ahead of the engine clock, so the
+receive-port logs are pruned against the plan's frontier instead
+(:attr:`PortLog.frontier <repro.core.portlog.PortLog>`): the earliest
+instant any write still to come can post — the earliest entry into the round being priced, or the
 earliest finish of a rank that already left the sort (it may join other
 phases from then on), whichever is first.
 
@@ -406,7 +406,7 @@ class SortPlan:
                                   bounds, bounds[1:]))
                 frontier = min(min(clock[first:first + end - start])
                                for first, _, start, end in groups)
-                coordinator.frontier = min(frontier, ended)
+                coordinator.ports.frontier = min(frontier, ended)
                 inbound = [0] * bounds[-1]
                 for group, (first, fresh, start, end) in enumerate(groups):
                     size = end - start
@@ -451,7 +451,7 @@ class SortPlan:
                 if leaving:
                     ended = min(ended, min(clock[rank] for rank in leaving))
         finally:
-            coordinator.frontier = None
+            coordinator.ports.frontier = None
             self._pending = None
         # Frozen, so base-case messages sent from a member's view skip the
         # transport snapshot.

@@ -194,7 +194,7 @@ class _Bench:
         # Room for a group of VECTOR_CUTOFF + 1 members at GROUP_FIRST.
         self.cluster = Cluster(WORLD + spmd.VECTOR_CUTOFF)
         self.env = self.cluster.envs[0]
-        self.coordinator = spmd.SpmdCoordinator()
+        self.coordinator = spmd.SpmdCoordinator(self.cluster.transport)
 
     def phase(self, factory, op, size, first=GROUP_FIRST, stride=1, root=0):
         endpoint = TransportEndpoint(
@@ -234,7 +234,7 @@ class _Bench:
         logs = {}
         for port in range(self.cluster.num_ranks):
             # Building a port's list unpacks what round blocks hold for it.
-            log = self.coordinator.port_log(port)
+            log = self.coordinator.ports.log(port)
             if log:
                 logs[port] = [
                     entry[:6] + [owners.setdefault(id(entry[6]), len(owners)),
@@ -440,7 +440,7 @@ def test_property_fed_scan_matches_joined(kind, size, skew, foreign_port,
     ("scan", 2048, 30.0)])
 def test_vector_pass_absorbs_in_phase_overtakes(kind, words, late_join):
     """Member 1 joins late, so member 0's round-2 write reaches port 2
-    before member 1's round-1 write to it was posted: ``_recv_side`` inserts
+    before member 1's round-1 write to it was posted: the port log inserts
     it one entry back and re-folds the later write.  The vector pass does
     the same without falling back, logs the phase as one round block out
     of round order, and leaves what the scalar pass and the oracle's
@@ -459,9 +459,9 @@ def test_vector_pass_absorbs_in_phase_overtakes(kind, words, late_join):
 
     bench = _Bench()
     bench.phase(factory, op, size)._feed_all(times, values)
-    (block,) = bench.coordinator._blocks.values()
+    (block,) = bench.coordinator.ports.blocks.values()
     assert block.reordered
-    assert not bench.coordinator._recv_logs   # no list until a port is read
+    assert not bench.coordinator.ports.lists   # no list until a port is read
     cluster = Cluster(WORLD + spmd.VECTOR_CUTOFF, reference_engine=True)
     native = cluster.run(_native_dissemination, kind, times, values)
     members = native.results[GROUP_FIRST:GROUP_FIRST + size]
@@ -488,9 +488,9 @@ def test_round_blocks_chain_and_unpack_in_log_order():
             scan = bench.phase(spmd._DisseminationPhase, SUM, size)
             finish, results = scan._feed_all(list(finish), values)
         if cutoff == 2:
-            assert len(bench.coordinator._blocks) == 2
+            assert len(bench.coordinator.ports.blocks) == 2
         bench.foreign_write(GROUP_FIRST + 5, 40.0)
-        port = bench.coordinator._recv_logs[GROUP_FIRST + 5]
+        port = bench.coordinator.ports.lists[GROUP_FIRST + 5]
         assert [entry[0] for entry in port] == \
             sorted(entry[0] for entry in port)
         outcomes.append((list(finish), _plain(results), bench.observables()))

@@ -299,7 +299,7 @@ def test_sort_at_p_1024_wakes_each_rank_once(monkeypatch):
 
     def price(self, root):
         outcomes = original(self, root)
-        entries.append(sum(map(len, root.coordinator._recv_logs.values())))
+        entries.append(sum(map(len, root.coordinator.ports.lists.values())))
         return outcomes
 
     monkeypatch.setattr(SortPlan, "price", price)
