@@ -1,17 +1,30 @@
-"""The receive-port log: the lockstep tier's one copy of the port fold.
+"""The port log: the lockstep tier's one mirror of ``Transport.post_send``.
 
-``Transport.post_send`` folds ``arrival = max(leave, recv_free + transfer)``
-onto the destination's receive port in engine (time, seq) order, that is in
-*post* order.  The pricers of :mod:`repro.core.spmd` apply writes in their
-own order: a phase prices a whole tree or round at once, and an eagerly
-priced phase can apply a write before another phase's earlier-posted one.
-:class:`PortLog` keeps each port's recent writes sorted by post time and
-folds every write at its native position: in order onto the live port
-state; out of order by re-inserting it and re-folding the later writes,
-each of which may grow only up to its *cap* (the value its consumer
-committed, always through a ``max``); tied at one instant only where the
-engine's tie order is known or provably irrelevant.  Anything else raises
-:class:`LockstepError`.
+``post_send`` prices a message in two halves.  The *sender* half takes the
+send port, ``leave = max(start, send_free) + alpha + wire * beta``, with
+the link the uniform one or ``params.link(src, dst, placement)``; the
+*receiver* half folds ``arrival = max(leave, recv_free + wire * beta)``
+onto the destination's receive port.  Both count the message for the tracer.
+The pricers of :mod:`repro.core.spmd` say only which messages a schedule
+sends and when; :class:`PortLog` prices them.  :meth:`PortLog.send` is the
+sender half, :meth:`PortLog.receive` the receiver half and
+:meth:`PortLog.message` both at once; the dissemination vector pass reads
+and writes the same state as member arrays (:meth:`PortLog.port_arrays`,
+:meth:`PortLog.member_links`, :meth:`PortLog.count`).  The event tier's
+``post_send`` keeps its own copy, with the shared-NIC branch this mirror
+leaves out (shared NICs are not lockstep-eligible).
+
+A send port is written by its own member alone, in native order, so the
+sender half is a plain fold.  The receive port is folded in engine (time,
+seq) order, that is in *post* order, but a phase prices a whole tree or
+round at once, and an eagerly priced phase can apply a write before another
+phase's earlier-posted one.  The log keeps each receive port's recent
+writes sorted by post time and folds every write at its native position:
+in order onto the live port state; out of order by re-inserting it and
+re-folding the later writes, each of which may grow only up to its *cap*
+(the value its consumer committed, always through a ``max``); tied at one
+instant only where the engine's tie order is known or provably irrelevant.
+Anything else raises :class:`LockstepError`.
 
 Entries are ``[post, leave, transfer, free_before, arrival, cap, owner,
 replay]``: ``transfer`` is the message's ``wire * beta`` (one port sees
@@ -32,7 +45,7 @@ import numpy as np
 __all__ = ["LockstepError", "PortLog", "POST"]
 
 #: Post time of a log entry, and of the tree pricers' (post, leave, wire,
-#: payload, beta) edges: the sort key of both.
+#: payload, transfer) edges: the sort key of both.
 POST = itemgetter(0)
 
 #: A port list is pruned when a write finds it this long.
@@ -54,7 +67,8 @@ def _contention(world: int, why: str) -> LockstepError:
 
 
 class PortLog:
-    """Every receive port's recent writes, for all phases of one transport.
+    """The ports, links and message counters of one transport, and every
+    receive port's recent writes, for all phases of that transport.
 
     ``live`` holds the first joins of live phases: a live phase posts at or
     after its first join and a future one at or after now, so ``min(now,
@@ -65,12 +79,24 @@ class PortLog:
     """
 
     __slots__ = ("lists", "blocks", "_port_blocks", "_port_members",
-                 "_next_block", "live", "frontier", "_cached", "_recv_free",
-                 "_engine")
+                 "_next_block", "live", "frontier", "_cached", "_send_free",
+                 "_recv_free", "_engine", "_uniform", "_params", "_placement",
+                 "_placement_ids", "_sent", "_sent_words", "_recvd",
+                 "_recvd_words")
 
-    def __init__(self, recv_free: list, engine):
-        self._recv_free = recv_free
-        self._engine = engine
+    def __init__(self, transport):
+        self._send_free = transport._send_port_free
+        self._recv_free = transport._recv_port_free
+        self._engine = transport.engine
+        self._uniform = transport._uniform_link
+        self._params = transport.params
+        self._placement = transport.placement
+        self._placement_ids = None   # (node ids, island ids), on first use
+        stats = transport.tracer.stats
+        self._sent = stats.per_rank_messages_sent
+        self._sent_words = stats.per_rank_words_sent
+        self._recvd = stats.per_rank_messages_received
+        self._recvd_words = stats.per_rank_words_received
         self.lists: dict = {}     # world rank -> its port's entries
         # Round blocks by serial, and per world rank the serial of its
         # newest pending block (-1: none) and its member row there; a port
@@ -135,13 +161,43 @@ class PortLog:
                 block.unpack(member, log, bound)
         return log
 
-    # -------------------------------------------------------- the scalar fold
+    # ------------------------------------------------------ the sender half
 
-    def write(self, world: int, post: float, leave: float, transfer: float,
-              owner, hier: bool) -> list:
-        """Fold one write onto world rank ``world``'s receive port; returns
-        its entry, whose arrival the caller reads and whose cap it sets
-        where it commits that.  ``hier`` marks a schedule-IR replay."""
+    def send(self, src: int, dst: int, start: float, wire: int) -> tuple:
+        """Price a message of ``wire`` words from world rank ``src`` to
+        ``dst`` on ``src``'s send port, from ``start`` (the caller's ready
+        time, local delays included); returns ``(leave, transfer)``, the
+        ``wire * beta`` its receive folds."""
+        uniform = self._uniform
+        alpha, beta = uniform if uniform is not None \
+            else self._params.link(src, dst, self._placement)
+        send_free = self._send_free
+        port_free = send_free[src]
+        if port_free > start:
+            start = port_free
+        leave = start + alpha + wire * beta
+        send_free[src] = leave
+        self._sent[src] += 1
+        self._sent_words[src] += wire
+        return leave, wire * beta
+
+    def message(self, src: int, dst: int, post: float, start: float,
+                wire: int, owner, hier: bool) -> list:
+        """:meth:`send` and :meth:`receive` of one message posted at
+        ``post``; returns its entry (``entry[1]`` is its leave)."""
+        leave, transfer = self.send(src, dst, start, wire)
+        return self.receive(dst, post, leave, transfer, wire, owner, hier)
+
+    # ---------------------------------------------------- the receiver half
+
+    def receive(self, world: int, post: float, leave: float, transfer: float,
+                wire: int, owner, hier: bool) -> list:
+        """Fold one write of ``wire`` words onto world rank ``world``'s
+        receive port and count it; returns its entry, whose arrival the
+        caller reads and whose cap it sets where it commits that.  ``hier``
+        marks a schedule-IR replay."""
+        self._recvd[world] += 1
+        self._recvd_words[world] += wire
         log = self.lists.get(world)
         if log is None:
             ports = self._port_blocks
@@ -280,6 +336,80 @@ class PortLog:
             f"— writes from overlapping collective phases posted at exactly "
             f"{post} and their fold depends on the native tie order")
 
+    # ------------------------------------------------ the vector pass's arrays
+
+    def port_arrays(self, world: list, affine) -> tuple:
+        """The send and receive port free times of the members ``world``
+        (member -> world rank, ``affine`` its ``(first, stride)`` or None)
+        as float64 arrays."""
+        return (_gather(self._send_free, world, affine),
+                _gather(self._recv_free, world, affine))
+
+    def set_port_arrays(self, world: list, affine, send_free: np.ndarray,
+                        recv_free: np.ndarray) -> None:
+        """Store :meth:`port_arrays`' arrays back, as the exact floats the
+        scalar stores would leave."""
+        _scatter(self._send_free, world, affine, send_free)
+        _scatter(self._recv_free, world, affine, recv_free)
+
+    def member_links(self, worlds: np.ndarray):
+        """Link prices of sends among the members ``worlds`` (world ranks,
+        an index array): the uniform ``(alpha, beta)``, or on a tiered
+        machine ``(alphas, betas, nodes, islands)`` -- the cost model's
+        three tiers and the members' node and island ids.  None when the
+        tiered model has no tier table (``tier_link``)."""
+        uniform = self._uniform
+        if uniform is not None:
+            return uniform
+        tier_link = getattr(self._params, "tier_link", None)
+        if tier_link is None:
+            return None
+        ids = self._placement_ids
+        if ids is None:
+            placement = self._placement
+            ids = self._placement_ids = (
+                np.asarray(placement.nodes, dtype=np.intp),
+                np.asarray(placement.islands, dtype=np.intp))
+        tiers = [tier_link(tier) for tier in range(3)]
+        return (np.array([pair[0] for pair in tiers], dtype=np.float64),
+                np.array([pair[1] for pair in tiers], dtype=np.float64),
+                ids[0][worlds], ids[1][worlds])
+
+    @staticmethod
+    def edge_links(links: tuple, senders, dests, sources, wire: int) -> tuple:
+        """``(alpha, transfer, received)`` of a round's sends from members
+        ``senders`` to ``dests`` under :meth:`member_links`' ``links``:
+        ``transfer`` is ``wire * beta`` per send, ``received`` the same per
+        receiver (whose sender ``sources`` picks).  Floats on a uniform
+        machine; else arrays, each edge's tier found elementwise as
+        ``Placement.tier_of`` finds it, its values those ``params.link``
+        returns."""
+        if len(links) == 2:
+            alpha, beta = links
+            transfer = wire * beta
+            return alpha, transfer, transfer
+        alphas, betas, nodes, islands = links
+        tier = np.where(islands[senders] != islands[dests], 2,
+                        np.where(nodes[senders] != nodes[dests], 1, 0))
+        transfer = wire * betas[tier]
+        return alphas[tier], transfer, transfer[sources]
+
+    def count(self, world: list, sent: list, received: list,
+              wire: int) -> None:
+        """Count a vector pass's messages of ``wire`` words: member ``i``
+        (world rank ``world[i]``) sent ``sent[i]``, received
+        ``received[i]``."""
+        sent_by_rank = self._sent
+        sent_words = self._sent_words
+        recvd_by_rank = self._recvd
+        recvd_words = self._recvd_words
+        for member, rank in enumerate(world):
+            sent_by_rank[rank] += sent[member]
+            recvd_by_rank[rank] += received[member]
+            if wire:
+                sent_words[rank] += sent[member] * wire
+                recvd_words[rank] += received[member] * wire
+
     # ------------------------------------------------------- the block path
 
     def tails(self, world: list, worlds: np.ndarray, hier: bool) -> tuple:
@@ -360,6 +490,28 @@ class PortLog:
         ports[receiving] = serial
         rows[receiving] = np.flatnonzero(pending)
         blocks[serial] = block
+
+
+def _gather(ports: list, world: list, affine) -> np.ndarray:
+    """The members' slice of a per-world-rank port list, as float64."""
+    if affine is not None and affine[1] > 0:
+        first, stride = affine
+        return np.array(ports[first:first + len(world) * stride:stride],
+                        dtype=np.float64)
+    return np.fromiter(map(ports.__getitem__, world), dtype=np.float64,
+                       count=len(world))
+
+
+def _scatter(ports: list, world: list, affine, values: np.ndarray) -> None:
+    """Write a member-indexed array back into a per-world-rank port list
+    (``ndarray.tolist`` yields the exact Python floats)."""
+    items = values.tolist()
+    if affine is not None and affine[1] > 0:
+        first, stride = affine
+        ports[first:first + len(world) * stride:stride] = items
+    else:
+        for rank, item in zip(world, items):
+            ports[rank] = item
 
 
 class _RoundBlock:

@@ -22,7 +22,8 @@ influence it) has joined:
 
 Resolution replays the *exact* float arithmetic of
 ``Transport.post_send`` — same operand order, same port bookkeeping, same
-payload-snapshot and freeze semantics, same tracer counters — so every
+payload-snapshot and freeze semantics, same tracer counters (the port log,
+:mod:`repro.core.portlog`, is that mirror) — so every
 timestamp, result value, and statistic is bit-identical to the native state
 machines.  Only the event count drops: each rank gets exactly one wake-up at
 its native finish time, posted through :meth:`Engine.charge_batch` (one
@@ -49,9 +50,9 @@ resources the pricer does not mirror), a group of more than one rank, and
 runtime checks (:class:`LockstepError`) reject phase shapes whose native
 port-write order cannot be reproduced.  Machines with *tiered* link prices
 (hierarchical/fat-tree/dragonfly cost models without NIC pools) are priced
-per edge: each mirrored send resolves ``params.link(src, dst, placement)``
-exactly as ``Transport.post_send`` does, so the float expressions stay
-bit-identical to the event engine on non-flat machines too.
+per edge: the port log resolves each send's link exactly as
+``Transport.post_send`` does, so the float expressions stay bit-identical
+to the event engine on non-flat machines too.
 
 There is one phase kind per operation.  A join carries the schedule
 :func:`repro.collectives.dispatch.start` selected: None for the flat
@@ -87,16 +88,22 @@ oracle cluster's event-by-event run, where no phase is priced here at all.
 
 One pricer per phase
 --------------------
-Each phase class mirrors the sender half of ``post_send`` in exactly one
-pass and folds every receive through the coordinator's
-:class:`~repro.core.portlog.PortLog` (:meth:`~repro.core.portlog.PortLog.write`
-returns the entry, whose cap the pricer sets where it commits the arrival);
-the pass stores finish times and results in the phase's ``finish`` /
-``results`` lists.  A join prices a worklist, a driver prices everyone: a
-member joining through the engine hands the pass the members its join made
-resolvable (a bcast's joined descendants, a reduce/gather's ready chain
-toward the root, a scan's prefix) and ``_publish`` gives each its request
-and wake-up; a driver that knows every join up front (``_feed_all``: the
+Each phase class has exactly one pass, which says which messages its
+schedule sends and when; the coordinator's
+:class:`~repro.core.portlog.PortLog` prices them.  A pass hands it the
+ready time of each send and reads back leaves and arrivals: the bcast and
+the exchange price a message whole (``message``); reduce, gather and the
+scalar dissemination rounds price a send when its member is priced and
+its receive later, in the receiver's post order (``send``, then
+``receive``).  ``receive`` and ``message`` return the receive's entry,
+whose cap the pass sets where it commits the arrival.  No pass touches a
+port, a link price or a tracer counter itself.  The pass stores finish
+times and results in the phase's ``finish`` / ``results`` lists.  A join
+prices a worklist, a driver prices everyone: a member joining through the
+engine hands the pass the members its join made resolvable (a bcast's
+joined descendants, a reduce/gather's ready chain toward the root, a
+scan's prefix) and ``_publish`` gives each its request and wake-up; a
+driver that knows every join up front (``_feed_all``: the
 allreduce composition, the jquick level phase — its data exchange is only
 ever priced this way) runs the same pass over all members and reads the
 lists, without requests or wake events.  The dissemination phase's vector
@@ -232,7 +239,7 @@ def lockstep_eligible(env, ep) -> bool:
     ``Cluster(reference_engine=True)``, prices every collective event by
     event) and per-rank ports (shared-NIC models serialise traffic on
     node-level resources the lockstep pricer does not mirror).  Tiered link
-    prices are fine: the phases resolve ``params.link`` per edge exactly as
+    prices are fine: the port log resolves each edge's link exactly as
     ``Transport.post_send`` does.
     """
     if not getattr(env, "lockstep_collectives", False):
@@ -315,7 +322,7 @@ class SpmdCoordinator:
         # The receive-port log every phase of this transport folds its
         # writes through, with the live phases' first joins that bound its
         # prune (see repro.core.portlog).
-        self.ports = PortLog(transport._recv_port_free, transport.engine)
+        self.ports = PortLog(transport)
         # Always-on tier-attribution counters, surfaced through
         # ClusterResult.obs: how many phases each execution tier priced
         # (counted at retirement, once per real phase — driver-owned
@@ -421,11 +428,11 @@ class SpmdCoordinator:
 # ---------------------------------------------------------------------------
 
 class _PhaseBase:
-    """Shared state of a phase: joins, wakes and the sender-half context
-    (link prices, ports, statistics); receives fold through ``self.ports``.
+    """Shared state of a phase: joins and wakes; every message is priced
+    through ``self.ports``, the coordinator's :class:`PortLog`.
 
-    All pricing happens in *group* ranks; ``self.world`` maps them to world
-    ranks for the transport's port and tracer arrays.
+    All pricing happens in *group* ranks; ``self.world`` maps them to the
+    world ranks the port log takes.
     """
 
     kind = "?"
@@ -451,8 +458,8 @@ class _PhaseBase:
     def __init__(self, ep, op, root, coordinator):
         if isinstance(ep, _PhaseBase):
             # A sub-phase on its driver's own group (see _sub_phase) shares
-            # the driver's derived group context — world list, port and
-            # stats handles, link parameters — instead of re-deriving it.
+            # the driver's derived group context — world list, port log,
+            # vendor costs — instead of re-deriving it.
             self.__dict__.update(ep._group)
             self._group = ep._group
         else:
@@ -487,25 +494,7 @@ class _PhaseBase:
         self.transport = transport
         self.context = ep.context
         self.tag = ep.tag
-        self.stats = transport.tracer.stats
         self.size = ep.size
-        link = transport._uniform_link
-        if link is not None:
-            self.alpha, self.beta = link
-            self._tiered = False
-        else:
-            # Tiered link prices on per-rank ports: every mirrored edge
-            # resolves params.link(src, dst, placement) exactly like
-            # post_send's non-NIC branch.  Shared-NIC pools route through
-            # node-level ports the mirror does not model.
-            if transport._node_of is not None:  # pragma: no cover - guarded
-                raise LockstepError(
-                    "lockstep requires per-rank ports (shared-NIC pools are "
-                    "not lockstep-eligible)")
-            self.alpha = self.beta = None
-            self._tiered = True
-        self._link_params = transport.params
-        self._link_placement = transport.placement
         self.factor = ep.word_cost_factor
         self.pmd = ep.per_message_delay
         self.compute_cost = transport.params.compute_cost
@@ -521,10 +510,7 @@ class _PhaseBase:
         # _obs nulled by _sub_phase so only the outer phase's span counts.
         self._obs = transport._obs
         self.coordinator = coordinator
-        # Every receive goes through the coordinator's port log.
         self.ports = coordinator.ports
-        self._recvd_by_rank = self.stats.per_rank_messages_received
-        self._recvd_words_by_rank = self.stats.per_rank_words_received
         self._group = dict(self.__dict__)
 
     # ------------------------------------------------------------------ joins
@@ -640,15 +626,6 @@ class _PhaseBase:
             self.engine.charge_batch(
                 [w[0] for w in wakes], [w[1] for w in wakes])
 
-    def _edge_link(self, src: int, dst: int) -> tuple:
-        """``(alpha, beta)`` of one group-rank edge on a tiered machine.
-
-        Mirrors ``post_send``'s non-NIC branch: the link is resolved per
-        (world src, world dst) pair through the cost model's placement.
-        """
-        return self._link_params.link(self.world[src], self.world[dst],
-                                      self._link_placement)
-
     def _sub_phase(self, factory, op, root, ep=None):
         """A sub-phase owned and driven by this phase, on ``ep``'s group.
 
@@ -719,9 +696,6 @@ class _DisseminationPhase(_PhaseBase):
 
     kind = "scan"
     wrap = False
-    #: Per-group ``(alphas, betas, node_id, island_id)`` link arrays, built
-    #: on first use by :meth:`_tier_link_arrays` (False: no tier table).
-    _tier_arrays = None
     #: ``world`` as an index array, built on first use by
     #: :meth:`_world_array`.
     _world_arr = None
@@ -731,8 +705,8 @@ class _DisseminationPhase(_PhaseBase):
         self.rounds = dissemination_rounds(self.size)
         # The scalar pass's round table, built by its first call: per round
         # the distance, senders below ``limit``, receivers from ``floor``,
-        # and member -> its priced (leave, wire, payload, post, beta) send,
-        # read by the receivers.
+        # and member -> its priced (leave, wire, payload, post, transfer)
+        # send, read by the receivers.
         self.sends: Optional[list] = None
         self.frontier = 0
         self._flush_armed = False
@@ -817,7 +791,7 @@ class _DisseminationPhase(_PhaseBase):
         self._scalar_pass(lo, hi)
 
     def _scalar_pass(self, lo: int, hi: int) -> None:
-        """Mirror ``post_send`` round by round over members ``[lo, hi)``.
+        """Price the rounds one by one over members ``[lo, hi)``.
 
         Round-major: all of a round's sends, then all of its receives.  Each
         send port is written by its own member and each receive port by its
@@ -830,17 +804,9 @@ class _DisseminationPhase(_PhaseBase):
         op = self.op
         pmd = self.pmd
         factor = self.factor
-        tiered = self._tiered
-        alpha = self.alpha
-        beta = self.beta
         world = self.world
-        send_free = self.transport._send_port_free
-        stats = self.stats
-        sent_by_rank = stats.per_rank_messages_sent
-        sent_words_by_rank = stats.per_rank_words_sent
-        recvd = self._recvd_by_rank
-        recvd_words = self._recvd_words_by_rank
-        write = self.ports.write
+        send = self.ports.send
+        receive = self.ports.receive
         owner = self._owner
         hier = self._hier_sub
         compute_cost = self.compute_cost
@@ -855,12 +821,9 @@ class _DisseminationPhase(_PhaseBase):
         pending = [0.0] * (hi - lo)
         payload = None  # the barrier's: no value, 0 words
         wire = 0
-        nsent = 0
-        wsent = 0
         for distance, limit, floor, sent in table:
             for member in range(lo, limit if limit < hi else hi):
                 k = member - lo
-                src = world[member]
                 if not wrap:
                     payload = acc[k]
                     if payload is not values[member]:
@@ -868,37 +831,23 @@ class _DisseminationPhase(_PhaseBase):
                     words = payload_words(payload)
                     wire = words if factor == 1.0 \
                         else int(round(words * factor))
-                    sent_words_by_rank[src] += wire
-                    wsent += wire
-                # Sender half of post_send, same float operand order.
-                if tiered:
-                    alpha, beta = self._edge_link(member,
-                                                  (member + distance) % size)
                 post = resume[k]
-                start = post + (pending[k] + pmd)
+                leave, transfer = send(
+                    world[member], world[(member + distance) % size],
+                    post + (pending[k] + pmd), wire)
                 # Consumed: without a receive this round, the member's next
                 # send has no operator delay.
                 pending[k] = 0.0
-                port_free = send_free[src]
-                if port_free > start:
-                    start = port_free
-                leave = start + alpha + wire * beta
-                send_free[src] = leave
-                sent_by_rank[src] += 1
-                nsent += 1
-                sent[member] = (leave, wire, payload, post, beta)
+                sent[member] = (leave, wire, payload, post, transfer)
                 if leave > post:
                     resume[k] = leave
             for member in range(floor if floor > lo else lo, hi):
                 k = member - lo
                 # A negative index is the barrier's wraparound source.
-                s_leave, s_wire, s_value, s_post, s_beta = \
+                s_leave, s_wire, s_value, s_post, s_transfer = \
                     sent[member - distance]
-                dst = world[member]
-                entry = write(dst, s_post, s_leave, s_wire * s_beta, owner,
-                              hier)
-                recvd[dst] += 1
-                recvd_words[dst] += s_wire
+                entry = receive(world[member], s_post, s_leave, s_transfer,
+                                s_wire, owner, hier)
                 arrival = entry[4]
                 if arrival > resume[k]:
                     resume[k] = arrival
@@ -906,8 +855,6 @@ class _DisseminationPhase(_PhaseBase):
                     pending[k] = compute_cost(payload_words(s_value))
                     acc[k] = op(s_value, acc[k])
                 entry[5] = resume[k]
-        stats.messages_sent += nsent
-        stats.words_sent += wsent
         finish = self._finish
         for member, at, result in zip(range(lo, hi), resume,
                                       [None] * (hi - lo) if wrap else acc):
@@ -954,15 +901,11 @@ class _DisseminationPhase(_PhaseBase):
             factor = self.factor
             wire = words if factor == 1.0 else int(round(words * factor))
             cost = self.compute_cost(words)
-        if self._tiered:
-            tier_arrays = self._tier_link_arrays()
-            if tier_arrays is None:
-                return False
-            tier_alphas, tier_betas, node_id, island_id = tier_arrays
-            wire_beta = None
-        else:
-            alpha = self.alpha
-            wire_beta = wire * self.beta
+        ports = self.ports
+        links = ports.member_links(self._world_array())
+        if links is None:
+            return False
+        edge_links = ports.edge_links
         if fold:
             table = ((slice(0, size - d), slice(d, size), slice(d, size),
                       slice(0, size - d)) for d in self.rounds)
@@ -971,9 +914,7 @@ class _DisseminationPhase(_PhaseBase):
             everyone = slice(0, size)
             table = ((everyone, (index + d) % size, everyone,
                       (index - d) % size) for d in self.rounds)
-        send_free = self._gather_port_array(self.transport._send_port_free)
-        recv_free = self._gather_port_array(self.transport._recv_port_free)
-        ports = self.ports
+        send_free, recv_free = ports.port_arrays(self.world, self.affine)
         tails, hazards, listed = ports.tails(self.world, self._world_array(),
                                              self._hier_sub)
         resume = np.array(self.joined, dtype=np.float64)
@@ -995,18 +936,8 @@ class _DisseminationPhase(_PhaseBase):
             # port, + alpha + wire*beta).
             start = resume[senders] + (pending[senders] + pmd)
             np.maximum(start, send_free[senders], out=start)
-            if wire_beta is None:
-                # Per-edge links: the elementwise Placement.tier_of, and
-                # parameter gathers that reproduce params.link exactly.
-                tier = np.where(
-                    island_id[senders] != island_id[dests], 2,
-                    np.where(node_id[senders] != node_id[dests], 1, 0))
-                e_alpha = tier_alphas[tier]
-                e_wb = wire * tier_betas[tier]
-                r_wb = e_wb[sources]
-            else:
-                e_alpha = alpha
-                e_wb = r_wb = wire_beta
+            e_alpha, e_wb, r_wb = edge_links(links, senders, dests, sources,
+                                              wire)
             leaves = start + e_alpha + e_wb
             send_free[senders] = leaves
             nsent[senders] += 1
@@ -1049,27 +980,11 @@ class _DisseminationPhase(_PhaseBase):
             resume = new_resume
         # ---- every write folds as the scalar fold would: commit. --------
         self.tier = "fastforward"
-        self._scatter_port_array(self.transport._send_port_free, send_free)
-        self._scatter_port_array(self.transport._recv_port_free, recv_free)
+        ports.set_port_arrays(self.world, self.affine, send_free, recv_free)
         ports.add_block(block, [0] * len(self.rounds) if self.wrap
                         else self.rounds, self.world, self._world_array(),
                         self._owner, self._hier_sub, reordered, listed)
-        stats = self.stats
-        sent_by_rank = stats.per_rank_messages_sent
-        sent_words_by_rank = stats.per_rank_words_sent
-        recvd_by_rank = self._recvd_by_rank
-        recvd_words_by_rank = self._recvd_words_by_rank
-        nsent = nsent.tolist()
-        nrecv = nrecv.tolist()
-        for member, dst in enumerate(self.world):
-            sent_by_rank[dst] += nsent[member]
-            recvd_by_rank[dst] += nrecv[member]
-            if wire:
-                sent_words_by_rank[dst] += nsent[member] * wire
-                recvd_words_by_rank[dst] += nrecv[member] * wire
-        total_sent = sum(nsent)
-        stats.messages_sent += total_sent
-        stats.words_sent += total_sent * wire
+        ports.count(self.world, nsent.tolist(), nrecv.tolist(), wire)
         finish = self._finish
         times = resume.tolist()
         if not fold:
@@ -1095,63 +1010,6 @@ class _DisseminationPhase(_PhaseBase):
                     result = result.copy()
                 finish(member, times[member], result)
         return True
-
-    def _gather_port_array(self, port_list: list) -> np.ndarray:
-        """This group's slice of a per-world-rank port list, as float64."""
-        affine = self.affine
-        if affine is not None and affine[1] > 0:
-            first, stride = affine
-            return np.array(port_list[first:first + self.size * stride:stride],
-                            dtype=np.float64)
-        return np.fromiter(map(port_list.__getitem__, self.world),
-                           dtype=np.float64, count=self.size)
-
-    def _scatter_port_array(self, port_list: list, values: np.ndarray) -> None:
-        """Write a member-indexed array back into a per-world port list.
-
-        ``ndarray.tolist`` yields the exact Python floats, so the list ends
-        up bit-identical to what the scalar pass's per-rank stores leave.
-        """
-        affine = self.affine
-        items = values.tolist()
-        if affine is not None and affine[1] > 0:
-            first, stride = affine
-            port_list[first:first + self.size * stride:stride] = items
-        else:
-            for world, item in zip(self.world, items):
-                port_list[world] = item
-
-    def _tier_link_arrays(self) -> Optional[tuple]:
-        """``(alphas, betas, node_id, island_id)`` member arrays, or None.
-
-        The vector pass uses these to resolve per-edge link parameters as
-        array lookups: ``tier = 2 if islands differ else 1 if nodes differ
-        else 0`` mirrors ``Placement.tier_of`` elementwise, and indexing the
-        tier-parameter arrays reproduces ``params.link`` exactly (the values
-        are the very same Python floats).  None when the cost model does not
-        expose the three-tier table (``_tiers``) — the caller falls back to
-        the scalar pass, which goes through ``params.link`` per edge.
-        """
-        cached = self._tier_arrays
-        if cached is not None:
-            return cached or None
-        tiers = getattr(self._link_params, "_tiers", None)
-        if tiers is None:
-            self._tier_arrays = False
-            return None
-        transport = self.transport
-        ids = getattr(transport, "_tier_ids", None)
-        if ids is None:
-            placement = self._link_placement
-            ids = transport._tier_ids = (
-                np.asarray(placement.nodes, dtype=np.intp),
-                np.asarray(placement.islands, dtype=np.intp))
-        world = self._world_array()
-        cached = self._tier_arrays = (
-            np.array([pair[0] for pair in tiers], dtype=np.float64),
-            np.array([pair[1] for pair in tiers], dtype=np.float64),
-            ids[0][world], ids[1][world])
-        return cached
 
     def _world_array(self) -> np.ndarray:
         """The member -> world rank map as an index array (built once)."""
@@ -1220,31 +1078,21 @@ class _BcastPhase(_PhaseBase):
         sequences depend on: every send port is written by its own member
         alone and every receive port by the member's one parent.  Children
         are enumerated inline, largest subtree first (a memoised child
-        table thrashes once a run's (vrank, size) pairs outgrow it), and
-        the sender half of ``post_send`` is inlined with its float operand
-        order.  A child's arrival is consumed verbatim as its entry floor,
-        so it is its write's cap.
+        table thrashes once a run's (vrank, size) pairs outgrow it).  A
+        child's arrival is consumed verbatim as its entry floor, so it is
+        its write's cap.
         """
         size = self.size
         root = self.root
         joined = self.joined
         world = self.world
-        alpha = self.alpha
-        beta = self.beta
         pmd = self.pmd
-        tiered = self._tiered
         hier = self._hier_sub
         finishes = self.finish
         results = self.results
         arrivals = self.arrivals
-        write = self.ports.write
+        message = self.ports.message
         owner = self._owner
-        recvd = self._recvd_by_rank
-        recvd_words = self._recvd_words_by_rank
-        send_free = self.transport._send_port_free
-        stats = self.stats
-        sent_by_rank = stats.per_rank_messages_sent
-        sent_words_by_rank = stats.per_rank_words_sent
         root_value = self.values[root]
         if self.wire_words_cached is None:
             # Snapshot of the root payload, once for the whole tree
@@ -1259,8 +1107,6 @@ class _BcastPhase(_PhaseBase):
                 else int(round(words * self.factor))
         wire_value = self.wire_value
         wire = self.wire_words_cached
-        nsent = 0
-        wsent = 0
         for vrank in vranks:
             rank = vrank + root
             if rank >= size:
@@ -1283,34 +1129,15 @@ class _BcastPhase(_PhaseBase):
                 child = child_vrank + root
                 if child >= size:
                     child -= size
-                start = entry + pmd
-                port_free = send_free[src]
-                if port_free > start:
-                    start = port_free
-                if tiered:
-                    link = self._edge_link(rank, child)
-                    leave = start + link[0] + wire * link[1]
-                    ebeta = link[1]
-                else:
-                    leave = start + alpha + wire * beta
-                    ebeta = beta
-                send_free[src] = leave
-                nsent += 1
-                wsent += wire
-                sent_by_rank[src] += 1
-                sent_words_by_rank[src] += wire
-                dst = world[child]
-                row = write(dst, entry, leave, wire * ebeta, owner, hier)
-                recvd[dst] += 1
-                recvd_words[dst] += wire
+                row = message(src, world[child], entry, entry + pmd, wire,
+                              owner, hier)
                 arrival = row[5] = row[4]
                 arrivals[child_vrank] = arrival
+                leave = row[1]
                 if leave > finish:
                     finish = leave
             finishes[rank] = finish
             results[rank] = wire_value if vrank else root_value
-        stats.messages_sent += nsent
-        stats.words_sent += wsent
 
 
 # ---------------------------------------------------------------------------
@@ -1328,7 +1155,7 @@ class _TreeUpPhase(_PhaseBase):
 
     def __init__(self, ep, op, root, coordinator):
         super().__init__(ep, op, root, coordinator)
-        # rank -> (post_time, leave, wire, payload-ish, link beta) of its
+        # rank -> (post_time, leave, wire, payload-ish, transfer) of its
         # send to the parent; shape of the payload field differs per
         # subclass.  Set when the rank is priced (the root's stays None).
         self.up_send: list = [None] * self.size
@@ -1375,34 +1202,22 @@ class _TreeUpPhase(_PhaseBase):
 
         Children before parents is the only ordering the per-port write
         sequences depend on (each member's pricing touches only its own
-        ports).  The sender half of ``post_send`` is inlined with its
-        float operand order; a member's receives fold in post order, and
-        only the max of its join and their arrivals is committed (their
-        cap).
+        ports).  A member's receives fold in post order, and only the max
+        of its join and their arrivals is committed (their cap).
         """
         size = self.size
         root = self.root
         joined = self.joined
         up_send = self.up_send
         world = self.world
-        alpha = self.alpha
-        beta = self.beta
         factor = self.factor
-        tiered = self._tiered
         hier = self._hier_sub
         finishes = self.finish
         results = self.results
-        write = self.ports.write
+        send = self.ports.send
+        receive = self.ports.receive
         owner = self._owner
-        recvd = self._recvd_by_rank
-        recvd_words = self._recvd_words_by_rank
-        send_free = self.transport._send_port_free
-        stats = self.stats
-        sent_by_rank = stats.per_rank_messages_sent
-        sent_words_by_rank = stats.per_rank_words_sent
         up_payload = self._up_payload
-        nsent = 0
-        wsent = 0
         for vrank in vranks:
             rank = vrank + root
             if rank >= size:
@@ -1426,11 +1241,9 @@ class _TreeUpPhase(_PhaseBase):
                     edges.sort(key=POST)
                 dst = world[rank]
                 rows = []
-                for post_time, leave, wire, _payload, ebeta in edges:
-                    row = write(dst, post_time, leave, wire * ebeta, owner,
-                                hier)
-                    recvd[dst] += 1
-                    recvd_words[dst] += wire
+                for post_time, leave, wire, _payload, transfer in edges:
+                    row = receive(dst, post_time, leave, transfer, wire,
+                                  owner, hier)
                     rows.append(row)
                     arrival = row[4]
                     if arrival > entry:
@@ -1443,29 +1256,12 @@ class _TreeUpPhase(_PhaseBase):
                 continue
             payload, local_delay, words = up_payload(rank, children)
             wire = words if factor == 1.0 else int(round(words * factor))
-            src = world[rank]
-            start = entry + local_delay
-            port_free = send_free[src]
-            if port_free > start:
-                start = port_free
-            if tiered:
-                parent = (vrank & (vrank - 1)) + root
-                link = self._edge_link(
-                    rank, parent if parent < size else parent - size)
-                leave = start + link[0] + wire * link[1]
-                ebeta = link[1]
-            else:
-                leave = start + alpha + wire * beta
-                ebeta = beta
-            send_free[src] = leave
-            nsent += 1
-            wsent += wire
-            sent_by_rank[src] += 1
-            sent_words_by_rank[src] += wire
-            up_send[rank] = (entry, leave, wire, payload, ebeta)
+            parent = (vrank & (vrank - 1)) + root
+            leave, transfer = send(
+                world[rank], world[parent if parent < size else parent - size],
+                entry + local_delay, wire)
+            up_send[rank] = (entry, leave, wire, payload, transfer)
             finishes[rank] = leave
-        stats.messages_sent += nsent
-        stats.words_sent += wsent
 
     def _up_payload(self, rank: int,
                     children: list[int]) -> tuple:  # pragma: no cover
@@ -1625,23 +1421,12 @@ class _ExchangePhase(_PhaseBase):
         joined = self.joined
         values = self.values
         world = self.world
-        alpha = self.alpha
-        beta = self.beta
         factor = self.factor
-        tiered = self._tiered
         hier = self._hier_sub
-        write = self.ports.write
+        message = self.ports.message
         owner = self._owner
-        recvd = self._recvd_by_rank
-        recvd_words = self._recvd_words_by_rank
-        send_free = self.transport._send_port_free
-        stats = self.stats
-        sent_by_rank = stats.per_rank_messages_sent
-        sent_words_by_rank = stats.per_rank_words_sent
         inbound: list = [[] for _ in range(size)]
         max_leave = [0.0] * size
-        nsent = 0
-        wsent = 0
         for rank in sorted(range(size), key=joined.__getitem__):
             pieces = values[rank][0]
             if not pieces:
@@ -1651,34 +1436,14 @@ class _ExchangePhase(_PhaseBase):
             best_leave = 0.0
             for dest, words in pieces:
                 wire = words if factor == 1.0 else int(round(words * factor))
-                start = post + 0.0
-                port_free = send_free[src]
-                if port_free > start:
-                    start = port_free
-                if tiered:
-                    link = self._edge_link(rank, dest)
-                    leave = start + link[0] + wire * link[1]
-                    ebeta = link[1]
-                else:
-                    leave = start + alpha + wire * beta
-                    ebeta = beta
-                send_free[src] = leave
-                nsent += 1
-                wsent += wire
-                sent_by_rank[src] += 1
-                sent_words_by_rank[src] += wire
-                if leave > best_leave:
-                    best_leave = leave
-                dst = world[dest]
-                entry = write(dst, post, leave, wire * ebeta, owner, hier)
-                recvd[dst] += 1
-                recvd_words[dst] += wire
+                entry = message(src, world[dest], post, post + 0.0, wire,
+                                owner, hier)
+                if entry[1] > best_leave:
+                    best_leave = entry[1]
                 # Re-foldable at will until the drain is known.
                 entry[5] = _INF
                 inbound[dest].append(entry)
             max_leave[rank] = best_leave
-        stats.messages_sent += nsent
-        stats.words_sent += wsent
         compute_cost = self.compute_cost
         finishes = self.finish
         results = self.results

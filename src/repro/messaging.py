@@ -219,13 +219,6 @@ class RecvRequest(Request):
             return None
         return self._message.payload
 
-    def result_words(self) -> int:
-        """Word count of the matched payload, as its sender counted it.
-
-        Call only when ``test()`` has returned True.
-        """
-        return self._message.payload_count
-
     def take(self) -> Any:
         """Return the matched payload and re-arm the request (multi-shot).
 

@@ -37,9 +37,6 @@ class MpiRuntime:
 
     # ----------------------------------------------------------------- context
 
-    def acquire_context(self, context_id: int) -> None:
-        self.context_pool.acquire(context_id)
-
     def release_context(self, context_id) -> None:
         """Release an integer context id; tuple context ids need no bookkeeping."""
         if isinstance(context_id, int) and context_id != self.WORLD_CONTEXT_ID:

@@ -120,9 +120,6 @@ class TraceRecorder:
 
     # ----------------------------------------------------------- convenience
 
-    def span_count(self) -> int:
-        return len(self.spans)
-
     def category_totals(self) -> dict[str, float]:
         """Summed span durations per category (overlap-unaware; per-rank
         spans of one rank never overlap, so the per-category sums are
@@ -131,9 +128,6 @@ class TraceRecorder:
         for _rank, t0, t1, category, _label in self.spans:
             totals[category] = totals.get(category, 0.0) + (t1 - t0)
         return totals
-
-    def rank_spans(self, rank: int) -> list[tuple]:
-        return [s for s in self.spans if s[0] == rank]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"TraceRecorder(num_ranks={self.num_ranks}, "

@@ -207,9 +207,6 @@ class RbcComm:
         """RBC rank -> world rank of the simulated cluster."""
         return self.range.to_world(rbc_rank)
 
-    def contains_mpi_rank(self, mpi_rank: int) -> bool:
-        return self.from_mpi(mpi_rank) is not None
-
     def from_world(self, world_rank: int) -> Optional[int]:
         """World rank of the cluster -> RBC rank (None if not a member)."""
         return self.range.from_world(world_rank)

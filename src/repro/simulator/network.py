@@ -772,8 +772,6 @@ class Transport:
         # Tracer counters, inlined (one send per simulated message — the
         # method call was measurable).
         stats = self.tracer.stats
-        stats.messages_sent += 1
-        stats.words_sent += words
         stats.per_rank_messages_sent[src] += 1
         stats.per_rank_words_sent[src] += words
 

@@ -87,11 +87,5 @@ class RankEnv:
         """Block until the next notification for this rank (low-level)."""
         yield WAIT_NOTIFY
 
-    # --------------------------------------------------------------- wake-ups
-
-    def _notify_self(self) -> None:
-        if self._proc is not None:
-            self.engine.notify(self._proc)
-
     def __repr__(self):  # pragma: no cover - debugging aid
         return f"RankEnv(rank={self.rank}, size={self.size})"

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
 
 __all__ = ["TraceStats", "Tracer"]
 
@@ -12,22 +11,25 @@ __all__ = ["TraceStats", "Tracer"]
 class TraceStats:
     """Aggregate statistics of one simulated run."""
 
-    messages_sent: int = 0
-    words_sent: int = 0
     per_rank_messages_sent: list[int] = field(default_factory=list)
     per_rank_messages_received: list[int] = field(default_factory=list)
     per_rank_words_sent: list[int] = field(default_factory=list)
     per_rank_words_received: list[int] = field(default_factory=list)
     compute_time: list[float] = field(default_factory=list)
 
+    @property
+    def messages_sent(self) -> int:
+        return sum(self.per_rank_messages_sent)
+
+    @property
+    def words_sent(self) -> int:
+        return sum(self.per_rank_words_sent)
+
     def max_messages_received(self) -> int:
         return max(self.per_rank_messages_received, default=0)
 
     def max_messages_sent(self) -> int:
         return max(self.per_rank_messages_sent, default=0)
-
-    def total_words(self) -> int:
-        return self.words_sent
 
     def max_words_sent(self) -> int:
         return max(self.per_rank_words_sent, default=0)
@@ -71,21 +73,6 @@ class Tracer:
             compute_time=[0.0] * num_ranks,
         )
 
-    def record_send(self, src: int, words: int) -> None:
-        # NOTE: the transport's per-send hot path updates these counters
-        # inline (see Transport.post_send and its deliver entry) rather than
-        # through this method; it exists for out-of-band callers.
-        s = self.stats
-        s.messages_sent += 1
-        s.words_sent += words
-        s.per_rank_messages_sent[src] += 1
-        s.per_rank_words_sent[src] += words
-
-    def record_delivery(self, dst: int, words: int) -> None:
-        s = self.stats
-        s.per_rank_messages_received[dst] += 1
-        s.per_rank_words_received[dst] += words
-
     def record_compute(self, rank: int, duration: float) -> None:
         self.stats.compute_time[rank] += duration
 
@@ -99,8 +86,6 @@ class Tracer:
         """
         mine = self.stats
         theirs = other.stats if isinstance(other, Tracer) else other
-        mine.messages_sent += theirs.messages_sent
-        mine.words_sent += theirs.words_sent
         for name in ("per_rank_messages_sent", "per_rank_messages_received",
                      "per_rank_words_sent", "per_rank_words_received",
                      "compute_time"):

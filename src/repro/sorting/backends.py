@@ -44,9 +44,6 @@ class GroupComm:
     def to_group(self, sort_rank: int) -> int:
         return sort_rank - self.group_first
 
-    def to_sort(self, group_rank: int) -> int:
-        return group_rank + self.group_first
-
     # Nonblocking collectives ------------------------------------------------
     def ibcast(self, value: Any, root: int, tag: int):
         raise NotImplementedError

@@ -556,7 +556,7 @@ class _JQLevelPhase(_PhaseBase):
         start = current.row_bounds[group]
         rows = slice(start, start + size)
         compute_cost = self.compute_cost
-        compute_time = self.stats.compute_time
+        compute_time = self.transport.tracer.stats.compute_time
         world = self.world
         local_counts = current.local_counts[rows]
         row_sizes = current.row_sizes[rows]

@@ -279,8 +279,7 @@ class _JQuickRun:
         if world.range.world_first is None:
             return "it requires a rank-affine world communicator"
         transport = self.env.transport
-        if getattr(transport, "_uniform_link", None) is None or \
-                getattr(transport, "_node_of", None) is not None:
+        if transport._uniform_link is None or transport._node_of is not None:
             return "it requires a flat machine with a uniform link model"
         if self.n != self.p:
             return ("it requires the communicator-bound layout n == p "
